@@ -63,6 +63,28 @@ def det_matrix(grid) -> Polynomial:
     return minor((1 << n) - 1)
 
 
+def monomial_weights(masks, lam) -> np.ndarray:
+    """``prod_{j in S} lam_j`` for each mask S, multiplied in ascending slot order."""
+    out = np.ones(len(masks))
+    for r, mask in enumerate(masks):
+        mask = int(mask)
+        slot = 0
+        w = 1.0
+        while mask:
+            if mask & 1:
+                w *= float(lam[slot])
+            mask >>= 1
+            slot += 1
+        out[r] = w
+    return out
+
+
+def subset_matrix(masks: np.ndarray, k: int) -> np.ndarray:
+    """Boolean (2**k, masks) matrix: entry [v, r] says masks[r] is a subset of vertex v."""
+    verts = np.arange(1 << k)[:, None]
+    return (masks[None, :] & ~verts) == 0
+
+
 @dataclass(frozen=True)
 class ParametricDeterminant:
     """Multi-affine determinant ``sum_S c_S(s) * prod_{j in S} lam_j``.
@@ -80,11 +102,7 @@ class ParametricDeterminant:
         if lam.size != self.k:
             raise ValueError(f"expected {self.k} parameters, got {lam.size}")
         acc = _ZERO
-        for mask, poly in self.terms.items():
-            w = 1.0
-            for slot in range(self.k):
-                if mask >> slot & 1:
-                    w *= float(lam[slot])
+        for poly, w in zip(self.terms.values(), monomial_weights(list(self.terms), lam)):
             if w != 0.0:
                 acc = acc + poly * w
         return acc
@@ -180,8 +198,7 @@ def coefficient_box(pd: ParametricDeterminant) -> np.ndarray:
     masks, rows = pd.coefficient_matrix()
     lo = np.full(L, np.inf)
     hi = np.full(L, -np.inf)
-    for v in range(1 << pd.k):
-        sel = (masks & ~v) == 0
+    for sel in subset_matrix(masks, pd.k):
         vec = rows[sel].sum(axis=0) if np.any(sel) else np.zeros(L)
         lo = np.minimum(lo, vec)
         hi = np.maximum(hi, vec)

@@ -323,11 +323,6 @@ def config_at(fam: MatrixFamily, index: int, dedup: bool = False) -> EdgeConfigu
     raise IndexError(f"configuration index {index} out of range")
 
 
-def instantiate(cfg: EdgeConfiguration, lam) -> tuple[tuple[Polynomial, ...], ...]:
-    """Module-level alias for ``EdgeConfiguration.instantiate``."""
-    return cfg.instantiate(lam)
-
-
 # ----------------------------------------------------------------------
 # single-column and single-row reduction streams (lemma-shaped test feeds)
 

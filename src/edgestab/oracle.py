@@ -148,6 +148,21 @@ def _grid_weight_lists(cells, level: int):
     return lists
 
 
+def _grid_sizes(cells, first: list[int], level: int) -> list[int]:
+    """Per-cell lengths of ``_grid_weight_lists(cells, level)``, given those at level 1.
+
+    A polytope cell with m > 1 vertices has m choices per level; a single
+    vertex stays one choice.  Interval cells gain the half pattern at level 2.
+    """
+    sizes = []
+    for (kind, _), n1 in zip(cells, first):
+        if kind == "polytope":
+            sizes.append(n1 * level if n1 > 1 else 1)
+        else:
+            sizes.append(n1 + (level >= 2))
+    return sizes
+
+
 def _coeff_batches(cells, weight_arrays):
     """Per-cell (batch, L) coefficient arrays from per-cell weights."""
     out = []
@@ -336,16 +351,15 @@ def sample_family(
         return float(margins[r])
 
     if scheme == "grid":
-        lists = _grid_weight_lists(cells, level=1)
-        sizes = [len(l) for l in lists]
-        level = 1
-        while int(np.prod([len(l) for l in _grid_weight_lists(cells, level + 1)])) <= budget:
-            nxt = _grid_weight_lists(cells, level + 1)
-            if [len(l) for l in nxt] == sizes:
+        first = [len(l) for l in _grid_weight_lists(cells, level=1)]
+        level, sizes = 1, first
+        while True:
+            nxt = _grid_sizes(cells, first, level + 1)
+            if math.prod(nxt) > budget or nxt == sizes:
                 break
-            lists, sizes = nxt, [len(l) for l in nxt]
-            level += 1
-        grid_total = int(np.prod(sizes))
+            level, sizes = level + 1, nxt
+        lists = _grid_weight_lists(cells, level)
+        grid_total = math.prod(sizes)
         count = min(grid_total, budget)
         chunk = 2048
         start = 0

@@ -5,10 +5,9 @@ The decision layers build on each other:
 * ``point_stable`` checks one polynomial by computing its roots.
 * ``hurwitz_algebraic`` is an independent algebraic route (Routh array) used
   to cross-check the root-based path for the left half plane.
-* ``segment_stable`` decides a one-parameter segment by scanning the region
-  boundary for parameter crossings.
 * ``box_stable`` decides a multi-affine parameter box by zero exclusion of
   its boundary value sets, with certified interval refinement.
+* ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` stream the edge configurations
   of a family through ``box_stable`` and aggregate.
 
@@ -20,21 +19,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import hull
-from .det import ParametricDeterminant, coefficient_box, det_parametric
-from .edges import EdgeConfiguration, iter_configs, count_configs
-from .errors import (
-    DegreeDropError,
-    RegionNotHurwitzError,
-    ValidationFailure,
-    ZeroPolynomialError,
+from .det import (
+    ParametricDeterminant,
+    coefficient_box,
+    det_parametric,
+    monomial_weights,
+    subset_matrix,
 )
+from .edges import count_configs, iter_configs
+from .errors import RegionNotHurwitzError, ValidationFailure, ZeroPolynomialError
 from .family import EdgeSegment, MatrixFamily, validate
 from .poly import Polynomial
 from .region import Disk, HurwitzHalfPlane, Region, ShiftedHalfPlane, sweep_range_from_box
@@ -240,27 +239,14 @@ class _SweepOutcome:
         self.reason = reason
 
 
-def _subset_transform(masks: np.ndarray, k: int) -> np.ndarray:
-    """0/1 matrix T with T[v, r] = 1 iff masks[r] is a subset of vertex v."""
-    verts = np.arange(1 << k)[:, None]
-    return ((masks[None, :] & ~verts) == 0).astype(float)
-
-
 def _corner_lambdas(k: int) -> np.ndarray:
-    out = np.zeros((1 << k, k))
-    for v in range(1 << k):
-        for slot in range(k):
-            if v >> slot & 1:
-                out[v, slot] = 1.0
-    return out
+    """Lambda vector of each box corner: row v sets slot j to bit j of v."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
 
 
-def _eval_terms(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate all term polynomials at the boundary points: (terms, T)."""
-    out = np.zeros((rows.shape[0], s.size), dtype=complex)
-    for r in range(rows.shape[0]):
-        out[r] = np.polyval(rows[r][::-1], s)
-    return out
+def _eval_terms(rows: np.ndarray, s) -> np.ndarray:
+    """Evaluate all term polynomials at boundary point(s) s: (terms,) + shape(s)."""
+    return np.array([np.polyval(row[::-1], s) for row in rows], dtype=complex)
 
 
 def _box_corner_values(term_vals: np.ndarray, masks: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
@@ -269,23 +255,13 @@ def _box_corner_values(term_vals: np.ndarray, masks: np.ndarray, lo: np.ndarray,
     ``term_vals`` is (terms,) complex at a single boundary point.  Corner c
     picks lo or hi per slot; each term contributes prod over its slots.
     """
-    corners = 1 << k
-    out = np.zeros(corners, dtype=complex)
-    for c in range(corners):
-        lam = np.where([(c >> slot) & 1 for slot in range(k)], hi, lo)
-        w = np.ones(masks.size)
-        for r, mask in enumerate(masks):
-            prod = 1.0
-            slot = 0
-            m = int(mask)
-            while m:
-                if m & 1:
-                    prod *= lam[slot]
-                m >>= 1
-                slot += 1
-            w[r] = prod
-        out[c] = np.dot(w, term_vals)
-    return out
+    return np.array(
+        [
+            np.dot(monomial_weights(masks, np.where(bits, hi, lo)), term_vals)
+            for bits in _corner_lambdas(k) > 0.0
+        ],
+        dtype=complex,
+    )
 
 
 def _subdivide_at_theta(
@@ -352,20 +328,7 @@ def _confirm_boundary_root(
 
     def residual(x):
         lam, theta = x[:k], x[k]
-        s = region.boundary(theta)
-        tv = np.array([np.polyval(rows[r][::-1], s) for r in range(rows.shape[0])])
-        w = np.ones(masks.size)
-        for r, mask in enumerate(masks):
-            m = int(mask)
-            slot = 0
-            prod = 1.0
-            while m:
-                if m & 1:
-                    prod *= lam[slot]
-                m >>= 1
-                slot += 1
-            w[r] = prod
-        val = np.dot(w, tv)
+        val = np.dot(monomial_weights(masks, lam), _eval_terms(rows, region.boundary(theta)))
         return [val.real, val.imag]
 
     theta_span = max(theta_hi - theta_lo, 1e-12)
@@ -396,13 +359,13 @@ def _confirm_boundary_root(
 def _zero_exclusion_sweep(
     pd: ParametricDeterminant,
     region: Region,
-    lo: float,
-    hi: float,
+    box: np.ndarray,
     tol: Tolerances,
 ) -> _SweepOutcome:
     """Certified zero-exclusion sweep of the region boundary.
 
-    The value set of D(s(theta), lambda-box) at each sampled theta is boxed
+    ``box`` is ``coefficient_box(pd)``; it fixes the sweep range and the
+    derivative envelope.  The value set of D(s(theta), lambda-box) at each sampled theta is boxed
     by the convex hull of its 2**k box-corner values.  An interval between
     neighboring samples is certified root-free when both endpoint exclusion
     distances exceed L * h / 2, where L bounds |dD/dtheta| via the
@@ -413,10 +376,10 @@ def _zero_exclusion_sweep(
     """
     masks, rows = pd.coefficient_matrix()
     k = pd.k
-    box = coefficient_box(pd)
+    lo, hi = sweep_range_from_box(region, box)
     env = _deriv_envelope(box)
     speed = region.boundary_speed()
-    transform = _subset_transform(masks, k)
+    transform = subset_matrix(masks, k).astype(float)
 
     thetas = _theta_grid(region, lo, hi, tol.boundary_grid)
     budget = _REFINE_ROUND_CAP_FACTOR * tol.boundary_grid
@@ -432,14 +395,10 @@ def _zero_exclusion_sweep(
 
     margins, scales = evaluate(thetas)
     resolved_dist = margins.copy()  # absolute lower bound on value-set distance
-    min_rel = math.inf
-    reason_parts: list[str] = []
 
     def handle_capture(idx: int) -> _SweepOutcome | None:
         """Subdivide the lambda box at a captured sample; may conclude the sweep."""
-        nonlocal min_rel
-        s = region.boundary(thetas[idx])
-        tv = np.array([np.polyval(rows[r][::-1], s) for r in range(rows.shape[0])])
+        tv = _eval_terms(rows, region.boundary(thetas[idx]))
         dist, leftover = _subdivide_at_theta(tv, masks, k, tol.box_depth)
         if dist > 0.0:
             resolved_dist[idx] = dist
@@ -531,184 +490,6 @@ def _zero_exclusion_sweep(
 
 
 # ----------------------------------------------------------------------
-# segment decider
-
-
-def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = None) -> Verdict:
-    """Robust stability of one polynomial segment.
-
-    A member lam*p1 + (1-lam)*p0 has a root at the boundary point s iff
-    lam = -p0(s) / (p1(s) - p0(s)) is real and in [0, 1].  The decision
-    anchors at lam = 0 and scans the boundary for such crossings: sign
-    changes of Im(lam(theta)) are bisected, and intervals whose value
-    segment comes close to the origin are refined.  Degenerate segments
-    reduce to the point test.
-    """
-    tol = tol or Tolerances()
-    p0, p1 = seg.p0, seg.p1
-    if p0 == p1:
-        if p0.is_zero:
-            return Verdict(Status.DEGENERATE, reason="segment collapses to the zero polynomial")
-        return point_stable(p0, region)
-    if p0.is_zero or p1.is_zero:
-        return Verdict(Status.DEGENERATE, reason="segment endpoint is the zero polynomial")
-    if p0.degree != p1.degree:
-        return Verdict(Status.DEGENERATE, reason="endpoint degrees differ (degree drop)")
-    scale = max(p0.coeff_scale, p1.coeff_scale)
-    if min(abs(p0.leading), abs(p1.leading)) < tol.degree_eps * scale or p0.leading * p1.leading < 0.0:
-        return Verdict(
-            Status.DEGENERATE,
-            reason="leading coefficient vanishes along the segment (degree drop)",
-        )
-
-    anchor = point_stable(p0, region)
-    if anchor.status is Status.UNSTABLE:
-        return Verdict(
-            Status.UNSTABLE,
-            margin=anchor.margin,
-            witness=replace(anchor.witness, lam=(0.0,)),
-            reason="segment start is unstable",
-        )
-
-    delta = p1 - p0
-    pd = ParametricDeterminant(1, {0: p0, 1: delta})
-    try:
-        lo, hi = sweep_range_from_box(region, coefficient_box(pd))
-    except DegreeDropError as exc:
-        return Verdict(Status.DEGENERATE, reason=str(exc))
-
-    thetas = _theta_grid(region, lo, hi, tol.boundary_grid)
-    budget = _REFINE_ROUND_CAP_FACTOR * tol.boundary_grid
-
-    def evaluate(ts):
-        s = region.boundary(ts)
-        v0 = np.atleast_1d(p0(s)).astype(complex)
-        v1 = np.atleast_1d(p1(s)).astype(complex)
-        return v0, v1
-
-    v0, v1 = evaluate(thetas)
-    coeff_env = scale * np.maximum(1.0, np.abs(region.boundary(thetas))) ** p0.degree
-
-    common = (np.abs(v0) <= 1e-12 * coeff_env) & (np.abs(v1) <= 1e-12 * coeff_env)
-    if np.any(common):
-        idx = int(np.nonzero(common)[0][0])
-        return Verdict(
-            Status.DEGENERATE,
-            reason=f"both endpoints vanish at the boundary point theta={thetas[idx]:.6g}",
-        )
-
-    def seg_rel_dist(a, b):
-        vals = np.stack([a, b], axis=-1)
-        return hull.batch_origin_margin(vals) / np.maximum(
-            np.maximum(np.abs(a), np.abs(b)), 1e-300
-        )
-
-    def lam_of(a, b):
-        d = b - a
-        tiny = np.abs(d) <= 1e-300
-        return np.where(tiny, np.inf, -a / np.where(tiny, 1.0, d))
-
-    rel = seg_rel_dist(v0, v1)
-    lam = lam_of(v0, v1)
-
-    min_rel = float(np.min(rel))
-
-    def crossing_at(theta_star: float) -> Verdict | None:
-        s = complex(region.boundary(theta_star))
-        a, b = complex(p0(s)), complex(p1(s))
-        d = b - a
-        if abs(d) == 0.0:
-            return None
-        lam_c = -a / d
-        lam_tol = max(tol.zero_margin, 1e-9) * max(1.0, abs(lam_c))
-        if abs(lam_c.imag) > lam_tol:
-            return None
-        lr = lam_c.real
-        if lr < -tol.zero_margin or lr > 1.0 + tol.zero_margin:
-            return None
-        lam_use = min(max(lr, 0.0), 1.0)
-        member = seg.at(lam_use)
-        if member.is_zero:
-            return None
-        roots = member.roots()
-        margins = np.asarray(region.margin(roots), dtype=float)
-        worst = int(np.argmin(margins))
-        root = complex(roots[worst])
-        if margins[worst] <= _witness_window(tol, root):
-            return Verdict(
-                Status.UNSTABLE,
-                margin=float(margins[worst]),
-                witness=Witness(lam=(lam_use,), root=root, theta=float(theta_star)),
-                reason="member with a boundary root found on the segment",
-            )
-        return None
-
-    # bisect sign changes of Im(lambda) where the crossing parameter is near [0, 1]
-    def refine_sign_change(t_a, t_b) -> Verdict | None:
-        for _ in range(tol.refine_depth):
-            t_m = 0.5 * (t_a + t_b)
-            a0, b0 = evaluate(np.array([t_a]))
-            am, bm = evaluate(np.array([t_m]))
-            g_a = float(lam_of(a0, b0)[0].imag) if np.isfinite(lam_of(a0, b0)[0]) else 0.0
-            g_m = float(lam_of(am, bm)[0].imag) if np.isfinite(lam_of(am, bm)[0]) else 0.0
-            if g_a == 0.0:
-                break
-            if (g_a < 0.0) == (g_m < 0.0):
-                t_a = t_m
-            else:
-                t_b = t_m
-        return crossing_at(0.5 * (t_a + t_b))
-
-    finite = np.isfinite(lam)
-    g = np.where(finite, lam.imag, np.nan)
-    re_near = np.where(finite, (lam.real > -0.25) & (lam.real < 1.25), False)
-
-    sign_flip = np.zeros(thetas.size - 1, dtype=bool)
-    valid = finite[:-1] & finite[1:]
-    sign_flip[valid] = (g[:-1][valid] < 0.0) != (g[1:][valid] < 0.0)
-    near = re_near[:-1] | re_near[1:]
-    for idx in np.nonzero(sign_flip & near)[0]:
-        out = refine_sign_change(float(thetas[idx]), float(thetas[idx + 1]))
-        if out is not None:
-            return out
-
-    # refine intervals whose value segment dips toward the origin
-    trigger = max(10.0 * tol.zero_margin, 1e-3)
-    for _ in range(tol.refine_depth):
-        if thetas.size > budget:
-            break
-        close = rel < trigger
-        bad = np.nonzero(close[:-1] | close[1:])[0]
-        span_floor = 1e-12 * max(hi - lo, 1.0)
-        bad = bad[(thetas[bad + 1] - thetas[bad]) > span_floor]
-        if bad.size == 0:
-            break
-        mids = 0.5 * (thetas[bad] + thetas[bad + 1])
-        mv0, mv1 = evaluate(mids)
-        mrel = seg_rel_dist(mv0, mv1)
-        mlam = lam_of(mv0, mv1)
-        for pos, t_m in enumerate(mids):
-            lam_m = mlam[pos]
-            if mrel[pos] < tol.zero_margin and np.isfinite(lam_m):
-                out = crossing_at(float(t_m))
-                if out is not None:
-                    return out
-        thetas = np.insert(thetas, bad + 1, mids)
-        rel = np.insert(rel, bad + 1, mrel)
-        lam = np.insert(lam, bad + 1, mlam)
-        min_rel = min(min_rel, float(np.min(mrel)))
-
-    min_rel = min(min_rel, float(np.min(rel)))
-    if min_rel < tol.zero_margin:
-        return Verdict(
-            Status.INCONCLUSIVE,
-            margin=min_rel,
-            reason=f"value segment approaches the origin (relative margin {min_rel:.3e})",
-        )
-    return Verdict(Status.ROBUSTLY_STABLE, margin=min_rel, reason="no boundary crossing")
-
-
-# ----------------------------------------------------------------------
 # box decider
 
 
@@ -716,10 +497,11 @@ def box_stable(pd: ParametricDeterminant, region: Region, tol: Tolerances | None
     """Robust stability of a multi-affine determinant over the lambda box.
 
     Degree health comes first: a leading-coefficient interval touching zero
-    is Degenerate.  The anchor member (lambda = 0) and all box corners are
-    root-tested directly; instability there is exact.  The remaining
-    obstruction is a boundary root strictly inside the box, ruled out by the
-    certified zero-exclusion sweep.
+    is Degenerate.  All box corners are root-tested directly; instability
+    there is exact.  Corner 0 is the anchor member (lambda = 0) and fails on
+    any root on or outside the boundary; the other corners must be clearly
+    outside.  The remaining obstruction is a boundary root strictly inside
+    the box, ruled out by the certified zero-exclusion sweep.
     """
     tol = tol or Tolerances()
     if not pd.terms or all(p.is_zero for p in pd.terms.values()):
@@ -748,37 +530,20 @@ def box_stable(pd: ParametricDeterminant, region: Region, tol: Tolerances | None
     if pd.k == 0:
         return point_stable(pd.terms.get(0, Polynomial([0.0])), region)
 
-    anchor = point_stable(pd.assemble(np.zeros(pd.k)), region)
-    if anchor.status is Status.UNSTABLE:
-        return Verdict(
-            Status.UNSTABLE,
-            margin=anchor.margin,
-            witness=replace(anchor.witness, lam=tuple(0.0 for _ in range(pd.k))),
-            reason="anchor member is unstable",
-        )
+    for v, lam in enumerate(_corner_lambdas(pd.k)):
+        verdict = point_stable(pd.assemble(lam), region)
+        if verdict.status is not Status.UNSTABLE:
+            continue
+        root = verdict.witness.root
+        if v == 0 or verdict.margin < -tol.zero_margin * (1.0 + abs(root)):
+            return Verdict(
+                Status.UNSTABLE,
+                margin=verdict.margin,
+                witness=Witness(lam=tuple(float(x) for x in lam), root=root),
+                reason="anchor member is unstable" if v == 0 else "box corner member is unstable",
+            )
 
-    # exact corner pre-check
-    corners = _corner_lambdas(pd.k)
-    for v in range(corners.shape[0]):
-        lam = corners[v]
-        member = pd.assemble(lam)
-        verdict = point_stable(member, region)
-        if verdict.status is Status.UNSTABLE:
-            root = verdict.witness.root
-            if verdict.margin < -tol.zero_margin * (1.0 + abs(root)):
-                return Verdict(
-                    Status.UNSTABLE,
-                    margin=verdict.margin,
-                    witness=Witness(lam=tuple(float(x) for x in lam), root=root),
-                    reason="box corner member is unstable",
-                )
-
-    try:
-        lo, hi = sweep_range_from_box(region, box)
-    except DegreeDropError as exc:  # unreachable given the check above, kept for safety
-        return Verdict(Status.DEGENERATE, reason=str(exc))
-
-    sweep = _zero_exclusion_sweep(pd, region, lo, hi, tol)
+    sweep = _zero_exclusion_sweep(pd, region, box, tol)
     if sweep.kind == "unstable":
         w = sweep.witness
         member = pd.assemble(np.asarray(w.lam))
@@ -792,12 +557,19 @@ def box_stable(pd: ParametricDeterminant, region: Region, tol: Tolerances | None
         )
     if sweep.kind == "inconclusive":
         return Verdict(Status.INCONCLUSIVE, margin=sweep.min_rel_margin, reason=sweep.reason)
-    margin = min(sweep.min_rel_margin, anchor.margin if anchor.margin is not None else math.inf)
     return Verdict(
         Status.ROBUSTLY_STABLE,
         margin=sweep.min_rel_margin,
         reason="boundary value sets exclude the origin",
     )
+
+
+def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = None) -> Verdict:
+    """Robust stability of one polynomial segment, decided as the k = 1 box.
+
+    The members lam*p1 + (1-lam)*p0 form the determinant p0 + lam*(p1 - p0).
+    """
+    return box_stable(ParametricDeterminant(1, {0: seg.p0, 1: seg.p1 - seg.p0}), region, tol)
 
 
 # ----------------------------------------------------------------------
@@ -817,8 +589,8 @@ class ConfigOutcome:
 _CHUNK = 64
 
 
-def _check_chunk(args) -> list:
-    fam, start, stop, tol, mode = args
+def _check_chunk(fam: MatrixFamily, start: int, stop: int, tol: Tolerances) -> list:
+    """Decide configurations [start, stop) in stream order, stopping at the first Unstable."""
     out = []
     for cfg in iter_configs(fam, start=start, stop=stop):
         pd = det_parametric(cfg)
@@ -860,25 +632,22 @@ def _aggregate(results, total: int):
 
 def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     total = count_configs(fam)
-    if jobs <= 1:
-        results = []
-        for cfg in iter_configs(fam):
-            pd = det_parametric(cfg)
-            v = box_stable(pd, fam.region, tol)
-            results.append((cfg.index, v))
-            if v.status is Status.UNSTABLE:
-                break
-        return _aggregate(results, total)
+    starts = range(0, total, _CHUNK)
+    workers = min(jobs, len(starts))
+    if workers <= 1:
+        return _aggregate(_check_chunk(fam, 0, total, tol), total)
 
     # fixed-size chunks in stream order: the report cannot depend on the worker count
     from concurrent.futures import ProcessPoolExecutor
 
-    ranges = [(fam, s, min(s + _CHUNK, total), tol, fam.mode) for s in range(0, total, _CHUNK)]
     results = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_check_chunk, ranges):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_check_chunk, fam, s, min(s + _CHUNK, total), tol) for s in starts]
+        for future in futures:
+            chunk = future.result()
             results.extend(chunk)
             if chunk and chunk[-1][1].status is Status.UNSTABLE:
+                pool.shutdown(cancel_futures=True)
                 break
     return _aggregate(results, total)
 

@@ -1,0 +1,75 @@
+"""Golden-report regression test.
+
+``tests/golden/`` holds reports of ``edgestab analyze`` (three family
+fixtures) and of the grid ``edgestab oracle``, generated without
+``--timing``.  Regenerating them must give the same statuses, reasons,
+configuration indices and witness configurations, and the same numbers to
+1e-9 relative; analyze reports must also be byte-identical for one and two
+worker processes.  Refresh a golden file only for an intended change of the
+report, and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import pathlib
+
+import pytest
+
+from edgestab.cli import run
+
+HERE = pathlib.Path(__file__).parent
+FIXTURES = HERE / "fixtures"
+GOLDEN = HERE / "golden"
+REL_TOL = 1e-9
+
+
+def _report(argv, tmp_path, name) -> str:
+    out = tmp_path / name
+    run(argv + ["--report", str(out)])
+    return out.read_text()
+
+
+def _normalised(text: str) -> dict:
+    doc = json.loads(text)
+    doc["input"] = pathlib.Path(doc["input"]).name
+    return doc
+
+
+def _assert_matches(got, want, path="report"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)), path
+        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0), f"{path}: {got} != {want}"
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("analyze_demo3x3", ["analyze", "demo3x3.json"]),
+        ("analyze_vertex_insufficiency", ["analyze", "vertex_insufficiency.json"]),
+        ("analyze_degree_drop", ["analyze", "degree_drop.json"]),
+        (
+            "oracle_grid_vertex_insufficiency",
+            ["oracle", "vertex_insufficiency.json", "--scheme", "grid", "--budget", "1000"],
+        ),
+    ],
+)
+def test_reports_match_golden(golden, argv, tmp_path):
+    command, family, *flags = argv
+    argv = [command, str(FIXTURES / family), *flags]
+    want = _normalised((GOLDEN / f"{golden}.json").read_text())
+    text = _report(argv, tmp_path, "serial.json")
+    _assert_matches(_normalised(text), want)
+    if command == "analyze":
+        assert _report(argv + ["--jobs", "2"], tmp_path, "jobs2.json") == text

@@ -1,8 +1,8 @@
 """Stability decider tests.
 
 Cross-validation layers: the root-location point test against the algebraic
-half-plane criterion, the segment decider against dense parameter grids,
-the box decider against the segment decider at k = 1, and the family driver
+half-plane criterion, the segment decider (the k = 1 box) against dense
+parameter grids, the box decider's root-solve count, and the family driver
 against hand-planted unstable members.
 """
 
@@ -27,6 +27,7 @@ from edgestab.family import (
 )
 from edgestab.poly import Polynomial, from_roots
 from edgestab.region import Disk, HurwitzHalfPlane, ShiftedHalfPlane
+from edgestab import stab
 from edgestab.stab import (
     Status,
     Tolerances,
@@ -215,6 +216,18 @@ def test_segment_zero_endpoint_is_degenerate():
     assert v.status is Status.DEGENERATE
 
 
+@pytest.mark.parametrize("r0, r1", [(-1.0, -2.0), (-3.0, -1.0)])
+def test_segment_shared_boundary_root_is_unstable(r0, r1):
+    # both endpoints carry the factor s^2 + 1, so every member has roots at +-i
+    p0 = from_roots([1j, -1j, r0])
+    p1 = from_roots([1j, -1j, r1])
+    v = segment_stable(EdgeSegment(p0, p1), HurwitzHalfPlane())
+    assert v.status is Status.UNSTABLE
+    assert v.witness is not None and v.witness.lam is not None
+    member = EdgeSegment(p0, p1).at(v.witness.lam[0])
+    assert float(np.min(HurwitzHalfPlane().margin(member.roots()))) <= 1e-6
+
+
 def test_segment_disk_region():
     # roots move from 0.5 to 0.9: always inside the unit disk
     v = segment_stable(
@@ -309,27 +322,6 @@ def test_box_unstable_corner_found():
     assert v.witness is not None
 
 
-def test_box_agrees_with_segment_decider_at_k_one():
-    rng = np.random.default_rng(31)
-    agreements = 0
-    for trial in range(40):
-        deg = int(rng.integers(1, 5))
-        if trial % 2 == 0:
-            p0, p1 = stable_poly(rng, deg), stable_poly(rng, deg)
-        else:
-            p0 = Polynomial(np.append(rng.uniform(-3, 3, size=deg), rng.uniform(0.5, 2)))
-            p1 = Polynomial(np.append(rng.uniform(-3, 3, size=deg), rng.uniform(0.5, 2)))
-        sv = segment_stable(EdgeSegment(p0, p1), HurwitzHalfPlane())
-        pd = ParametricDeterminant(1, {0: p0, 1: p1 - p0})
-        bv = box_stable(pd, HurwitzHalfPlane())
-        skip = {Status.DEGENERATE, Status.INCONCLUSIVE}
-        if sv.status in skip or bv.status in skip:
-            continue
-        assert sv.status == bv.status, f"trial {trial}: {sv.status} vs {bv.status}"
-        agreements += 1
-    assert agreements >= 25
-
-
 def test_box_two_parameters_stable():
     # two independently perturbed stable factors stay stable
     base = from_roots([-1.0, -2.0])
@@ -338,6 +330,37 @@ def test_box_two_parameters_stable():
     pd = ParametricDeterminant(2, {0: base, 1: d1, 2: d2})
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.ROBUSTLY_STABLE
+
+
+def test_box_root_solves_one_per_corner(monkeypatch):
+    # corner 0 is the anchor member: a stable k = 2 box solves 2**k members
+    # before the sweep, not 2**k + 1
+    calls = []
+    seen_at_sweep = []
+    roots = Polynomial.roots
+    sweep = stab._zero_exclusion_sweep
+
+    def counting_roots(self):
+        calls.append(1)
+        return roots(self)
+
+    def recording_sweep(*args):
+        seen_at_sweep.append(len(calls))
+        return sweep(*args)
+
+    monkeypatch.setattr(Polynomial, "roots", counting_roots)
+    monkeypatch.setattr(stab, "_zero_exclusion_sweep", recording_sweep)
+    pd = ParametricDeterminant(
+        2,
+        {
+            0: from_roots([-1.0, -2.0]),
+            1: Polynomial([0.3, 0.0, 0.0]),
+            2: Polynomial([0.0, 0.2, 0.0]),
+        },
+    )
+    v = box_stable(pd, HurwitzHalfPlane())
+    assert v.status is Status.ROBUSTLY_STABLE
+    assert seen_at_sweep == [4]
 
 
 def test_box_interior_instability_is_found():
