@@ -12,6 +12,19 @@ Subsets are encoded as bitmasks over the parameter slots.  Multi-affinity is
 what makes the coefficient box exact: every coefficient of ``s**l`` attains
 its extrema at vertices of the lambda box, so scanning the 2**k vertices
 yields tight per-degree ranges.
+
+Both determinants run one array core, ``_laplace``, on coefficient arrays of
+shape ``(..., L)``: the last axis holds ascending powers of ``s``, and a
+parametric cell carries one leading axis per lambda slot.  A slot axis is in
+the monomial basis: index 0 is the lambda-free coefficient and index 1 the
+coefficient of ``lam_slot``, so a cell with a segment has size 2 on its own
+slot's axis and size 1 on every other axis.  Products convolve the last axis
+and broadcast the slot axes; since the two factors of a Laplace product never
+share a column, they never share a size-2 axis, and the broadcast is exactly
+the product of monomials.  Sums zero-pad every axis to the larger size and
+never broadcast: a size-1 slot axis holds no ``lam_slot`` term, so it must
+not be copied onto index 1.  ``Polynomial`` objects are created only for the
+final determinant (one per mask in the parametric case).
 """
 
 from __future__ import annotations
@@ -26,13 +39,58 @@ from .poly import Polynomial
 _ZERO = Polynomial([0.0])
 
 
-def det_matrix(grid) -> Polynomial:
-    """Determinant of a concrete polynomial matrix.
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of coefficient arrays: convolve the last axis, broadcast the rest."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    la, lb = a.shape[-1], b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (la + lb - 1,))
+    for i in range(la):
+        out[..., i : i + lb] += a[..., i : i + 1] * b
+    return out
+
+
+def _polyadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of coefficient arrays, every axis zero-padded to the larger size."""
+    out = np.zeros(tuple(max(x, y) for x, y in zip(a.shape, b.shape)))
+    out[tuple(slice(0, x) for x in a.shape)] += a
+    out[tuple(slice(0, x) for x in b.shape)] += b
+    return out
+
+
+def _laplace(cells) -> np.ndarray:
+    """Determinant of a square grid of coefficient arrays of equal rank.
 
     First-row Laplace expansion memoized on the active column mask; the
     minor of the remaining rows depends only on that mask, so the cost is
-    O(2^n * n) polynomial operations instead of factorial.
+    O(2^n * n) array products instead of factorial.
     """
+    n = len(cells)
+    memo: dict[int, np.ndarray] = {}
+
+    def minor(mask: int) -> np.ndarray:
+        if mask in memo:
+            return memo[mask]
+        r = n - bin(mask).count("1")
+        acc = None
+        sign = 1.0
+        for j in range(n):
+            if not mask >> j & 1:
+                continue
+            sub = mask & ~(1 << j)
+            term = cells[r][j] if sub == 0 else _polymul(cells[r][j], minor(sub))
+            if sign < 0.0:
+                term = -term
+            acc = term if acc is None else _polyadd(acc, term)
+            sign = -sign
+        memo[mask] = acc
+        return acc
+
+    return minor((1 << n) - 1)
+
+
+def det_matrix(grid) -> Polynomial:
+    """Determinant of a concrete polynomial matrix."""
     rows = [list(r) for r in grid]
     n = len(rows)
     for r in rows:
@@ -41,26 +99,7 @@ def det_matrix(grid) -> Polynomial:
         for cell in r:
             if not isinstance(cell, Polynomial):
                 raise TypeError("matrix cells must be Polynomial instances")
-    memo: dict[int, Polynomial] = {}
-
-    def minor(mask: int) -> Polynomial:
-        if mask in memo:
-            return memo[mask]
-        r = n - bin(mask).count("1")
-        acc = _ZERO
-        sign = 1.0
-        for j in range(n):
-            if not mask >> j & 1:
-                continue
-            sub = mask & ~(1 << j)
-            cell = rows[r][j]
-            term = cell if sub == 0 else cell * minor(sub)
-            acc = acc + term * sign
-            sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return minor((1 << n) - 1)
+    return Polynomial(_laplace([[cell.coeffs for cell in r] for r in rows]))
 
 
 def monomial_weights(masks, lam) -> np.ndarray:
@@ -125,66 +164,31 @@ class ParametricDeterminant:
 def det_parametric(cfg: EdgeConfiguration) -> ParametricDeterminant:
     """Parametric determinant of an edge configuration.
 
-    Cells are lifted to the multi-affine ring (bitmask -> Polynomial maps);
-    the memoized first-row expansion then runs unchanged.  Pattern cells with
-    a nondegenerate segment contribute ``{0: p0, bit(slot): delta}``.
+    Fixed cells become arrays of shape ``(1,) * k + (L,)``; the pattern cell
+    of a column with a nondegenerate segment stacks ``p0`` and ``delta`` on
+    its slot's axis.  The ``_laplace`` result, padded to ``(2,) * k + (L,)``,
+    holds ``c_S`` at the index whose axis ``l`` is bit ``l`` of ``S``.
     """
-    n = cfg.n
-    slot_of = {j: slot for slot, j in enumerate(cfg.lambda_columns)}
-    cells: list[list[dict[int, Polynomial]]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = {0: cfg.base[i][j]}
-            if i == cfg.sigma[j] and j in cfg.deltas:
-                cell[1 << slot_of[j]] = cfg.deltas[j]
-            row.append(cell)
-        cells.append(row)
+    k = cfg.k
+    cells = [[cell.coeffs.reshape((1,) * k + (-1,)) for cell in row] for row in cfg.base]
+    for slot, j in enumerate(cfg.lambda_columns):
+        p0, delta = cfg.base[cfg.sigma[j]][j].coeffs, cfg.deltas[j].coeffs
+        cell = np.zeros((2, max(p0.size, delta.size)))
+        cell[0, : p0.size] = p0
+        cell[1, : delta.size] = delta
+        shape = [1] * k + [cell.shape[1]]
+        shape[slot] = 2
+        cells[cfg.sigma[j]][j] = cell.reshape(shape)
 
-    def madd(a, b, scale=1.0):
-        out = dict(a)
-        for mask, poly in b.items():
-            cur = out.get(mask)
-            np_poly = poly * scale if scale != 1.0 else poly
-            out[mask] = np_poly if cur is None else cur + np_poly
-        return out
-
-    def mmul(a, b):
-        out: dict[int, Polynomial] = {}
-        for ma, pa in a.items():
-            if pa.is_zero:
-                continue
-            for mb, pb in b.items():
-                if pb.is_zero:
-                    continue
-                mask = ma | mb
-                prod = pa * pb
-                cur = out.get(mask)
-                out[mask] = prod if cur is None else cur + prod
-        return out
-
-    memo: dict[int, dict[int, Polynomial]] = {}
-
-    def minor(mask: int) -> dict[int, Polynomial]:
-        if mask in memo:
-            return memo[mask]
-        r = n - bin(mask).count("1")
-        acc: dict[int, Polynomial] = {}
-        sign = 1.0
-        for j in range(n):
-            if not mask >> j & 1:
-                continue
-            sub = mask & ~(1 << j)
-            term = cells[r][j] if sub == 0 else mmul(cells[r][j], minor(sub))
-            acc = madd(acc, term, sign)
-            sign = -sign
-        memo[mask] = acc
-        return acc
-
-    terms = {m: p for m, p in minor((1 << n) - 1).items() if not p.is_zero}
+    full = _polyadd(_laplace(cells), np.zeros((2,) * k + (1,)))
+    terms = {}
+    for mask in range(1 << k):
+        poly = Polynomial(full[tuple(mask >> slot & 1 for slot in range(k))])
+        if not poly.is_zero:
+            terms[mask] = poly
     if not terms:
         terms = {0: _ZERO}
-    return ParametricDeterminant(cfg.k, terms)
+    return ParametricDeterminant(k, terms)
 
 
 def coefficient_box(pd: ParametricDeterminant) -> np.ndarray:

@@ -9,7 +9,9 @@ The decision layers build on each other:
   its boundary value sets, with certified interval refinement.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` stream the edge configurations
-  of a family through ``box_stable`` and aggregate.
+  of a family through ``box_stable`` and aggregate; ``VertexMembers`` gives
+  ``box_stable`` the corner verdicts, root-solving each all-vertex member
+  once.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,11 +31,12 @@ from . import hull
 from .det import (
     ParametricDeterminant,
     coefficient_box,
+    det_matrix,
     det_parametric,
     monomial_weights,
     subset_matrix,
 )
-from .edges import count_configs, iter_configs
+from .edges import EdgeConfiguration, count_configs, iter_configs
 from .errors import RegionNotHurwitzError, ValidationFailure, ZeroPolynomialError
 from .family import EdgeSegment, MatrixFamily, validate
 from .poly import Polynomial
@@ -493,7 +497,12 @@ def _zero_exclusion_sweep(
 # box decider
 
 
-def box_stable(pd: ParametricDeterminant, region: Region, tol: Tolerances | None = None) -> Verdict:
+def box_stable(
+    pd: ParametricDeterminant,
+    region: Region,
+    tol: Tolerances | None = None,
+    corners=None,
+) -> Verdict:
     """Robust stability of a multi-affine determinant over the lambda box.
 
     Degree health comes first: a leading-coefficient interval touching zero
@@ -502,6 +511,12 @@ def box_stable(pd: ParametricDeterminant, region: Region, tol: Tolerances | None
     any root on or outside the boundary; the other corners must be clearly
     outside.  The remaining obstruction is a boundary root strictly inside
     the box, ruled out by the certified zero-exclusion sweep.
+
+    ``corners(v)`` gives the ``point_stable`` verdict of the member at box
+    vertex v (slot l at bit l of v).  The family drivers pass
+    ``VertexMembers.corners(cfg)``: every corner of a configuration is an
+    all-vertex matrix, solved once per family from its own cells.  Without
+    ``corners`` each corner member is assembled from ``pd`` and solved here.
     """
     tol = tol or Tolerances()
     if not pd.terms or all(p.is_zero for p in pd.terms.values()):
@@ -527,11 +542,15 @@ def box_stable(pd: ParametricDeterminant, region: Region, tol: Tolerances | None
             reason="constant nonzero determinant",
         )
 
+    if corners is None:
+        def corners(v):
+            return point_stable(pd.assemble(_corner_lambdas(pd.k)[v]), region)
+
     if pd.k == 0:
-        return point_stable(pd.terms.get(0, Polynomial([0.0])), region)
+        return corners(0)
 
     for v, lam in enumerate(_corner_lambdas(pd.k)):
-        verdict = point_stable(pd.assemble(lam), region)
+        verdict = corners(v)
         if verdict.status is not Status.UNSTABLE:
             continue
         root = verdict.witness.root
@@ -589,16 +608,80 @@ class ConfigOutcome:
 _CHUNK = 64
 
 
-def _check_chunk(fam: MatrixFamily, start: int, stop: int, tol: Tolerances) -> list:
+class VertexMembers:
+    """Point verdicts of all-vertex members, each root-solved once.
+
+    The corner of a configuration at box vertex v is its base grid with the
+    pattern cell of column ``lambda_columns[l]`` set to that segment's ``p1``
+    wherever bit l of v is set.  Verdicts are keyed by the member's cell
+    coefficients, never by the configuration, and computed from the member's
+    own grid, so a verdict does not depend on which configuration (or which
+    worker) reaches the member first.
+    """
+
+    def __init__(self, region: Region):
+        self.region = region
+        self._verdicts: dict[bytes, Verdict] = {}
+
+    def corners(self, cfg: EdgeConfiguration):
+        """``box_stable``'s ``corners`` for one configuration."""
+
+        def corner(v: int) -> Verdict:
+            grid = [list(row) for row in cfg.base]
+            for slot, j in enumerate(cfg.lambda_columns):
+                if v >> slot & 1:
+                    grid[cfg.sigma[j]][j] = cfg.edge_choice[j].p1
+            cells = [cell.coeffs for row in grid for cell in row]
+            # the cell sizes keep members whose coefficients concatenate alike apart
+            sizes = np.array([c.size for c in cells], dtype=float)
+            key = sizes.tobytes() + np.concatenate(cells).tobytes()
+            found = self._verdicts.get(key)
+            if found is None:
+                found = self._verdicts[key] = point_stable(det_matrix(grid), self.region)
+            return found
+
+        return corner
+
+
+def _truncated_input(cfg: EdgeConfiguration) -> bool:
+    """Whether a base cell or segment endpoint lost coefficients at construction."""
+    return any(cell.truncated for row in cfg.base for cell in row) or any(
+        seg.p1.truncated for seg in cfg.edge_choice
+    )
+
+
+def _check_chunk(
+    fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers
+) -> list:
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable."""
     out = []
     for cfg in iter_configs(fam, start=start, stop=stop):
-        pd = det_parametric(cfg)
-        v = box_stable(pd, fam.region, tol)
+        if _truncated_input(cfg):
+            v = Verdict(
+                Status.DEGENERATE,
+                reason="an input polynomial has trailing coefficients below the "
+                "truncation floor, so its degree is not resolved",
+            )
+        else:
+            v = box_stable(det_parametric(cfg), fam.region, tol, members.corners(cfg))
         out.append((cfg.index, v))
         if v.status is Status.UNSTABLE:
             break
     return out
+
+
+# A pool worker's member memo, shared by every chunk it runs.  The pool lives
+# for one family's analysis, so the memo never sees another region.
+_pool_members: VertexMembers | None = None
+
+
+def _start_pool_worker(region: Region) -> None:
+    global _pool_members
+    _pool_members = VertexMembers(region)
+
+
+def _check_pool_chunk(fam: MatrixFamily, start: int, stop: int, tol: Tolerances) -> list:
+    return _check_chunk(fam, start, stop, tol, _pool_members)
 
 
 def _aggregate(results, total: int):
@@ -633,16 +716,18 @@ def _aggregate(results, total: int):
 def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     total = count_configs(fam)
     starts = range(0, total, _CHUNK)
-    workers = min(jobs, len(starts))
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        return _aggregate(_check_chunk(fam, 0, total, tol), total)
+        return _aggregate(_check_chunk(fam, 0, total, tol, VertexMembers(fam.region)), total)
 
     # fixed-size chunks in stream order: the report cannot depend on the worker count
     from concurrent.futures import ProcessPoolExecutor
 
     results = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_check_chunk, fam, s, min(s + _CHUNK, total), tol) for s in starts]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_pool_worker, initargs=(fam.region,)
+    ) as pool:
+        futures = [pool.submit(_check_pool_chunk, fam, s, min(s + _CHUNK, total), tol) for s in starts]
         for future in futures:
             chunk = future.result()
             results.extend(chunk)

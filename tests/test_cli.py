@@ -19,6 +19,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 DEMO = str(FIXTURES / "demo3x3.json")
 BAD_VERTEX = str(FIXTURES / "vertex_insufficiency.json")
 DEGREE_DROP = str(FIXTURES / "degree_drop.json")
+TRUNCATION = str(FIXTURES / "truncation.json")
 
 
 def run_json(argv, capsys):
@@ -71,6 +72,13 @@ def test_analyze_degenerate_family(capsys):
     assert code == 2
     assert rep["verdict"]["status"] == "Degenerate"
     assert "degree" in rep["verdict"]["reason"]
+
+
+def test_analyze_truncated_input_is_degenerate(capsys):
+    code, rep = run_json(["analyze", TRUNCATION], capsys)
+    assert code == 2
+    assert rep["verdict"]["status"] == "Degenerate"
+    assert "truncation" in rep["verdict"]["reason"]
 
 
 def test_analyze_inconclusive_via_loose_band(capsys):

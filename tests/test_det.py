@@ -165,6 +165,33 @@ def test_parametric_matches_direct_instantiation():
                 assert diff.coeff_scale <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parametric_terms_match_integer_oracle(n):
+    # c_S is the Moebius inversion of the corner determinants over the subsets
+    # of S; on integer vertices both sides are exact
+    fam = small_family(n=n, seed=70 + n)
+    for cfg in iter_configs(fam, stop=12):
+        pd = det_parametric(cfg)
+
+        def corner_det(v):
+            grid = [[[int(c) for c in cell.coeffs] for cell in row] for row in cfg.base]
+            for slot, j in enumerate(cfg.lambda_columns):
+                if v >> slot & 1:
+                    grid[cfg.sigma[j]][j] = [int(c) for c in cfg.edge_choice[j].p1.coeffs]
+            return naive_det(grid)
+
+        for mask in range(1 << cfg.k):
+            want = [0]
+            for sub in range(mask + 1):
+                if sub & ~mask == 0:
+                    term = corner_det(sub)
+                    if bin(mask ^ sub).count("1") % 2:
+                        term = [-x for x in term]
+                    want = int_add(want, term)
+            got = pd.terms.get(mask, Polynomial([0.0]))
+            assert got.as_list() == [float(c) for c in trim(want)], (cfg.index, mask)
+
+
 def test_parametric_multi_affine_in_each_slot():
     fam = small_family(n=2, seed=9)
     cfg = next(iter(iter_configs(fam)))

@@ -7,11 +7,15 @@ against hand-planted unstable members.
 """
 
 import itertools
+import json
 import math
+import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from edgestab.cli import parse_family_dict
 from edgestab.det import ParametricDeterminant, det_parametric
 from edgestab.edges import iter_configs
 from edgestab.errors import (
@@ -31,6 +35,7 @@ from edgestab import stab
 from edgestab.stab import (
     Status,
     Tolerances,
+    VertexMembers,
     analyze_family,
     analyze_family_detailed,
     analyze_interval,
@@ -40,6 +45,12 @@ from edgestab.stab import (
     point_stable,
     segment_stable,
 )
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def fixture_family(name):
+    return parse_family_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
 
 
 def cell(*coeff_lists):
@@ -538,3 +549,89 @@ def test_shifted_region_is_stricter():
     v_shift = analyze_family(fam_shifted)
     assert v_plain.status is Status.ROBUSTLY_STABLE
     assert v_shift.status is Status.UNSTABLE
+
+
+def test_truncated_input_is_degenerate():
+    # every member has a root near +1e13, carried only by the trailing -1e-13
+    # coefficient that construction drops; the degree is not resolved, so the
+    # configuration cannot certify
+    fam = fixture_family("truncation")
+    assert fam.entry(0, 0).vertices[0].truncated
+    v = analyze_family(fam)
+    assert v.status is Status.DEGENERATE
+    assert "truncation" in v.reason
+
+
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started on one CPU")
+
+    fam = MatrixFamily(
+        [[PolytopeEntry([Polynomial([1.0 + 0.1 * i, 1.0]) for i in range(12)])]],
+        HurwitzHalfPlane(),
+    )  # 66 configurations: two chunks
+    serial = analyze_family_detailed(fam, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert analyze_family_detailed(fam, jobs=2) == serial
+
+
+def interval_family():
+    return MatrixFamily(
+        [
+            [interval([1.0, 2.0, 1.0], [2.0, 3.0, 2.0]), interval([0.1], [0.3])],
+            [interval([-0.2], [0.1]), interval([-0.5, 1.0, 1.0], [1.0, 2.0, 1.5])],
+        ],
+        HurwitzHalfPlane(),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fixture_family("demo3x3"),
+        lambda: fixture_family("vertex_insufficiency"),
+        lambda: fixture_family("degree_drop"),
+        interval_family,
+    ],
+    ids=["demo3x3", "vertex_insufficiency", "degree_drop", "interval"],
+)
+def test_member_memo_matches_assembled_corners(make):
+    # corner verdicts solved once per all-vertex member must decide every
+    # configuration as the corners assembled from its own determinant do
+    fam = make()
+    members = VertexMembers(fam.region)
+    statuses = set()
+    for cfg in iter_configs(fam):
+        pd = det_parametric(cfg)
+        memo = box_stable(pd, fam.region, corners=members.corners(cfg))
+        direct = box_stable(pd, fam.region)
+        assert (memo.status, memo.reason) == (direct.status, direct.reason), cfg.index
+        statuses.add(memo.status)
+        if direct.margin is None or math.isinf(direct.margin):
+            assert memo.margin == direct.margin
+            continue
+        root = direct.witness.root if direct.witness is not None else 0.0
+        assert abs(memo.margin - direct.margin) <= 1e-12 * (1.0 + abs(root)), cfg.index
+        if direct.witness is not None:
+            assert memo.witness.lam == direct.witness.lam
+            assert abs(memo.witness.root - root) <= 1e-12 * (1.0 + abs(root))
+    assert statuses
+
+
+def test_family_solves_each_vertex_member_once(monkeypatch):
+    # demo3x3: 384 configurations with k = 3 have 3,072 box corners, and
+    # they are the 2**9 = 512 all-vertex matrices of the family
+    calls = []
+    roots = Polynomial.roots
+
+    def counting_roots(self):
+        calls.append(1)
+        return roots(self)
+
+    monkeypatch.setattr(Polynomial, "roots", counting_roots)
+    v = analyze_family(fixture_family("demo3x3"))
+    assert v.status is Status.ROBUSTLY_STABLE
+    assert len(calls) == 512
