@@ -25,11 +25,21 @@ the product of monomials.  Sums zero-pad every axis to the larger size and
 never broadcast: a size-1 slot axis holds no ``lam_slot`` term, so it must
 not be copied onto index 1.  ``Polynomial`` objects are created only for the
 final determinant (one per mask in the parametric case).
+
+``det_parametric_run`` decides a run of configurations with one ``_laplace``
+call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
+(L,)``, which the products broadcast and the sums never pad.  A run is a
+stretch of configurations that share ``run_key``: the pattern sigma, the
+``lambda_columns`` and the coefficient length of every cell and every
+delta.  Within a run every cell therefore has one shape, nothing is padded,
+and each configuration's arithmetic is exactly that of its own determinant;
+``det_parametric`` is the run of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,44 +161,81 @@ class ParametricDeterminant:
         return max((p.coeffs.size for p in self.terms.values()), default=1)
 
     def coefficient_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(masks, padded coefficient rows) for vectorized evaluation."""
-        L = self.coeff_length
+        """(masks, padded coefficient rows) for vectorized evaluation, built once."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> tuple[np.ndarray, np.ndarray]:
         masks = np.array(sorted(self.terms.keys()), dtype=int)
-        rows = np.zeros((masks.size, L))
+        rows = np.zeros((masks.size, self.coeff_length))
         for r, mask in enumerate(masks):
             c = self.terms[int(mask)].coeffs
             rows[r, : c.size] = c
+        masks.flags.writeable = False
+        rows.flags.writeable = False
         return masks, rows
 
 
-def det_parametric(cfg: EdgeConfiguration) -> ParametricDeterminant:
-    """Parametric determinant of an edge configuration.
+def run_key(cfg: EdgeConfiguration) -> tuple:
+    """What configurations of one run share: sigma, lambda columns, cell and delta lengths."""
+    return (
+        cfg.sigma,
+        cfg.lambda_columns,
+        tuple(cell.coeffs.size for row in cfg.base for cell in row),
+        tuple(cfg.deltas[j].coeffs.size for j in cfg.lambda_columns),
+    )
 
-    Fixed cells become arrays of shape ``(1,) * k + (L,)``; the pattern cell
-    of a column with a nondegenerate segment stacks ``p0`` and ``delta`` on
-    its slot's axis.  The ``_laplace`` result, padded to ``(2,) * k + (L,)``,
-    holds ``c_S`` at the index whose axis ``l`` is bit ``l`` of ``S``.
+
+def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
+    """Parametric determinants of a run of configurations, in one ``_laplace`` call.
+
+    Every configuration must share ``run_key``.  Fixed cells become arrays of
+    shape ``(B,) + (1,) * k + (L,)``; the pattern cell of a column with a
+    nondegenerate segment stacks ``p0`` and ``delta`` on its slot's axis.
+    The ``_laplace`` result, padded to ``(B,) + (2,) * k + (L,)``, holds
+    configuration b's ``c_S`` at index b followed by the index whose axis
+    ``l`` is bit ``l`` of ``S``.
     """
-    k = cfg.k
-    cells = [[cell.coeffs.reshape((1,) * k + (-1,)) for cell in row] for row in cfg.base]
-    for slot, j in enumerate(cfg.lambda_columns):
-        p0, delta = cfg.base[cfg.sigma[j]][j].coeffs, cfg.deltas[j].coeffs
-        cell = np.zeros((2, max(p0.size, delta.size)))
-        cell[0, : p0.size] = p0
-        cell[1, : delta.size] = delta
-        shape = [1] * k + [cell.shape[1]]
-        shape[slot] = 2
-        cells[cfg.sigma[j]][j] = cell.reshape(shape)
+    cfgs = list(cfgs)
+    head = cfgs[0]
+    key = run_key(head)
+    if any(run_key(cfg) != key for cfg in cfgs[1:]):
+        raise ValueError("a run needs one sigma, lambda columns and cell lengths")
+    n, k, B = head.n, head.k, len(cfgs)
 
-    full = _polyadd(_laplace(cells), np.zeros((2,) * k + (1,)))
-    terms = {}
-    for mask in range(1 << k):
-        poly = Polynomial(full[tuple(mask >> slot & 1 for slot in range(k))])
-        if not poly.is_zero:
-            terms[mask] = poly
-    if not terms:
-        terms = {0: _ZERO}
-    return ParametricDeterminant(k, terms)
+    def stacked(polys) -> np.ndarray:
+        return np.stack([p.coeffs for p in polys])
+
+    cells = [
+        [stacked(cfg.base[i][j] for cfg in cfgs).reshape((B,) + (1,) * k + (-1,)) for j in range(n)]
+        for i in range(n)
+    ]
+    for slot, j in enumerate(head.lambda_columns):
+        i = head.sigma[j]
+        p0 = stacked(cfg.base[i][j] for cfg in cfgs)
+        delta = stacked(cfg.deltas[j] for cfg in cfgs)
+        cell = np.zeros((B, 2, max(p0.shape[1], delta.shape[1])))
+        cell[:, 0, : p0.shape[1]] = p0
+        cell[:, 1, : delta.shape[1]] = delta
+        shape = [B] + [1] * k + [cell.shape[2]]
+        shape[1 + slot] = 2
+        cells[i][j] = cell.reshape(shape)
+
+    full = _polyadd(_laplace(cells), np.zeros((B,) + (2,) * k + (1,)))
+    out = []
+    for b in range(B):
+        terms = {}
+        for mask in range(1 << k):
+            poly = Polynomial(full[(b,) + tuple(mask >> slot & 1 for slot in range(k))])
+            if not poly.is_zero:
+                terms[mask] = poly
+        out.append(ParametricDeterminant(k, terms or {0: _ZERO}))
+    return out
+
+
+def det_parametric(cfg: EdgeConfiguration) -> ParametricDeterminant:
+    """Parametric determinant of one edge configuration: the run of one."""
+    return det_parametric_run([cfg])[0]
 
 
 def coefficient_box(pd: ParametricDeterminant) -> np.ndarray:
@@ -198,12 +245,6 @@ def coefficient_box(pd: ParametricDeterminant) -> np.ndarray:
     vertex V contributes the coefficient vector ``sum_{S subset of V} c_S``;
     multi-affinity puts the true extrema among these 2**k vectors.
     """
-    L = pd.coeff_length
     masks, rows = pd.coefficient_matrix()
-    lo = np.full(L, np.inf)
-    hi = np.full(L, -np.inf)
-    for sel in subset_matrix(masks, pd.k):
-        vec = rows[sel].sum(axis=0) if np.any(sel) else np.zeros(L)
-        lo = np.minimum(lo, vec)
-        hi = np.maximum(hi, vec)
-    return np.stack([lo, hi], axis=1)
+    vecs = subset_matrix(masks, pd.k).astype(float) @ rows
+    return np.stack([vecs.min(axis=0), vecs.max(axis=0)], axis=1)

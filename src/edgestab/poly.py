@@ -21,8 +21,11 @@ class Polynomial:
     Construction normalizes the representation: trailing coefficients whose
     magnitude is at most ``TRUNCATION_REL_TOL`` times the largest coefficient
     magnitude are dropped, and ``truncated`` records whether any dropped
-    coefficient was actually nonzero.  The zero polynomial is stored as the
-    single coefficient ``0.0``.
+    coefficient was actually nonzero.  Ring operations (``+``, ``-``, ``*``,
+    ``scale``, ``derivative``) drop only exactly-zero trailing coefficients:
+    a small leading coefficient of a computed result is kept, never
+    truncated, and the result's ``truncated`` is False.  The zero polynomial
+    is stored as the single coefficient ``0.0``.
     """
 
     __slots__ = ("coeffs", "truncated")
@@ -56,7 +59,7 @@ class Polynomial:
 
     def __reduce__(self):
         # immutability blocks the default slot-state restore; rebuild instead
-        return (_rebuild, (self.coeffs, self.truncated))
+        return (_exact, (self.coeffs, self.truncated))
 
     # ------------------------------------------------------------------
     # basic structure
@@ -98,28 +101,28 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._padded_pair(other)
-        return Polynomial(a + b)
+        return _exact(a + b)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._padded_pair(other)
-        return Polynomial(a - b)
+        return _exact(a - b)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-self.coeffs)
+        return _exact(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
+            return _exact(np.convolve(self.coeffs, other.coeffs))
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Polynomial(self.coeffs * float(other))
+            return _exact(self.coeffs * float(other))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale(self, c: float) -> "Polynomial":
-        return Polynomial(self.coeffs * float(c))
+        return _exact(self.coeffs * float(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -146,7 +149,7 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         if self.coeffs.size == 1:
             return Polynomial([0.0])
-        return Polynomial(self.coeffs[1:] * np.arange(1, self.coeffs.size))
+        return _exact(self.coeffs[1:] * np.arange(1, self.coeffs.size))
 
     # ------------------------------------------------------------------
     # roots
@@ -222,7 +225,14 @@ def from_roots(roots: Iterable[complex], leading: float = 1.0) -> Polynomial:
     return Polynomial(coeffs.real * float(leading))
 
 
-def _rebuild(coeffs: np.ndarray, truncated: bool) -> Polynomial:
-    p = Polynomial(coeffs)
+def _exact(coeffs: np.ndarray, truncated: bool = False) -> Polynomial:
+    """Polynomial of computed coefficients: only exactly-zero trailing ones are dropped."""
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite")
+    nonzero = np.flatnonzero(coeffs)
+    arr = np.array(coeffs[: nonzero[-1] + 1] if nonzero.size else [0.0], dtype=float)
+    arr.flags.writeable = False
+    p = Polynomial.__new__(Polynomial)
+    object.__setattr__(p, "coeffs", arr)
     object.__setattr__(p, "truncated", truncated)
     return p

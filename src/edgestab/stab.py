@@ -32,8 +32,10 @@ from .det import (
     ParametricDeterminant,
     coefficient_box,
     det_matrix,
-    det_parametric,
+    det_parametric,  # noqa: F401  bench/tracing.py patches stab.det_parametric
+    det_parametric_run,
     monomial_weights,
+    run_key,
     subset_matrix,
 )
 from .edges import EdgeConfiguration, count_configs, iter_configs
@@ -249,8 +251,20 @@ def _corner_lambdas(k: int) -> np.ndarray:
 
 
 def _eval_terms(rows: np.ndarray, s) -> np.ndarray:
-    """Evaluate all term polynomials at boundary point(s) s: (terms,) + shape(s)."""
-    return np.array([np.polyval(row[::-1], s) for row in rows], dtype=complex)
+    """Evaluate all term polynomials at boundary point(s) s: (terms,) + shape(s).
+
+    One Horner pass over every row, highest power first: the operations and
+    their order are those of ``np.polyval`` on each row.  Each product takes
+    operands of one shape, as ``np.polyval``'s do; numpy's complex product
+    rounds differently when one operand is broadcast along the other.
+    """
+    s = np.asarray(s)
+    coeffs = rows.reshape(rows.shape + (1,) * s.ndim)
+    vals = np.zeros(rows.shape[:1] + s.shape, dtype=complex)
+    s = np.broadcast_to(s, vals.shape).copy()
+    for l in range(rows.shape[1] - 1, -1, -1):
+        vals = vals * s + coeffs[:, l]
+    return vals
 
 
 def _box_corner_values(term_vals: np.ndarray, masks: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
@@ -613,30 +627,45 @@ class VertexMembers:
 
     The corner of a configuration at box vertex v is its base grid with the
     pattern cell of column ``lambda_columns[l]`` set to that segment's ``p1``
-    wherever bit l of v is set.  Verdicts are keyed by the member's cell
-    coefficients, never by the configuration, and computed from the member's
-    own grid, so a verdict does not depend on which configuration (or which
-    worker) reaches the member first.
+    wherever bit l of v is set.  A member is keyed by the vertex index of
+    every cell in row-major order: ``cfg.vertex_index`` for an off-pattern
+    cell, the segment's ``index0`` or ``index1`` for a pattern cell (vertex
+    list positions, or Kharitonov indices for an interval cell).  Within one
+    family's stream (``iter_configs`` without ``dedup``) an index names one
+    polynomial of its cell, so the key names the member; it never names a
+    configuration.  The grid is assembled only when
+    the key is new, and the verdict is computed from the member's own grid,
+    so it does not depend on which configuration (or which worker) reaches
+    the member first.
     """
 
     def __init__(self, region: Region):
         self.region = region
-        self._verdicts: dict[bytes, Verdict] = {}
+        self._verdicts: dict[tuple, Verdict] = {}
 
     def corners(self, cfg: EdgeConfiguration):
         """``box_stable``'s ``corners`` for one configuration."""
+        n = cfg.n
+        base = [0] * (n * n)
+        for (i, j), idx in cfg.vertex_index.items():
+            base[i * n + j] = idx
+        for j, seg in enumerate(cfg.edge_choice):
+            if seg.index0 is None or seg.index1 is None:
+                raise ValueError(f"segment of column {j} does not name its vertices")
+            base[cfg.sigma[j] * n + j] = seg.index0
 
         def corner(v: int) -> Verdict:
-            grid = [list(row) for row in cfg.base]
+            key = list(base)
             for slot, j in enumerate(cfg.lambda_columns):
                 if v >> slot & 1:
-                    grid[cfg.sigma[j]][j] = cfg.edge_choice[j].p1
-            cells = [cell.coeffs for row in grid for cell in row]
-            # the cell sizes keep members whose coefficients concatenate alike apart
-            sizes = np.array([c.size for c in cells], dtype=float)
-            key = sizes.tobytes() + np.concatenate(cells).tobytes()
+                    key[cfg.sigma[j] * n + j] = cfg.edge_choice[j].index1
+            key = tuple(key)
             found = self._verdicts.get(key)
             if found is None:
+                grid = [list(row) for row in cfg.base]
+                for slot, j in enumerate(cfg.lambda_columns):
+                    if v >> slot & 1:
+                        grid[cfg.sigma[j]][j] = cfg.edge_choice[j].p1
                 found = self._verdicts[key] = point_stable(det_matrix(grid), self.region)
             return found
 
@@ -650,23 +679,47 @@ def _truncated_input(cfg: EdgeConfiguration) -> bool:
     )
 
 
+# Runs grow 1, 2, 4, ... up to this size, so a chunk that stops Unstable early
+# builds few determinants it never decides.
+_MAX_RUN = 64
+
+
+def _runs(configs):
+    """Consecutive configurations sharing ``run_key``, in runs of growing size."""
+    size = 1
+    run, key = [], None
+    for cfg in configs:
+        cfg_key = run_key(cfg)
+        if run and cfg_key != key:
+            yield run
+            run, size = [], min(2 * size, _MAX_RUN)
+        run.append(cfg)
+        key = cfg_key
+        if len(run) == size:
+            yield run
+            run, size = [], min(2 * size, _MAX_RUN)
+    if run:
+        yield run
+
+
 def _check_chunk(
     fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers
 ) -> list:
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable."""
     out = []
-    for cfg in iter_configs(fam, start=start, stop=stop):
-        if _truncated_input(cfg):
-            v = Verdict(
-                Status.DEGENERATE,
-                reason="an input polynomial has trailing coefficients below the "
-                "truncation floor, so its degree is not resolved",
-            )
-        else:
-            v = box_stable(det_parametric(cfg), fam.region, tol, members.corners(cfg))
-        out.append((cfg.index, v))
-        if v.status is Status.UNSTABLE:
-            break
+    for run in _runs(iter_configs(fam, start=start, stop=stop)):
+        for cfg, pd in zip(run, det_parametric_run(run)):
+            if _truncated_input(cfg):
+                v = Verdict(
+                    Status.DEGENERATE,
+                    reason="an input polynomial has trailing coefficients below the "
+                    "truncation floor, so its degree is not resolved",
+                )
+            else:
+                v = box_stable(pd, fam.region, tol, members.corners(cfg))
+            out.append((cfg.index, v))
+            if v.status is Status.UNSTABLE:
+                return out
     return out
 
 

@@ -105,6 +105,24 @@ def test_reports_identical_across_jobs(tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def mixed_length_doc():
+    # off-diagonal vertices of lengths 1 and 2: consecutive configurations
+    # change cell lengths, so determinant runs break inside every chunk
+    diag = {"vertices": [[2.0, 3.0, 1.0], [2.2, 3.1, 1.05]]}
+    off = {"vertices": [[0.05], [0.04, 0.03]]}
+    entries = [[diag if i == j else off for j in range(3)] for i in range(3)]
+    return {"n": 3, "region": {"type": "hurwitz"}, "mode": "polytope", "entries": entries}
+
+
+def test_mixed_length_reports_identical_across_jobs(tmp_path):
+    path = write(tmp_path, mixed_length_doc())
+    r1 = tmp_path / "r1.json"
+    r2 = tmp_path / "r2.json"
+    assert run(["analyze", path, "--jobs", "1", "--report", str(r1)]) == 0
+    assert run(["analyze", path, "--jobs", "2", "--report", str(r2)]) == 0
+    assert r1.read_bytes() == r2.read_bytes()
+
+
 def test_unstable_reports_identical_across_jobs(tmp_path):
     r1 = tmp_path / "r1.json"
     r3 = tmp_path / "r3.json"

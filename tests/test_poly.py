@@ -10,7 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgestab.errors import ZeroLeadingCoefficientError, ZeroPolynomialError
@@ -179,6 +179,7 @@ def test_derivative():
 
 
 @given(coeffs_strategy, coeffs_strategy)
+@example(a=[0.0, 0.0, 0.0, 2.0, 10.0, 1e-5], b=[0.0, 0.0, 0.0, 9.0, 6.0, 0.0, 1e-5])
 @settings(max_examples=50, deadline=None)
 def test_product_rule(a, b):
     p, q = Polynomial(a), Polynomial(b)

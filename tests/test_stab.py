@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from edgestab.cli import parse_family_dict
-from edgestab.det import ParametricDeterminant, det_parametric
-from edgestab.edges import iter_configs
+from edgestab.det import ParametricDeterminant, det_parametric, det_parametric_run, run_key
+from edgestab.edges import EdgeConfiguration, iter_configs
 from edgestab.errors import (
     RegionNotHurwitzError,
     ValidationFailure,
@@ -621,6 +621,15 @@ def test_member_memo_matches_assembled_corners(make):
     assert statuses
 
 
+def test_member_key_needs_vertex_indices():
+    # members are keyed by vertex indices, so a segment that does not name
+    # its endpoints cannot be keyed
+    seg = EdgeSegment(Polynomial([1.0, 1.0]), Polynomial([2.0, 1.0]))
+    cfg = EdgeConfiguration(0, (0,), [seg], {})
+    with pytest.raises(ValueError):
+        VertexMembers(HurwitzHalfPlane()).corners(cfg)
+
+
 def test_family_solves_each_vertex_member_once(monkeypatch):
     # demo3x3: 384 configurations with k = 3 have 3,072 box corners, and
     # they are the 2**9 = 512 all-vertex matrices of the family
@@ -635,3 +644,68 @@ def test_family_solves_each_vertex_member_once(monkeypatch):
     v = analyze_family(fixture_family("demo3x3"))
     assert v.status is Status.ROBUSTLY_STABLE
     assert len(calls) == 512
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fixture_family("demo3x3"),
+        lambda: fixture_family("vertex_insufficiency"),
+        lambda: fixture_family("degree_drop"),
+        lambda: fixture_family("truncation"),
+        interval_family,
+    ],
+    ids=["demo3x3", "vertex_insufficiency", "degree_drop", "truncation", "interval"],
+)
+def test_run_terms_equal_single_determinants(make):
+    # a run stacks its configurations on a batch axis without padding, so
+    # every term must be bitwise the term of the configuration's own determinant
+    fam = make()
+    for _, group in itertools.groupby(iter_configs(fam), key=run_key):
+        run = list(group)
+        for cfg, pd in zip(run, det_parametric_run(run)):
+            alone = det_parametric(cfg)
+            assert pd.k == alone.k
+            assert list(pd.terms) == list(alone.terms), cfg.index
+            for mask, poly in alone.terms.items():
+                assert np.array_equal(pd.terms[mask].coeffs, poly.coeffs), (cfg.index, mask)
+
+
+def test_run_rejects_mixed_structure():
+    cfgs = list(iter_configs(fixture_family("demo3x3"), start=63, stop=65))
+    assert run_key(cfgs[0]) != run_key(cfgs[1])
+    with pytest.raises(ValueError):
+        det_parametric_run(cfgs)
+
+
+def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
+    # runs grow 1, 2, 4, ...: a chunk that is Unstable at its first
+    # configuration pays for exactly one parametric determinant
+    fam = MatrixFamily(
+        [
+            [cell([-1.0, 1.0], [1.0, 1.0]), cell([0.1], [0.2]), cell([0.1], [0.2])],
+            [cell([0.1], [0.2]), cell([2.0, 1.0], [2.5, 1.0]), cell([0.1], [0.2])],
+            [cell([0.1], [0.2]), cell([0.1], [0.2]), cell([3.0, 1.0], [3.5, 1.0])],
+        ],
+        HurwitzHalfPlane(),
+    )
+    sizes = []
+    run_of = stab.det_parametric_run
+
+    def recording_run(cfgs):
+        sizes.append(len(cfgs))
+        return run_of(cfgs)
+
+    monkeypatch.setattr(stab, "det_parametric_run", recording_run)
+    v, outcomes = analyze_family_detailed(fam, jobs=1)
+    assert v.status is Status.UNSTABLE and v.witness.config_index == 0
+    assert sizes == [1] and len(outcomes) == 1
+
+    # the pool path: one worker's chunk, run in this process
+    sizes.clear()
+    monkeypatch.setattr(stab, "_pool_members", None)
+    stab._start_pool_worker(fam.region)
+    chunk = stab._check_pool_chunk(fam, 0, stab._CHUNK, Tolerances())
+    assert [index for index, _ in chunk] == [0]
+    assert chunk[0][1].status is Status.UNSTABLE
+    assert sizes == [1]
