@@ -13,8 +13,10 @@ what makes the coefficient box exact: every coefficient of ``s**l`` attains
 its extrema at vertices of the lambda box, so scanning the 2**k vertices
 yields tight per-degree ranges.
 
-Both determinants run one array core, ``_laplace``, on coefficient arrays of
-shape ``(..., L)``: the last axis holds ascending powers of ``s``, and a
+One loop-based array core, ``_laplace``, serves the concrete, parametric
+and sampled determinants (``det_matrix``, ``det_parametric_run`` and the
+oracle's member batches).  It works on coefficient arrays of shape
+``(..., L)``: the last axis holds ascending powers of ``s``, and a
 parametric cell carries one leading axis per lambda slot.  A slot axis is in
 the monomial basis: index 0 is the lambda-free coefficient and index 1 the
 coefficient of ``lam_slot``, so a cell with a segment has size 2 on its own
@@ -38,13 +40,14 @@ and each configuration's arithmetic is exactly that of its own determinant;
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .edges import EdgeConfiguration
-from .poly import Polynomial
+from .poly import Polynomial, _exact
 
 _ZERO = Polynomial([0.0])
 
@@ -71,32 +74,27 @@ def _polyadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _laplace(cells) -> np.ndarray:
     """Determinant of a square grid of coefficient arrays of equal rank.
 
-    First-row Laplace expansion memoized on the active column mask; the
-    minor of the remaining rows depends only on that mask, so the cost is
+    Laplace expansion built bottom-up over column subsets in order of size:
+    the minor on the ascending columns ``cols`` expands row ``n - len(cols)``
+    over ``cols`` with signs alternating by position, using the minors of
+    the previous size.  Only that previous size is kept, so the cost is
     O(2^n * n) array products instead of factorial.
     """
     n = len(cells)
-    memo: dict[int, np.ndarray] = {}
-
-    def minor(mask: int) -> np.ndarray:
-        if mask in memo:
-            return memo[mask]
-        r = n - bin(mask).count("1")
-        acc = None
-        sign = 1.0
-        for j in range(n):
-            if not mask >> j & 1:
-                continue
-            sub = mask & ~(1 << j)
-            term = cells[r][j] if sub == 0 else _polymul(cells[r][j], minor(sub))
-            if sign < 0.0:
-                term = -term
-            acc = term if acc is None else _polyadd(acc, term)
-            sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return minor((1 << n) - 1)
+    prev = {(j,): cells[n - 1][j] for j in range(n)}
+    for size in range(2, n + 1):
+        row = cells[n - size]
+        cur = {}
+        for cols in itertools.combinations(range(n), size):
+            acc = None
+            for pos, j in enumerate(cols):
+                term = _polymul(row[j], prev[cols[:pos] + cols[pos + 1 :]])
+                if pos % 2:
+                    term = -term
+                acc = term if acc is None else _polyadd(acc, term)
+            cur[cols] = acc
+        prev = cur
+    return prev[tuple(range(n))]
 
 
 def det_matrix(grid) -> Polynomial:
@@ -150,11 +148,8 @@ class ParametricDeterminant:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if lam.size != self.k:
             raise ValueError(f"expected {self.k} parameters, got {lam.size}")
-        acc = _ZERO
-        for poly, w in zip(self.terms.values(), monomial_weights(list(self.terms), lam)):
-            if w != 0.0:
-                acc = acc + poly * w
-        return acc
+        masks, rows = self.coefficient_matrix()
+        return _exact(monomial_weights(masks, lam) @ rows)
 
     @property
     def coeff_length(self) -> int:

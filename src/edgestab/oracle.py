@@ -1,10 +1,12 @@
 """Brute-force sampling check for matrix families.
 
 Independent of the edge-configuration machinery: members are drawn directly
-from the family (random simplex/box weights or a structured grid), their
-determinants computed by batched convolution, and root margins measured
-against the region.  Used to cross-validate the symbolic decision path and
-to hunt for explicit unstable members.
+from the family (random simplex/box weights or a structured grid), and root
+margins are measured against the region.  Their determinants come from the
+one loop-based Laplace core, ``det._laplace``, that also serves the concrete
+and parametric determinants: a batch of members is one call whose cells
+carry a leading batch axis.  Used to cross-validate the symbolic decision
+path and to hunt for explicit unstable members.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .det import det_matrix
+from .det import _laplace, det_matrix
 from .errors import ValidationFailure
 from .family import IntervalEntry, MatrixFamily, PolytopeEntry
 from .poly import Polynomial
@@ -88,7 +90,7 @@ def _cell_coeff_arrays(fam: MatrixFamily):
                 arr[0, : e.length] = e.lower
                 arr[1, : e.length] = e.upper
                 cells.append(("interval", arr))
-    return cells, max_len
+    return cells
 
 
 def _random_weights(cells, batch: int, rng: np.random.Generator):
@@ -174,66 +176,6 @@ def _coeff_batches(cells, weight_arrays):
     return out
 
 
-def _batched_det(cell_coeffs, n: int, max_len: int):
-    """Determinant coefficients for a whole batch of numeric matrices.
-
-    Expansion over permutations would be n! products; instead this runs the
-    standard first-row Laplace recursion with batched polynomial products
-    (convolution via explicit index loops, vectorized over the batch).
-    """
-    batch = cell_coeffs[0].shape[0]
-    out_len = n * (max_len - 1) + 1
-
-    def mul(a, b):
-        la = a.shape[1]
-        lb = b.shape[1]
-        res = np.zeros((batch, la + lb - 1))
-        if la <= lb:
-            for i in range(la):
-                res[:, i : i + lb] += a[:, i : i + 1] * b
-        else:
-            for i in range(lb):
-                res[:, i : i + la] += b[:, i : i + 1] * a
-        return res
-
-    cellmap = {}
-    for i in range(n):
-        for j in range(n):
-            cellmap[(i, j)] = cell_coeffs[i * n + j]
-
-    memo = {}
-
-    def minor(rows, cols):
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
-        if len(rows) == 1:
-            res = cellmap[(rows[0], cols[0])]
-        else:
-            i = rows[0]
-            rest = rows[1:]
-            res = np.zeros((batch, 1))
-            for pos, j in enumerate(cols):
-                subcols = cols[:pos] + cols[pos + 1 :]
-                term = mul(cellmap[(i, j)], minor(rest, subcols))
-                if pos % 2:
-                    term = -term
-                la, lb = res.shape[1], term.shape[1]
-                if la < lb:
-                    res = np.pad(res, ((0, 0), (0, lb - la)))
-                elif lb < la:
-                    term = np.pad(term, ((0, 0), (0, la - lb)))
-                res = res + term
-        memo[key] = res
-        return res
-
-    full = tuple(range(n))
-    det = minor(full, full)
-    if det.shape[1] < out_len:
-        det = np.pad(det, ((0, 0), (0, out_len - det.shape[1])))
-    return det
-
-
 def _batched_margins(det_coeffs: np.ndarray, region: Region):
     """Worst root margin for each batch row; +inf for nonzero constants.
 
@@ -242,14 +184,10 @@ def _batched_margins(det_coeffs: np.ndarray, region: Region):
     """
     batch, L = det_coeffs.shape
     scale = np.max(np.abs(det_coeffs), axis=1, keepdims=True)
-    tolerant = det_coeffs.copy()
     nz = scale[:, 0] > 0.0
     # strip trailing coefficients that are zero relative to each row's scale
-    degrees = np.zeros(batch, dtype=int)
-    sig = np.abs(tolerant) > 1e-12 * np.maximum(scale, 1e-300)
-    for r in range(batch):
-        idx = np.nonzero(sig[r])[0]
-        degrees[r] = idx[-1] if idx.size else 0
+    sig = np.abs(det_coeffs) > 1e-12 * np.maximum(scale, 1e-300)
+    degrees = np.where(sig.any(axis=1), L - 1 - np.argmax(sig[:, ::-1], axis=1), 0)
 
     margins = np.full(batch, math.inf)
     roots_out = [None] * batch
@@ -329,7 +267,7 @@ def sample_family(
         raise ValidationFailure("sampling budget must be positive")
     if scheme not in ("random", "grid"):
         raise ValidationFailure(f"unknown sampling scheme: {scheme!r}")
-    cells, max_len = _cell_coeff_arrays(fam)
+    cells = _cell_coeff_arrays(fam)
     n = fam.n
 
     worst_margin = math.inf
@@ -340,7 +278,7 @@ def sample_family(
     def consume(weight_arrays):
         nonlocal worst_margin, worst_weights, worst_root, total
         coeffs = _coeff_batches(cells, weight_arrays)
-        det = _batched_det(coeffs, n, max_len)
+        det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
         margins, roots = _batched_margins(det, fam.region)
         r = int(np.argmin(margins))
         if margins[r] < worst_margin:
@@ -496,7 +434,7 @@ def find_counterexample_near(
         )
 
     rng = np.random.default_rng(seed)
-    kinds = [kind for kind, _ in _cell_coeff_arrays(fam)[0]]
+    kinds = [kind for kind, _ in _cell_coeff_arrays(fam)]
     best_w = [w.copy() for w in weights]
     best_margin, best_root = margin, root
     step = 0.25

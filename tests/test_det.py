@@ -5,10 +5,18 @@ Python integer lists, no numpy and no shared code with the implementation.
 On integer inputs the engine must match it exactly.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
-from edgestab.det import ParametricDeterminant, coefficient_box, det_matrix, det_parametric
+from edgestab.det import (
+    ParametricDeterminant,
+    _laplace,
+    coefficient_box,
+    det_matrix,
+    det_parametric,
+)
 from edgestab.edges import iter_configs
 from edgestab.family import MatrixFamily, PolytopeEntry
 from edgestab.poly import Polynomial
@@ -126,6 +134,21 @@ def test_matches_integer_cofactor_oracle(n):
         want = trim(naive_det(int_grid))
         got = det_matrix(as_poly_grid(int_grid))
         assert got.as_list() == [float(c) for c in want]
+
+
+def test_laplace_and_det_matrix_leave_no_garbage_cycle():
+    # a reference cycle would keep every minor alive until the cyclic collector runs
+    rng = np.random.default_rng(7)
+    cells = [[rng.normal(size=(5, 3)) for _ in range(4)] for _ in range(4)]
+    grid = [[Polynomial(rng.normal(size=3)) for _ in range(4)] for _ in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        _laplace(cells)
+        det_matrix(grid)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

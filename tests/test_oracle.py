@@ -14,9 +14,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from edgestab.det import det_matrix
+from edgestab.det import _laplace, det_matrix
 from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
 from edgestab.oracle import (
+    _cell_coeff_arrays,
+    _coeff_batches,
+    _random_weights,
     find_counterexample_near,
     member_margin,
     sample_family,
@@ -195,6 +198,18 @@ def test_fixture_demo3x3_oracle_and_analysis_agree():
     assert rep.verdict == "StableAtAllSamples"
     assert rep.worst_margin > 0.1
     assert analyze_family(fam).status.value == "RobustlyStable"
+
+
+def test_batched_member_determinants_equal_single_member_calls():
+    # batch makeup must not change any member's determinant coefficients
+    fam = family_from_fixture("demo3x3.json")
+    n = fam.n
+    cells = _cell_coeff_arrays(fam)
+    coeffs = _coeff_batches(cells, _random_weights(cells, 64, np.random.default_rng(11)))
+    batched = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
+    for b in range(64):
+        single = _laplace([[coeffs[i * n + j][b : b + 1] for j in range(n)] for i in range(n)])
+        assert np.array_equal(batched[b : b + 1], single)
 
 
 # ----------------------------------------------------------------------
