@@ -47,7 +47,7 @@ from .errors import EdgeStabError, SchemaError, ValidationFailure
 from .family import IntervalEntry, MatrixFamily, PolytopeEntry, validate
 from .oracle import sample_family
 from .poly import Polynomial
-from .region import Disk, HurwitzHalfPlane, Region, ShiftedHalfPlane
+from .region import Disk, HurwitzHalfPlane, Region, ShiftedHalfPlane, worst_roots
 from .stab import (
     Status,
     Tolerances,
@@ -319,12 +319,11 @@ def _witness_block(fam: MatrixFamily, verdict) -> dict | None:
         block["determinant_coeffs"] = member.as_list()
         direct = det_matrix(cfg.instantiate(np.clip(np.asarray(w.lam), 0.0, 1.0)))
         block["assembled_matches_direct"] = bool(member == direct or member.isclose(direct))
-        if not member.is_zero:
-            roots = member.roots()
-            margins = np.asarray(fam.region.margin(roots), dtype=float)
-            worst = int(np.argmin(margins))
-            block["reproduced_margin"] = float(margins[worst])
-            block["reproduced_root"] = [roots[worst].real, roots[worst].imag]
+        if member.degree > 0:
+            margin, root = worst_roots(fam.region, member.roots())
+            root = complex(root)
+            block["reproduced_margin"] = float(margin)
+            block["reproduced_root"] = [root.real, root.imag]
     return block
 
 

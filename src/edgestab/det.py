@@ -26,7 +26,8 @@ share a column, they never share a size-2 axis, and the broadcast is exactly
 the product of monomials.  Sums zero-pad every axis to the larger size and
 never broadcast: a size-1 slot axis holds no ``lam_slot`` term, so it must
 not be copied onto index 1.  ``Polynomial`` objects are created only for the
-final determinant (one per mask in the parametric case).
+final determinant (one per mask in the parametric case); they drop only
+exactly-zero trailing coefficients, so a leading one that nearly cancels is kept.
 
 ``det_parametric_run`` decides a run of configurations with one ``_laplace``
 call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
@@ -98,7 +99,7 @@ def _laplace(cells) -> np.ndarray:
 
 
 def det_matrix(grid) -> Polynomial:
-    """Determinant of a concrete polynomial matrix."""
+    """Determinant of a concrete polynomial matrix, keeping every computed coefficient."""
     rows = [list(r) for r in grid]
     n = len(rows)
     for r in rows:
@@ -107,7 +108,7 @@ def det_matrix(grid) -> Polynomial:
         for cell in r:
             if not isinstance(cell, Polynomial):
                 raise TypeError("matrix cells must be Polynomial instances")
-    return Polynomial(_laplace([[cell.coeffs for cell in r] for r in rows]))
+    return _exact(_laplace([[cell.coeffs for cell in r] for r in rows]))
 
 
 def monomial_weights(masks, lam) -> np.ndarray:
@@ -221,7 +222,7 @@ def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
     for b in range(B):
         terms = {}
         for mask in range(1 << k):
-            poly = Polynomial(full[(b,) + tuple(mask >> slot & 1 for slot in range(k))])
+            poly = _exact(full[(b,) + tuple(mask >> slot & 1 for slot in range(k))])
             if not poly.is_zero:
                 terms[mask] = poly
         out.append(ParametricDeterminant(k, terms or {0: _ZERO}))

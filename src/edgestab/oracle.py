@@ -5,8 +5,10 @@ from the family (random simplex/box weights or a structured grid), and root
 margins are measured against the region.  Their determinants come from the
 one loop-based Laplace core, ``det._laplace``, that also serves the concrete
 and parametric determinants: a batch of members is one call whose cells
-carry a leading batch axis.  Used to cross-validate the symbolic decision
-path and to hunt for explicit unstable members.
+carry a leading batch axis.  Their margins come from ``poly.batch_roots``
+and ``region.worst_roots``, as in the analyzer, so a sampled member gets
+bitwise ``point_stable``'s margin.  Used to cross-validate the symbolic
+decision path and to hunt for explicit unstable members.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .det import _laplace, det_matrix
 from .errors import ValidationFailure
 from .family import IntervalEntry, MatrixFamily, PolytopeEntry
-from .poly import Polynomial
-from .region import Region
+from .poly import Polynomial, batch_roots
+from .region import Region, worst_roots
 
 
 @dataclass(frozen=True)
@@ -177,41 +179,21 @@ def _coeff_batches(cells, weight_arrays):
 
 
 def _batched_margins(det_coeffs: np.ndarray, region: Region):
-    """Worst root margin for each batch row; +inf for nonzero constants.
+    """(margins, worst_roots) of the batch rows, each of the degree of its last nonzero coefficient.
 
-    Returns (margins, worst_roots); the zero polynomial maps to -inf with a
-    root at the origin so it always surfaces as the worst member.
+    A nonzero constant gets +inf; the zero polynomial gets -inf with a root at
+    the origin, so it always surfaces as the worst member.
     """
-    batch, L = det_coeffs.shape
-    scale = np.max(np.abs(det_coeffs), axis=1, keepdims=True)
-    nz = scale[:, 0] > 0.0
-    # strip trailing coefficients that are zero relative to each row's scale
-    sig = np.abs(det_coeffs) > 1e-12 * np.maximum(scale, 1e-300)
-    degrees = np.where(sig.any(axis=1), L - 1 - np.argmax(sig[:, ::-1], axis=1), 0)
-
-    margins = np.full(batch, math.inf)
-    roots_out = [None] * batch
-    margins[~nz] = -math.inf
-    for r in np.nonzero(~nz)[0]:
-        roots_out[r] = 0.0 + 0.0j
-
-    for d in np.unique(degrees[nz]):
-        rows = np.nonzero(nz & (degrees == d))[0]
-        if d == 0:
-            continue  # nonzero constant: vacuously stable, margin stays +inf
-        block = det_coeffs[rows][:, : d + 1]
-        lead = block[:, -1]
-        # companion matrices, batched
-        comp = np.zeros((rows.size, d, d))
-        comp[:, 1:, :-1] = np.eye(d - 1)
-        comp[:, :, -1] = -block[:, :-1] / lead[:, None]
-        eig = np.linalg.eigvals(comp)
-        marg = region.margin(eig)
-        worst = np.argmin(marg, axis=1)
-        take = marg[np.arange(rows.size), worst]
-        margins[rows] = take
-        for pos, r in enumerate(rows):
-            roots_out[r] = complex(eig[pos, worst[pos]])
+    L = det_coeffs.shape[1]
+    nonzero = det_coeffs != 0.0
+    degrees = np.where(nonzero.any(axis=1), L - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    margins = np.where(degrees < 0, -math.inf, math.inf)
+    roots_out = [0.0 + 0.0j if deg < 0 else None for deg in degrees]
+    for d in np.unique(degrees[degrees > 0]):
+        rows = np.nonzero(degrees == d)[0]
+        margins[rows], roots = worst_roots(region, batch_roots(det_coeffs[rows, : d + 1]))
+        for r, root in zip(rows, roots):
+            roots_out[r] = complex(root)
     return margins, roots_out
 
 
@@ -236,12 +218,10 @@ def member_margin(fam: MatrixFamily, weights) -> tuple[float, complex | None]:
     det = det_matrix(grid)
     if det.is_zero:
         return -math.inf, 0.0 + 0.0j
-    roots = det.roots()
-    if roots.size == 0:
+    if det.degree == 0:
         return math.inf, None
-    margins = np.asarray(fam.region.margin(roots), dtype=float)
-    worst = int(np.argmin(margins))
-    return float(margins[worst]), complex(roots[worst])
+    margin, root = worst_roots(fam.region, det.roots())
+    return float(margin), complex(root)
 
 
 def _weights_as_tuples(weight_arrays, row: int):
@@ -267,6 +247,8 @@ def sample_family(
         raise ValidationFailure("sampling budget must be positive")
     if scheme not in ("random", "grid"):
         raise ValidationFailure(f"unknown sampling scheme: {scheme!r}")
+    if any(v.truncated for row in fam.entries for e in row if isinstance(e, PolytopeEntry) for v in e.vertices):
+        raise ValidationFailure("a vertex polynomial lost coefficients below the truncation floor")
     cells = _cell_coeff_arrays(fam)
     n = fam.n
 

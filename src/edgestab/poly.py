@@ -1,4 +1,8 @@
-"""Dense univariate real polynomials on an ascending coefficient basis."""
+"""Dense univariate real polynomials on an ascending coefficient basis.
+
+Every root the program measures comes from one solver, ``batch_roots``, on
+stacks of coefficient rows; ``Polynomial.roots`` is its batch of one.
+"""
 
 from __future__ import annotations
 
@@ -155,33 +159,16 @@ class Polynomial:
     # roots
 
     def roots(self) -> np.ndarray:
-        """All complex roots, via the companion-matrix eigenproblem.
+        """All complex roots: ``batch_roots`` on the batch of one.
 
-        Each eigenvalue gets up to two Newton refinement steps, kept only when
-        the residual |p(r)| improves.  The zero polynomial has no meaningful
-        root set and raises; a nonzero constant returns an empty array.
+        The zero polynomial has no meaningful root set and raises; a nonzero
+        constant returns an empty array.
         """
         if self.is_zero:
             raise ZeroPolynomialError("the zero polynomial has no root set")
         if self.degree == 0:
             return np.empty(0, dtype=complex)
-        r = np.atleast_1d(np.roots(self.coeffs[::-1])).astype(complex)
-        dp = self.derivative()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(2):
-                pv = np.atleast_1d(self(r))
-                dv = np.atleast_1d(dp(r))
-                safe = (np.abs(dv) > 0.0) & np.isfinite(pv) & np.isfinite(dv)
-                step = np.zeros_like(r)
-                step[safe] = pv[safe] / dv[safe]
-                # a polish step is microscopic; a large one means the value is
-                # noise-dominated (e.g. near-multiple roots) and following it
-                # can jump into a different root's basin
-                step[np.abs(step) > 1e-3 * (1.0 + np.abs(r))] = 0.0
-                cand = r - step
-                better = np.abs(np.atleast_1d(self(cand))) < np.abs(pv)
-                r = np.where(better, cand, r)
-        return r
+        return batch_roots(self.coeffs[None])[0]
 
     def cauchy_root_bound(self) -> float:
         """1 + max(|c_i|)/|c_deg| over the non-leading coefficients.
@@ -236,3 +223,61 @@ def _exact(coeffs: np.ndarray, truncated: bool = False) -> Polynomial:
     object.__setattr__(p, "coeffs", arr)
     object.__setattr__(p, "truncated", truncated)
     return p
+
+
+def horner(rows: np.ndarray, s) -> np.ndarray:
+    """Sum over l of ``rows[..., l] * s**l``, broadcast over ``rows.shape[:-1]`` and ``s``.
+
+    The operations and their order are ``np.polyval``'s on each row.  Each
+    product takes operands of one shape, as ``np.polyval``'s do; numpy's
+    complex product rounds differently when one operand is broadcast.
+    """
+    s = np.asarray(s)
+    vals = np.zeros(np.broadcast(rows[..., 0], s).shape, dtype=complex)
+    points = np.empty(vals.shape, s.dtype)
+    points[...] = s
+    for l in range(rows.shape[-1] - 1, -1, -1):
+        vals = vals * points + rows[..., l]
+    return vals
+
+
+def batch_roots(rows: np.ndarray) -> np.ndarray:
+    """Roots of (B, d + 1) ascending rows of one degree d >= 1, shape (B, d).
+
+    A row with z exactly-zero low coefficients gets the eigenvalues of the
+    companion matrix of its other coefficients, then z roots exactly at 0.
+    One batched ``eigvals`` per z: LAPACK solves each matrix on its own, so
+    a row's roots do not depend on the batch.  Each root then gets up to two
+    Newton steps, kept only when |p(r)| improves.
+    """
+    d = rows.shape[1] - 1
+    roots = np.zeros((rows.shape[0], d), dtype=complex)
+    low = np.argmax(rows != 0.0, axis=1)
+    for z in set(low.tolist()):
+        pick = np.nonzero(low == z)[0]
+        m = d - z
+        if m == 0:
+            continue
+        comp = np.zeros((pick.size, m, m))
+        comp[:, 1:, :-1] = np.eye(m - 1)
+        comp[:, 0, :] = -rows[pick, z:d][:, ::-1] / rows[pick, d:]
+        roots[pick, :m] = np.linalg.eigvals(comp)
+        del comp  # the largest array here: free it before the polish
+    coeffs = rows[:, None]
+    deriv = (rows[:, 1:] * np.arange(1, d + 1))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv = horner(coeffs, roots)
+        for _ in range(2):
+            dv = horner(deriv, roots)
+            safe = (np.abs(dv) > 0.0) & np.isfinite(pv) & np.isfinite(dv)
+            step = np.zeros_like(roots)
+            step[safe] = pv[safe] / dv[safe]
+            # a polish step is microscopic; a large one means the value is
+            # noise-dominated (e.g. near-multiple roots) and following it
+            # can jump into a different root's basin
+            step[np.abs(step) > 1e-3 * (1.0 + np.abs(roots))] = 0.0
+            cand = roots - step
+            cv = horner(coeffs, cand)
+            better = np.abs(cv) < np.abs(pv)
+            roots, pv = np.where(better, cand, roots), np.where(better, cv, pv)
+    return roots

@@ -142,3 +142,16 @@ def sweep_range(region: Region, pd) -> tuple[float, float]:
     from .det import coefficient_box
 
     return sweep_range_from_box(region, coefficient_box(pd))
+
+
+def worst_roots(region: Region, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(margin, root) of the worst root, the first of least margin, of each row of d >= 1 roots.
+
+    A row's margin is positive iff every root lies strictly inside the region.
+    """
+    margins = np.asarray(region.margin(roots), dtype=float)
+    worst = np.expand_dims(np.argmin(margins, axis=-1), -1)
+    return (
+        np.take_along_axis(margins, worst, -1)[..., 0],
+        np.take_along_axis(roots, worst, -1)[..., 0],
+    )

@@ -2,7 +2,8 @@
 
 The decision layers build on each other:
 
-* ``point_stable`` checks one polynomial by computing its roots.
+* ``point_stable`` checks one polynomial by its roots (``Polynomial.roots``)
+  and its worst root margin (``region.worst_roots``), as the oracle does.
 * ``hurwitz_algebraic`` is an independent algebraic route (Routh array) used
   to cross-check the root-based path for the left half plane.
 * ``box_stable`` decides a multi-affine parameter box by zero exclusion of
@@ -41,8 +42,8 @@ from .det import (
 from .edges import EdgeConfiguration, count_configs, iter_configs
 from .errors import RegionNotHurwitzError, ValidationFailure, ZeroPolynomialError
 from .family import EdgeSegment, MatrixFamily, validate
-from .poly import Polynomial
-from .region import Disk, HurwitzHalfPlane, Region, ShiftedHalfPlane, sweep_range_from_box
+from .poly import Polynomial, horner
+from .region import Disk, HurwitzHalfPlane, Region, ShiftedHalfPlane, sweep_range_from_box, worst_roots
 
 MAX_DRIVER_SIZE = 8
 
@@ -143,15 +144,14 @@ def point_stable(p: Polynomial, region: Region) -> Verdict:
     roots = p.roots()
     if roots.size == 0:
         return Verdict(Status.ROBUSTLY_STABLE, margin=math.inf, reason="no roots")
-    margins = np.asarray(region.margin(roots), dtype=float)
-    worst = int(np.argmin(margins))
-    m = float(margins[worst])
+    margin, root = worst_roots(region, roots)
+    m = float(margin)
     if m > 0.0:
         return Verdict(Status.ROBUSTLY_STABLE, margin=m, reason="all roots inside")
     return Verdict(
         Status.UNSTABLE,
         margin=m,
-        witness=Witness(root=complex(roots[worst])),
+        witness=Witness(root=complex(root)),
         reason="root on or outside the region boundary",
     )
 
@@ -235,36 +235,9 @@ def _abs_s_bound(region: Region, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(sigma, np.maximum(np.abs(a), np.abs(b)))
 
 
-class _SweepOutcome:
-    __slots__ = ("kind", "min_rel_margin", "witness", "reason")
-
-    def __init__(self, kind, min_rel_margin=math.inf, witness=None, reason=""):
-        self.kind = kind  # "excluded" | "unstable" | "inconclusive"
-        self.min_rel_margin = min_rel_margin
-        self.witness = witness
-        self.reason = reason
-
-
 def _corner_lambdas(k: int) -> np.ndarray:
     """Lambda vector of each box corner: row v sets slot j to bit j of v."""
     return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
-
-
-def _eval_terms(rows: np.ndarray, s) -> np.ndarray:
-    """Evaluate all term polynomials at boundary point(s) s: (terms,) + shape(s).
-
-    One Horner pass over every row, highest power first: the operations and
-    their order are those of ``np.polyval`` on each row.  Each product takes
-    operands of one shape, as ``np.polyval``'s do; numpy's complex product
-    rounds differently when one operand is broadcast along the other.
-    """
-    s = np.asarray(s)
-    coeffs = rows.reshape(rows.shape + (1,) * s.ndim)
-    vals = np.zeros(rows.shape[:1] + s.shape, dtype=complex)
-    s = np.broadcast_to(s, vals.shape).copy()
-    for l in range(rows.shape[1] - 1, -1, -1):
-        vals = vals * s + coeffs[:, l]
-    return vals
 
 
 def _box_corner_values(term_vals: np.ndarray, masks: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
@@ -333,12 +306,12 @@ def _confirm_boundary_root(
     theta_hi: float,
     lam_box: tuple[np.ndarray, np.ndarray],
     tol: Tolerances,
-) -> Witness | None:
+) -> Verdict | None:
     """Try to pin an actual member with a root on or outside the boundary.
 
     Solves Re D = Im D = 0 over (lambda, theta) inside the candidate box and
     accepts only if the resulting member's root margin is within tolerance of
-    the boundary (or beyond it).
+    the boundary (or beyond it), as the Unstable verdict with its root margin.
     """
     masks, rows = pd.coefficient_matrix()
     lo, hi = lam_box
@@ -346,7 +319,7 @@ def _confirm_boundary_root(
 
     def residual(x):
         lam, theta = x[:k], x[k]
-        val = np.dot(monomial_weights(masks, lam), _eval_terms(rows, region.boundary(theta)))
+        val = np.dot(monomial_weights(masks, lam), horner(rows, region.boundary(theta)))
         return [val.real, val.imag]
 
     theta_span = max(theta_hi - theta_lo, 1e-12)
@@ -361,16 +334,17 @@ def _confirm_boundary_root(
         return None
     lam = tuple(float(v) for v in np.clip(sol.x[:k], 0.0, 1.0))
     member = pd.assemble(lam)
-    if member.is_zero:
+    if member.degree == 0:
         return None
-    roots = member.roots()
-    if roots.size == 0:
-        return None
-    margins = np.asarray(region.margin(roots), dtype=float)
-    worst = int(np.argmin(margins))
-    root = complex(roots[worst])
-    if margins[worst] <= _witness_window(tol, root):
-        return Witness(lam=lam, root=root, theta=float(sol.x[k]))
+    margin, root = worst_roots(region, member.roots())
+    root = complex(root)
+    if margin <= _witness_window(tol, root):
+        return Verdict(
+            Status.UNSTABLE,
+            margin=float(margin),
+            witness=Witness(lam=lam, root=root, theta=float(sol.x[k])),
+            reason="member with a boundary root found inside the box",
+        )
     return None
 
 
@@ -379,7 +353,7 @@ def _zero_exclusion_sweep(
     region: Region,
     box: np.ndarray,
     tol: Tolerances,
-) -> _SweepOutcome:
+) -> Verdict:
     """Certified zero-exclusion sweep of the region boundary.
 
     ``box`` is ``coefficient_box(pd)``; it fixes the sweep range and the
@@ -390,7 +364,8 @@ def _zero_exclusion_sweep(
     coefficient box.  Uncertified intervals are split at their midpoints,
     breadth-first, so each round evaluates all new points in one vectorized
     pass.  Sample points whose hull captures the origin go through
-    lambda-box subdivision and, if that fails, witness confirmation.
+    lambda-box subdivision and, if that fails, witness confirmation, which
+    may conclude the sweep with an Unstable verdict.
     """
     masks, rows = pd.coefficient_matrix()
     k = pd.k
@@ -405,7 +380,7 @@ def _zero_exclusion_sweep(
 
     def evaluate(ts: np.ndarray):
         s = region.boundary(ts)
-        tv = _eval_terms(rows, s)  # (terms, T)
+        tv = horner(rows[:, None], s)  # (terms, T)
         corner_vals = transform @ tv  # (2**k, T)
         margins = hull.batch_origin_margin(corner_vals.T)
         scales = np.maximum(np.max(np.abs(corner_vals), axis=0), scale_floor)
@@ -414,9 +389,9 @@ def _zero_exclusion_sweep(
     margins, scales = evaluate(thetas)
     resolved_dist = margins.copy()  # absolute lower bound on value-set distance
 
-    def handle_capture(idx: int) -> _SweepOutcome | None:
+    def handle_capture(idx: int) -> Verdict | None:
         """Subdivide the lambda box at a captured sample; may conclude the sweep."""
-        tv = _eval_terms(rows, region.boundary(thetas[idx]))
+        tv = horner(rows, region.boundary(thetas[idx]))
         dist, leftover = _subdivide_at_theta(tv, masks, k, tol.box_depth)
         if dist > 0.0:
             resolved_dist[idx] = dist
@@ -426,17 +401,17 @@ def _zero_exclusion_sweep(
         t_hi = thetas[min(idx + 1, thetas.size - 1)]
         if t_hi <= t_lo:
             t_lo, t_hi = thetas[idx] - 1e-6 * span, thetas[idx] + 1e-6 * span
-        w = _confirm_boundary_root(pd, region, t_lo, t_hi, leftover, tol)
-        if w is not None:
-            return _SweepOutcome("unstable", witness=w)
-        return _SweepOutcome(
-            "inconclusive",
-            min_rel_margin=0.0,
+        found = _confirm_boundary_root(pd, region, t_lo, t_hi, leftover, tol)
+        if found is not None:
+            return found
+        return Verdict(
+            Status.INCONCLUSIVE,
+            margin=0.0,
             reason=f"value set hull captures the origin near theta={thetas[idx]:.6g} "
             "and no boundary root could be confirmed",
         )
 
-    def conclude(min_rel: float, reason: str, certified: bool = False) -> _SweepOutcome:
+    def conclude(min_rel: float, reason: str, certified: bool = False) -> Verdict:
         """Below the trust band, hunt for an actual crossing before giving up.
 
         A transversal boundary crossing shows up as sampled hull distances
@@ -446,20 +421,22 @@ def _zero_exclusion_sweep(
         """
         if min_rel >= tol.zero_margin:
             if certified:
-                return _SweepOutcome("excluded", min_rel_margin=min_rel)
-            return _SweepOutcome("inconclusive", min_rel_margin=min_rel, reason=reason)
+                return Verdict(
+                    Status.ROBUSTLY_STABLE, margin=min_rel, reason="boundary value sets exclude the origin"
+                )
+            return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
         rel = resolved_dist / scales
         idx = int(np.argmin(rel))
         t_lo = thetas[max(idx - 1, 0)]
         t_hi = thetas[min(idx + 1, thetas.size - 1)]
         if t_hi <= t_lo:
             t_lo, t_hi = thetas[idx] - 1e-6, thetas[idx] + 1e-6
-        w = _confirm_boundary_root(
+        found = _confirm_boundary_root(
             pd, region, t_lo, t_hi, (np.zeros(k), np.ones(k)), tol
         )
-        if w is not None:
-            return _SweepOutcome("unstable", witness=w)
-        return _SweepOutcome("inconclusive", min_rel_margin=min_rel, reason=reason)
+        if found is not None:
+            return found
+        return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
 
     for idx in np.nonzero(margins <= 0.0)[0]:
         out = handle_capture(int(idx))
@@ -576,25 +553,7 @@ def box_stable(
                 reason="anchor member is unstable" if v == 0 else "box corner member is unstable",
             )
 
-    sweep = _zero_exclusion_sweep(pd, region, box, tol)
-    if sweep.kind == "unstable":
-        w = sweep.witness
-        member = pd.assemble(np.asarray(w.lam))
-        mroots = member.roots()
-        mmargins = np.asarray(region.margin(mroots), dtype=float)
-        return Verdict(
-            Status.UNSTABLE,
-            margin=float(np.min(mmargins)),
-            witness=w,
-            reason="member with a boundary root found inside the box",
-        )
-    if sweep.kind == "inconclusive":
-        return Verdict(Status.INCONCLUSIVE, margin=sweep.min_rel_margin, reason=sweep.reason)
-    return Verdict(
-        Status.ROBUSTLY_STABLE,
-        margin=sweep.min_rel_margin,
-        reason="boundary value sets exclude the origin",
-    )
+    return _zero_exclusion_sweep(pd, region, box, tol)
 
 
 def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = None) -> Verdict:

@@ -20,6 +20,9 @@ DEMO = str(FIXTURES / "demo3x3.json")
 BAD_VERTEX = str(FIXTURES / "vertex_insufficiency.json")
 DEGREE_DROP = str(FIXTURES / "degree_drop.json")
 TRUNCATION = str(FIXTURES / "truncation.json")
+# every member's determinant is about -1e-13 s^2 + s + 1: the leading
+# coefficient cancels in the computation, not in the input
+CANCELLATION = str(FIXTURES / "cancellation.json")
 
 
 def run_json(argv, capsys):
@@ -79,6 +82,13 @@ def test_analyze_truncated_input_is_degenerate(capsys):
     assert code == 2
     assert rep["verdict"]["status"] == "Degenerate"
     assert "truncation" in rep["verdict"]["reason"]
+
+
+def test_analyze_cancelled_leading_coefficient_is_degenerate(capsys):
+    code, rep = run_json(["analyze", CANCELLATION], capsys)
+    assert code == 2
+    assert rep["verdict"]["status"] == "Degenerate"
+    assert "degree drop" in rep["verdict"]["reason"]
 
 
 def test_analyze_inconclusive_via_loose_band(capsys):
@@ -195,6 +205,18 @@ def test_oracle_unstable_grid(capsys):
     assert code == 1
     assert rep["sampling"]["verdict"] == "UnstableSampleFound"
     assert rep["sampling"]["worst_margin"] < 0
+
+
+def test_oracle_sees_cancelled_leading_coefficient(capsys):
+    code, rep = run_json(["oracle", CANCELLATION, "--budget", "200"], capsys)
+    assert code == 1
+    assert rep["sampling"]["verdict"] == "UnstableSampleFound"
+    assert rep["sampling"]["worst_member"]["worst_root"][0] > 1e12
+
+
+def test_oracle_refuses_truncated_input(capsys):
+    assert run(["oracle", TRUNCATION, "--budget", "200"]) == 64
+    assert "truncation" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

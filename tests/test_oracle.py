@@ -17,6 +17,7 @@ import pytest
 from edgestab.det import _laplace, det_matrix
 from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
 from edgestab.oracle import (
+    _batched_margins,
     _cell_coeff_arrays,
     _coeff_batches,
     _random_weights,
@@ -26,7 +27,7 @@ from edgestab.oracle import (
 )
 from edgestab.poly import Polynomial
 from edgestab.region import Disk, HurwitzHalfPlane
-from edgestab.stab import analyze_family
+from edgestab.stab import analyze_family, point_stable
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -210,6 +211,22 @@ def test_batched_member_determinants_equal_single_member_calls():
     for b in range(64):
         single = _laplace([[coeffs[i * n + j][b : b + 1] for j in range(n)] for i in range(n)])
         assert np.array_equal(batched[b : b + 1], single)
+
+
+def test_sampled_vertex_members_get_the_analyzers_margins():
+    # one root solver: a batched member's margin is bitwise point_stable's
+    fam = family_from_fixture("demo3x3.json")
+    n = fam.n
+    cells = _cell_coeff_arrays(fam)
+    rng = np.random.default_rng(5)
+    picks = [rng.integers(arr.shape[0], size=64) for _, arr in cells]
+    weights = [np.eye(arr.shape[0])[p] for (_, arr), p in zip(cells, picks)]
+    coeffs = _coeff_batches(cells, weights)
+    det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
+    margins, _ = _batched_margins(det, fam.region)
+    for b in range(64):
+        grid = [[fam.entry(i, j).vertices[picks[i * n + j][b]] for j in range(n)] for i in range(n)]
+        assert margins[b] == point_stable(det_matrix(grid), fam.region).margin
 
 
 # ----------------------------------------------------------------------
