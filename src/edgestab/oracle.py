@@ -5,9 +5,12 @@ from the family (random simplex/box weights or a structured grid), and root
 margins are measured against the region.  Their determinants come from the
 one loop-based Laplace core, ``det._laplace``, that also serves the concrete
 and parametric determinants: a batch of members is one call whose cells
-carry a leading batch axis.  Their margins come from ``poly.batch_roots``
-and ``region.worst_roots``, as in the analyzer, so a sampled member gets
-bitwise ``point_stable``'s margin.  Used to cross-validate the symbolic
+carry a leading batch axis.  Their margins come from
+``region.member_margins``, the analyzer's member-margin rule, so a sampled
+member gets bitwise ``point_stable``'s margin; a single member is its batch
+of one.  Families whose vertex polynomials (polytope vertices or Kharitonov
+vertices of interval cells) lost coefficients at construction are refused,
+as the analyzer calls them Degenerate.  Used to cross-validate the symbolic
 decision path and to hunt for explicit unstable members.
 """
 
@@ -19,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .det import _laplace, det_matrix
+from .edges import config_at, entry_vertices
 from .errors import ValidationFailure
 from .family import IntervalEntry, MatrixFamily, PolytopeEntry
-from .poly import Polynomial, batch_roots
-from .region import Region, worst_roots
+from .poly import Polynomial
+from .region import member_margins
 
 
 @dataclass(frozen=True)
@@ -178,25 +182,6 @@ def _coeff_batches(cells, weight_arrays):
     return out
 
 
-def _batched_margins(det_coeffs: np.ndarray, region: Region):
-    """(margins, worst_roots) of the batch rows, each of the degree of its last nonzero coefficient.
-
-    A nonzero constant gets +inf; the zero polynomial gets -inf with a root at
-    the origin, so it always surfaces as the worst member.
-    """
-    L = det_coeffs.shape[1]
-    nonzero = det_coeffs != 0.0
-    degrees = np.where(nonzero.any(axis=1), L - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
-    margins = np.where(degrees < 0, -math.inf, math.inf)
-    roots_out = [0.0 + 0.0j if deg < 0 else None for deg in degrees]
-    for d in np.unique(degrees[degrees > 0]):
-        rows = np.nonzero(degrees == d)[0]
-        margins[rows], roots = worst_roots(region, batch_roots(det_coeffs[rows, : d + 1]))
-        for r, root in zip(rows, roots):
-            roots_out[r] = complex(root)
-    return margins, roots_out
-
-
 def _member_from_weights(fam: MatrixFamily, weights) -> list[Polynomial]:
     grid = []
     for i in range(fam.n):
@@ -213,15 +198,10 @@ def _member_from_weights(fam: MatrixFamily, weights) -> list[Polynomial]:
 
 
 def member_margin(fam: MatrixFamily, weights) -> tuple[float, complex | None]:
-    """Margin of a single member through the exact (unbatched) path."""
-    grid = _member_from_weights(fam, weights)
-    det = det_matrix(grid)
-    if det.is_zero:
-        return -math.inf, 0.0 + 0.0j
-    if det.degree == 0:
-        return math.inf, None
-    margin, root = worst_roots(fam.region, det.roots())
-    return float(margin), complex(root)
+    """Margin and worst root of a single member, ``member_margins``' batch of one."""
+    det = det_matrix(_member_from_weights(fam, weights))
+    margins, roots = member_margins(fam.region, det.coeffs[None])
+    return float(margins[0]), roots[0]
 
 
 def _weights_as_tuples(weight_arrays, row: int):
@@ -247,7 +227,7 @@ def sample_family(
         raise ValidationFailure("sampling budget must be positive")
     if scheme not in ("random", "grid"):
         raise ValidationFailure(f"unknown sampling scheme: {scheme!r}")
-    if any(v.truncated for row in fam.entries for e in row if isinstance(e, PolytopeEntry) for v in e.vertices):
+    if any(v.truncated for row in fam.entries for e in row for v in entry_vertices(e)):
         raise ValidationFailure("a vertex polynomial lost coefficients below the truncation floor")
     cells = _cell_coeff_arrays(fam)
     n = fam.n
@@ -261,7 +241,7 @@ def sample_family(
         nonlocal worst_margin, worst_weights, worst_root, total
         coeffs = _coeff_batches(cells, weight_arrays)
         det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
-        margins, roots = _batched_margins(det, fam.region)
+        margins, roots = member_margins(fam.region, det)
         r = int(np.argmin(margins))
         if margins[r] < worst_margin:
             worst_margin = float(margins[r])
@@ -332,8 +312,6 @@ def _weights_from_hint(fam: MatrixFamily, hint) -> list:
     """
     cfg, lam = hint
     if isinstance(cfg, (int, np.integer)):
-        from .edges import config_at
-
         cfg = config_at(fam, int(cfg))
     n = fam.n
     weights = []

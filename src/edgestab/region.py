@@ -3,6 +3,10 @@
 Each region knows its signed margin (positive strictly inside, zero on the
 boundary, negative outside), a boundary parameterization, and how fast the
 boundary point moves per unit of the sweep parameter.
+
+``worst_roots`` picks a member's worst root and its margin; ``member_margins``
+applies it to stacks of determinant rows, batched per degree, and measures
+both the analyzer's all-vertex members and the sampling oracle's members.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeDropError
+from .poly import batch_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,3 +160,25 @@ def worst_roots(region: Region, roots: np.ndarray) -> tuple[np.ndarray, np.ndarr
         np.take_along_axis(margins, worst, -1)[..., 0],
         np.take_along_axis(roots, worst, -1)[..., 0],
     )
+
+
+def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, list]:
+    """(margins, worst roots) of (B, L) ascending determinant rows, batched per degree.
+
+    A row's degree is that of its last nonzero coefficient, and the rows of
+    one degree d >= 1 share one ``batch_roots`` call, which solves each row as
+    it would alone.  A nonzero constant gets +inf and no root; the zero
+    polynomial gets -inf with a root at the origin, so it always surfaces as
+    the worst member.
+    """
+    L = det_coeffs.shape[1]
+    nonzero = det_coeffs != 0.0
+    degrees = np.where(nonzero.any(axis=1), L - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    margins = np.where(degrees < 0, -math.inf, math.inf)
+    roots_out = [0.0 + 0.0j if deg < 0 else None for deg in degrees]
+    for d in np.unique(degrees[degrees > 0]):
+        rows = np.nonzero(degrees == d)[0]
+        margins[rows], roots = worst_roots(region, batch_roots(det_coeffs[rows, : d + 1]))
+        for r, root in zip(rows, roots):
+            roots_out[r] = complex(root)
+    return margins, roots_out

@@ -11,8 +11,9 @@ The decision layers build on each other:
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` stream the edge configurations
   of a family through ``box_stable`` and aggregate; ``VertexMembers`` gives
-  ``box_stable`` the corner verdicts, root-solving each all-vertex member
-  once.
+  ``box_stable`` the corner verdicts.  It solves the new all-vertex members
+  of each run of configurations in batches (one determinant and one margin
+  call per cell-length signature) and memoises each verdict by member key.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -31,8 +32,8 @@ from scipy.optimize import least_squares
 from . import hull
 from .det import (
     ParametricDeterminant,
+    _laplace,
     coefficient_box,
-    det_matrix,
     det_parametric,  # noqa: F401  bench/tracing.py patches stab.det_parametric
     det_parametric_run,
     monomial_weights,
@@ -43,7 +44,15 @@ from .edges import EdgeConfiguration, count_configs, iter_configs
 from .errors import RegionNotHurwitzError, ValidationFailure, ZeroPolynomialError
 from .family import EdgeSegment, MatrixFamily, validate
 from .poly import Polynomial, horner
-from .region import Disk, HurwitzHalfPlane, Region, ShiftedHalfPlane, sweep_range_from_box, worst_roots
+from .region import (
+    Disk,
+    HurwitzHalfPlane,
+    Region,
+    ShiftedHalfPlane,
+    member_margins,
+    sweep_range_from_box,
+    worst_roots,
+)
 
 MAX_DRIVER_SIZE = 8
 
@@ -134,6 +143,21 @@ class Verdict:
 # point tests
 
 
+def _member_verdict(margin, root: complex | None) -> Verdict:
+    """The point verdict of a member with this ``member_margins`` margin and worst root."""
+    if root is None:
+        return Verdict(Status.ROBUSTLY_STABLE, margin=math.inf, reason="no roots")
+    m = float(margin)
+    if m > 0.0:
+        return Verdict(Status.ROBUSTLY_STABLE, margin=m, reason="all roots inside")
+    return Verdict(
+        Status.UNSTABLE,
+        margin=m,
+        witness=Witness(root=root),
+        reason="root on or outside the region boundary",
+    )
+
+
 def point_stable(p: Polynomial, region: Region) -> Verdict:
     """Root-location test for a single polynomial.
 
@@ -143,17 +167,9 @@ def point_stable(p: Polynomial, region: Region) -> Verdict:
     """
     roots = p.roots()
     if roots.size == 0:
-        return Verdict(Status.ROBUSTLY_STABLE, margin=math.inf, reason="no roots")
+        return _member_verdict(math.inf, None)
     margin, root = worst_roots(region, roots)
-    m = float(margin)
-    if m > 0.0:
-        return Verdict(Status.ROBUSTLY_STABLE, margin=m, reason="all roots inside")
-    return Verdict(
-        Status.UNSTABLE,
-        margin=m,
-        witness=Witness(root=complex(root)),
-        reason="root on or outside the region boundary",
-    )
+    return _member_verdict(margin, complex(root))
 
 
 def hurwitz_algebraic(p: Polynomial) -> bool:
@@ -506,8 +522,9 @@ def box_stable(
     ``corners(v)`` gives the ``point_stable`` verdict of the member at box
     vertex v (slot l at bit l of v).  The family drivers pass
     ``VertexMembers.corners(cfg)``: every corner of a configuration is an
-    all-vertex matrix, solved once per family from its own cells.  Without
-    ``corners`` each corner member is assembled from ``pd`` and solved here.
+    all-vertex matrix, solved once per family from its own cells, in the
+    batch of its run.  Without ``corners`` each corner member is assembled
+    from ``pd`` and solved here.
     """
     tol = tol or Tolerances()
     if not pd.terms or all(p.is_zero for p in pd.terms.values()):
@@ -581,8 +598,37 @@ class ConfigOutcome:
 _CHUNK = 64
 
 
+def _corner_keys(cfg: EdgeConfiguration) -> list[tuple]:
+    """Member key of each box corner of a configuration, corner v at index v."""
+    n = cfg.n
+    base = [0] * (n * n)
+    for (i, j), idx in cfg.vertex_index.items():
+        base[i * n + j] = idx
+    for j, seg in enumerate(cfg.edge_choice):
+        if seg.index0 is None or seg.index1 is None:
+            raise ValueError(f"segment of column {j} does not name its vertices")
+        base[cfg.sigma[j] * n + j] = seg.index0
+    keys = []
+    for v in range(1 << len(cfg.lambda_columns)):
+        key = list(base)
+        for slot, j in enumerate(cfg.lambda_columns):
+            if v >> slot & 1:
+                key[cfg.sigma[j] * n + j] = cfg.edge_choice[j].index1
+        keys.append(tuple(key))
+    return keys
+
+
+def _corner_cells(cfg: EdgeConfiguration, v: int) -> list[Polynomial]:
+    """Cells, row-major, of the member at box corner v of a configuration."""
+    cells = [cell for row in cfg.base for cell in row]
+    for slot, j in enumerate(cfg.lambda_columns):
+        if v >> slot & 1:
+            cells[cfg.sigma[j] * cfg.n + j] = cfg.edge_choice[j].p1
+    return cells
+
+
 class VertexMembers:
-    """Point verdicts of all-vertex members, each root-solved once.
+    """Point verdicts of all-vertex members, solved in batches and memoised per key.
 
     The corner of a configuration at box vertex v is its base grid with the
     pattern cell of column ``lambda_columns[l]`` set to that segment's ``p1``
@@ -592,41 +638,49 @@ class VertexMembers:
     list positions, or Kharitonov indices for an interval cell).  Within one
     family's stream (``iter_configs`` without ``dedup``) an index names one
     polynomial of its cell, so the key names the member; it never names a
-    configuration.  The grid is assembled only when
-    the key is new, and the verdict is computed from the member's own grid,
-    so it does not depend on which configuration (or which worker) reaches
-    the member first.
+    configuration.
+
+    ``solve(run)`` measures the members of a run of configurations that the
+    memo has not seen.  It groups them by the coefficient length of every
+    cell and makes one ``_laplace`` call and one ``member_margins`` call per
+    group.  Groups are never zero-padded, which would reorder the sums of
+    the determinant, so each member's coefficients, margin and verdict are
+    bitwise ``point_stable(det_matrix(grid))``'s and do not depend on the
+    batch, the configuration or the worker that reaches the member first.
+    A zero member gets ``member_margins``' -inf margin instead of raising;
+    ``box_stable`` calls such a configuration Degenerate before it reads a
+    corner.
     """
 
     def __init__(self, region: Region):
         self.region = region
         self._verdicts: dict[tuple, Verdict] = {}
 
+    def solve(self, cfgs) -> None:
+        """Solve, in batches, the corner members of ``cfgs`` that the memo has not seen."""
+        groups: dict[tuple, dict[tuple, list[Polynomial]]] = {}
+        for cfg in cfgs:
+            for v, key in enumerate(_corner_keys(cfg)):
+                if key not in self._verdicts:
+                    cells = _corner_cells(cfg, v)
+                    sig = tuple(cell.coeffs.size for cell in cells)
+                    groups.setdefault(sig, {}).setdefault(key, cells)
+        for sig, group in groups.items():
+            n = math.isqrt(len(sig))
+            members = list(group.values())
+            grid = [[np.stack([m[i * n + j].coeffs for m in members]) for j in range(n)] for i in range(n)]
+            margins, roots = member_margins(self.region, _laplace(grid))
+            for key, margin, root in zip(group, margins, roots):
+                self._verdicts[key] = _member_verdict(margin, root)
+
     def corners(self, cfg: EdgeConfiguration):
         """``box_stable``'s ``corners`` for one configuration."""
-        n = cfg.n
-        base = [0] * (n * n)
-        for (i, j), idx in cfg.vertex_index.items():
-            base[i * n + j] = idx
-        for j, seg in enumerate(cfg.edge_choice):
-            if seg.index0 is None or seg.index1 is None:
-                raise ValueError(f"segment of column {j} does not name its vertices")
-            base[cfg.sigma[j] * n + j] = seg.index0
+        keys = _corner_keys(cfg)
 
         def corner(v: int) -> Verdict:
-            key = list(base)
-            for slot, j in enumerate(cfg.lambda_columns):
-                if v >> slot & 1:
-                    key[cfg.sigma[j] * n + j] = cfg.edge_choice[j].index1
-            key = tuple(key)
-            found = self._verdicts.get(key)
-            if found is None:
-                grid = [list(row) for row in cfg.base]
-                for slot, j in enumerate(cfg.lambda_columns):
-                    if v >> slot & 1:
-                        grid[cfg.sigma[j]][j] = cfg.edge_choice[j].p1
-                found = self._verdicts[key] = point_stable(det_matrix(grid), self.region)
-            return found
+            if keys[v] not in self._verdicts:
+                self.solve([cfg])
+            return self._verdicts[keys[v]]
 
         return corner
 
@@ -667,6 +721,7 @@ def _check_chunk(
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable."""
     out = []
     for run in _runs(iter_configs(fam, start=start, stop=stop)):
+        members.solve(run)
         for cfg, pd in zip(run, det_parametric_run(run)):
             if _truncated_input(cfg):
                 v = Verdict(

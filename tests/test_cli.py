@@ -23,6 +23,8 @@ TRUNCATION = str(FIXTURES / "truncation.json")
 # every member's determinant is about -1e-13 s^2 + s + 1: the leading
 # coefficient cancels in the computation, not in the input
 CANCELLATION = str(FIXTURES / "cancellation.json")
+# interval bounds whose top coefficient, -1e-13, lies below the truncation floor
+INTERVAL_TRUNCATION = str(FIXTURES / "interval_truncation.json")
 
 
 def run_json(argv, capsys):
@@ -216,6 +218,15 @@ def test_oracle_sees_cancelled_leading_coefficient(capsys):
 
 def test_oracle_refuses_truncated_input(capsys):
     assert run(["oracle", TRUNCATION, "--budget", "200"]) == 64
+    assert "truncation" in capsys.readouterr().err
+
+
+def test_oracle_refuses_truncated_interval_bounds(capsys):
+    # analyze calls the family Degenerate; the oracle must not re-truncate
+    # its worst member and report it stable
+    assert run(["analyze", INTERVAL_TRUNCATION]) == 2
+    capsys.readouterr()
+    assert run(["oracle", INTERVAL_TRUNCATION, "--budget", "200"]) == 64
     assert "truncation" in capsys.readouterr().err
 
 

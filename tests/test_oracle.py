@@ -17,7 +17,6 @@ import pytest
 from edgestab.det import _laplace, det_matrix
 from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
 from edgestab.oracle import (
-    _batched_margins,
     _cell_coeff_arrays,
     _coeff_batches,
     _random_weights,
@@ -26,7 +25,7 @@ from edgestab.oracle import (
     sample_family,
 )
 from edgestab.poly import Polynomial
-from edgestab.region import Disk, HurwitzHalfPlane
+from edgestab.region import Disk, HurwitzHalfPlane, member_margins
 from edgestab.stab import analyze_family, point_stable
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -223,7 +222,7 @@ def test_sampled_vertex_members_get_the_analyzers_margins():
     weights = [np.eye(arr.shape[0])[p] for (_, arr), p in zip(cells, picks)]
     coeffs = _coeff_batches(cells, weights)
     det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
-    margins, _ = _batched_margins(det, fam.region)
+    margins, _ = member_margins(fam.region, det)
     for b in range(64):
         grid = [[fam.entry(i, j).vertices[picks[i * n + j][b]] for j in range(n)] for i in range(n)]
         assert margins[b] == point_stable(det_matrix(grid), fam.region).margin

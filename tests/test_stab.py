@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from edgestab.cli import parse_family_dict
-from edgestab.det import ParametricDeterminant, det_parametric, det_parametric_run, run_key
+from edgestab.det import ParametricDeterminant, det_matrix, det_parametric, det_parametric_run, run_key
 from edgestab.edges import EdgeConfiguration, iter_configs
 from edgestab.errors import (
     RegionNotHurwitzError,
@@ -630,20 +630,105 @@ def test_member_key_needs_vertex_indices():
         VertexMembers(HurwitzHalfPlane()).corners(cfg)
 
 
+def mixed_length_family():
+    # off-diagonal vertices of lengths 1 and 2: the corners of one
+    # configuration differ in cell lengths, so a run spans several signatures
+    diag = {"vertices": [[2.0, 3.0, 1.0], [2.2, 3.1, 1.05]]}
+    off = {"vertices": [[0.05], [0.04, 0.03]]}
+    entries = [[diag if i == j else off for j in range(3)] for i in range(3)]
+    return parse_family_dict({"n": 3, "region": {"type": "hurwitz"}, "mode": "polytope", "entries": entries})
+
+
+def swapped_length_family():
+    # diagonal vertices of lengths 3 and 5 in opposite orders: zero-padding
+    # members to common cell lengths would swap the operands of some
+    # products and reorder their sums, which changes members' bits here
+    diag0 = {"vertices": [[0.75, 0.6, 2.25], [1.64, 2.74, 2.59, 1.46, 2.93]]}
+    diag1 = {"vertices": [[1.98, 2.41, 1.52, 0.99, 0.93], [0.95, 2.01, 0.78]]}
+    entries = [[diag0, {"vertices": [[0.05]]}], [{"vertices": [[-0.04]]}, diag1]]
+    return parse_family_dict({"n": 2, "region": {"type": "hurwitz"}, "mode": "polytope", "entries": entries})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fixture_family("demo3x3"),
+        lambda: fixture_family("vertex_insufficiency"),
+        lambda: fixture_family("degree_drop"),
+        lambda: fixture_family("truncation"),
+        lambda: fixture_family("cancellation"),
+        lambda: parse_family_dict(
+            json.loads((FIXTURES / "demo3x3.json").read_text()), Disk(-1.0 + 0.5j, 1.5)
+        ),
+        interval_family,
+        mixed_length_family,
+        swapped_length_family,
+    ],
+    ids=[
+        "demo3x3",
+        "vertex_insufficiency",
+        "degree_drop",
+        "truncation",
+        "cancellation",
+        "demo3x3_disk",
+        "interval",
+        "mixed_length",
+        "swapped_length",
+    ],
+)
+def test_batched_members_equal_point_verdicts(make):
+    # every all-vertex member solved in its run's batch gets bitwise the
+    # verdict that point_stable gives its own determinant; a zero member
+    # gets the -inf verdict instead of raising
+    fam = make()
+    members = VertexMembers(fam.region)
+    signatures = 0
+    for run in stab._runs(iter_configs(fam)):
+        members.solve(run)
+        solved = len(members._verdicts)
+        sigs = set()
+        for cfg in run:
+            corner = members.corners(cfg)
+            for v in range(1 << cfg.k):
+                grid = [list(row) for row in cfg.base]
+                for slot, j in enumerate(cfg.lambda_columns):
+                    if v >> slot & 1:
+                        grid[cfg.sigma[j]][j] = cfg.edge_choice[j].p1
+                sigs.add(tuple(c.coeffs.size for row in grid for c in row))
+                det = det_matrix(grid)
+                if det.is_zero:
+                    assert corner(v).margin == -math.inf, (cfg.index, v)
+                else:
+                    assert repr(corner(v)) == repr(point_stable(det, fam.region)), (cfg.index, v)
+        assert len(members._verdicts) == solved  # the run's batch solved every corner
+        signatures = max(signatures, len(sigs))
+    if make is mixed_length_family:
+        assert signatures > 1
+
+
 def test_family_solves_each_vertex_member_once(monkeypatch):
     # demo3x3: 384 configurations with k = 3 have 3,072 box corners, and
-    # they are the 2**9 = 512 all-vertex matrices of the family
-    calls = []
+    # they are the 2**9 = 512 all-vertex matrices of the family; members are
+    # measured as rows of the batched margin rule, never one root call each
+    rows = []
+    roots_calls = []
+    margins = stab.member_margins
     roots = Polynomial.roots
 
+    def counting_margins(region, det_coeffs):
+        rows.append(det_coeffs.shape[0])
+        return margins(region, det_coeffs)
+
     def counting_roots(self):
-        calls.append(1)
+        roots_calls.append(1)
         return roots(self)
 
+    monkeypatch.setattr(stab, "member_margins", counting_margins)
     monkeypatch.setattr(Polynomial, "roots", counting_roots)
     v = analyze_family(fixture_family("demo3x3"))
     assert v.status is Status.ROBUSTLY_STABLE
-    assert len(calls) == 512
+    assert sum(rows) == 512
+    assert roots_calls == []
 
 
 @pytest.mark.parametrize(
