@@ -47,7 +47,7 @@ from .errors import EdgeStabError, SchemaError, ValidationFailure
 from .family import IntervalEntry, MatrixFamily, PolytopeEntry, validate
 from .oracle import sample_family
 from .poly import Polynomial
-from .region import Disk, HurwitzHalfPlane, Region, ShiftedHalfPlane, worst_roots
+from .region import Disk, HurwitzHalfPlane, Region, ShiftedHalfPlane, member_margins
 from .stab import (
     Status,
     Tolerances,
@@ -76,6 +76,19 @@ INTERPRETATION = (
 # input parsing
 
 
+def _number(val, path) -> float:
+    """A JSON number as a finite float; NaN, infinities and overflowing integers are refused."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise SchemaError(f"{path}: expected a number")
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError(f"{path}: must be finite, got {val!r}")
+    return out
+
+
 def _want(obj, key, kind, path):
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
@@ -83,9 +96,7 @@ def _want(obj, key, kind, path):
         raise SchemaError(f"{path}: missing required field {key!r}")
     val = obj[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise SchemaError(f"{path}.{key}: expected a number")
-        return float(val)
+        return _number(val, f"{path}.{key}")
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise SchemaError(f"{path}.{key}: expected an integer")
@@ -98,12 +109,7 @@ def _want(obj, key, kind, path):
 def _coeff_list(val, path):
     if not isinstance(val, list) or not val:
         raise SchemaError(f"{path}: expected a nonempty coefficient array")
-    out = []
-    for idx, c in enumerate(val):
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise SchemaError(f"{path}[{idx}]: expected a number")
-        out.append(float(c))
-    return out
+    return [_number(c, f"{path}[{idx}]") for idx, c in enumerate(val)]
 
 
 def parse_region(obj, path="region") -> Region:
@@ -114,16 +120,10 @@ def parse_region(obj, path="region") -> Region:
         return ShiftedHalfPlane(_want(obj, "sigma", float, path))
     if kind == "disk":
         center = obj.get("center", 0.0)
-        if isinstance(center, list):
-            if len(center) != 2 or any(
-                isinstance(x, bool) or not isinstance(x, (int, float)) for x in center
-            ):
-                raise SchemaError(f"{path}.center: expected a number or [re, im]")
-            center = complex(float(center[0]), float(center[1]))
-        elif isinstance(center, bool) or not isinstance(center, (int, float)):
+        parts = center if isinstance(center, list) else [center, 0.0]
+        if len(parts) != 2:
             raise SchemaError(f"{path}.center: expected a number or [re, im]")
-        else:
-            center = complex(float(center), 0.0)
+        center = complex(*(_number(x, f"{path}.center") for x in parts))
         radius = _want(obj, "radius", float, path)
         if radius <= 0.0:
             raise SchemaError(f"{path}.radius: must be positive")
@@ -202,8 +202,7 @@ def parse_tolerances(doc, args) -> Tolerances:
     for key, val in block.items():
         if key not in names:
             raise SchemaError(f"$.tolerances.{key}: unknown tolerance")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise SchemaError(f"$.tolerances.{key}: expected a number")
+        _number(val, f"$.tolerances.{key}")
         values[key] = val
     for flag, name in (
         ("grid", "boundary_grid"),
@@ -215,12 +214,12 @@ def parse_tolerances(doc, args) -> Tolerances:
         v = getattr(args, flag, None)
         if v is not None:
             values[name] = v
-    if "boundary_grid" in values:
-        values["boundary_grid"] = int(values["boundary_grid"])
-    if "refine_depth" in values:
-        values["refine_depth"] = int(values["refine_depth"])
-    if "box_depth" in values:
-        values["box_depth"] = int(values["box_depth"])
+    for name in ("boundary_grid", "refine_depth", "box_depth"):
+        val = values.get(name)
+        if isinstance(val, float):
+            if not val.is_integer():
+                raise SchemaError(f"tolerances: {name} must be an integer, got {val!r}")
+            values[name] = int(val)
     try:
         return Tolerances(**values)
     except ValueError as exc:
@@ -235,30 +234,33 @@ def _region_from_flag(text: str) -> Region:
         if len(parts) > 1 and parts[1]:
             raise SchemaError("--region hurwitz takes no parameters")
         return HurwitzHalfPlane()
+    if kind not in ("shifted", "disk"):
+        raise SchemaError(f"--region: unknown region {kind!r}")
+    if len(parts) != 2:
+        raise SchemaError(
+            "--region shifted:SIGMA needs a shift value"
+            if kind == "shifted"
+            else "--region disk:CX[,CY],R needs parameters"
+        )
+    try:
+        nums = [float(x) for x in parts[1].split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"--region {kind}: bad number in {parts[1]!r}") from exc
+    if not all(math.isfinite(x) for x in nums):
+        raise SchemaError(f"--region {kind}: numbers must be finite, got {parts[1]!r}")
     if kind == "shifted":
-        if len(parts) != 2:
-            raise SchemaError("--region shifted:SIGMA needs a shift value")
-        try:
-            return ShiftedHalfPlane(float(parts[1]))
-        except ValueError as exc:
-            raise SchemaError(f"--region shifted: bad number {parts[1]!r}") from exc
-    if kind == "disk":
-        if len(parts) != 2:
-            raise SchemaError("--region disk:CX[,CY],R needs parameters")
-        try:
-            nums = [float(x) for x in parts[1].split(",")]
-        except ValueError as exc:
-            raise SchemaError(f"--region disk: bad number in {parts[1]!r}") from exc
-        if len(nums) == 2:
-            center, radius = complex(nums[0], 0.0), nums[1]
-        elif len(nums) == 3:
-            center, radius = complex(nums[0], nums[1]), nums[2]
-        else:
-            raise SchemaError("--region disk:CX[,CY],R takes two or three numbers")
-        if radius <= 0.0:
-            raise SchemaError("--region disk: radius must be positive")
-        return Disk(center, radius)
-    raise SchemaError(f"--region: unknown region {kind!r}")
+        if len(nums) != 1:
+            raise SchemaError(f"--region shifted: bad number in {parts[1]!r}")
+        return ShiftedHalfPlane(nums[0])
+    if len(nums) == 2:
+        center, radius = complex(nums[0], 0.0), nums[1]
+    elif len(nums) == 3:
+        center, radius = complex(nums[0], nums[1]), nums[2]
+    else:
+        raise SchemaError("--region disk:CX[,CY],R takes two or three numbers")
+    if radius <= 0.0:
+        raise SchemaError("--region disk: radius must be positive")
+    return Disk(center, radius)
 
 
 # ----------------------------------------------------------------------
@@ -320,9 +322,9 @@ def _witness_block(fam: MatrixFamily, verdict) -> dict | None:
         direct = det_matrix(cfg.instantiate(np.clip(np.asarray(w.lam), 0.0, 1.0)))
         block["assembled_matches_direct"] = bool(member == direct or member.isclose(direct))
         if member.degree > 0:
-            margin, root = worst_roots(fam.region, member.roots())
-            root = complex(root)
-            block["reproduced_margin"] = float(margin)
+            margins, roots = member_margins(fam.region, member.coeffs[None])
+            root = roots[0]
+            block["reproduced_margin"] = float(margins[0])
             block["reproduced_root"] = [root.real, root.imag]
     return block
 

@@ -25,9 +25,11 @@ and broadcast the slot axes; since the two factors of a Laplace product never
 share a column, they never share a size-2 axis, and the broadcast is exactly
 the product of monomials.  Sums zero-pad every axis to the larger size and
 never broadcast: a size-1 slot axis holds no ``lam_slot`` term, so it must
-not be copied onto index 1.  ``Polynomial`` objects are created only for the
-final determinant (one per mask in the parametric case); they drop only
-exactly-zero trailing coefficients, so a leading one that nearly cancels is kept.
+not be copied onto index 1.  A concrete determinant becomes a ``Polynomial``,
+a parametric one the arrays of its nonzero masks and coefficient rows; both
+drop only exactly-zero trailing coefficients, so a leading one that nearly
+cancels is kept.  The coefficient box, the sweep, the lambda-box subdivision
+and ``assemble`` all weight those rows by ``monomial_weights``.
 
 ``det_parametric_run`` decides a run of configurations with one ``_laplace``
 call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
@@ -43,14 +45,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .edges import EdgeConfiguration
 from .poly import Polynomial, _exact
-
-_ZERO = Polynomial([0.0])
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,64 +111,56 @@ def det_matrix(grid) -> Polynomial:
 
 
 def monomial_weights(masks, lam) -> np.ndarray:
-    """``prod_{j in S} lam_j`` for each mask S, multiplied in ascending slot order."""
-    out = np.ones(len(masks))
-    for r, mask in enumerate(masks):
-        mask = int(mask)
-        slot = 0
-        w = 1.0
-        while mask:
-            if mask & 1:
-                w *= float(lam[slot])
-            mask >>= 1
-            slot += 1
-        out[r] = w
-    return out
+    """``prod_{j in S} lam_j`` for each mask S, over lambda vectors of shape ``(..., k)``.
+
+    Returns shape ``(...,) + masks.shape``.  A weight is one sequential
+    product over the slots in ascending order, a slot outside the mask
+    contributing an exact 1.0, so it rounds as ``lam_a * lam_b * ...`` does.
+    """
+    lam = np.asarray(lam, dtype=float)
+    bits = np.asarray(masks)[..., None] >> np.arange(lam.shape[-1]) & 1
+    return np.where(bits, lam[..., None, :], 1.0).prod(axis=-1)
 
 
-def subset_matrix(masks: np.ndarray, k: int) -> np.ndarray:
-    """Boolean (2**k, masks) matrix: entry [v, r] says masks[r] is a subset of vertex v."""
-    verts = np.arange(1 << k)[:, None]
-    return (masks[None, :] & ~verts) == 0
+def corner_lambdas(k: int) -> np.ndarray:
+    """Lambda vector of each box corner, shape (2**k, k): row v sets slot j to bit j of v."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParametricDeterminant:
     """Multi-affine determinant ``sum_S c_S(s) * prod_{j in S} lam_j``.
 
-    ``terms`` maps slot bitmasks to coefficient polynomials; absent masks are
-    zero.  ``k`` is the parameter count.
+    ``masks`` holds the slot bitmasks S of the nonzero terms in ascending
+    order and ``rows[r]`` the ascending coefficients of ``c_{masks[r]}``,
+    zero-padded to a common length; absent masks are zero.  ``k`` is the
+    parameter count.  Both arrays are read-only.
     """
 
     k: int
-    terms: dict
+    masks: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        self.masks.flags.writeable = False
+        self.rows.flags.writeable = False
+
+    @classmethod
+    def from_terms(cls, k: int, terms: dict) -> "ParametricDeterminant":
+        """From a ``{mask: Polynomial}`` map; every given mask is kept, zero or not."""
+        masks = np.array(sorted(terms), dtype=int)
+        rows = np.zeros((masks.size, max((p.coeffs.size for p in terms.values()), default=1)))
+        for r, mask in enumerate(masks):
+            c = terms[int(mask)].coeffs
+            rows[r, : c.size] = c
+        return cls(k, masks, rows)
 
     def assemble(self, lam) -> Polynomial:
         """Concrete determinant polynomial at one lambda vector."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if lam.size != self.k:
             raise ValueError(f"expected {self.k} parameters, got {lam.size}")
-        masks, rows = self.coefficient_matrix()
-        return _exact(monomial_weights(masks, lam) @ rows)
-
-    @property
-    def coeff_length(self) -> int:
-        return max((p.coeffs.size for p in self.terms.values()), default=1)
-
-    def coefficient_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(masks, padded coefficient rows) for vectorized evaluation, built once."""
-        return self._matrix
-
-    @cached_property
-    def _matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        masks = np.array(sorted(self.terms.keys()), dtype=int)
-        rows = np.zeros((masks.size, self.coeff_length))
-        for r, mask in enumerate(masks):
-            c = self.terms[int(mask)].coeffs
-            rows[r, : c.size] = c
-        masks.flags.writeable = False
-        rows.flags.writeable = False
-        return masks, rows
+        return _exact(monomial_weights(self.masks, lam) @ self.rows)
 
 
 def run_key(cfg: EdgeConfiguration) -> tuple:
@@ -190,7 +181,8 @@ def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
     nondegenerate segment stacks ``p0`` and ``delta`` on its slot's axis.
     The ``_laplace`` result, padded to ``(B,) + (2,) * k + (L,)``, holds
     configuration b's ``c_S`` at index b followed by the index whose axis
-    ``l`` is bit ``l`` of ``S``.
+    ``l`` is bit ``l`` of ``S``.  Each configuration keeps its nonzero masks,
+    its rows cut at the last column any of them uses and +0.0 past each end.
     """
     cfgs = list(cfgs)
     head = cfgs[0]
@@ -218,14 +210,20 @@ def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
         cells[i][j] = cell.reshape(shape)
 
     full = _polyadd(_laplace(cells), np.zeros((B,) + (2,) * k + (1,)))
+    if not np.all(np.isfinite(full)):
+        raise ValueError("coefficients must be finite")
+    # row ``mask`` of configuration b: reversing the slot axes puts slot 0 on the last bit
+    flat = full.transpose((0,) + tuple(range(k, 0, -1)) + (k + 1,)).reshape(B, 1 << k, -1)
+    nonzero = flat != 0.0
+    lengths = np.where(nonzero.any(axis=2), flat.shape[2] - np.argmax(nonzero[..., ::-1], axis=2), 0)
     out = []
     for b in range(B):
-        terms = {}
-        for mask in range(1 << k):
-            poly = _exact(full[(b,) + tuple(mask >> slot & 1 for slot in range(k))])
-            if not poly.is_zero:
-                terms[mask] = poly
-        out.append(ParametricDeterminant(k, terms or {0: _ZERO}))
+        # an identically zero determinant keeps mask 0 with the row [0.0]
+        masks = np.flatnonzero(lengths[b]) if lengths[b].any() else np.zeros(1, dtype=int)
+        own = lengths[b, masks, None]
+        width = max(int(own.max()), 1)
+        rows = np.where(np.arange(width) < own, flat[b, masks, :width], 0.0)
+        out.append(ParametricDeterminant(k, masks, rows))
     return out
 
 
@@ -241,6 +239,5 @@ def coefficient_box(pd: ParametricDeterminant) -> np.ndarray:
     vertex V contributes the coefficient vector ``sum_{S subset of V} c_S``;
     multi-affinity puts the true extrema among these 2**k vectors.
     """
-    masks, rows = pd.coefficient_matrix()
-    vecs = subset_matrix(masks, pd.k).astype(float) @ rows
+    vecs = monomial_weights(pd.masks, corner_lambdas(pd.k)) @ pd.rows
     return np.stack([vecs.min(axis=0), vecs.max(axis=0)], axis=1)

@@ -308,7 +308,7 @@ def _weights_from_hint(fam: MatrixFamily, hint) -> list:
     ``hint`` carries the configuration and its lambda values: pattern cells
     get the convex mix of their edge endpoints, other cells their chosen
     vertex.  Interval cells translate endpoint choices into bound patterns.
-    The configuration may be given as an ``EdgeConfig`` or as its index.
+    The configuration may be given as an ``EdgeConfiguration`` or as its index.
     """
     cfg, lam = hint
     if isinstance(cfg, (int, np.integer)):
@@ -375,7 +375,7 @@ def find_counterexample_near(
     """Turn an analysis witness into an explicit unstable member.
 
     ``hint`` is ``(config, lambda_values)`` from an Unstable verdict, where
-    the configuration may be an ``EdgeConfig`` or its index.  The hinted
+    the configuration may be an ``EdgeConfiguration`` or its index.  The hinted
     member is measured exactly; a seeded local search then perturbs the
     weights with shrinking steps until the margin drops to ``target`` or
     the budget runs out.  A witness usually sits right on a boundary

@@ -4,13 +4,15 @@ Each region knows its signed margin (positive strictly inside, zero on the
 boundary, negative outside), a boundary parameterization, and how fast the
 boundary point moves per unit of the sweep parameter.
 
-``worst_roots`` picks a member's worst root and its margin; ``member_margins``
-applies it to stacks of determinant rows, batched per degree, and measures
-both the analyzer's all-vertex members and the sampling oracle's members.
+``member_margins`` is the one rule for a member's margin and worst root: it
+takes stacks of determinant rows, solves them batched per degree, and
+measures every member the program measures, from ``point_stable`` and the
+analyzer's all-vertex members to witnesses and the sampling oracle's members.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,6 +53,10 @@ class ShiftedHalfPlane:
     sigma: float
     kind = "shifted_half_plane"
 
+    def __post_init__(self):
+        if not math.isfinite(self.sigma):
+            raise ValueError("half-plane shift must be finite")
+
     def margin(self, z):
         return self.sigma - np.real(z)
 
@@ -76,6 +82,8 @@ class Disk:
     kind = "disk"
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError("disk center and radius must be finite")
         if not self.radius > 0.0:
             raise ValueError("disk radius must be positive")
         object.__setattr__(self, "center", complex(self.center))
@@ -149,27 +157,16 @@ def sweep_range(region: Region, pd) -> tuple[float, float]:
     return sweep_range_from_box(region, coefficient_box(pd))
 
 
-def worst_roots(region: Region, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(margin, root) of the worst root, the first of least margin, of each row of d >= 1 roots.
-
-    A row's margin is positive iff every root lies strictly inside the region.
-    """
-    margins = np.asarray(region.margin(roots), dtype=float)
-    worst = np.expand_dims(np.argmin(margins, axis=-1), -1)
-    return (
-        np.take_along_axis(margins, worst, -1)[..., 0],
-        np.take_along_axis(roots, worst, -1)[..., 0],
-    )
-
-
 def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, list]:
     """(margins, worst roots) of (B, L) ascending determinant rows, batched per degree.
 
     A row's degree is that of its last nonzero coefficient, and the rows of
     one degree d >= 1 share one ``batch_roots`` call, which solves each row as
-    it would alone.  A nonzero constant gets +inf and no root; the zero
-    polynomial gets -inf with a root at the origin, so it always surfaces as
-    the worst member.
+    it would alone.  A row's margin is that of its worst root, the first of
+    least margin, and is positive iff every root lies strictly inside the
+    region.  A nonzero constant gets +inf and no root; the zero polynomial
+    gets -inf with a root at the origin, so it always surfaces as the worst
+    member.
     """
     L = det_coeffs.shape[1]
     nonzero = det_coeffs != 0.0
@@ -178,7 +175,10 @@ def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, 
     roots_out = [0.0 + 0.0j if deg < 0 else None for deg in degrees]
     for d in np.unique(degrees[degrees > 0]):
         rows = np.nonzero(degrees == d)[0]
-        margins[rows], roots = worst_roots(region, batch_roots(det_coeffs[rows, : d + 1]))
-        for r, root in zip(rows, roots):
+        roots = batch_roots(det_coeffs[rows, : d + 1])
+        root_margins = np.asarray(region.margin(roots), dtype=float)
+        worst = np.arange(rows.size), np.argmin(root_margins, axis=1)
+        margins[rows] = root_margins[worst]
+        for r, root in zip(rows, roots[worst]):
             roots_out[r] = complex(root)
     return margins, roots_out

@@ -2,8 +2,8 @@
 
 The decision layers build on each other:
 
-* ``point_stable`` checks one polynomial by its roots (``Polynomial.roots``)
-  and its worst root margin (``region.worst_roots``), as the oracle does.
+* ``point_stable`` checks one polynomial by its worst root margin, the
+  batch of one of ``region.member_margins``, as every member is measured.
 * ``hurwitz_algebraic`` is an independent algebraic route (Routh array) used
   to cross-check the root-based path for the left half plane.
 * ``box_stable`` decides a multi-affine parameter box by zero exclusion of
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -34,11 +35,11 @@ from .det import (
     ParametricDeterminant,
     _laplace,
     coefficient_box,
+    corner_lambdas,
     det_parametric,  # noqa: F401  bench/tracing.py patches stab.det_parametric
     det_parametric_run,
     monomial_weights,
     run_key,
-    subset_matrix,
 )
 from .edges import EdgeConfiguration, count_configs, iter_configs
 from .errors import RegionNotHurwitzError, ValidationFailure, ZeroPolynomialError
@@ -51,7 +52,6 @@ from .region import (
     ShiftedHalfPlane,
     member_margins,
     sweep_range_from_box,
-    worst_roots,
 )
 
 MAX_DRIVER_SIZE = 8
@@ -91,12 +91,18 @@ class Tolerances:
     degree_eps: float = 1e-9
 
     def __post_init__(self):
+        for name in ("boundary_grid", "refine_depth", "box_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.boundary_grid < 8:
             raise ValueError("boundary_grid must be at least 8")
         if self.refine_depth < 0 or self.box_depth < 0:
             raise ValueError("depths must be nonnegative")
-        if not (self.zero_margin > 0.0 and self.degree_eps > 0.0):
-            raise ValueError("margins must be positive")
+        for name in ("zero_margin", "degree_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,10 @@ def point_stable(p: Polynomial, region: Region) -> Verdict:
     smallest signed boundary distance.  Nonzero constants are vacuously
     stable; the zero polynomial raises ``ZeroPolynomialError``.
     """
-    roots = p.roots()
-    if roots.size == 0:
-        return _member_verdict(math.inf, None)
-    margin, root = worst_roots(region, roots)
-    return _member_verdict(margin, complex(root))
+    if p.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no root set")
+    margins, roots = member_margins(region, p.coeffs[None])
+    return _member_verdict(margins[0], roots[0])
 
 
 def hurwitz_algebraic(p: Polynomial) -> bool:
@@ -251,26 +256,6 @@ def _abs_s_bound(region: Region, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(sigma, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _corner_lambdas(k: int) -> np.ndarray:
-    """Lambda vector of each box corner: row v sets slot j to bit j of v."""
-    return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float)
-
-
-def _box_corner_values(term_vals: np.ndarray, masks: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
-    """Values of D at the corners of a sub-box of the lambda cube.
-
-    ``term_vals`` is (terms,) complex at a single boundary point.  Corner c
-    picks lo or hi per slot; each term contributes prod over its slots.
-    """
-    return np.array(
-        [
-            np.dot(monomial_weights(masks, np.where(bits, hi, lo)), term_vals)
-            for bits in _corner_lambdas(k) > 0.0
-        ],
-        dtype=complex,
-    )
-
-
 def _subdivide_at_theta(
     term_vals: np.ndarray,
     masks: np.ndarray,
@@ -284,11 +269,15 @@ def _subdivide_at_theta(
     leaf at the depth cap still captures the origin, its bounds come back as
     ``leftover_box`` for witness search and the distance is 0.
     """
+    corners = corner_lambdas(k) > 0.0
     stack = [(np.zeros(k), np.ones(k), 0)]
     dist = math.inf
     while stack:
         lo, hi, depth = stack.pop()
-        vals = _box_corner_values(term_vals, masks, lo, hi, k)
+        # D at the sub-box corners; each corner's weights multiply term_vals
+        # on their own, so it rounds as a lone ``np.dot`` would
+        weights = monomial_weights(masks, np.where(corners, hi, lo))
+        vals = (weights[:, None, :] @ term_vals)[:, 0]
         m = hull.origin_margin(vals)
         if m > 0.0:
             dist = min(dist, m)
@@ -329,13 +318,12 @@ def _confirm_boundary_root(
     accepts only if the resulting member's root margin is within tolerance of
     the boundary (or beyond it), as the Unstable verdict with its root margin.
     """
-    masks, rows = pd.coefficient_matrix()
     lo, hi = lam_box
     k = pd.k
 
     def residual(x):
         lam, theta = x[:k], x[k]
-        val = np.dot(monomial_weights(masks, lam), horner(rows, region.boundary(theta)))
+        val = np.dot(monomial_weights(pd.masks, lam), horner(pd.rows, region.boundary(theta)))
         return [val.real, val.imag]
 
     theta_span = max(theta_hi - theta_lo, 1e-12)
@@ -352,8 +340,8 @@ def _confirm_boundary_root(
     member = pd.assemble(lam)
     if member.degree == 0:
         return None
-    margin, root = worst_roots(region, member.roots())
-    root = complex(root)
+    margins, roots = member_margins(region, member.coeffs[None])
+    margin, root = margins[0], roots[0]
     if margin <= _witness_window(tol, root):
         return Verdict(
             Status.UNSTABLE,
@@ -383,12 +371,11 @@ def _zero_exclusion_sweep(
     lambda-box subdivision and, if that fails, witness confirmation, which
     may conclude the sweep with an Unstable verdict.
     """
-    masks, rows = pd.coefficient_matrix()
-    k = pd.k
+    masks, rows, k = pd.masks, pd.rows, pd.k
     lo, hi = sweep_range_from_box(region, box)
     env = _deriv_envelope(box)
     speed = region.boundary_speed()
-    transform = subset_matrix(masks, k).astype(float)
+    transform = monomial_weights(masks, corner_lambdas(k))
 
     thetas = _theta_grid(region, lo, hi, tol.boundary_grid)
     budget = _REFINE_ROUND_CAP_FACTOR * tol.boundary_grid
@@ -504,6 +491,19 @@ def _zero_exclusion_sweep(
 # box decider
 
 
+def _assembled_corners(pd: ParametricDeterminant, region: Region) -> list[Verdict]:
+    """Point verdicts of the box-corner members, measured in one ``member_margins`` call.
+
+    Each corner's weights multiply the rows on their own, a vector-matrix
+    product as in ``assemble``, so corner v's member is bitwise
+    ``pd.assemble(corner_lambdas(k)[v])``; one matrix product of all the
+    weights would sum the rows in another order.
+    """
+    weights = monomial_weights(pd.masks, corner_lambdas(pd.k))
+    margins, roots = member_margins(region, (weights[:, None, :] @ pd.rows)[:, 0])
+    return [_member_verdict(m, r) for m, r in zip(margins, roots)]
+
+
 def box_stable(
     pd: ParametricDeterminant,
     region: Region,
@@ -519,15 +519,15 @@ def box_stable(
     outside.  The remaining obstruction is a boundary root strictly inside
     the box, ruled out by the certified zero-exclusion sweep.
 
-    ``corners(v)`` gives the ``point_stable`` verdict of the member at box
+    ``corners[v]`` is the ``point_stable`` verdict of the member at box
     vertex v (slot l at bit l of v).  The family drivers pass
     ``VertexMembers.corners(cfg)``: every corner of a configuration is an
     all-vertex matrix, solved once per family from its own cells, in the
-    batch of its run.  Without ``corners`` each corner member is assembled
-    from ``pd`` and solved here.
+    batch of its run.  Without ``corners`` the corner members are assembled
+    from ``pd`` and measured here in one ``member_margins`` call.
     """
     tol = tol or Tolerances()
-    if not pd.terms or all(p.is_zero for p in pd.terms.values()):
+    if not pd.rows.any():
         return Verdict(Status.DEGENERATE, reason="determinant is identically zero")
 
     box = coefficient_box(pd)
@@ -551,14 +551,11 @@ def box_stable(
         )
 
     if corners is None:
-        def corners(v):
-            return point_stable(pd.assemble(_corner_lambdas(pd.k)[v]), region)
-
+        corners = _assembled_corners(pd, region)
     if pd.k == 0:
-        return corners(0)
+        return corners[0]
 
-    for v, lam in enumerate(_corner_lambdas(pd.k)):
-        verdict = corners(v)
+    for v, (lam, verdict) in enumerate(zip(corner_lambdas(pd.k), corners)):
         if verdict.status is not Status.UNSTABLE:
             continue
         root = verdict.witness.root
@@ -578,7 +575,7 @@ def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = No
 
     The members lam*p1 + (1-lam)*p0 form the determinant p0 + lam*(p1 - p0).
     """
-    return box_stable(ParametricDeterminant(1, {0: seg.p0, 1: seg.p1 - seg.p0}), region, tol)
+    return box_stable(ParametricDeterminant.from_terms(1, {0: seg.p0, 1: seg.p1 - seg.p0}), region, tol)
 
 
 # ----------------------------------------------------------------------
@@ -673,16 +670,12 @@ class VertexMembers:
             for key, margin, root in zip(group, margins, roots):
                 self._verdicts[key] = _member_verdict(margin, root)
 
-    def corners(self, cfg: EdgeConfiguration):
-        """``box_stable``'s ``corners`` for one configuration."""
+    def corners(self, cfg: EdgeConfiguration) -> list[Verdict]:
+        """``box_stable``'s ``corners`` for one configuration, solving what the memo lacks."""
         keys = _corner_keys(cfg)
-
-        def corner(v: int) -> Verdict:
-            if keys[v] not in self._verdicts:
-                self.solve([cfg])
-            return self._verdicts[keys[v]]
-
-        return corner
+        if any(key not in self._verdicts for key in keys):
+            self.solve([cfg])
+        return [self._verdicts[key] for key in keys]
 
 
 def _truncated_input(cfg: EdgeConfiguration) -> bool:

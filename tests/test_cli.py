@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
 
 import pytest
@@ -25,6 +26,8 @@ TRUNCATION = str(FIXTURES / "truncation.json")
 CANCELLATION = str(FIXTURES / "cancellation.json")
 # interval bounds whose top coefficient, -1e-13, lies below the truncation floor
 INTERVAL_TRUNCATION = str(FIXTURES / "interval_truncation.json")
+# a vertex with an Infinity coefficient
+NONFINITE = str(FIXTURES / "nonfinite_coefficient.json")
 
 
 def run_json(argv, capsys):
@@ -290,8 +293,67 @@ def test_interval_family_region_restriction(tmp_path, capsys):
     assert run(["analyze", write(tmp_path, doc)]) == 64
 
 
-def test_bad_tolerance_rejected(capsys):
+def test_bad_tolerance_rejected(tmp_path, capsys):
     assert run(["analyze", DEMO, "--grid", "2"]) == 64
+    # margins must be finite, counts integral and finite
+    assert run(["analyze", DEMO, "--zero-margin", "inf"]) == 64
+    assert run(["analyze", DEMO, "--degree-eps", "nan"]) == 64
+    doc = json.loads(pathlib.Path(DEMO).read_text())
+    for block in (
+        {"boundary_grid": math.inf},
+        {"boundary_grid": 10**400},
+        {"refine_depth": math.nan},
+        {"box_depth": 2.7},
+        {"zero_margin": math.inf},
+        {"degree_eps": math.nan},
+    ):
+        doc["tolerances"] = block
+        assert run(["analyze", write(tmp_path, doc)]) == 64, block
+
+
+def one_cell(cell, region=None):
+    return {"n": 1, "region": region or {"type": "hurwitz"}, "entries": [[cell]]}
+
+
+NONFINITE_DOCS = {
+    "fixture": json.loads(pathlib.Path(NONFINITE).read_text()),
+    "vertex_infinity": one_cell({"vertices": [[1.0, 2.0, 1.0], [1.0, math.inf, 1.0]]}),
+    "vertex_overflowing_integer": one_cell({"vertices": [[1.0, 2.0, 10**400]]}),
+    "interval_nan_bound": one_cell({"lower": [1.0, math.nan], "upper": [2.0, 1.0]}),
+    "shift_nan": one_cell(
+        {"vertices": [[1.0, 1.0]]}, {"type": "shifted_half_plane", "sigma": math.nan}
+    ),
+    "disk_center_nan": one_cell(
+        {"vertices": [[1.0, 1.0]]}, {"type": "disk", "center": [0.0, math.nan], "radius": 1.0}
+    ),
+    "disk_radius_infinity": one_cell(
+        {"vertices": [[1.0, 1.0]]}, {"type": "disk", "center": 0.0, "radius": math.inf}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE_DOCS))
+@pytest.mark.parametrize("command", ["analyze", "oracle", "validate", "enumerate"])
+def test_nonfinite_family_file_is_schema_error(tmp_path, capsys, command, name):
+    assert run([command, write(tmp_path, NONFINITE_DOCS[name])]) == 64
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region", ["shifted:nan", "shifted:inf", "disk:nan,1", "disk:0,inf", "disk:0,-inf,1"])
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_nonfinite_region_flag_is_schema_error(capsys, command, region):
+    assert run([command, DEMO, "--region", region]) == 64
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_integral_float_tolerances_accepted(tmp_path, capsys):
+    doc = json.loads(pathlib.Path(DEMO).read_text())
+    doc["tolerances"] = {"boundary_grid": 512.0, "box_depth": 12.0}
+    code, rep = run_json(["analyze", write(tmp_path, doc)], capsys)
+    assert code == 0
+    assert rep["tolerances"]["boundary_grid"] == 512
+    assert rep["tolerances"]["box_depth"] == 12
+    assert isinstance(rep["tolerances"]["box_depth"], int)
 
 
 def test_usage_error(capsys):

@@ -9,13 +9,17 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgestab.det import (
     ParametricDeterminant,
     _laplace,
     coefficient_box,
+    corner_lambdas,
     det_matrix,
     det_parametric,
+    monomial_weights,
 )
 from edgestab.edges import iter_configs
 from edgestab.family import MatrixFamily, PolytopeEntry
@@ -211,8 +215,9 @@ def test_parametric_terms_match_integer_oracle(n):
                     if bin(mask ^ sub).count("1") % 2:
                         term = [-x for x in term]
                     want = int_add(want, term)
-            got = pd.terms.get(mask, Polynomial([0.0]))
-            assert got.as_list() == [float(c) for c in trim(want)], (cfg.index, mask)
+            at = np.flatnonzero(pd.masks == mask)
+            got = trim(pd.rows[at[0]].tolist()) if at.size else [0.0]
+            assert got == [float(c) for c in trim(want)], (cfg.index, mask)
 
 
 def test_parametric_multi_affine_in_each_slot():
@@ -232,7 +237,7 @@ def test_parametric_multi_affine_in_each_slot():
 
 
 def test_assemble_validates_length():
-    pd = ParametricDeterminant(2, {0: Polynomial([1.0])})
+    pd = ParametricDeterminant.from_terms(2, {0: Polynomial([1.0])})
     with pytest.raises(ValueError):
         pd.assemble([0.5])
 
@@ -240,11 +245,55 @@ def test_assemble_validates_length():
 def test_coefficient_matrix_layout():
     p0 = Polynomial([1.0, 2.0])
     p1 = Polynomial([3.0])
-    pd = ParametricDeterminant(1, {0: p0, 1: p1})
-    masks, rows = pd.coefficient_matrix()
-    assert list(masks) == [0, 1]
-    np.testing.assert_allclose(rows[0], [1.0, 2.0])
-    np.testing.assert_allclose(rows[1], [3.0, 0.0])
+    pd = ParametricDeterminant.from_terms(1, {0: p0, 1: p1})
+    assert list(pd.masks) == [0, 1]
+    np.testing.assert_allclose(pd.rows[0], [1.0, 2.0])
+    np.testing.assert_allclose(pd.rows[1], [3.0, 0.0])
+
+
+def scalar_weight(mask, lam):
+    w = 1.0
+    for slot, x in enumerate(lam):
+        if mask >> slot & 1:
+            w *= float(x)
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(0, 6),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    data=st.data(),
+)
+def test_monomial_weights_equal_scalar_products(k, lead, data):
+    # every weight is bitwise the product taken slot by slot in ascending
+    # order, for any leading shape of lambda vectors
+    masks = np.array(sorted(data.draw(st.sets(st.integers(0, (1 << k) - 1)))), dtype=int)
+    shape = tuple(lead) + (k,)
+    values = data.draw(
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False),
+            min_size=int(np.prod(shape)),
+            max_size=int(np.prod(shape)),
+        )
+    )
+    lam = np.array(values, dtype=float).reshape(shape)
+    got = monomial_weights(masks, lam)
+    assert got.shape == tuple(lead) + (masks.size,)
+    for idx in np.ndindex(*lead):
+        want = np.array([scalar_weight(int(m), lam[idx]) for m in masks], dtype=float)
+        assert got[idx].tobytes() == want.tobytes(), (idx, lam[idx])
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_corner_weights_are_subset_indicators(k):
+    lams = corner_lambdas(k)
+    assert lams.shape == (1 << k, k)
+    for v in range(1 << k):
+        assert lams[v].tolist() == [float(v >> j & 1) for j in range(k)]
+    masks = np.arange(1 << k)
+    indicator = ((masks[None, :] & ~masks[:, None]) == 0).astype(float)
+    assert monomial_weights(masks, lams).tobytes() == indicator.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +305,7 @@ def test_coefficient_box_known_segment():
     # [1 + 4*lam, 1 + 2*lam]
     p0 = Polynomial([1.0, 1.0])
     delta = Polynomial([4.0, 2.0])
-    pd = ParametricDeterminant(1, {0: p0, 1: delta})
+    pd = ParametricDeterminant.from_terms(1, {0: p0, 1: delta})
     box = coefficient_box(pd)
     np.testing.assert_allclose(box, [[1.0, 5.0], [1.0, 3.0]])
 
@@ -270,10 +319,11 @@ def test_coefficient_box_contains_dense_grid():
         box = coefficient_box(pd)
         scale = max(np.max(np.abs(box)), 1.0)
         axes = [np.linspace(0.0, 1.0, 9)] * pd.k
-        grid_min = np.full(pd.coeff_length, np.inf)
-        grid_max = np.full(pd.coeff_length, -np.inf)
+        width = pd.rows.shape[1]
+        grid_min = np.full(width, np.inf)
+        grid_max = np.full(width, -np.inf)
         for lam in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, pd.k) if pd.k else [np.zeros(0)]:
-            c = np.zeros(pd.coeff_length)
+            c = np.zeros(width)
             member = pd.assemble(lam).coeffs
             c[: member.size] = member
             grid_min = np.minimum(grid_min, c)
@@ -288,5 +338,5 @@ def test_coefficient_box_contains_dense_grid():
 
 
 def test_coefficient_box_k_zero():
-    pd = ParametricDeterminant(0, {0: Polynomial([2.0, -3.0])})
+    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([2.0, -3.0])})
     np.testing.assert_allclose(coefficient_box(pd), [[2.0, 2.0], [-3.0, -3.0]])

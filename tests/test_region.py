@@ -58,6 +58,27 @@ def test_disk_requires_positive_radius():
         Disk(0.0, -1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ShiftedHalfPlane(NAN),
+        lambda: ShiftedHalfPlane(INF),
+        lambda: ShiftedHalfPlane(-INF),
+        lambda: Disk(complex(NAN, 0.0), 1.0),
+        lambda: Disk(complex(0.0, INF), 1.0),
+        lambda: Disk(0.0, INF),
+        lambda: Disk(0.0, NAN),
+    ],
+    ids=["shift_nan", "shift_inf", "shift_minus_inf", "center_nan", "center_inf", "radius_inf", "radius_nan"],
+)
+def test_region_parameters_must_be_finite(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_margin_vectorized():
     r = HurwitzHalfPlane()
     zs = np.array([-1.0, 1.0, 1j])
@@ -108,27 +129,27 @@ def test_conjugate_root_pairing_justifies_half_sweep():
 
 
 def test_sweep_range_disk_is_full_circle():
-    pd = ParametricDeterminant(0, {0: Polynomial([1.0, 1.0])})
+    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})
     lo, hi = sweep_range(Disk(0.0, 1.0), pd)
     assert lo == 0.0
     assert hi == pytest.approx(2.0 * np.pi)
 
 
 def test_sweep_range_known_first_degree():
-    pd = ParametricDeterminant(0, {0: Polynomial([1.0, 1.0])})  # s + 1
+    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})  # s + 1
     lo, hi = sweep_range(HurwitzHalfPlane(), pd)
     assert lo == 0.0
     assert hi == pytest.approx(2.0)  # the root bound of s + 1
 
 
 def test_sweep_range_constant_determinant():
-    pd = ParametricDeterminant(0, {0: Polynomial([5.0])})
+    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([5.0])})
     lo, hi = sweep_range(HurwitzHalfPlane(), pd)
     assert (lo, hi) == (0.0, 0.0)
 
 
 def test_sweep_range_shifted_accounts_for_offset():
-    pd = ParametricDeterminant(0, {0: Polynomial([1.0, 1.0])})
+    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})
     _, hi_plain = sweep_range(HurwitzHalfPlane(), pd)
     _, hi_shift = sweep_range(ShiftedHalfPlane(-1.0), pd)
     # boundary points sigma + i*omega reach modulus R earlier when sigma != 0
@@ -136,7 +157,7 @@ def test_sweep_range_shifted_accounts_for_offset():
 
 
 def test_sweep_range_degree_drop():
-    pd = ParametricDeterminant(1, {0: Polynomial([1.0, 1.0]), 1: Polynomial([0.0, -2.0])})
+    pd = ParametricDeterminant.from_terms(1, {0: Polynomial([1.0, 1.0]), 1: Polynomial([0.0, -2.0])})
     # leading coefficient ranges over [-1, 1]: degree may drop
     with pytest.raises(DegreeDropError):
         sweep_range(HurwitzHalfPlane(), pd)
@@ -154,7 +175,7 @@ def test_sweep_range_soundness_random_members():
         base = Polynomial(rng.integers(-4, 5, size=4).astype(float) + np.array([0, 0, 0, 5.0]))
         d1 = Polynomial(rng.integers(-2, 3, size=3).astype(float))
         d2 = Polynomial(rng.integers(-2, 3, size=3).astype(float))
-        pd = ParametricDeterminant(2, {0: base, 1: d1, 2: d2, 3: Polynomial([0.0])})
+        pd = ParametricDeterminant.from_terms(2, {0: base, 1: d1, 2: d2, 3: Polynomial([0.0])})
         lo, hi = sweep_range(HurwitzHalfPlane(), pd)
         for _ in range(50):
             lam = rng.random(2)
@@ -168,7 +189,7 @@ def test_box_consistency_with_sweep_bound():
     # the sweep bound equals 1 + head/lead computed from the coefficient box
     base = Polynomial([2.0, 3.0, 4.0])
     delta = Polynomial([1.0, -1.0, 0.5])
-    pd = ParametricDeterminant(1, {0: base, 1: delta})
+    pd = ParametricDeterminant.from_terms(1, {0: base, 1: delta})
     box = coefficient_box(pd)
     lead_lo, lead_hi = box[-1]
     lead_min = min(abs(lead_lo), abs(lead_hi))

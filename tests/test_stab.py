@@ -16,7 +16,16 @@ import numpy as np
 import pytest
 
 from edgestab.cli import parse_family_dict
-from edgestab.det import ParametricDeterminant, det_matrix, det_parametric, det_parametric_run, run_key
+from edgestab import det
+from edgestab.det import (
+    ParametricDeterminant,
+    _polyadd,
+    corner_lambdas,
+    det_matrix,
+    det_parametric,
+    det_parametric_run,
+    run_key,
+)
 from edgestab.edges import EdgeConfiguration, iter_configs
 from edgestab.errors import (
     RegionNotHurwitzError,
@@ -29,7 +38,7 @@ from edgestab.family import (
     MatrixFamily,
     PolytopeEntry,
 )
-from edgestab.poly import Polynomial, from_roots
+from edgestab.poly import Polynomial, _exact, from_roots
 from edgestab.region import Disk, HurwitzHalfPlane, ShiftedHalfPlane
 from edgestab import stab
 from edgestab.stab import (
@@ -81,6 +90,19 @@ def test_tolerances_validation():
         Tolerances(zero_margin=0.0)
     with pytest.raises(ValueError):
         Tolerances(refine_depth=-1)
+    # counts are integers and margins finite
+    for bad in (
+        {"boundary_grid": 100.5},
+        {"boundary_grid": 512.0},
+        {"boundary_grid": True},
+        {"refine_depth": 2.5},
+        {"box_depth": 2.7},
+        {"zero_margin": math.inf},
+        {"zero_margin": math.nan},
+        {"degree_eps": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            Tolerances(**bad)
 
 
 # ----------------------------------------------------------------------
@@ -298,26 +320,26 @@ def test_segment_statuses_match_grid_oracle():
 
 
 def test_box_k_zero_reduces_to_point():
-    pd = ParametricDeterminant(0, {0: Polynomial([2.0, 3.0, 1.0])})
+    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([2.0, 3.0, 1.0])})
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.ROBUSTLY_STABLE
-    pd_bad = ParametricDeterminant(0, {0: Polynomial([-2.0, 1.0, 1.0])})
+    pd_bad = ParametricDeterminant.from_terms(0, {0: Polynomial([-2.0, 1.0, 1.0])})
     assert box_stable(pd_bad, HurwitzHalfPlane()).status is Status.UNSTABLE
 
 
 def test_box_identically_zero_is_degenerate():
-    pd = ParametricDeterminant(1, {0: Polynomial([0.0])})
+    pd = ParametricDeterminant.from_terms(1, {0: Polynomial([0.0])})
     assert box_stable(pd, HurwitzHalfPlane()).status is Status.DEGENERATE
 
 
 def test_box_constant_determinant_is_stable():
-    pd = ParametricDeterminant(1, {0: Polynomial([3.0]), 1: Polynomial([1.0])})
+    pd = ParametricDeterminant.from_terms(1, {0: Polynomial([3.0]), 1: Polynomial([1.0])})
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.ROBUSTLY_STABLE
 
 
 def test_box_degree_drop_is_degenerate():
-    pd = ParametricDeterminant(
+    pd = ParametricDeterminant.from_terms(
         1, {0: Polynomial([1.0, 1.0]), 1: Polynomial([0.0, -2.0])}
     )
     assert box_stable(pd, HurwitzHalfPlane()).status is Status.DEGENERATE
@@ -327,7 +349,7 @@ def test_box_unstable_corner_found():
     # lam = 1 gives (s - 1)(s + 3): one right-half-plane root
     p0 = from_roots([-1.0, -3.0])
     p1 = from_roots([1.0, -3.0])
-    pd = ParametricDeterminant(1, {0: p0, 1: p1 - p0})
+    pd = ParametricDeterminant.from_terms(1, {0: p0, 1: p1 - p0})
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.UNSTABLE
     assert v.witness is not None
@@ -338,30 +360,30 @@ def test_box_two_parameters_stable():
     base = from_roots([-1.0, -2.0])
     d1 = Polynomial([0.3, 0.0, 0.0])
     d2 = Polynomial([0.0, 0.2, 0.0])
-    pd = ParametricDeterminant(2, {0: base, 1: d1, 2: d2})
+    pd = ParametricDeterminant.from_terms(2, {0: base, 1: d1, 2: d2})
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.ROBUSTLY_STABLE
 
 
 def test_box_root_solves_one_per_corner(monkeypatch):
-    # corner 0 is the anchor member: a stable k = 2 box solves 2**k members
-    # before the sweep, not 2**k + 1
-    calls = []
+    # corner 0 is the anchor member: a stable k = 2 box measures 2**k member
+    # rows before the sweep, not 2**k + 1
+    rows = []
     seen_at_sweep = []
-    roots = Polynomial.roots
+    margins = stab.member_margins
     sweep = stab._zero_exclusion_sweep
 
-    def counting_roots(self):
-        calls.append(1)
-        return roots(self)
+    def counting_margins(region, det_coeffs):
+        rows.append(det_coeffs.shape[0])
+        return margins(region, det_coeffs)
 
     def recording_sweep(*args):
-        seen_at_sweep.append(len(calls))
+        seen_at_sweep.append(sum(rows))
         return sweep(*args)
 
-    monkeypatch.setattr(Polynomial, "roots", counting_roots)
+    monkeypatch.setattr(stab, "member_margins", counting_margins)
     monkeypatch.setattr(stab, "_zero_exclusion_sweep", recording_sweep)
-    pd = ParametricDeterminant(
+    pd = ParametricDeterminant.from_terms(
         2,
         {
             0: from_roots([-1.0, -2.0]),
@@ -392,7 +414,7 @@ def test_box_interior_instability_is_found():
         2: Polynomial([0.0, -0.9, 0.0]),
         3: Polynomial([0.0, 1.8, 0.0]),
     }
-    pd = ParametricDeterminant(2, s_term)
+    pd = ParametricDeterminant.from_terms(2, s_term)
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.UNSTABLE
     lam = np.asarray(v.witness.lam)
@@ -413,7 +435,7 @@ def test_box_edge_interior_instability():
     sv = segment_stable(EdgeSegment(p0, p1), region)
     assert sv.status is Status.UNSTABLE
 
-    pd = ParametricDeterminant(1, {0: p0, 1: p1 - p0})
+    pd = ParametricDeterminant.from_terms(1, {0: p0, 1: p1 - p0})
     bv = box_stable(pd, region)
     assert bv.status is Status.UNSTABLE
     assert bv.witness is not None
@@ -689,6 +711,7 @@ def test_batched_members_equal_point_verdicts(make):
         sigs = set()
         for cfg in run:
             corner = members.corners(cfg)
+            assert len(corner) == 1 << cfg.k
             for v in range(1 << cfg.k):
                 grid = [list(row) for row in cfg.base]
                 for slot, j in enumerate(cfg.lambda_columns):
@@ -697,9 +720,9 @@ def test_batched_members_equal_point_verdicts(make):
                 sigs.add(tuple(c.coeffs.size for row in grid for c in row))
                 det = det_matrix(grid)
                 if det.is_zero:
-                    assert corner(v).margin == -math.inf, (cfg.index, v)
+                    assert corner[v].margin == -math.inf, (cfg.index, v)
                 else:
-                    assert repr(corner(v)) == repr(point_stable(det, fam.region)), (cfg.index, v)
+                    assert repr(corner[v]) == repr(point_stable(det, fam.region)), (cfg.index, v)
         assert len(members._verdicts) == solved  # the run's batch solved every corner
         signatures = max(signatures, len(sigs))
     if make is mixed_length_family:
@@ -751,9 +774,119 @@ def test_run_terms_equal_single_determinants(make):
         for cfg, pd in zip(run, det_parametric_run(run)):
             alone = det_parametric(cfg)
             assert pd.k == alone.k
-            assert list(pd.terms) == list(alone.terms), cfg.index
-            for mask, poly in alone.terms.items():
-                assert np.array_equal(pd.terms[mask].coeffs, poly.coeffs), (cfg.index, mask)
+            assert pd.masks.tolist() == alone.masks.tolist(), cfg.index
+            assert pd.rows.shape == alone.rows.shape, cfg.index
+            assert np.array_equal(pd.rows, alone.rows), cfg.index
+
+
+FAMILY_FIXTURES = [
+    "demo3x3",
+    "vertex_insufficiency",
+    "degree_drop",
+    "truncation",
+    "cancellation",
+    "interval_truncation",
+]
+
+
+def cancelling_top_family():
+    # det = a*d - b*c loses its s^2 term exactly for every member, so every
+    # c_S is shorter than the Laplace output and the rows must be cut
+    return MatrixFamily(
+        [
+            [cell([1.0, 1.0], [2.0, 1.0]), cell([1.0, 1.0])],
+            [cell([3.0, 1.0]), cell([2.0, 1.0], [3.0, 1.0])],
+        ],
+        HurwitzHalfPlane(),
+    )
+
+
+BUILT_FAMILIES = {"interval": interval_family, "cancelling_top": cancelling_top_family}
+
+
+def family_by_name(name):
+    return BUILT_FAMILIES[name]() if name in BUILT_FAMILIES else fixture_family(name)
+
+
+def termwise_rows(full, b, k):
+    # the parametric rows built one term at a time: every c_S trimmed of its
+    # exactly-zero trailing coefficients, zero terms dropped, the rest
+    # zero-padded to the longest term; an all-zero determinant keeps [0.0]
+    terms = {}
+    for mask in range(1 << k):
+        poly = _exact(full[(b,) + tuple(mask >> slot & 1 for slot in range(k))])
+        if not poly.is_zero:
+            terms[mask] = poly
+    terms = terms or {0: Polynomial([0.0])}
+    masks = np.array(sorted(terms), dtype=int)
+    rows = np.zeros((masks.size, max(p.coeffs.size for p in terms.values())))
+    for r, mask in enumerate(masks):
+        rows[r, : terms[int(mask)].coeffs.size] = terms[int(mask)].coeffs
+    return masks, rows
+
+
+@pytest.mark.parametrize("name", FAMILY_FIXTURES + ["interval", "cancelling_top"])
+def test_run_rows_equal_termwise_construction(name, monkeypatch):
+    # the array form keeps bitwise the rows, shape and mask dtype included,
+    # that a term-by-term construction gives from the same _laplace output
+    fam = family_by_name(name)
+    outputs = []
+    laplace = det._laplace
+
+    def recording_laplace(cells):
+        outputs.append(laplace(cells))
+        return outputs[-1]
+
+    monkeypatch.setattr(det, "_laplace", recording_laplace)
+    checked = 0
+    for _, group in itertools.groupby(iter_configs(fam), key=run_key):
+        run = list(group)
+        pds = det_parametric_run(run)
+        full = _polyadd(outputs.pop(), np.zeros((len(run),) + (2,) * run[0].k + (1,)))
+        for b, pd in enumerate(pds):
+            masks, rows = termwise_rows(full, b, pd.k)
+            assert (pd.masks.dtype, pd.masks.tolist()) == (masks.dtype, masks.tolist()), run[b].index
+            assert pd.rows.shape == rows.shape, run[b].index
+            assert pd.rows.tobytes() == rows.tobytes(), run[b].index
+            assert not (pd.masks.flags.writeable or pd.rows.flags.writeable)
+            checked += 1
+    assert checked == sum(1 for _ in iter_configs(fam))
+
+
+def assert_corners_match_assembled(pd, region, label):
+    # box_stable's default corners are bitwise point_stable of the members
+    # that assemble gives at the box corners
+    corners = stab._assembled_corners(pd, region)
+    assert len(corners) == 1 << pd.k
+    for v, lam in enumerate(corner_lambdas(pd.k)):
+        member = pd.assemble(lam)
+        if member.is_zero:
+            assert corners[v].margin == -math.inf, (label, v)
+        else:
+            assert repr(corners[v]) == repr(point_stable(member, region)), (label, v)
+
+
+REGIONS = [HurwitzHalfPlane(), Disk(-1.0 + 0.5j, 1.5)]
+
+
+@pytest.mark.parametrize("name", FAMILY_FIXTURES + ["interval"])
+def test_default_corners_equal_assembled_point_verdicts(name):
+    fam = family_by_name(name)
+    for cfg in iter_configs(fam):
+        pd = det_parametric(cfg)
+        for region in REGIONS:
+            assert_corners_match_assembled(pd, region, (cfg.index, region.kind))
+
+
+def test_default_corners_equal_assembled_point_verdicts_on_random_segments():
+    rng = np.random.default_rng(2024)
+    for trial in range(150):
+        deg = int(rng.integers(1, 7))
+        p0 = Polynomial(np.abs(rng.normal(size=deg + 1)) + 0.1)
+        p1 = Polynomial(p0.coeffs + 0.5 * rng.normal(size=deg + 1))
+        pd = ParametricDeterminant.from_terms(1, {0: p0, 1: p1 - p0})
+        for region in REGIONS:
+            assert_corners_match_assembled(pd, region, (trial, region.kind))
 
 
 def test_run_rejects_mixed_structure():
