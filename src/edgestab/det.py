@@ -78,22 +78,25 @@ def _laplace(cells) -> np.ndarray:
     the minor on the ascending columns ``cols`` expands row ``n - len(cols)``
     over ``cols`` with signs alternating by position, using the minors of
     the previous size.  Only that previous size is kept, so the cost is
-    O(2^n * n) array products instead of factorial.
+    O(2^n * n) array products instead of factorial.  A coefficient that
+    overflows float64 comes back inf or NaN, without a warning; the callers
+    decide what a non-finite determinant means.
     """
     n = len(cells)
     prev = {(j,): cells[n - 1][j] for j in range(n)}
-    for size in range(2, n + 1):
-        row = cells[n - size]
-        cur = {}
-        for cols in itertools.combinations(range(n), size):
-            acc = None
-            for pos, j in enumerate(cols):
-                term = _polymul(row[j], prev[cols[:pos] + cols[pos + 1 :]])
-                if pos % 2:
-                    term = -term
-                acc = term if acc is None else _polyadd(acc, term)
-            cur[cols] = acc
-        prev = cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size in range(2, n + 1):
+            row = cells[n - size]
+            cur = {}
+            for cols in itertools.combinations(range(n), size):
+                acc = None
+                for pos, j in enumerate(cols):
+                    term = _polymul(row[j], prev[cols[:pos] + cols[pos + 1 :]])
+                    if pos % 2:
+                        term = -term
+                    acc = term if acc is None else _polyadd(acc, term)
+                cur[cols] = acc
+            prev = cur
     return prev[tuple(range(n))]
 
 
@@ -183,6 +186,8 @@ def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
     configuration b's ``c_S`` at index b followed by the index whose axis
     ``l`` is bit ``l`` of ``S``.  Each configuration keeps its nonzero masks,
     its rows cut at the last column any of them uses and +0.0 past each end.
+    A coefficient that overflowed stays inf or NaN, and ``box_stable`` calls
+    that determinant Degenerate.
     """
     cfgs = list(cfgs)
     head = cfgs[0]
@@ -210,8 +215,6 @@ def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
         cells[i][j] = cell.reshape(shape)
 
     full = _polyadd(_laplace(cells), np.zeros((B,) + (2,) * k + (1,)))
-    if not np.all(np.isfinite(full)):
-        raise ValueError("coefficients must be finite")
     # row ``mask`` of configuration b: reversing the slot axes puts slot 0 on the last bit
     flat = full.transpose((0,) + tuple(range(k, 0, -1)) + (k + 1,)).reshape(B, 1 << k, -1)
     nonzero = flat != 0.0

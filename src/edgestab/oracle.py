@@ -10,7 +10,8 @@ carry a leading batch axis.  Their margins come from
 member gets bitwise ``point_stable``'s margin; a single member is its batch
 of one.  Families whose vertex polynomials (polytope vertices or Kharitonov
 vertices of interval cells) lost coefficients at construction are refused,
-as the analyzer calls them Degenerate.  Used to cross-validate the symbolic
+as the analyzer calls them Degenerate, and so are families with a sampled
+member whose determinant overflows float64.  Used to cross-validate the symbolic
 decision path and to hunt for explicit unstable members.
 """
 
@@ -241,6 +242,8 @@ def sample_family(
         nonlocal worst_margin, worst_weights, worst_root, total
         coeffs = _coeff_batches(cells, weight_arrays)
         det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
+        if not np.isfinite(det).all():
+            raise ValidationFailure("a sampled member's determinant overflows float64")
         margins, roots = member_margins(fam.region, det)
         r = int(np.argmin(margins))
         if margins[r] < worst_margin:

@@ -166,12 +166,16 @@ def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, 
     least margin, and is positive iff every root lies strictly inside the
     region.  A nonzero constant gets +inf and no root; the zero polynomial
     gets -inf with a root at the origin, so it always surfaces as the worst
-    member.
+    member.  A row with a non-finite coefficient, a determinant that
+    overflowed float64, has no root set to measure: it gets a NaN margin and
+    no root.
     """
     L = det_coeffs.shape[1]
+    finite = np.isfinite(det_coeffs).all(axis=1)
     nonzero = det_coeffs != 0.0
     degrees = np.where(nonzero.any(axis=1), L - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
-    margins = np.where(degrees < 0, -math.inf, math.inf)
+    degrees[~finite] = 0
+    margins = np.where(finite, np.where(degrees < 0, -math.inf, math.inf), math.nan)
     roots_out = [0.0 + 0.0j if deg < 0 else None for deg in degrees]
     for d in np.unique(degrees[degrees > 0]):
         rows = np.nonzero(degrees == d)[0]

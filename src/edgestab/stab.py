@@ -14,6 +14,9 @@ The decision layers build on each other:
   ``box_stable`` the corner verdicts.  It solves the new all-vertex members
   of each run of configurations in batches (one determinant and one margin
   call per cell-length signature) and memoises each verdict by member key.
+  With ``jobs > 1`` the parent decides configuration 0 itself, as the serial
+  path's first run, and starts worker processes for fixed chunks of the rest
+  only when it is not Unstable.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -151,6 +154,11 @@ class Verdict:
 
 def _member_verdict(margin, root: complex | None) -> Verdict:
     """The point verdict of a member with this ``member_margins`` margin and worst root."""
+    if math.isnan(margin):
+        return Verdict(
+            Status.DEGENERATE,
+            reason="a member determinant overflows float64, so its roots are not resolved",
+        )
     if root is None:
         return Verdict(Status.ROBUSTLY_STABLE, margin=math.inf, reason="no roots")
     m = float(margin)
@@ -512,11 +520,12 @@ def box_stable(
 ) -> Verdict:
     """Robust stability of a multi-affine determinant over the lambda box.
 
-    Degree health comes first: a leading-coefficient interval touching zero
-    is Degenerate.  All box corners are root-tested directly; instability
-    there is exact.  Corner 0 is the anchor member (lambda = 0) and fails on
-    any root on or outside the boundary; the other corners must be clearly
-    outside.  The remaining obstruction is a boundary root strictly inside
+    Degree health comes first: a coefficient box that overflows float64 or
+    a leading-coefficient interval touching zero is Degenerate.  All box
+    corners are root-tested directly; instability there is exact, and a
+    corner member that overflowed makes the box Degenerate.  Corner 0 is the
+    anchor member (lambda = 0) and fails on any root on or outside the
+    boundary; the other corners must be clearly outside.  The remaining obstruction is a boundary root strictly inside
     the box, ruled out by the certified zero-exclusion sweep.
 
     ``corners[v]`` is the ``point_stable`` verdict of the member at box
@@ -530,7 +539,13 @@ def box_stable(
     if not pd.rows.any():
         return Verdict(Status.DEGENERATE, reason="determinant is identically zero")
 
-    box = coefficient_box(pd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        box = coefficient_box(pd)
+    if not np.isfinite(box).all():
+        return Verdict(
+            Status.DEGENERATE,
+            reason="determinant coefficients overflow float64, so the degree and roots are not resolved",
+        )
     mags = np.max(np.abs(box), axis=1)
     cmax = float(np.max(mags))
     nz = np.nonzero(mags > 0.0)[0]
@@ -556,6 +571,8 @@ def box_stable(
         return corners[0]
 
     for v, (lam, verdict) in enumerate(zip(corner_lambdas(pd.k), corners)):
+        if verdict.status is Status.DEGENERATE:
+            return verdict
         if verdict.status is not Status.UNSTABLE:
             continue
         root = verdict.witness.root
@@ -780,14 +797,21 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     if workers <= 1:
         return _aggregate(_check_chunk(fam, 0, total, tol, VertexMembers(fam.region)), total)
 
+    # the parent decides configuration 0 alone, as the serial path's first run
+    # does, and starts workers only when it is not Unstable
+    results = _check_chunk(fam, 0, 1, tol, VertexMembers(fam.region))
+    if results[-1][1].status is Status.UNSTABLE:
+        return _aggregate(results, total)
+
     # fixed-size chunks in stream order: the report cannot depend on the worker count
     from concurrent.futures import ProcessPoolExecutor
 
-    results = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_start_pool_worker, initargs=(fam.region,)
     ) as pool:
-        futures = [pool.submit(_check_pool_chunk, fam, s, min(s + _CHUNK, total), tol) for s in starts]
+        futures = [
+            pool.submit(_check_pool_chunk, fam, max(s, 1), min(s + _CHUNK, total), tol) for s in starts
+        ]
         for future in futures:
             chunk = future.result()
             results.extend(chunk)

@@ -28,6 +28,8 @@ CANCELLATION = str(FIXTURES / "cancellation.json")
 INTERVAL_TRUNCATION = str(FIXTURES / "interval_truncation.json")
 # a vertex with an Infinity coefficient
 NONFINITE = str(FIXTURES / "nonfinite_coefficient.json")
+# finite vertices whose determinant, about 1e400 * (1 + s)^2, overflows float64
+OVERFLOW = str(FIXTURES / "overflow.json")
 
 
 def run_json(argv, capsys):
@@ -94,6 +96,15 @@ def test_analyze_cancelled_leading_coefficient_is_degenerate(capsys):
     assert code == 2
     assert rep["verdict"]["status"] == "Degenerate"
     assert "degree drop" in rep["verdict"]["reason"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_analyze_overflowing_determinant_is_degenerate(capsys, jobs):
+    code, rep = run_json(["analyze", OVERFLOW, "--jobs", jobs], capsys)
+    assert code == 2
+    assert rep["verdict"]["status"] == "Degenerate"
+    assert "overflow" in rep["verdict"]["reason"]
+    assert all(c["status"] == "Degenerate" for c in rep["configs"])
 
 
 def test_analyze_inconclusive_via_loose_band(capsys):
@@ -231,6 +242,12 @@ def test_oracle_refuses_truncated_interval_bounds(capsys):
     capsys.readouterr()
     assert run(["oracle", INTERVAL_TRUNCATION, "--budget", "200"]) == 64
     assert "truncation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["random", "grid"])
+def test_oracle_refuses_overflowing_determinant(capsys, scheme):
+    assert run(["oracle", OVERFLOW, "--budget", "200", "--scheme", scheme]) == 64
+    assert "overflow" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from edgestab.region import (
     Disk,
     HurwitzHalfPlane,
     ShiftedHalfPlane,
+    member_margins,
     sweep_range,
     sweep_range_from_box,
 )
@@ -83,6 +84,15 @@ def test_margin_vectorized():
     r = HurwitzHalfPlane()
     zs = np.array([-1.0, 1.0, 1j])
     np.testing.assert_allclose(r.margin(zs), [1.0, -1.0, 0.0], atol=1e-15)
+
+
+def test_member_margins_leave_overflowed_rows_unmeasured():
+    rows = np.array([[1.0, 1.0, 0.0], [np.inf, 1.0, 1.0], [np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    margins, roots = member_margins(HurwitzHalfPlane(), rows)
+    assert margins[0] == pytest.approx(1.0)
+    assert np.isnan(margins[1]) and np.isnan(margins[2])
+    assert roots[1] is None and roots[2] is None
+    assert margins[3] == np.inf and roots[3] is None
 
 
 # ----------------------------------------------------------------------

@@ -543,6 +543,89 @@ def test_parallel_early_stop_matches_sequential():
     assert o1 == o2
 
 
+def test_pool_finds_unstable_in_a_later_chunk(monkeypatch):
+    # 66 configurations, one per edge of 12 stable cubics s^3 + a s^2 + b s + c;
+    # only the last edge's midpoint has a * b < c, so the first Unstable
+    # configuration, 65, lies in the second chunk
+    vertices = [[1.0 + 0.1 * i, 1.0, 10.0, 1.0] for i in range(10)]
+    vertices += [[0.01, 0.2, 0.2, 1.0], [90.0, 10.0, 10.0, 1.0]]
+    fam = MatrixFamily([[cell(*vertices)]], HurwitzHalfPlane())
+    v1, o1 = analyze_family_detailed(fam, jobs=1)
+    assert v1.status is Status.UNSTABLE
+    assert v1.witness.config_index == 65
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    v2, o2 = analyze_family_detailed(fam, jobs=2)
+    assert v1 == v2
+    assert o1 == o2
+
+
+def test_unstable_first_configuration_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started after an Unstable configuration 0")
+
+    fam = MatrixFamily(
+        [[PolytopeEntry([Polynomial([-1.0, 1.0])] + [Polynomial([1.0 + 0.1 * i, 1.0]) for i in range(11)])]],
+        HurwitzHalfPlane(),
+    )  # 66 configurations; vertex 0 has its root at +1
+    v1, o1 = analyze_family_detailed(fam, jobs=1)
+    assert v1.status is Status.UNSTABLE
+    assert [o.index for o in o1] == [0]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert analyze_family_detailed(fam, jobs=2) == (v1, o1)
+
+
+def test_overflowing_determinant_is_degenerate():
+    # finite vertices whose products leave the float64 range: no member can be
+    # measured, so no configuration may certify or be called Unstable
+    fam = fixture_family("overflow")
+    verdict, outcomes = analyze_family_detailed(fam)
+    assert verdict.status is Status.DEGENERATE
+    assert "overflow" in verdict.reason
+    assert all(o.status is Status.DEGENERATE for o in outcomes)
+    members = VertexMembers(fam.region)
+    for cfg in iter_configs(fam):
+        assert all(v.status is Status.DEGENERATE for v in members.corners(cfg))
+
+
+def test_overflowing_corner_member_is_degenerate():
+    # configuration 0's rows and coefficient box stay finite, since
+    # p0 * d - b * c and (p1 - p0) * d are in range, but its corner member
+    # p1 * d - b * c overflows in p1 * d: that corner has no root set, so the
+    # box cannot certify
+    fam = MatrixFamily(
+        [
+            [cell([1e154, 1e154], [1.7e154, 1.7e154]), cell([1e154])],
+            [cell([1.1e154, 1.1e154]), cell([1.2e154])],
+        ],
+        HurwitzHalfPlane(),
+    )
+    cfg = next(iter_configs(fam))
+    pd = det_parametric(cfg)
+    assert np.isfinite(det.coefficient_box(pd)).all()
+    corners = VertexMembers(fam.region).corners(cfg)
+    assert [c.status for c in corners] == [Status.ROBUSTLY_STABLE, Status.DEGENERATE]
+    v = box_stable(pd, fam.region, corners=corners)
+    assert v.status is Status.DEGENERATE
+    assert "overflow" in v.reason
+
+
+def test_pool_keeps_overflow_degenerate(monkeypatch):
+    # configuration 0 is Degenerate, not Unstable, so the pool decides the rest
+    big = [[1e200 * (1.0 + 0.01 * i), 1e200] for i in range(12)]
+    fam = MatrixFamily(
+        [[cell(*big), cell([0.0])], [cell([0.0]), cell([1e200, 1e200])]],
+        HurwitzHalfPlane(),
+    )
+    v1, o1 = analyze_family_detailed(fam, jobs=1)
+    assert len(o1) > 64
+    assert v1.status is Status.DEGENERATE
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert analyze_family_detailed(fam, jobs=2) == (v1, o1)
+
+
 def test_mapping_patterns_consistent_with_declared_stability():
     # the decision enumerates permutation patterns; configurations built
     # from arbitrary column-to-row maps (repeated rows allowed) are still
