@@ -10,14 +10,7 @@ sampling oracle.
 """
 
 from .det import ParametricDeterminant, coefficient_box, det_matrix, det_parametric
-from .edges import (
-    EdgeConfiguration,
-    config_at,
-    count_configs,
-    iter_configs,
-    reduce_column,
-    reduce_row,
-)
+from .edges import EdgeConfiguration, config_at, count_configs, iter_configs
 from .errors import (
     BoundOrderViolation,
     DegreeDropError,
@@ -59,7 +52,6 @@ from .stab import (
     analyze_interval,
     analyze_interval_detailed,
     box_stable,
-    hurwitz_algebraic,
     point_stable,
     segment_stable,
 )
@@ -104,7 +96,6 @@ __all__ = [
     "det_parametric",
     "find_counterexample_near",
     "from_roots",
-    "hurwitz_algebraic",
     "iter_configs",
     "kharitonov_edges",
     "kharitonov_vertices",
@@ -112,8 +103,6 @@ __all__ = [
     "origin_margin",
     "point_stable",
     "polytope_edges",
-    "reduce_column",
-    "reduce_row",
     "sample_family",
     "segment_stable",
     "sweep_range",

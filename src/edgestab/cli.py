@@ -356,15 +356,8 @@ def _cmd_analyze(args) -> int:
         doc = json.load(fh)
     fam = parse_family_dict(doc, region)
     tol = parse_tolerances(doc, args)
-    if fam.mode == "interval" and isinstance(fam.region, HurwitzHalfPlane):
-        verdict, outcomes = analyze_interval_detailed(fam, tol, jobs=args.jobs)
-    elif fam.mode == "interval":
-        raise ValidationFailure(
-            "interval families are only supported on the hurwitz region; "
-            "rewrite the entries as explicit vertex polytopes for other regions"
-        )
-    else:
-        verdict, outcomes = analyze_family_detailed(fam, tol, jobs=args.jobs)
+    drive = analyze_interval_detailed if fam.mode == "interval" else analyze_family_detailed
+    verdict, outcomes = drive(fam, tol, jobs=args.jobs)
     report = _base_report("analyze", args.family, fam, started, args)
     report.update(
         {

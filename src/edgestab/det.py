@@ -1,10 +1,10 @@
 """Determinants of polynomial matrices, concrete and parametric.
 
 The parametric form covers an edge configuration: entry (sigma(j), j) of
-column j is ``p0_j + lam_j * delta_j`` and every other entry is a fixed
-polynomial.  Because each parameter lives in exactly one column and every
-determinant product takes one entry per column, the determinant is
-multi-affine in lambda:
+column j is ``p0_j + lam_j * (p1_j - p0_j)`` on its segment and every other
+entry is a fixed polynomial.  Because each parameter lives in exactly one
+column and every determinant product takes one entry per column, the
+determinant is multi-affine in lambda:
 
     D(s, lam) = sum over subsets S of c_S(s) * prod_{j in S} lam_j.
 
@@ -35,10 +35,10 @@ and ``assemble`` all weight those rows by ``monomial_weights``.
 call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
 (L,)``, which the products broadcast and the sums never pad.  A run is a
 stretch of configurations that share ``run_key``: the pattern sigma, the
-``lambda_columns`` and the coefficient length of every cell and every
-delta.  Within a run every cell therefore has one shape, nothing is padded,
-and each configuration's arithmetic is exactly that of its own determinant;
-``det_parametric`` is the run of one.
+``lambda_columns`` and the coefficient length of every cell and of every
+segment end ``p1``.  Within a run every cell therefore has one shape,
+nothing is padded, and each configuration's arithmetic is exactly that of
+its own determinant; ``det_parametric`` is the run of one.
 """
 
 from __future__ import annotations
@@ -167,12 +167,12 @@ class ParametricDeterminant:
 
 
 def run_key(cfg: EdgeConfiguration) -> tuple:
-    """What configurations of one run share: sigma, lambda columns, cell and delta lengths."""
+    """What configurations of one run share: sigma, lambda columns, cell and ``p1`` lengths."""
     return (
         cfg.sigma,
         cfg.lambda_columns,
         tuple(cell.coeffs.size for row in cfg.base for cell in row),
-        tuple(cfg.deltas[j].coeffs.size for j in cfg.lambda_columns),
+        tuple(cfg.edge_choice[j].p1.coeffs.size for j in cfg.lambda_columns),
     )
 
 
@@ -181,13 +181,14 @@ def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
 
     Every configuration must share ``run_key``.  Fixed cells become arrays of
     shape ``(B,) + (1,) * k + (L,)``; the pattern cell of a column with a
-    nondegenerate segment stacks ``p0`` and ``delta`` on its slot's axis.
+    nondegenerate segment stacks ``p0`` and ``p1 - p0`` on its slot's axis,
+    both as wide as the longer of ``p0`` and ``p1``.
     The ``_laplace`` result, padded to ``(B,) + (2,) * k + (L,)``, holds
     configuration b's ``c_S`` at index b followed by the index whose axis
     ``l`` is bit ``l`` of ``S``.  Each configuration keeps its nonzero masks,
     its rows cut at the last column any of them uses and +0.0 past each end.
-    A coefficient that overflowed stays inf or NaN, and ``box_stable`` calls
-    that determinant Degenerate.
+    A difference ``p1 - p0`` or a coefficient that overflows stays inf or
+    NaN, and ``box_stable`` calls that determinant Degenerate.
     """
     cfgs = list(cfgs)
     head = cfgs[0]
@@ -205,11 +206,13 @@ def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
     ]
     for slot, j in enumerate(head.lambda_columns):
         i = head.sigma[j]
-        p0 = stacked(cfg.base[i][j] for cfg in cfgs)
-        delta = stacked(cfg.deltas[j] for cfg in cfgs)
-        cell = np.zeros((B, 2, max(p0.shape[1], delta.shape[1])))
+        p0 = stacked(cfg.edge_choice[j].p0 for cfg in cfgs)
+        p1 = stacked(cfg.edge_choice[j].p1 for cfg in cfgs)
+        cell = np.zeros((B, 2, max(p0.shape[1], p1.shape[1])))
         cell[:, 0, : p0.shape[1]] = p0
-        cell[:, 1, : delta.shape[1]] = delta
+        cell[:, 1, : p1.shape[1]] = p1
+        with np.errstate(over="ignore"):
+            cell[:, 1] -= cell[:, 0]
         shape = [B] + [1] * k + [cell.shape[2]]
         shape[1 + slot] = 2
         cells[i][j] = cell.reshape(shape)

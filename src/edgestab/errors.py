@@ -21,14 +21,6 @@ class DimensionMismatch(EdgeStabError):
     """A parameter vector or matrix does not have the expected shape."""
 
 
-class NotSingleColumnFamily(EdgeStabError):
-    """Column reduction requires every entry outside the chosen column to be fixed."""
-
-
-class NotTwoCellFamily(EdgeStabError):
-    """Row reduction requires uncertainty in exactly the two chosen cells."""
-
-
 class DegreeDropError(EdgeStabError):
     """The leading-coefficient interval of a determinant family contains zero."""
 

@@ -9,7 +9,7 @@ polynomials and the four exposed edges connecting them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -122,21 +122,6 @@ class EdgeSegment:
             raise ValueError("segment parameter must lie in [0, 1]")
         lam = min(max(lam, 0.0), 1.0)
         return self.p0 * (1.0 - lam) + self.p1 * lam
-
-    def same_endpoints(self, other: "EdgeSegment") -> bool:
-        """Unordered endpoint equality."""
-        return (self.p0 == other.p0 and self.p1 == other.p1) or (
-            self.p0 == other.p1 and self.p1 == other.p0
-        )
-
-
-def dedupe_segments(segments: Iterable[EdgeSegment]) -> list[EdgeSegment]:
-    """Drop segments whose unordered endpoint pair was already seen."""
-    out: list[EdgeSegment] = []
-    for seg in segments:
-        if not any(seg.same_endpoints(kept) for kept in out):
-            out.append(seg)
-    return out
 
 
 # ----------------------------------------------------------------------

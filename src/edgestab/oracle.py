@@ -148,7 +148,7 @@ def _grid_weight_lists(cells, level: int):
             ]
             if level >= 2:
                 patterns.append(np.full(L, 0.5))
-            # deduplicate (degree-0/1 collapses patterns)
+            # keep each bound pattern once (degree 0 and 1 collapse some)
             uniq = []
             for p in patterns:
                 if not any(np.array_equal(p, q) for q in uniq):

@@ -26,10 +26,10 @@ class Polynomial:
     magnitude is at most ``TRUNCATION_REL_TOL`` times the largest coefficient
     magnitude are dropped, and ``truncated`` records whether any dropped
     coefficient was actually nonzero.  Ring operations (``+``, ``-``, ``*``,
-    ``scale``, ``derivative``) drop only exactly-zero trailing coefficients:
-    a small leading coefficient of a computed result is kept, never
-    truncated, and the result's ``truncated`` is False.  The zero polynomial
-    is stored as the single coefficient ``0.0``.
+    ``derivative``) drop only exactly-zero trailing coefficients: a small
+    leading coefficient of a computed result is kept, never truncated, and
+    the result's ``truncated`` is False.  The zero polynomial is stored as
+    the single coefficient ``0.0``.
     """
 
     __slots__ = ("coeffs", "truncated")
@@ -124,9 +124,6 @@ class Polynomial:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def scale(self, c: float) -> "Polynomial":
-        return _exact(self.coeffs * float(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -4,8 +4,6 @@ The decision layers build on each other:
 
 * ``point_stable`` checks one polynomial by its worst root margin, the
   batch of one of ``region.member_margins``, as every member is measured.
-* ``hurwitz_algebraic`` is an independent algebraic route (Routh array) used
-  to cross-check the root-based path for the left half plane.
 * ``box_stable`` decides a multi-affine parameter box by zero exclusion of
   its boundary value sets, with certified interval refinement.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
@@ -183,43 +181,6 @@ def point_stable(p: Polynomial, region: Region) -> Verdict:
         raise ZeroPolynomialError("the zero polynomial has no root set")
     margins, roots = member_margins(region, p.coeffs[None])
     return _member_verdict(margins[0], roots[0])
-
-
-def hurwitz_algebraic(p: Polynomial) -> bool:
-    """Strict left-half-plane test by the Routh array, no root computation.
-
-    Stable iff every first-column entry is positive after sign-normalizing
-    the leading coefficient.  A vanishing pivot or an all-zero row signals
-    boundary or unstable roots and maps to False.
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no stability character")
-    deg = p.degree
-    if deg == 0:
-        return True
-    c = p.coeffs[::-1].copy()  # descending
-    if c[0] < 0.0:
-        c = -c
-    tiny = 1e-13 * float(np.max(np.abs(c)))
-    row0 = c[0::2].copy()
-    row1 = c[1::2].copy()
-    if row1.size < row0.size:
-        row1 = np.append(row1, 0.0)
-    rows = [row0, row1]
-    for _ in range(deg - 1):
-        prev, cur = rows[-2], rows[-1]
-        if np.all(np.abs(cur) <= tiny):
-            return False  # symmetric root pattern, not strictly Hurwitz
-        if abs(cur[0]) <= tiny:
-            return False  # zero pivot: roots on or right of the axis
-        nxt = np.empty(max(cur.size - 1, 1))
-        for l in range(nxt.size):
-            a = prev[l + 1] if l + 1 < prev.size else 0.0
-            b = cur[l + 1] if l + 1 < cur.size else 0.0
-            nxt[l] = (cur[0] * a - prev[0] * b) / cur[0]
-        rows.append(nxt)
-    first = np.array([r[0] for r in rows[: deg + 1]])
-    return bool(np.all(first > tiny))
 
 
 # ----------------------------------------------------------------------
@@ -650,9 +611,8 @@ class VertexMembers:
     every cell in row-major order: ``cfg.vertex_index`` for an off-pattern
     cell, the segment's ``index0`` or ``index1`` for a pattern cell (vertex
     list positions, or Kharitonov indices for an interval cell).  Within one
-    family's stream (``iter_configs`` without ``dedup``) an index names one
-    polynomial of its cell, so the key names the member; it never names a
-    configuration.
+    family's stream an index names one polynomial of its cell, so the key
+    names the member; it never names a configuration.
 
     ``solve(run)`` measures the members of a run of configurations that the
     memo has not seen.  It groups them by the coefficient length of every
@@ -852,7 +812,8 @@ def analyze_interval_detailed(
     tol = tol or Tolerances()
     if not isinstance(fam.region, HurwitzHalfPlane):
         raise RegionNotHurwitzError(
-            "interval analysis is only valid for the open left half plane"
+            "interval analysis is only valid for the open left half plane; "
+            "rewrite the entries as explicit vertex polytopes for other regions"
         )
     _precheck(fam, "interval")
     return _run_configs(fam, tol, jobs)

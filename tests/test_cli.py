@@ -30,6 +30,8 @@ INTERVAL_TRUNCATION = str(FIXTURES / "interval_truncation.json")
 NONFINITE = str(FIXTURES / "nonfinite_coefficient.json")
 # finite vertices whose determinant, about 1e400 * (1 + s)^2, overflows float64
 OVERFLOW = str(FIXTURES / "overflow.json")
+# finite vertices whose edge difference, about -3e308 in the constant term, overflows
+DELTA_OVERFLOW = str(FIXTURES / "delta_overflow.json")
 
 
 def run_json(argv, capsys):
@@ -105,6 +107,13 @@ def test_analyze_overflowing_determinant_is_degenerate(capsys, jobs):
     assert rep["verdict"]["status"] == "Degenerate"
     assert "overflow" in rep["verdict"]["reason"]
     assert all(c["status"] == "Degenerate" for c in rep["configs"])
+
+
+def test_analyze_overflowing_edge_difference_is_degenerate(capsys):
+    code, rep = run_json(["analyze", DELTA_OVERFLOW], capsys)
+    assert code == 2
+    assert rep["verdict"]["status"] == "Degenerate"
+    assert "overflow" in rep["verdict"]["reason"]
 
 
 def test_analyze_inconclusive_via_loose_band(capsys):
@@ -308,6 +317,7 @@ def test_interval_family_region_restriction(tmp_path, capsys):
         "entries": [[{"lower": [1.0, 1.0], "upper": [2.0, 2.0]}]],
     }
     assert run(["analyze", write(tmp_path, doc)]) == 64
+    assert "rewrite the entries as explicit vertex polytopes" in capsys.readouterr().err
 
 
 def test_bad_tolerance_rejected(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Enumeration tests: configuration stream order, counts, reconstruction by
-index, instantiation, and the column/row reduction generators.
+index, and instantiation.
 
 Membership oracles solve small linear programs: every instantiated cell must
 be a convex combination of its entry's vertices.
@@ -19,10 +19,8 @@ from edgestab.edges import (
     entry_vertices,
     iter_configs,
     permutations_in_order,
-    reduce_column,
-    reduce_row,
 )
-from edgestab.errors import DimensionMismatch, NotSingleColumnFamily, NotTwoCellFamily
+from edgestab.errors import DimensionMismatch
 from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
 from edgestab.poly import Polynomial
 from edgestab.region import HurwitzHalfPlane
@@ -314,95 +312,3 @@ def test_value_sets_respect_vertex_hull():
             method="highs",
         )
         assert res.status == 0
-
-
-# ----------------------------------------------------------------------
-# deduplication
-
-
-def test_dedup_drops_degenerate_and_duplicate_edges():
-    # one cell whose interval entry has a single varying coefficient: the
-    # four canonical edges reduce to one solid segment under deduplication
-    fam = MatrixFamily([[interval([0.0, 2.0], [1.0, 2.0])]], HurwitzHalfPlane())
-    plain = list(iter_configs(fam))
-    deduped = list(iter_configs(fam, dedup=True))
-    assert len(plain) == count_configs(fam) == 4
-    assert len(deduped) == count_configs(fam, dedup=True) == 1
-    assert not deduped[0].edge_choice[0].degenerate
-
-
-def test_dedup_keeps_one_degenerate_when_nothing_solid():
-    fam = MatrixFamily([[interval([1.0, 2.0], [1.0, 2.0])]], HurwitzHalfPlane())
-    deduped = list(iter_configs(fam, dedup=True))
-    assert len(deduped) == 1
-    assert deduped[0].edge_choice[0].degenerate
-
-
-# ----------------------------------------------------------------------
-# column and row reductions
-
-
-def test_reduce_column_count_example():
-    fam = MatrixFamily(
-        [
-            [cell([1.0, 1.0], [2.0, 1.0]), cell([5.0])],
-            [cell([0.0, 1.0], [1.0, 1.0]), cell([7.0, 1.0])],
-        ],
-        HurwitzHalfPlane(),
-    )
-    reduced = list(reduce_column(fam, 0))
-    assert len(reduced) == 4  # 2 rows x (1 edge x 2 vertices of the other row)
-    for r in reduced:
-        sub = r.as_family()
-        assert sub.n == 2
-        # exactly one uncertain cell left: the edge carrier
-        uncertain = [
-            (i, j)
-            for i in range(2)
-            for j in range(2)
-            if sub.entry(i, j).m > 1
-        ]
-        if not r.edge.degenerate:
-            assert uncertain == [(r.row, r.column)]
-
-
-def test_reduce_column_rejects_uncertain_remainder():
-    fam = two_vertex_family(2, seed=2)
-    with pytest.raises(NotSingleColumnFamily):
-        list(reduce_column(fam, 0))
-
-
-def test_reduce_column_members_belong_to_family():
-    fam = MatrixFamily(
-        [
-            [cell([1.0, 1.0], [2.0, 1.0]), cell([5.0])],
-            [cell([0.0, 1.0], [1.0, 1.0]), cell([7.0, 1.0])],
-        ],
-        HurwitzHalfPlane(),
-    )
-    for r in reduce_column(fam, 0):
-        sub = r.as_family()
-        for i in range(2):
-            for j in range(2):
-                for v in sub.entry(i, j).vertices:
-                    assert in_convex_hull(v, list(fam.entry(i, j).vertices))
-
-
-def test_reduce_row_count_example():
-    fam = MatrixFamily(
-        [
-            [cell([1.0, 1.0], [2.0, 1.0]), cell([0.0, 1.0], [1.0, 3.0])],
-            [cell([4.0]), cell([6.0, 1.0])],
-        ],
-        HurwitzHalfPlane(),
-    )
-    reduced = list(reduce_row(fam, 0, 0, 1))
-    assert len(reduced) == 4  # vertices(i) x edge(j) plus edge(i) x vertices(j)
-    halves = {(r.edge_col, r.vertex_col) for r in reduced}
-    assert halves == {(1, 0), (0, 1)}
-
-
-def test_reduce_row_rejects_extra_uncertainty():
-    fam = two_vertex_family(2, seed=2)
-    with pytest.raises(NotTwoCellFamily):
-        list(reduce_row(fam, 0, 0, 1))
