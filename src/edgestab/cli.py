@@ -461,7 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="decide robust stability of a family")
     _add_common(pa)
-    pa.add_argument("--grid", type=int, help="boundary sample count (default 512)")
+    pa.add_argument(
+        "--grid", type=int, help=f"boundary seed-grid sample count (default {Tolerances.boundary_grid})"
+    )
     pa.add_argument("--refine-depth", dest="refine_depth", type=int, help="refinement rounds")
     pa.add_argument("--box-depth", dest="box_depth", type=int, help="parameter-box subdivision depth")
     pa.add_argument("--zero-margin", dest="zero_margin", type=float, help="inconclusive band")

@@ -5,16 +5,20 @@ The decision layers build on each other:
 * ``point_stable`` checks one polynomial by its worst root margin, the
   batch of one of ``region.member_margins``, as every member is measured.
 * ``box_stable`` decides a multi-affine parameter box by zero exclusion of
-  its boundary value sets, with certified interval refinement.
+  its boundary value sets, with certified interval refinement; its sweep,
+  ``_zero_exclusion_sweep``, is a batch of one.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` stream the edge configurations
-  of a family through ``box_stable`` and aggregate; ``VertexMembers`` gives
-  ``box_stable`` the corner verdicts.  It solves the new all-vertex members
-  of each run of configurations in batches (one determinant and one margin
-  call per cell-length signature) and memoises each verdict by member key.
-  With ``jobs > 1`` the parent decides configuration 0 itself, as the serial
-  path's first run, and starts worker processes for fixed chunks of the rest
-  only when it is not Unstable.
+  of a family in runs and aggregate.  ``VertexMembers`` gives each
+  configuration its corner verdicts: it solves the new all-vertex members
+  of each run in batches (one determinant and one margin call per
+  cell-length signature) and memoises each verdict by member key.  Each
+  configuration passes ``box_stable``'s checks before the sweep, in stream
+  order; the configurations of a run that need a sweep are swept together,
+  one batch per mask set and row shape, and each gets bitwise the verdict
+  ``box_stable`` gives it alone.  With ``jobs > 1`` the parent decides
+  configuration 0 itself, as the serial path's first run, and starts worker
+  processes for fixed chunks of the rest only when it is not Unstable.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -58,8 +62,14 @@ from .region import (
 MAX_DRIVER_SIZE = 8
 
 # Interval refinement beyond the base grid is triggered well before margins
-# reach the inconclusive band, and capped by a global evaluation budget.
+# reach the inconclusive band, and capped by a global evaluation budget per
+# configuration: _REFINE_ROUND_CAP_FACTOR samples per seed-grid point, and
+# never fewer than _REFINE_BUDGET_FLOOR.
 _REFINE_ROUND_CAP_FACTOR = 64
+_REFINE_BUDGET_FLOOR = 32_768
+
+# Samples per evaluation block of a batched sweep, which bounds its memory.
+_SWEEP_BLOCK = 512
 
 
 class Status(enum.Enum):
@@ -85,7 +95,7 @@ def dominant(a: Status, b: Status) -> Status:
 class Tolerances:
     """Numeric policy knobs shared by the deciders."""
 
-    boundary_grid: int = 512
+    boundary_grid: int = 128
     refine_depth: int = 40
     box_depth: int = 12
     zero_margin: float = 1e-7
@@ -187,21 +197,32 @@ def point_stable(p: Polynomial, region: Region) -> Verdict:
 # boundary sweep helpers
 
 
-def _theta_grid(region: Region, lo: float, hi: float, count: int) -> np.ndarray:
-    """Boundary sample parameters.
+def _theta_grids(region: Region, spans, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary sample parameters of each sweep range, concatenated, and the owner of each.
 
     Disks get a uniform closed circle.  Half planes mix a linear grid with a
     geometric one so that both the low-frequency structure and the Cauchy
-    tail are resolved before refinement starts.
+    tail are resolved before refinement starts; an empty range is its one
+    end.  All ranges are built in one pass: ``np.linspace`` and
+    ``np.geomspace`` compute each row elementwise, as for a lone range, and
+    sorting a row and dropping repeats is ``np.unique`` of it.
     """
-    if hi <= lo:
-        return np.array([lo])
+    lo = np.array([a for a, _ in spans])
+    hi = np.array([b for _, b in spans])
     if isinstance(region, Disk):
-        return np.linspace(lo, hi, count + 1)
+        grid = np.linspace(lo, hi, count + 1, axis=1)
+        return grid.ravel(), np.repeat(np.arange(lo.size), count + 1)
+    empty = hi <= lo
+    # an empty range gets a stand-in range, then keeps only its first sample
+    lo, hi = np.where(empty, 0.0, lo), np.where(empty, 1.0, hi)
     half = count // 2
-    lin = np.linspace(lo, hi, half)
-    geo = np.geomspace(max(hi * 1e-6, 1e-12), hi, count - half)
-    return np.unique(np.concatenate([[lo], lin, geo]))
+    lin = np.linspace(lo, hi, half, axis=1)
+    geo = np.geomspace(np.maximum(hi * 1e-6, 1e-12), hi, count - half, axis=1)
+    grid = np.sort(np.concatenate([lo[:, None], lin, geo], axis=1), axis=1)
+    keep = np.ones(grid.shape, dtype=bool)
+    keep[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    keep[empty, 1:] = False
+    return grid[keep], np.repeat(np.arange(lo.size), keep.sum(axis=1))
 
 
 def _deriv_envelope(box: np.ndarray) -> np.ndarray:
@@ -210,11 +231,6 @@ def _deriv_envelope(box: np.ndarray) -> np.ndarray:
     if mags.size <= 1:
         return np.zeros(1)
     return mags[1:] * np.arange(1, mags.size)
-
-
-def _lipschitz_bound(env: np.ndarray, radius, speed: float) -> np.ndarray:
-    """Upper bound on |dD/dtheta| for boundary points with |s| <= radius."""
-    return speed * np.polyval(env[::-1], np.asarray(radius, dtype=float))
 
 
 def _abs_s_bound(region: Region, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,68 +338,112 @@ def _confirm_boundary_root(
 
 
 def _zero_exclusion_sweep(
-    pd: ParametricDeterminant,
+    pds: list[ParametricDeterminant],
+    boxes: list[np.ndarray],
     region: Region,
-    box: np.ndarray,
     tol: Tolerances,
-) -> Verdict:
-    """Certified zero-exclusion sweep of the region boundary.
+) -> list[Verdict | None]:
+    """Certified zero-exclusion sweep of the region boundary, for a batch of determinants.
 
-    ``box`` is ``coefficient_box(pd)``; it fixes the sweep range and the
-    derivative envelope.  The value set of D(s(theta), lambda-box) at each sampled theta is boxed
-    by the convex hull of its 2**k box-corner values.  An interval between
-    neighboring samples is certified root-free when both endpoint exclusion
-    distances exceed L * h / 2, where L bounds |dD/dtheta| via the
-    coefficient box.  Uncertified intervals are split at their midpoints,
-    breadth-first, so each round evaluates all new points in one vectorized
-    pass.  Sample points whose hull captures the origin go through
-    lambda-box subdivision and, if that fails, witness confirmation, which
-    may conclude the sweep with an Unstable verdict.
+    ``pds`` share ``masks`` and ``rows.shape``; ``boxes[c]`` is
+    ``coefficient_box(pds[c])``, which fixes configuration c's sweep range
+    and derivative envelope.  The value set of D(s(theta), lambda-box) at
+    each sampled theta is boxed by the convex hull of its 2**k box-corner
+    values.  An interval between neighboring samples is certified root-free
+    when both endpoint exclusion distances exceed L * h / 2, where L bounds
+    |dD/dtheta| via the coefficient box.  The seed grid only sets where
+    refinement starts: uncertified intervals are split at their midpoints,
+    breadth-first, so the certificate rests on this interval test and not
+    on the grid's density.  Sample points whose hull captures the origin go
+    through lambda-box subdivision and, if that fails, witness confirmation,
+    which may conclude a configuration with an Unstable verdict.
+
+    Each round evaluates the new points of every configuration of the batch
+    together, in blocks of whole configurations of at most ``_SWEEP_BLOCK``
+    samples (one configuration alone when it has more).  Every per-sample
+    operation stays per sample: ``horner`` with the sample's own rows, the
+    hull margins, and the Lipschitz bound in ``np.polyval``'s operation
+    order with the sample's own envelope.  Each configuration keeps its own
+    ``transform @ tv`` product over its own new points, because a matrix
+    product's summation order changes with its shape.  Captures, the
+    budget, the depth cap and the conclusion stay per configuration, so
+    configuration c's verdict is bitwise the one it gets in a batch of one.
+    Once a configuration is Unstable, the later ones leave the batch and
+    get ``None``.
     """
-    masks, rows, k = pd.masks, pd.rows, pd.k
-    lo, hi = sweep_range_from_box(region, box)
-    env = _deriv_envelope(box)
-    speed = region.boundary_speed()
+    count = len(pds)
+    masks, k = pds[0].masks, pds[0].k
+    rows = np.stack([pd.rows for pd in pds])  # (C, terms, L)
     transform = monomial_weights(masks, corner_lambdas(k))
-
-    thetas = _theta_grid(region, lo, hi, tol.boundary_grid)
-    budget = _REFINE_ROUND_CAP_FACTOR * tol.boundary_grid
+    speed = region.boundary_speed()
+    budget = max(_REFINE_ROUND_CAP_FACTOR * tol.boundary_grid, _REFINE_BUDGET_FLOOR)
     scale_floor = 1e-300
+    spans = [sweep_range_from_box(region, box) for box in boxes]
+    envs = np.stack([_deriv_envelope(box) for box in boxes])
+    live_floor = np.array([1e-14 * max(hi - lo, 1.0) for lo, hi in spans])
 
-    def evaluate(ts: np.ndarray):
-        s = region.boundary(ts)
-        tv = horner(rows[:, None], s)  # (terms, T)
-        corner_vals = transform @ tv  # (2**k, T)
-        margins = hull.batch_origin_margin(corner_vals.T)
-        scales = np.maximum(np.max(np.abs(corner_vals), axis=0), scale_floor)
+    def evaluate(ts: np.ndarray, own: np.ndarray):
+        """Hull margins and value scales at samples ``ts`` of configurations ``own`` (grouped)."""
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(own)) + 1, [ts.size]])
+        margins = np.empty(ts.size)
+        scales = np.empty(ts.size)
+        first = 0
+        while first < cuts.size - 1:
+            last = first + 1
+            while last < cuts.size - 1 and cuts[last + 1] - cuts[first] <= _SWEEP_BLOCK:
+                last += 1
+            lo, hi = cuts[first], cuts[last]
+            tv = horner(rows[own[lo:hi]].transpose(1, 0, 2), region.boundary(ts[lo:hi]))  # (terms, T)
+            corner_vals = np.concatenate(
+                [
+                    transform @ np.ascontiguousarray(tv[:, a - lo : b - lo])
+                    for a, b in zip(cuts[first:last], cuts[first + 1 : last + 1])
+                ],
+                axis=1,
+            )  # (2**k, T)
+            margins[lo:hi] = hull.batch_origin_margin(corner_vals.T)
+            scales[lo:hi] = np.maximum(np.max(np.abs(corner_vals), axis=0), scale_floor)
+            first = last
         return margins, scales
 
-    margins, scales = evaluate(thetas)
-    resolved_dist = margins.copy()  # absolute lower bound on value-set distance
+    thetas, owner = _theta_grids(region, spans, tol.boundary_grid)
+    resolved_dist, scales = evaluate(thetas, owner)  # absolute lower bound on value-set distance
+    verdicts: list[Verdict | None] = [None] * count
+    active = np.ones(count, dtype=bool)
 
-    def handle_capture(idx: int) -> Verdict | None:
+    def own_slice(c: int) -> slice:
+        return slice(*np.searchsorted(owner, [c, c + 1]))
+
+    def finish(c: int, verdict: Verdict) -> None:
+        verdicts[c] = verdict
+        active[c] = False
+        if verdict.status is Status.UNSTABLE:
+            active[c + 1 :] = False
+
+    def handle_capture(c: int, grid: np.ndarray, dist: np.ndarray, idx: int) -> Verdict | None:
         """Subdivide the lambda box at a captured sample; may conclude the sweep."""
-        tv = horner(rows, region.boundary(thetas[idx]))
-        dist, leftover = _subdivide_at_theta(tv, masks, k, tol.box_depth)
-        if dist > 0.0:
-            resolved_dist[idx] = dist
+        pd = pds[c]
+        tv = horner(pd.rows, region.boundary(grid[idx]))
+        dist_here, leftover = _subdivide_at_theta(tv, masks, k, tol.box_depth)
+        if dist_here > 0.0:
+            dist[idx] = dist_here
             return None
-        span = thetas[-1] - thetas[0]
-        t_lo = thetas[max(idx - 1, 0)]
-        t_hi = thetas[min(idx + 1, thetas.size - 1)]
+        span = grid[-1] - grid[0]
+        t_lo = grid[max(idx - 1, 0)]
+        t_hi = grid[min(idx + 1, grid.size - 1)]
         if t_hi <= t_lo:
-            t_lo, t_hi = thetas[idx] - 1e-6 * span, thetas[idx] + 1e-6 * span
+            t_lo, t_hi = grid[idx] - 1e-6 * span, grid[idx] + 1e-6 * span
         found = _confirm_boundary_root(pd, region, t_lo, t_hi, leftover, tol)
         if found is not None:
             return found
         return Verdict(
             Status.INCONCLUSIVE,
             margin=0.0,
-            reason=f"value set hull captures the origin near theta={thetas[idx]:.6g} "
+            reason=f"value set hull captures the origin near theta={grid[idx]:.6g} "
             "and no boundary root could be confirmed",
         )
 
-    def conclude(min_rel: float, reason: str, certified: bool = False) -> Verdict:
+    def conclude(c: int, reason: str | None, certified: bool = False) -> Verdict:
         """Below the trust band, hunt for an actual crossing before giving up.
 
         A transversal boundary crossing shows up as sampled hull distances
@@ -391,69 +451,91 @@ def _zero_exclusion_sweep(
         with a boundary root converts that to a sound Unstable verdict.
         Only a fully certified sweep may report exclusion.
         """
+        own = own_slice(c)
+        grid = thetas[own]
+        rel = resolved_dist[own] / scales[own]
+        min_rel = float(np.min(rel))
+        if reason is None:
+            reason = f"minimal relative exclusion margin {min_rel:.3e} is below zero_margin"
         if min_rel >= tol.zero_margin:
             if certified:
                 return Verdict(
                     Status.ROBUSTLY_STABLE, margin=min_rel, reason="boundary value sets exclude the origin"
                 )
             return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
-        rel = resolved_dist / scales
         idx = int(np.argmin(rel))
-        t_lo = thetas[max(idx - 1, 0)]
-        t_hi = thetas[min(idx + 1, thetas.size - 1)]
+        t_lo = grid[max(idx - 1, 0)]
+        t_hi = grid[min(idx + 1, grid.size - 1)]
         if t_hi <= t_lo:
-            t_lo, t_hi = thetas[idx] - 1e-6, thetas[idx] + 1e-6
-        found = _confirm_boundary_root(
-            pd, region, t_lo, t_hi, (np.zeros(k), np.ones(k)), tol
-        )
+            t_lo, t_hi = grid[idx] - 1e-6, grid[idx] + 1e-6
+        found = _confirm_boundary_root(pds[c], region, t_lo, t_hi, (np.zeros(k), np.ones(k)), tol)
         if found is not None:
             return found
         return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
 
-    for idx in np.nonzero(margins <= 0.0)[0]:
-        out = handle_capture(int(idx))
-        if out is not None:
-            return out
+    def captures(positions: np.ndarray) -> None:
+        """Handle captured samples in grid order, per configuration, until that configuration concludes."""
+        for c in np.unique(owner[positions]):
+            if not active[c]:
+                continue
+            own = own_slice(c)
+            grid, dist = thetas[own], resolved_dist[own]
+            for idx in positions[owner[positions] == c] - own.start:
+                out = handle_capture(int(c), grid, dist, int(idx))
+                if out is not None:
+                    finish(int(c), out)
+                    break
+
+    captures(np.nonzero(resolved_dist <= 0.0)[0])
 
     for _ in range(tol.refine_depth):
-        if thetas.size > budget:
-            return conclude(
-                float(np.min(resolved_dist / scales)),
-                "boundary refinement budget exhausted",
-            )
+        if not active.any():
+            break
+        keep = active[owner]
+        if not keep.all():
+            thetas, resolved_dist, scales, owner = (x[keep] for x in (thetas, resolved_dist, scales, owner))
+        sizes = np.bincount(owner, minlength=count)
+        for c in np.nonzero(active & (sizes > budget))[0]:
+            if active[c]:
+                finish(int(c), conclude(int(c), "boundary refinement budget exhausted"))
         a, b = thetas[:-1], thetas[1:]
         widths = b - a
         radii = _abs_s_bound(region, a, b)
-        need = _lipschitz_bound(env, radii, speed) * widths * 0.5
+        # the Lipschitz bound in np.polyval's operation order, with each
+        # interval's own envelope, times speed * h / 2; in place, so a large
+        # batch makes few temporaries
+        need = np.zeros_like(radii)
+        for l in range(envs.shape[1] - 1, -1, -1):
+            need *= radii
+            need += envs[owner[:-1], l]
+        need *= speed
+        need *= widths
+        need *= 0.5
         ok = (resolved_dist[:-1] > need) & (resolved_dist[1:] > need)
-        live = widths > 1e-14 * max(hi - lo, 1.0)
-        bad = np.nonzero(~ok & live)[0]
-        if bad.size == 0:
+        live = widths > live_floor[owner[:-1]]
+        bad = np.nonzero(~ok & live & (owner[:-1] == owner[1:]))[0]
+        refining = np.zeros(count, dtype=bool)
+        refining[owner[bad]] = True
+        for c in np.nonzero(active & ~refining)[0]:
+            if active[c]:
+                finish(int(c), conclude(int(c), None, certified=True))
+        bad = bad[active[owner[bad]]]
+        if not bad.size:
             break
         mids = 0.5 * (a[bad] + b[bad])
-        mid_margins, mid_scales = evaluate(mids)
-        # weave the new samples into the sorted grid
+        mid_owner = owner[bad]
+        mid_margins, mid_scales = evaluate(mids, mid_owner)
+        # weave the new samples into the sorted grids
         thetas = np.insert(thetas, bad + 1, mids)
         resolved_dist = np.insert(resolved_dist, bad + 1, mid_margins)
         scales = np.insert(scales, bad + 1, mid_scales)
-        for pos in np.nonzero(resolved_dist <= 0.0)[0]:
-            out = handle_capture(int(pos))
-            if out is not None:
-                return out
-    else:
-        rel = resolved_dist / scales
-        return conclude(
-            float(np.min(rel)),
-            "interval certificates still open at the refinement depth cap",
-        )
+        owner = np.insert(owner, bad + 1, mid_owner)
+        captures(np.nonzero(resolved_dist <= 0.0)[0])
 
-    rel = resolved_dist / scales
-    min_rel = float(np.min(rel))
-    return conclude(
-        min_rel,
-        f"minimal relative exclusion margin {min_rel:.3e} is below zero_margin",
-        certified=True,
-    )
+    for c in np.nonzero(active)[0]:
+        if active[c]:
+            finish(int(c), conclude(int(c), "interval certificates still open at the refinement depth cap"))
+    return verdicts
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +555,60 @@ def _assembled_corners(pd: ParametricDeterminant, region: Region) -> list[Verdic
     return [_member_verdict(m, r) for m, r in zip(margins, roots)]
 
 
+def _box_checks(
+    pd: ParametricDeterminant, region: Region, tol: Tolerances, corners
+) -> tuple[Verdict | None, np.ndarray | None]:
+    """``box_stable``'s checks before the sweep: (verdict, None) or (None, coefficient box)."""
+    if not pd.rows.any():
+        return Verdict(Status.DEGENERATE, reason="determinant is identically zero"), None
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        box = coefficient_box(pd)
+    if not np.isfinite(box).all():
+        return Verdict(
+            Status.DEGENERATE,
+            reason="determinant coefficients overflow float64, so the degree and roots are not resolved",
+        ), None
+    mags = np.max(np.abs(box), axis=1)
+    cmax = float(np.max(mags))
+    nz = np.nonzero(mags > 0.0)[0]
+    d = int(nz[-1])
+    blo, bhi = box[d]
+    lead_min = 0.0 if blo <= 0.0 <= bhi else min(abs(blo), abs(bhi))
+    if lead_min < tol.degree_eps * cmax:
+        return Verdict(
+            Status.DEGENERATE,
+            margin=None,
+            reason="leading-coefficient interval reaches zero (degree drop)",
+        ), None
+    if d == 0:
+        return Verdict(
+            Status.ROBUSTLY_STABLE,
+            margin=math.inf,
+            reason="constant nonzero determinant",
+        ), None
+
+    if corners is None:
+        corners = _assembled_corners(pd, region)
+    if pd.k == 0:
+        return corners[0], None
+
+    for v, (lam, verdict) in enumerate(zip(corner_lambdas(pd.k), corners)):
+        if verdict.status is Status.DEGENERATE:
+            return verdict, None
+        if verdict.status is not Status.UNSTABLE:
+            continue
+        root = verdict.witness.root
+        if v == 0 or verdict.margin < -tol.zero_margin * (1.0 + abs(root)):
+            return Verdict(
+                Status.UNSTABLE,
+                margin=verdict.margin,
+                witness=Witness(lam=tuple(float(x) for x in lam), root=root),
+                reason="anchor member is unstable" if v == 0 else "box corner member is unstable",
+            ), None
+    return None, box
+
+
 def box_stable(
     pd: ParametricDeterminant,
     region: Region,
@@ -486,8 +622,9 @@ def box_stable(
     corners are root-tested directly; instability there is exact, and a
     corner member that overflowed makes the box Degenerate.  Corner 0 is the
     anchor member (lambda = 0) and fails on any root on or outside the
-    boundary; the other corners must be clearly outside.  The remaining obstruction is a boundary root strictly inside
-    the box, ruled out by the certified zero-exclusion sweep.
+    boundary; the other corners must be clearly outside.  The remaining
+    obstruction is a boundary root strictly inside the box, ruled out by the
+    certified zero-exclusion sweep, run here as a batch of one.
 
     ``corners[v]`` is the ``point_stable`` verdict of the member at box
     vertex v (slot l at bit l of v).  The family drivers pass
@@ -497,55 +634,10 @@ def box_stable(
     from ``pd`` and measured here in one ``member_margins`` call.
     """
     tol = tol or Tolerances()
-    if not pd.rows.any():
-        return Verdict(Status.DEGENERATE, reason="determinant is identically zero")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        box = coefficient_box(pd)
-    if not np.isfinite(box).all():
-        return Verdict(
-            Status.DEGENERATE,
-            reason="determinant coefficients overflow float64, so the degree and roots are not resolved",
-        )
-    mags = np.max(np.abs(box), axis=1)
-    cmax = float(np.max(mags))
-    nz = np.nonzero(mags > 0.0)[0]
-    d = int(nz[-1])
-    blo, bhi = box[d]
-    lead_min = 0.0 if blo <= 0.0 <= bhi else min(abs(blo), abs(bhi))
-    if lead_min < tol.degree_eps * cmax:
-        return Verdict(
-            Status.DEGENERATE,
-            margin=None,
-            reason="leading-coefficient interval reaches zero (degree drop)",
-        )
-    if d == 0:
-        return Verdict(
-            Status.ROBUSTLY_STABLE,
-            margin=math.inf,
-            reason="constant nonzero determinant",
-        )
-
-    if corners is None:
-        corners = _assembled_corners(pd, region)
-    if pd.k == 0:
-        return corners[0]
-
-    for v, (lam, verdict) in enumerate(zip(corner_lambdas(pd.k), corners)):
-        if verdict.status is Status.DEGENERATE:
-            return verdict
-        if verdict.status is not Status.UNSTABLE:
-            continue
-        root = verdict.witness.root
-        if v == 0 or verdict.margin < -tol.zero_margin * (1.0 + abs(root)):
-            return Verdict(
-                Status.UNSTABLE,
-                margin=verdict.margin,
-                witness=Witness(lam=tuple(float(x) for x in lam), root=root),
-                reason="anchor member is unstable" if v == 0 else "box corner member is unstable",
-            )
-
-    return _zero_exclusion_sweep(pd, region, box, tol)
+    verdict, box = _box_checks(pd, region, tol, corners)
+    if verdict is not None:
+        return verdict
+    return _zero_exclusion_sweep([pd], [box], region, tol)[0]
 
 
 def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = None) -> Verdict:
@@ -688,10 +780,19 @@ def _runs(configs):
 def _check_chunk(
     fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers
 ) -> list:
-    """Decide configurations [start, stop) in stream order, stopping at the first Unstable."""
+    """Decide configurations [start, stop) in stream order, stopping at the first Unstable.
+
+    Each run's configurations pass ``box_stable``'s checks before the sweep
+    in stream order, up to the first one that is Unstable there.  Those that
+    need a sweep are swept together, one batch per ``masks`` and
+    ``rows.shape``, in the order of each batch's first configuration; a
+    batch drops the configurations after an Unstable one already found.
+    """
     out = []
     for run in _runs(iter_configs(fam, start=start, stop=stop)):
         members.solve(run)
+        decided = []
+        batches: dict[tuple, list] = {}
         for cfg, pd in zip(run, det_parametric_run(run)):
             if _truncated_input(cfg):
                 v = Verdict(
@@ -700,10 +801,28 @@ def _check_chunk(
                     "truncation floor, so its degree is not resolved",
                 )
             else:
-                v = box_stable(pd, fam.region, tol, members.corners(cfg))
-            out.append((cfg.index, v))
-            if v.status is Status.UNSTABLE:
-                return out
+                v, box = _box_checks(pd, fam.region, tol, members.corners(cfg))
+                if v is None:
+                    batches.setdefault((pd.masks.tobytes(), pd.rows.shape), []).append((len(decided), pd, box))
+            decided.append([cfg.index, v])
+            if v is not None and v.status is Status.UNSTABLE:
+                break
+        end = len(decided)
+        for batch in batches.values():
+            batch = [item for item in batch if item[0] < end]
+            if not batch:
+                continue
+            verdicts = _zero_exclusion_sweep(
+                [pd for _, pd, _ in batch], [box for _, _, box in batch], fam.region, tol
+            )
+            for (pos, _, _), v in zip(batch, verdicts):
+                if pos < end:
+                    decided[pos][1] = v
+                    if v.status is Status.UNSTABLE:
+                        end = pos + 1
+        out.extend(tuple(item) for item in decided[:end])
+        if out and out[-1][1].status is Status.UNSTABLE:
+            return out
     return out
 
 

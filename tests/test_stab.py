@@ -26,7 +26,7 @@ from edgestab.det import (
     det_parametric_run,
     run_key,
 )
-from edgestab.edges import EdgeConfiguration, entry_edges, entry_vertices, iter_configs
+from edgestab.edges import EdgeConfiguration, count_configs, entry_edges, entry_vertices, iter_configs
 from edgestab.errors import (
     RegionNotHurwitzError,
     ValidationFailure,
@@ -1055,3 +1055,187 @@ def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
     assert [index for index, _ in chunk] == [0]
     assert chunk[0][1].status is Status.UNSTABLE
     assert sizes == [1]
+
+
+# ----------------------------------------------------------------------
+# the run-level sweep
+
+
+def lone_outcomes(fam, tol, stop=None):
+    """Each configuration decided by ``box_stable`` on its own, up to the first Unstable."""
+    members = VertexMembers(fam.region)
+    out = []
+    for cfg in iter_configs(fam, stop=stop):
+        v = box_stable(det_parametric(cfg), fam.region, tol, members.corners(cfg))
+        out.append((cfg.index, repr(v)))
+        if v.status is Status.UNSTABLE:
+            break
+    return out
+
+
+def chunk_outcomes(fam, tol, stop=None):
+    stop = count_configs(fam) if stop is None else stop
+    return [(index, repr(v)) for index, v in stab._check_chunk(fam, 0, stop, tol, VertexMembers(fam.region))]
+
+
+def split_shape_family():
+    # the top coefficient cancels exactly when cell (0, 1) is s + 3, so the
+    # runs of pattern (0, 1) mix rows of widths 2 and 3: two sweep batches
+    entries = [
+        [{"vertices": [[1.0, 1.0], [1.2, 1.0], [0.9, 1.0]]}, {"vertices": [[3.0, 1.0], [3.0, 2.0]]}],
+        [{"vertices": [[1.0, 1.0]]}, {"vertices": [[1.0, 1.0], [1.1, 1.0]]}],
+    ]
+    return parse_family_dict({"n": 2, "region": {"type": "hurwitz"}, "mode": "polytope", "entries": entries})
+
+
+def mid_run_unstable_family():
+    # vertex_insufficiency with a second vertex in cell (1, 1), so its
+    # boxes have k = 2, and four quartics in cell (0, 0): the edge between
+    # the fixture's quartics is configuration 4, inside the run [3, 4, 5],
+    # and its corner hulls capture the origin near the crossing
+    doc = json.loads((FIXTURES / "vertex_insufficiency.json").read_text())
+    c0, c1 = doc["entries"][0][0]["vertices"]
+    p = [15.0, 38.5, 35.5, 14.0, 2.0]  # 2 (s + 1)(s + 1.5)(s + 2)(s + 2.5)
+    q = [6.0, 21.5, 23.0, 8.5, 1.0]  # (s + 0.5)(s + 1)(s + 3)(s + 4)
+    doc["entries"][0][0]["vertices"] = [p, c0, q, c1]
+    doc["entries"][1][1]["vertices"].append([2.4, 1.2])
+    return parse_family_dict(doc)
+
+
+def seeded_family(seed):
+    # n = 1, 2, 3 (boxes of k up to 3), two vertices per cell around a
+    # stable skeleton, perturbed more with the seed; three regions
+    rng = np.random.default_rng(31_000 + seed)
+    n = 1 + seed % 3
+    bump = (0.05, 0.3, 0.8)[seed // 3]
+    region = (HurwitzHalfPlane(), ShiftedHalfPlane(-0.05), Disk(-1.0 + 0.0j, 1.2))[(seed + seed // 3) % 3]
+
+    def entry(diagonal):
+        if diagonal:
+            a, b = rng.uniform(0.5, 1.8, 2)
+            base = np.array([a * b, a + b, 1.0])
+        else:
+            base = np.array([rng.uniform(-0.3, 0.3)])
+        return PolytopeEntry(tuple(Polynomial(base + rng.uniform(-bump, bump, base.size)) for _ in range(2)))
+
+    return MatrixFamily([[entry(r == c) for c in range(n)] for r in range(n)], region)
+
+
+SWEEP_FAMILIES = {
+    "demo3x3": lambda: fixture_family("demo3x3"),
+    "vertex_insufficiency": lambda: fixture_family("vertex_insufficiency"),
+    "degree_drop": lambda: fixture_family("degree_drop"),
+    "cancellation": lambda: fixture_family("cancellation"),
+    "overflow": lambda: fixture_family("overflow"),
+    "delta_overflow": lambda: fixture_family("delta_overflow"),
+    "interval": interval_family,
+    "split_shape": split_shape_family,
+    "mid_run_unstable": mid_run_unstable_family,
+    **{f"seeded{seed}": (lambda seed=seed: seeded_family(seed)) for seed in range(9)},
+}
+
+
+@pytest.mark.parametrize("grid", [128, 512])
+@pytest.mark.parametrize("name", list(SWEEP_FAMILIES))
+def test_batched_sweep_equals_lone_box_stable(name, grid):
+    # which configurations share a sweep batch must not change any verdict:
+    # every outcome of a chunk is bitwise box_stable's on that configuration
+    # alone, and nothing after the first Unstable is reported
+    fam = SWEEP_FAMILIES[name]()
+    tol = Tolerances(boundary_grid=grid)
+    stop = min(count_configs(fam), 96)
+    assert chunk_outcomes(fam, tol, stop) == lone_outcomes(fam, tol, stop)
+
+
+def test_unstable_mid_run_ends_the_report(monkeypatch):
+    fam = mid_run_unstable_family()
+    assert [[cfg.index for cfg in run] for run in stab._runs(iter_configs(fam, stop=6))] == [[0], [1, 2], [3, 4, 5]]
+    captured = []
+    subdivide = stab._subdivide_at_theta
+    monkeypatch.setattr(stab, "_subdivide_at_theta", lambda *args: captured.append(1) or subdivide(*args))
+    outcomes = chunk_outcomes(fam, Tolerances())
+    assert [index for index, _ in outcomes] == [0, 1, 2, 3, 4]
+    assert "Status.UNSTABLE" in outcomes[-1][1] and captured
+    assert all("ROBUSTLY_STABLE" in text for _, text in outcomes[:-1])
+    # alone, configuration 5 (after the Unstable one in its run) is stable
+    members = VertexMembers(fam.region)
+    cfg5 = next(iter_configs(fam, start=5, stop=6))
+    assert box_stable(det_parametric(cfg5), fam.region, None, members.corners(cfg5)).is_stable
+
+
+def test_split_shape_runs_sweep_in_two_batches(monkeypatch):
+    fam = split_shape_family()
+    batches = []
+    sweep = stab._zero_exclusion_sweep
+
+    def recording_sweep(pds, boxes, region, tol):
+        batches.append([pd.rows.shape for pd in pds])
+        return sweep(pds, boxes, region, tol)
+
+    monkeypatch.setattr(stab, "_zero_exclusion_sweep", recording_sweep)
+    stab._check_chunk(fam, 0, 6, Tolerances(), VertexMembers(fam.region))
+    assert batches == [[(4, 2)], [(4, 3)], [(4, 2)], [(4, 3), (4, 3)], [(4, 2)]]
+
+
+def stiff_segment():
+    # (s + 1)**24 keeps the origin out, but the Lipschitz bound of its
+    # binomial coefficients is so loose near omega = 1 that certifying it
+    # needs more boundary samples than the refinement budget
+    return ParametricDeterminant.from_terms(1, {0: from_roots([-1.0] * 24), 1: Polynomial([0.01])})
+
+
+def geometric_segment(scale):
+    # degree 24 as well, with roots spread from -0.1 to -10: certified
+    p = from_roots(list(-np.geomspace(0.1, 10.0, 24) * scale))
+    return ParametricDeterminant.from_terms(1, {0: p, 1: Polynomial([0.01 * p.coeffs[0]])})
+
+
+@pytest.mark.parametrize("grid", [8, 128, 512])
+def test_refinement_budget_exhausted_in_a_batch(grid, monkeypatch):
+    # the budget is 64 samples per seed-grid point, never below 32,768; the
+    # exhausted configuration is Inconclusive and its batch-mates get the
+    # verdicts they get alone
+    region = HurwitzHalfPlane()
+    tol = Tolerances(boundary_grid=grid)
+    pds = [geometric_segment(1.0), stiff_segment(), geometric_segment(0.5)]
+    alone = [box_stable(pd, region, tol) for pd in pds]
+    assert [v.status for v in alone] == [Status.ROBUSTLY_STABLE, Status.INCONCLUSIVE, Status.ROBUSTLY_STABLE]
+    assert alone[1].reason == "boundary refinement budget exhausted"
+    boxes = [det.coefficient_box(pd) for pd in pds]
+    assert [repr(v) for v in stab._zero_exclusion_sweep(pds, boxes, region, tol)] == [repr(v) for v in alone]
+
+    samples = []
+    margin = stab.hull.batch_origin_margin
+    monkeypatch.setattr(stab.hull, "batch_origin_margin", lambda v: samples.append(len(v)) or margin(v))
+    box_stable(stiff_segment(), region, tol)
+    assert 32_768 < sum(samples) <= 2 * 32_768
+
+
+def lone_theta_grid(region, lo, hi, count):
+    # one range's seed grid as the sweep built it before ranges were batched
+    if hi <= lo:
+        return np.array([lo])
+    if isinstance(region, Disk):
+        return np.linspace(lo, hi, count + 1)
+    half = count // 2
+    lin = np.linspace(lo, hi, half)
+    geo = np.geomspace(max(hi * 1e-6, 1e-12), hi, count - half)
+    return np.unique(np.concatenate([[lo], lin, geo]))
+
+
+@pytest.mark.parametrize("region", [HurwitzHalfPlane(), ShiftedHalfPlane(2.0), Disk(-1.0 + 0.5j, 1.5)])
+@pytest.mark.parametrize("count", [8, 9, 128, 512])
+def test_theta_grids_equal_lone_grids(region, count):
+    # the one-pass seed grids are bitwise each range's own grid, empty
+    # ranges (a shifted half plane right of every root bound) included
+    rng = np.random.default_rng(count)
+    if isinstance(region, Disk):
+        spans = [(0.0, 2.0 * math.pi)] * 3
+    else:
+        spans = [(0.0, float(h)) for h in np.exp(rng.uniform(-30.0, 30.0, 40))]
+        spans[3:3] = [(0.0, 0.0), (0.0, 1e-300), (0.0, 1.0)]
+    thetas, owner = stab._theta_grids(region, spans, count)
+    assert owner.tolist() == sorted(owner.tolist())
+    for c, (lo, hi) in enumerate(spans):
+        want = lone_theta_grid(region, lo, hi, count)
+        assert thetas[owner == c].tobytes() == want.tobytes(), (c, hi)
