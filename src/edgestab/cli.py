@@ -399,6 +399,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.list is not None and args.list < 0:
+        raise SchemaError(f"--list must be nonnegative, got {args.list}")
     region = _region_from_flag(args.region) if args.region else None
     fam = parse_family(args.family, region)
     total = count_configs(fam)
@@ -468,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--box-depth", dest="box_depth", type=int, help="parameter-box subdivision depth")
     pa.add_argument("--zero-margin", dest="zero_margin", type=float, help="inconclusive band")
     pa.add_argument("--degree-eps", dest="degree_eps", type=float, help="degree-drop threshold")
-    pa.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    pa.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)")
     pa.add_argument(
         "--timing",
         action="store_true",

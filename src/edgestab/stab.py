@@ -8,17 +8,19 @@ The decision layers build on each other:
   its boundary value sets, with certified interval refinement; its sweep,
   ``_zero_exclusion_sweep``, is a batch of one.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
-* ``analyze_family`` / ``analyze_interval`` stream the edge configurations
-  of a family in runs and aggregate.  ``VertexMembers`` gives each
-  configuration its corner verdicts: it solves the new all-vertex members
-  of each run in batches (one determinant and one margin call per
-  cell-length signature) and memoises each verdict by member key.  Each
-  configuration passes ``box_stable``'s checks before the sweep, in stream
-  order; the configurations of a run that need a sweep are swept together,
-  one batch per mask set and row shape, and each gets bitwise the verdict
-  ``box_stable`` gives it alone.  With ``jobs > 1`` the parent decides
-  configuration 0 itself, as the serial path's first run, and starts worker
-  processes for fixed chunks of the rest only when it is not Unstable.
+* ``analyze_family`` / ``analyze_interval`` decide the edge configurations
+  of a family in one chunk plan, whatever the worker count: the parent
+  decides ``[0, 1)`` and stops if it is Unstable; the chunks ``[1, 64)``,
+  ``[64, 128)``, ... follow, in-process or on worker processes, up to the
+  first chunk that ends Unstable.  A run is a maximal stretch of a chunk
+  that shares ``run_key``.  ``VertexMembers`` gives each configuration its
+  corner verdicts: it solves the new all-vertex members of each run in
+  batches (one determinant and one margin call per cell-length signature)
+  and memoises each verdict by member key.  Each configuration passes
+  ``box_stable``'s checks before the sweep, in stream order; the
+  configurations of a run that need a sweep are swept together, one batch
+  per mask set and row shape, and each gets bitwise the verdict
+  ``box_stable`` gives it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -27,9 +29,11 @@ Inconclusive beats RobustlyStable.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -627,11 +631,12 @@ def box_stable(
     certified zero-exclusion sweep, run here as a batch of one.
 
     ``corners[v]`` is the ``point_stable`` verdict of the member at box
-    vertex v (slot l at bit l of v).  The family drivers pass
-    ``VertexMembers.corners(cfg)``: every corner of a configuration is an
-    all-vertex matrix, solved once per family from its own cells, in the
-    batch of its run.  Without ``corners`` the corner members are assembled
-    from ``pd`` and measured here in one ``member_margins`` call.
+    vertex v (slot l at bit l of v).  The family drivers pass the
+    configuration's list from ``VertexMembers.solve(run)``: every corner of
+    a configuration is an all-vertex matrix, solved once per family from its
+    own cells, in the batch of its run.  Without ``corners`` the corner
+    members are assembled from ``pd`` and measured here in one
+    ``member_margins`` call.
     """
     tol = tol or Tolerances()
     verdict, box = _box_checks(pd, region, tol, corners)
@@ -722,11 +727,12 @@ class VertexMembers:
         self.region = region
         self._verdicts: dict[tuple, Verdict] = {}
 
-    def solve(self, cfgs) -> None:
-        """Solve, in batches, the corner members of ``cfgs`` that the memo has not seen."""
+    def solve(self, cfgs) -> list[list[Verdict]]:
+        """The corner verdicts of each of ``cfgs``, solving in batches what the memo lacks."""
+        keys = [_corner_keys(cfg) for cfg in cfgs]
         groups: dict[tuple, dict[tuple, list[Polynomial]]] = {}
-        for cfg in cfgs:
-            for v, key in enumerate(_corner_keys(cfg)):
+        for cfg, cfg_keys in zip(cfgs, keys):
+            for v, key in enumerate(cfg_keys):
                 if key not in self._verdicts:
                     cells = _corner_cells(cfg, v)
                     sig = tuple(cell.coeffs.size for cell in cells)
@@ -738,13 +744,11 @@ class VertexMembers:
             margins, roots = member_margins(self.region, _laplace(grid))
             for key, margin, root in zip(group, margins, roots):
                 self._verdicts[key] = _member_verdict(margin, root)
+        return [[self._verdicts[key] for key in cfg_keys] for cfg_keys in keys]
 
     def corners(self, cfg: EdgeConfiguration) -> list[Verdict]:
-        """``box_stable``'s ``corners`` for one configuration, solving what the memo lacks."""
-        keys = _corner_keys(cfg)
-        if any(key not in self._verdicts for key in keys):
-            self.solve([cfg])
-        return [self._verdicts[key] for key in keys]
+        """``box_stable``'s ``corners`` for one configuration."""
+        return self.solve([cfg])[0]
 
 
 def _truncated_input(cfg: EdgeConfiguration) -> bool:
@@ -754,46 +758,24 @@ def _truncated_input(cfg: EdgeConfiguration) -> bool:
     )
 
 
-# Runs grow 1, 2, 4, ... up to this size, so a chunk that stops Unstable early
-# builds few determinants it never decides.
-_MAX_RUN = 64
-
-
-def _runs(configs):
-    """Consecutive configurations sharing ``run_key``, in runs of growing size."""
-    size = 1
-    run, key = [], None
-    for cfg in configs:
-        cfg_key = run_key(cfg)
-        if run and cfg_key != key:
-            yield run
-            run, size = [], min(2 * size, _MAX_RUN)
-        run.append(cfg)
-        key = cfg_key
-        if len(run) == size:
-            yield run
-            run, size = [], min(2 * size, _MAX_RUN)
-    if run:
-        yield run
-
-
 def _check_chunk(
     fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers
 ) -> list:
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable.
 
-    Each run's configurations pass ``box_stable``'s checks before the sweep
-    in stream order, up to the first one that is Unstable there.  Those that
-    need a sweep are swept together, one batch per ``masks`` and
-    ``rows.shape``, in the order of each batch's first configuration; a
-    batch drops the configurations after an Unstable one already found.
+    A run is a maximal stretch of the chunk that shares ``run_key``.  Its
+    configurations pass ``box_stable``'s checks before the sweep in stream
+    order, up to the first one that is Unstable there.  Those that need a
+    sweep are swept together, one batch per ``masks`` and ``rows.shape``, in
+    the order of each batch's first configuration; a batch drops the
+    configurations after an Unstable one already found.
     """
     out = []
-    for run in _runs(iter_configs(fam, start=start, stop=stop)):
-        members.solve(run)
+    for _, group in itertools.groupby(iter_configs(fam, start=start, stop=stop), key=run_key):
+        run = list(group)
         decided = []
         batches: dict[tuple, list] = {}
-        for cfg, pd in zip(run, det_parametric_run(run)):
+        for cfg, pd, corners in zip(run, det_parametric_run(run), members.solve(run)):
             if _truncated_input(cfg):
                 v = Verdict(
                     Status.DEGENERATE,
@@ -801,7 +783,7 @@ def _check_chunk(
                     "truncation floor, so its degree is not resolved",
                 )
             else:
-                v, box = _box_checks(pd, fam.region, tol, members.corners(cfg))
+                v, box = _box_checks(pd, fam.region, tol, corners)
                 if v is None:
                     batches.setdefault((pd.masks.tobytes(), pd.rows.shape), []).append((len(decided), pd, box))
             decided.append([cfg.index, v])
@@ -870,37 +852,39 @@ def _aggregate(results, total: int):
 
 
 def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
+    # one chunk plan for every worker count, so the report cannot depend on
+    # it: [0, 1), then [1, 64), [64, 128), ..., ending at total
     total = count_configs(fam)
-    starts = range(0, total, _CHUNK)
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
-    if workers <= 1:
-        return _aggregate(_check_chunk(fam, 0, total, tol, VertexMembers(fam.region)), total)
-
-    # the parent decides configuration 0 alone, as the serial path's first run
-    # does, and starts workers only when it is not Unstable
-    results = _check_chunk(fam, 0, 1, tol, VertexMembers(fam.region))
+    bounds = sorted({0, 1, total, *range(_CHUNK, total, _CHUNK)})
+    chunks = list(zip(bounds[1:-1], bounds[2:]))
+    members = VertexMembers(fam.region)
+    # the parent decides configuration 0 alone and goes on only when it is not Unstable
+    results = _check_chunk(fam, 0, 1, tol, members)
     if results[-1][1].status is Status.UNSTABLE:
         return _aggregate(results, total)
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    with ExitStack() as stack:
+        if workers <= 1:
+            decided = (_check_chunk(fam, a, b, tol, members) for a, b in chunks)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-    # fixed-size chunks in stream order: the report cannot depend on the worker count
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_pool_worker, initargs=(fam.region,)
-    ) as pool:
-        futures = [
-            pool.submit(_check_pool_chunk, fam, max(s, 1), min(s + _CHUNK, total), tol) for s in starts
-        ]
-        for future in futures:
-            chunk = future.result()
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_start_pool_worker, initargs=(fam.region,))
+            )
+            stack.callback(pool.shutdown, cancel_futures=True)
+            futures = [pool.submit(_check_pool_chunk, fam, a, b, tol) for a, b in chunks]
+            decided = (future.result() for future in futures)
+        for chunk in decided:
             results.extend(chunk)
-            if chunk and chunk[-1][1].status is Status.UNSTABLE:
-                pool.shutdown(cancel_futures=True)
+            if chunk[-1][1].status is Status.UNSTABLE:
                 break
     return _aggregate(results, total)
 
 
-def _precheck(fam: MatrixFamily, expected_mode: str):
+def _precheck(fam: MatrixFamily, expected_mode: str, jobs):
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValidationFailure(f"jobs must be a positive integer, got {jobs!r}")
     if fam.n > MAX_DRIVER_SIZE:
         raise ValidationFailure(f"driver supports n <= {MAX_DRIVER_SIZE}, got n = {fam.n}")
     if fam.mode != expected_mode:
@@ -915,7 +899,7 @@ def analyze_family_detailed(
 ) -> tuple[Verdict, list[ConfigOutcome]]:
     """Decide a polytope family and keep the per-configuration record."""
     tol = tol or Tolerances()
-    _precheck(fam, "polytope")
+    _precheck(fam, "polytope", jobs)
     return _run_configs(fam, tol, jobs)
 
 
@@ -934,7 +918,7 @@ def analyze_interval_detailed(
             "interval analysis is only valid for the open left half plane; "
             "rewrite the entries as explicit vertex polytopes for other regions"
         )
-    _precheck(fam, "interval")
+    _precheck(fam, "interval", jobs)
     return _run_configs(fam, tol, jobs)
 
 

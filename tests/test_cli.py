@@ -158,6 +158,14 @@ def test_mixed_length_reports_identical_across_jobs(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_analyze_rejects_jobs_below_one(capsys, jobs):
+    assert run(["analyze", DEMO, "--jobs", jobs]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "jobs must be a positive integer" in captured.err
+
+
 def test_unstable_reports_identical_across_jobs(tmp_path):
     r1 = tmp_path / "r1.json"
     r3 = tmp_path / "r3.json"
@@ -189,6 +197,13 @@ def test_enumerate_list_limit(capsys):
     first = rep["configs"][0]
     assert first["index"] == 0
     assert first["sigma"] == [1, 2, 3]
+
+
+def test_enumerate_rejects_negative_list(capsys):
+    assert run(["enumerate", DEMO, "--list", "-3"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--list must be nonnegative" in captured.err
 
 
 # ----------------------------------------------------------------------

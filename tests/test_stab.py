@@ -595,6 +595,92 @@ def test_pool_finds_unstable_in_a_later_chunk(monkeypatch):
     assert o1 == o2
 
 
+def unstable_edge_family():
+    # 136 configurations, one per edge of 17 stable cubics; only the edge
+    # between vertices 10 and 11 is Unstable, at configuration 115 in the
+    # chunk [64, 128), and the chunk [128, 136) follows it
+    vertices = [[1.0 + 0.1 * i, 1.0, 10.0, 1.0] for i in range(15)]
+    vertices[10:10] = [[0.01, 0.2, 0.2, 1.0], [90.0, 10.0, 10.0, 1.0]]
+    return MatrixFamily([[cell(*vertices)]], HurwitzHalfPlane())
+
+
+def recorded_chunks(monkeypatch):
+    """Record the bounds of every ``_check_chunk`` call from now on."""
+    bounds = []
+    check_chunk = stab._check_chunk
+
+    def recording_chunk(fam, start, stop, tol, members):
+        bounds.append((start, stop))
+        return check_chunk(fam, start, stop, tol, members)
+
+    monkeypatch.setattr(stab, "_check_chunk", recording_chunk)
+    return bounds
+
+
+class InlineExecutor:
+    """Stands in for ``ProcessPoolExecutor``: runs each submitted chunk in this process."""
+
+    def __init__(self, submitted, max_workers, initializer, initargs):
+        self.submitted = submitted
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def submit(self, fn, fam, start, stop, tol):
+        import concurrent.futures
+
+        self.submitted.append((start, stop))
+        future = concurrent.futures.Future()
+        future.set_result(fn(fam, start, stop, tol))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_serial_and_pool_decide_the_same_chunks(monkeypatch):
+    import concurrent.futures
+
+    fam = fixture_family("demo3x3")
+    plan = [(0, 1), (1, 64)] + [(s, s + 64) for s in range(64, 384, 64)]
+    calls = recorded_chunks(monkeypatch)
+    serial = analyze_family_detailed(fam, jobs=1)
+    assert calls == plan
+
+    calls.clear()
+    submitted = []
+    monkeypatch.setattr(stab, "_pool_members", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda **kwargs: InlineExecutor(submitted, **kwargs)
+    )
+    assert analyze_family_detailed(fam, jobs=2) == serial
+    assert [(0, 1)] + submitted == plan
+    assert calls == plan
+
+
+def test_serial_stops_at_the_chunk_with_the_first_unstable(monkeypatch):
+    fam = unstable_edge_family()
+    calls = recorded_chunks(monkeypatch)
+    v, outcomes = analyze_family_detailed(fam, jobs=1)
+    assert v.status is Status.UNSTABLE
+    assert v.witness.config_index == 115
+    assert [o.index for o in outcomes] == list(range(116))
+    assert calls == [(0, 1), (1, 64), (64, 128)]
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, True])
+def test_jobs_must_be_a_positive_integer(jobs):
+    with pytest.raises(ValidationFailure):
+        analyze_family(fixture_family("demo3x3"), jobs=jobs)
+    with pytest.raises(ValidationFailure):
+        analyze_interval(interval_family(), jobs=jobs)
+
+
 def test_unstable_first_configuration_starts_no_pool(monkeypatch):
     import concurrent.futures
 
@@ -780,6 +866,15 @@ def test_member_key_needs_vertex_indices():
         VertexMembers(HurwitzHalfPlane()).corners(cfg)
 
 
+def plan_runs(fam):
+    """The drivers' runs: maximal ``run_key`` stretches of [0, 1), [1, 64), [64, 128), ..."""
+    total = count_configs(fam)
+    bounds = sorted({0, 1, total, *range(64, total, 64)})
+    for start, stop in zip(bounds, bounds[1:]):
+        for _, group in itertools.groupby(iter_configs(fam, start=start, stop=stop), key=run_key):
+            yield list(group)
+
+
 def mixed_length_family():
     # off-diagonal vertices of lengths 1 and 2: the corners of one
     # configuration differ in cell lengths, so a run spans several signatures
@@ -833,12 +928,13 @@ def test_batched_members_equal_point_verdicts(make):
     fam = make()
     members = VertexMembers(fam.region)
     signatures = 0
-    for run in stab._runs(iter_configs(fam)):
-        members.solve(run)
+    for run in plan_runs(fam):
+        batch = members.solve(run)
         solved = len(members._verdicts)
         sigs = set()
-        for cfg in run:
+        for cfg, solved_corner in zip(run, batch, strict=True):
             corner = members.corners(cfg)
+            assert all(a is b for a, b in zip(corner, solved_corner, strict=True)), cfg.index
             assert len(corner) == 1 << cfg.k
             for v in range(1 << cfg.k):
                 grid = [list(row) for row in cfg.base]
@@ -1025,8 +1121,14 @@ def test_run_rejects_mixed_structure():
 
 
 def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
-    # runs grow 1, 2, 4, ...: a chunk that is Unstable at its first
-    # configuration pays for exactly one parametric determinant
+    # the parent decides the chunk [0, 1) alone, so a family that is
+    # Unstable at configuration 0 pays for exactly one parametric determinant
+    # at any worker count
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started after an Unstable configuration 0")
+
     fam = MatrixFamily(
         [
             [cell([-1.0, 1.0], [1.0, 1.0]), cell([0.1], [0.2]), cell([0.1], [0.2])],
@@ -1047,13 +1149,11 @@ def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
     assert v.status is Status.UNSTABLE and v.witness.config_index == 0
     assert sizes == [1] and len(outcomes) == 1
 
-    # the pool path: one worker's chunk, run in this process
+    # the pool path: the parent's chunk [0, 1) is the only one decided
     sizes.clear()
-    monkeypatch.setattr(stab, "_pool_members", None)
-    stab._start_pool_worker(fam.region)
-    chunk = stab._check_pool_chunk(fam, 0, stab._CHUNK, Tolerances())
-    assert [index for index, _ in chunk] == [0]
-    assert chunk[0][1].status is Status.UNSTABLE
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert analyze_family_detailed(fam, jobs=2) == (v, outcomes)
     assert sizes == [1]
 
 
@@ -1091,7 +1191,7 @@ def split_shape_family():
 def mid_run_unstable_family():
     # vertex_insufficiency with a second vertex in cell (1, 1), so its
     # boxes have k = 2, and four quartics in cell (0, 0): the edge between
-    # the fixture's quartics is configuration 4, inside the run [3, 4, 5],
+    # the fixture's quartics is configuration 4, inside the run [1, ..., 5],
     # and its corner hulls capture the origin near the crossing
     doc = json.loads((FIXTURES / "vertex_insufficiency.json").read_text())
     c0, c1 = doc["entries"][0][0]["vertices"]
@@ -1149,7 +1249,8 @@ def test_batched_sweep_equals_lone_box_stable(name, grid):
 
 def test_unstable_mid_run_ends_the_report(monkeypatch):
     fam = mid_run_unstable_family()
-    assert [[cfg.index for cfg in run] for run in stab._runs(iter_configs(fam, stop=6))] == [[0], [1, 2], [3, 4, 5]]
+    runs = [[cfg.index for cfg in run] for run in plan_runs(fam)]
+    assert runs == [[0], [1, 2, 3, 4, 5], list(range(6, 14))]
     captured = []
     subdivide = stab._subdivide_at_theta
     monkeypatch.setattr(stab, "_subdivide_at_theta", lambda *args: captured.append(1) or subdivide(*args))
@@ -1157,6 +1258,9 @@ def test_unstable_mid_run_ends_the_report(monkeypatch):
     assert [index for index, _ in outcomes] == [0, 1, 2, 3, 4]
     assert "Status.UNSTABLE" in outcomes[-1][1] and captured
     assert all("ROBUSTLY_STABLE" in text for _, text in outcomes[:-1])
+    assert [(o.index, o.status) for o in analyze_family_detailed(fam)[1]] == [
+        (index, Status.UNSTABLE if index == 4 else Status.ROBUSTLY_STABLE) for index in range(5)
+    ]
     # alone, configuration 5 (after the Unstable one in its run) is stable
     members = VertexMembers(fam.region)
     cfg5 = next(iter_configs(fam, start=5, stop=6))
@@ -1164,6 +1268,7 @@ def test_unstable_mid_run_ends_the_report(monkeypatch):
 
 
 def test_split_shape_runs_sweep_in_two_batches(monkeypatch):
+    # configurations 0 to 5 are one run with rows of widths 2 and 3
     fam = split_shape_family()
     batches = []
     sweep = stab._zero_exclusion_sweep
@@ -1174,7 +1279,7 @@ def test_split_shape_runs_sweep_in_two_batches(monkeypatch):
 
     monkeypatch.setattr(stab, "_zero_exclusion_sweep", recording_sweep)
     stab._check_chunk(fam, 0, 6, Tolerances(), VertexMembers(fam.region))
-    assert batches == [[(4, 2)], [(4, 3)], [(4, 2)], [(4, 3), (4, 3)], [(4, 2)]]
+    assert batches == [[(4, 2)] * 3, [(4, 3)] * 3]
 
 
 def stiff_segment():
