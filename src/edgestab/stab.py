@@ -16,11 +16,13 @@ The decision layers build on each other:
   that shares ``run_key``.  ``VertexMembers`` gives each configuration its
   corner verdicts: it solves the new all-vertex members of each run in
   batches (one determinant and one margin call per cell-length signature)
-  and memoises each verdict by member key.  Each configuration passes
-  ``box_stable``'s checks before the sweep, in stream order; the
-  configurations of a run that need a sweep are swept together, one batch
-  per mask set and row shape, and each gets bitwise the verdict
-  ``box_stable`` gives it alone.
+  and memoises each verdict by member key.  It also holds the box memo: a
+  configuration with k < n whose box (lambda cells and vertex choices)
+  recurred under an earlier pattern reuses that box's verdict and builds
+  nothing.  Every other configuration passes ``box_stable``'s checks
+  before the sweep, in stream order; the configurations of a run that need
+  a sweep are swept together, one batch per mask set and row shape, and
+  each gets bitwise the verdict ``box_stable`` gives it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -711,25 +713,33 @@ class VertexMembers:
     family's stream an index names one polynomial of its cell, so the key
     names the member; it never names a configuration.
 
-    ``solve(run)`` measures the members of a run of configurations that the
-    memo has not seen.  It groups them by the coefficient length of every
-    cell and makes one ``_laplace`` call and one ``member_margins`` call per
-    group.  Groups are never zero-padded, which would reorder the sums of
-    the determinant, so each member's coefficients, margin and verdict are
-    bitwise ``point_stable(det_matrix(grid))``'s and do not depend on the
-    batch, the configuration or the worker that reaches the member first.
-    A zero member gets ``member_margins``' -inf margin instead of raising;
+    ``solve(cfgs, keys)`` measures the members of a run of configurations
+    that the memo has not seen, given each configuration's ``_corner_keys``.
+    It groups them by the coefficient length of every cell and makes one
+    ``_laplace`` call and one ``member_margins`` call per group.  Groups are
+    never zero-padded, which would reorder the sums of the determinant, so
+    each member's coefficients, margin and verdict are bitwise
+    ``point_stable(det_matrix(grid))``'s and do not depend on the batch, the
+    configuration or the worker that reaches the member first.  A zero
+    member gets ``member_margins``' -inf margin instead of raising;
     ``box_stable`` calls such a configuration Degenerate before it reads a
     corner.
+
+    ``_boxes`` is the analysis's box memo, which ``_check_chunk`` fills and
+    reads: the verdict of a configuration with k < n, keyed by its first and
+    last corner keys.
     """
 
     def __init__(self, region: Region):
         self.region = region
         self._verdicts: dict[tuple, Verdict] = {}
+        self._boxes: dict[tuple, Verdict] = {}
 
-    def solve(self, cfgs) -> list[list[Verdict]]:
-        """The corner verdicts of each of ``cfgs``, solving in batches what the memo lacks."""
-        keys = [_corner_keys(cfg) for cfg in cfgs]
+    def solve(self, cfgs, keys) -> list[list[Verdict]]:
+        """The corner verdicts of each of ``cfgs``, whose ``_corner_keys`` are ``keys``.
+
+        What the memo lacks is solved in batches.
+        """
         groups: dict[tuple, dict[tuple, list[Polynomial]]] = {}
         for cfg, cfg_keys in zip(cfgs, keys):
             for v, key in enumerate(cfg_keys):
@@ -748,7 +758,7 @@ class VertexMembers:
 
     def corners(self, cfg: EdgeConfiguration) -> list[Verdict]:
         """``box_stable``'s ``corners`` for one configuration."""
-        return self.solve([cfg])[0]
+        return self.solve([cfg], [_corner_keys(cfg)])[0]
 
 
 def _truncated_input(cfg: EdgeConfiguration) -> bool:
@@ -763,19 +773,35 @@ def _check_chunk(
 ) -> list:
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable.
 
-    A run is a maximal stretch of the chunk that shares ``run_key``.  Its
-    configurations pass ``box_stable``'s checks before the sweep in stream
-    order, up to the first one that is Unstable there.  Those that need a
-    sweep are swept together, one batch per ``masks`` and ``rows.shape``, in
-    the order of each batch's first configuration; a batch drops the
+    A run is a maximal stretch of the chunk that shares ``run_key``.  A
+    configuration with k < n first looks up its box in ``members._boxes``,
+    keyed by its first and last corner keys.  Those two corners differ
+    exactly at the lambda cells, in slot order, so the key names every cell
+    and slot of the box.  A fixed entry's pattern cell is a degenerate
+    segment equal to its one vertex, so the same box recurs under each
+    pattern that shares its lambda cells and vertex choices; with k = n the
+    lambda cells fix sigma, so such a box never recurs and is not stored.
+    The memo holds at most one verdict per distinct k < n box of the family.
+    A hit is bitwise the verdict the box gets again: the same cells give
+    the same ``_laplace`` inputs, the same corner members and the same
+    sweep, whose verdicts do not depend on batch-mates.  A configuration
+    with a truncated input is Degenerate at once and stays out of the memo,
+    since a degenerate segment's ``p1`` is not in its key.
+
+    The rest of a run, up to the first configuration already known to be
+    Unstable, gets its determinants and corners in one batch each and
+    passes ``box_stable``'s checks before the sweep in stream order, up to
+    the first one that is Unstable there.  Those that need a sweep are
+    swept together, one batch per ``masks`` and ``rows.shape``, in the
+    order of each batch's first configuration; a batch drops the
     configurations after an Unstable one already found.
     """
     out = []
     for _, group in itertools.groupby(iter_configs(fam, start=start, stop=stop), key=run_key):
         run = list(group)
+        keys = [_corner_keys(cfg) for cfg in run]
         decided = []
-        batches: dict[tuple, list] = {}
-        for cfg, pd, corners in zip(run, det_parametric_run(run), members.solve(run)):
+        for cfg, cfg_keys in zip(run, keys):
             if _truncated_input(cfg):
                 v = Verdict(
                     Status.DEGENERATE,
@@ -783,13 +809,24 @@ def _check_chunk(
                     "truncation floor, so its degree is not resolved",
                 )
             else:
-                v, box = _box_checks(pd, fam.region, tol, corners)
-                if v is None:
-                    batches.setdefault((pd.masks.tobytes(), pd.rows.shape), []).append((len(decided), pd, box))
+                v = members._boxes.get((cfg_keys[0], cfg_keys[-1])) if cfg.k < cfg.n else None
             decided.append([cfg.index, v])
             if v is not None and v.status is Status.UNSTABLE:
                 break
         end = len(decided)
+        todo = [pos for pos in range(end) if decided[pos][1] is None]
+        batches: dict[tuple, list] = {}
+        if todo:
+            cfgs = [run[pos] for pos in todo]
+            pds = det_parametric_run(cfgs)
+            for pos, pd, corners in zip(todo, pds, members.solve(cfgs, [keys[pos] for pos in todo])):
+                v, box = _box_checks(pd, fam.region, tol, corners)
+                if v is None:
+                    batches.setdefault((pd.masks.tobytes(), pd.rows.shape), []).append((pos, pd, box))
+                decided[pos][1] = v
+                if v is not None and v.status is Status.UNSTABLE:
+                    end = pos + 1
+                    break
         for batch in batches.values():
             batch = [item for item in batch if item[0] < end]
             if not batch:
@@ -802,6 +839,10 @@ def _check_chunk(
                     decided[pos][1] = v
                     if v.status is Status.UNSTABLE:
                         end = pos + 1
+        for pos in todo:
+            cfg = run[pos]
+            if pos < end and cfg.k < cfg.n:
+                members._boxes[keys[pos][0], keys[pos][-1]] = decided[pos][1]
         out.extend(tuple(item) for item in decided[:end])
         if out and out[-1][1].status is Status.UNSTABLE:
             return out

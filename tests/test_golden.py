@@ -1,6 +1,6 @@
 """Golden-report regression test.
 
-``tests/golden/`` holds reports of ``edgestab analyze`` (three family
+``tests/golden/`` holds reports of ``edgestab analyze`` (four family
 fixtures) and of the grid ``edgestab oracle``, generated without
 ``--timing``.  Regenerating them must give the same statuses, reasons,
 configuration indices and witness configurations, and the same numbers to
@@ -63,6 +63,7 @@ def _assert_matches(got, want, path="report"):
             "oracle_grid_vertex_insufficiency",
             ["oracle", "vertex_insufficiency.json", "--scheme", "grid", "--budget", "1000"],
         ),
+        ("analyze_diagonal3", ["analyze", "diagonal3.json"]),
     ],
 )
 def test_reports_match_golden(golden, argv, tmp_path):

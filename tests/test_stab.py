@@ -929,7 +929,7 @@ def test_batched_members_equal_point_verdicts(make):
     members = VertexMembers(fam.region)
     signatures = 0
     for run in plan_runs(fam):
-        batch = members.solve(run)
+        batch = members.solve(run, [stab._corner_keys(cfg) for cfg in run])
         solved = len(members._verdicts)
         sigs = set()
         for cfg, solved_corner in zip(run, batch, strict=True):
@@ -1221,6 +1221,42 @@ def seeded_family(seed):
     return MatrixFamily([[entry(r == c) for c in range(n)] for r in range(n)], region)
 
 
+REPEAT_SHAPES = [
+    (3, False, ShiftedHalfPlane(-0.05)),
+    (3, False, Disk(-1.0 + 0.0j, 1.2)),
+    (3, True, HurwitzHalfPlane()),
+    (4, False, ShiftedHalfPlane(-0.05)),
+    (4, False, Disk(-1.0 + 0.0j, 1.2)),
+    (4, True, HurwitzHalfPlane()),
+]
+
+
+def repeat_family(seed):
+    # boxes that recur under several patterns: two-vertex diagonal cells
+    # (and cell (0, 1) for the partial shape), every other cell fixed,
+    # around a stable skeleton; the n = 3 partial shape has no repeat
+    n, partial, region = REPEAT_SHAPES[seed]
+    rng = np.random.default_rng(37_000 + seed)
+    uncertain = {(i, i) for i in range(n)} | ({(0, 1)} if partial else set())
+
+    def entry(r, c):
+        if r == c:
+            a, b = rng.uniform(0.5, 1.8, 2)
+            base = np.array([a * b, a + b, 1.0])
+        else:
+            base = np.array([rng.uniform(-0.1, 0.1)])
+        m = 2 if (r, c) in uncertain else 1
+        return PolytopeEntry(tuple(Polynomial(base + rng.uniform(-0.1, 0.1, base.size)) for _ in range(m)))
+
+    return MatrixFamily([[entry(r, c) for c in range(n)] for r in range(n)], region)
+
+
+REPEAT_FAMILIES = {
+    "diagonal3": lambda: fixture_family("diagonal3"),
+    **{f"repeat{seed}": (lambda seed=seed: repeat_family(seed)) for seed in range(len(REPEAT_SHAPES))},
+}
+
+
 SWEEP_FAMILIES = {
     "demo3x3": lambda: fixture_family("demo3x3"),
     "vertex_insufficiency": lambda: fixture_family("vertex_insufficiency"),
@@ -1232,6 +1268,7 @@ SWEEP_FAMILIES = {
     "split_shape": split_shape_family,
     "mid_run_unstable": mid_run_unstable_family,
     **{f"seeded{seed}": (lambda seed=seed: seeded_family(seed)) for seed in range(9)},
+    **REPEAT_FAMILIES,
 }
 
 
@@ -1245,6 +1282,101 @@ def test_batched_sweep_equals_lone_box_stable(name, grid):
     tol = Tolerances(boundary_grid=grid)
     stop = min(count_configs(fam), 96)
     assert chunk_outcomes(fam, tol, stop) == lone_outcomes(fam, tol, stop)
+
+
+def box_key(cfg):
+    keys = stab._corner_keys(cfg)
+    return keys[0], keys[-1]
+
+
+@pytest.mark.parametrize("name", list(REPEAT_FAMILIES))
+def test_repeated_boxes_are_exercised(name):
+    # the sweep comparison above checks the box memo only where boxes
+    # recur: every repeat family but the n = 3 partial one has repeats among
+    # its first 96 configurations, and a repeat has k < n
+    fam = REPEAT_FAMILIES[name]()
+    seen, repeats = set(), 0
+    for cfg in iter_configs(fam, stop=96):
+        repeats += box_key(cfg) in seen
+        assert box_key(cfg) not in seen or cfg.k < cfg.n
+        seen.add(box_key(cfg))
+    assert (repeats > 0) == (name != "repeat2")
+
+
+def test_repeated_boxes_build_no_determinant(monkeypatch):
+    # diagonal3: 29 configurations and 21 distinct boxes; the 8 k = 0
+    # boxes of the 3-cycle at configurations 1-8 recur at 9-16 under the
+    # other 3-cycle, which reuse their verdicts and build nothing
+    fam = fixture_family("diagonal3")
+    sizes = []
+    run_of = stab.det_parametric_run
+
+    def recording_run(cfgs):
+        sizes.append(len(cfgs))
+        return run_of(cfgs)
+
+    monkeypatch.setattr(stab, "det_parametric_run", recording_run)
+    v, outcomes = analyze_family_detailed(fam)
+    assert v.is_stable and len(outcomes) == 29
+    assert sum(sizes) == 21
+    assert [(o.status, o.margin, o.reason) for o in outcomes[9:17]] == [
+        (o.status, o.margin, o.reason) for o in outcomes[1:9]
+    ]
+
+
+def test_truncated_segment_end_shares_no_box():
+    # cell (0, 0)'s vertex 1 equals vertex 0 once its -1e-13 is truncated,
+    # so the identity pattern's segment between them is degenerate and its
+    # box is keyed as vertex 0: configuration 0 (truncated p1) is Degenerate,
+    # and configuration 1 (vertex 0 off the pattern) is decided on its own
+    fam = MatrixFamily(
+        [
+            [cell([1.0, 2.0, 1.0], [1.0, 2.0, 1.0, -1e-13]), cell([0.1])],
+            [cell([0.1]), cell([2.0, 1.0])],
+        ],
+        HurwitzHalfPlane(),
+    )
+    cfg0, cfg1, cfg2 = iter_configs(fam)
+    assert box_key(cfg0) == box_key(cfg1) and cfg0.k == 0
+    outcomes = stab._check_chunk(fam, 0, 3, Tolerances(), VertexMembers(fam.region))
+    assert [v.status for _, v in outcomes] == [Status.DEGENERATE, Status.ROBUSTLY_STABLE, Status.DEGENERATE]
+    assert repr(outcomes[1][1]) == repr(box_stable(det_parametric(cfg1), fam.region))
+
+
+def recorded_members(monkeypatch):
+    """Record every ``VertexMembers`` the drivers make from now on."""
+    made = []
+
+    class Recording(VertexMembers):
+        def __init__(self, region):
+            super().__init__(region)
+            made.append(self)
+
+    monkeypatch.setattr(stab, "VertexMembers", Recording)
+    return made
+
+
+def test_box_memo_holds_only_boxes_with_free_columns(monkeypatch):
+    # every demo3x3 configuration has k = n, so its box never recurs and
+    # nothing is stored; diagonal3 stores its 20 distinct k < n boxes
+    made = recorded_members(monkeypatch)
+    assert analyze_family(fixture_family("demo3x3")).is_stable
+    (members,) = made
+    assert members._boxes == {} and len(members._verdicts) == 512
+    made.clear()
+    assert analyze_family(fixture_family("diagonal3")).is_stable
+    (members,) = made
+    assert len(members._boxes) == 20
+
+
+@pytest.mark.parametrize("name", ["diagonal3", "repeat3"])
+def test_repeated_boxes_same_outcomes_at_two_jobs(name, monkeypatch):
+    # repeat3 has 233 configurations, so two workers each keep their own
+    # box memo across their chunks
+    fam = REPEAT_FAMILIES[name]()
+    serial = analyze_family_detailed(fam, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert analyze_family_detailed(fam, jobs=2) == serial
 
 
 def test_unstable_mid_run_ends_the_report(monkeypatch):
