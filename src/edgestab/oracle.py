@@ -8,11 +8,18 @@ and parametric determinants: a batch of members is one call whose cells
 carry a leading batch axis.  Their margins come from
 ``region.member_margins``, the analyzer's member-margin rule, so a sampled
 member gets bitwise ``point_stable``'s margin; a single member is its batch
-of one.  Families whose vertex polynomials (polytope vertices or Kharitonov
-vertices of interval cells) lost coefficients at construction are refused,
-as the analyzer calls them Degenerate, and so are families with a sampled
-member whose determinant overflows float64.  Used to cross-validate the symbolic
-decision path and to hunt for explicit unstable members.
+of one.  Only the members that could still be the worst are root-solved:
+the first 64 of the first chunk, and then every member that
+``region.margins_exceed`` cannot clear above the running worst margin U plus
+a slack of 1e-6 (1 + |U|).  A cleared member's computed margin exceeds U, so
+it can never be the first member of least margin, and every report is
+bitwise the one that solving every member gives.  Disks clear nothing, so
+every disk member is solved.  Families whose vertex polynomials (polytope
+vertices or Kharitonov vertices of interval cells) lost coefficients at
+construction are refused, as the analyzer calls them Degenerate, and so are
+families with a sampled member whose determinant overflows float64.  Used to
+cross-validate the symbolic decision path and to hunt for explicit unstable
+members.
 """
 
 from __future__ import annotations
@@ -27,7 +34,13 @@ from .edges import config_at, entry_vertices
 from .errors import ValidationFailure
 from .family import IntervalEntry, MatrixFamily, PolytopeEntry
 from .poly import Polynomial
-from .region import member_margins
+from .region import margins_exceed, member_margins
+
+# Members solved exactly at the start of the first chunk, to set the first bar.
+_PREFIX = 64
+# Slack delta of the skip test, relative to 1 + |bar|: a cleared member's
+# computed margin exceeds bar + delta - (root-solver error) > bar.
+_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -193,6 +206,7 @@ def _member_from_weights(fam: MatrixFamily, weights) -> list[Polynomial]:
             if isinstance(e, PolytopeEntry):
                 row.append(e.member(w))
             else:
+                w = w[: e.length]  # weights past a shorter cell's length mix padding zeros
                 row.append(e.member(e.lower * (1.0 - w) + e.upper * w))
         grid.append(row)
     return grid
@@ -221,8 +235,10 @@ def sample_family(
     weights.  ``scheme="grid"`` walks a structured mixed-radix grid whose
     first level is every all-vertex member (vertex polynomials for polytope
     cells, bound patterns for interval cells), then interior mixes, stopping
-    at ``budget`` members.  The worst member is re-measured through the
-    exact single-member path before reporting.
+    at ``budget`` members.  Members are measured in chunks of 2048, and only
+    those ``margins_exceed`` cannot clear above the worst margin so far are
+    root-solved (see the module docstring).  The worst member is re-measured
+    through the exact single-member path before reporting.
     """
     if budget < 1:
         raise ValidationFailure("sampling budget must be positive")
@@ -244,14 +260,26 @@ def sample_family(
         det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
         if not np.isfinite(det).all():
             raise ValidationFailure("a sampled member's determinant overflows float64")
-        margins, roots = member_margins(fam.region, det)
+        margins = np.full(det.shape[0], math.inf)
+        roots = [None] * det.shape[0]
+
+        def measure(rows):
+            margins[rows], found = member_margins(fam.region, det[rows])
+            for r, root in zip(rows, found):
+                roots[r] = root
+
+        # the first chunk's bar is the exact worst of its prefix
+        head = min(_PREFIX, det.shape[0]) if total == 0 else 0
+        measure(np.arange(head))
+        bar = min(worst_margin, float(margins.min()))
+        rest = np.arange(head, det.shape[0])
+        measure(rest[~margins_exceed(fam.region, det[rest], bar + _SLACK * (1.0 + abs(bar)))])
         r = int(np.argmin(margins))
         if margins[r] < worst_margin:
             worst_margin = float(margins[r])
             worst_weights = _weights_as_tuples(weight_arrays, r)
             worst_root = roots[r]
         total += margins.size
-        return float(margins[r])
 
     if scheme == "grid":
         first = [len(l) for l in _grid_weight_lists(cells, level=1)]

@@ -8,6 +8,13 @@ boundary point moves per unit of the sweep parameter.
 takes stacks of determinant rows, solves them batched per degree, and
 measures every member the program measures, from ``point_stable`` and the
 analyzer's all-vertex members to witnesses and the sampling oracle's members.
+
+``margins_exceed`` is a filter in front of that rule, not a second margin
+rule: a guarded Routh-Hurwitz test that can only say "every root lies more
+than tau inside" (True) or "cannot tell" (False), and never solves a root.
+The sampling oracle root-solves only the members it cannot clear, because a
+cleared member cannot be its worst.  Disks clear nothing, so every disk
+member is solved.
 """
 
 from __future__ import annotations
@@ -157,6 +164,13 @@ def sweep_range(region: Region, pd) -> tuple[float, float]:
     return sweep_range_from_box(region, coefficient_box(pd))
 
 
+def _row_degrees(det_coeffs: np.ndarray) -> np.ndarray:
+    """Index of each row's last nonzero coefficient; -1 for a zero row."""
+    nonzero = det_coeffs != 0.0
+    last = det_coeffs.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), last, -1)
+
+
 def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, list]:
     """(margins, worst roots) of (B, L) ascending determinant rows, batched per degree.
 
@@ -170,10 +184,8 @@ def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, 
     overflowed float64, has no root set to measure: it gets a NaN margin and
     no root.
     """
-    L = det_coeffs.shape[1]
     finite = np.isfinite(det_coeffs).all(axis=1)
-    nonzero = det_coeffs != 0.0
-    degrees = np.where(nonzero.any(axis=1), L - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    degrees = _row_degrees(det_coeffs)
     degrees[~finite] = 0
     margins = np.where(finite, np.where(degrees < 0, -math.inf, math.inf), math.nan)
     roots_out = [0.0 + 0.0j if deg < 0 else None for deg in degrees]
@@ -186,3 +198,68 @@ def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, 
         for r, root in zip(rows, roots[worst]):
             roots_out[r] = complex(root)
     return margins, roots_out
+
+
+# Uncertainty seeded on every shifted coefficient, relative to the bound that
+# the same shift gives on the coefficients' magnitudes: it covers the shift's
+# own rounding and the root solver's backward error, with room to spare.
+FILTER_GUARD = 1e-9
+_UNIT = 2.0**-53
+
+
+def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.ndarray:
+    """Rows of (B, L) ascending determinant rows whose every root lies more than tau inside.
+
+    Conservative: True means a guarded Routh-Hurwitz test (Gantmacher, *The
+    Theory of Matrices*, vol. 2, ch. XV) shows it; False means only that it
+    could not.  For a half plane Re(z) < sigma a row p passes when the
+    Taylor-shifted row q(s) = p(s + sigma - tau) is Hurwitz with room to
+    spare: every coefficient of q has the leading coefficient's sign and
+    clears ``FILTER_GUARD`` times its magnitude bound, and every first-column
+    entry of q's Routh array is positive and clears a first-order bound on
+    the error it carries from those seeds and from its own rounding.  A
+    zero, constant or non-finite row, a row whose shift overflows, a
+    non-finite tau and every row of a disk region pass nothing.
+    """
+    out = np.zeros(det_coeffs.shape[0], dtype=bool)
+    shift = (region.sigma if isinstance(region, ShiftedHalfPlane) else 0.0) - tau
+    if isinstance(region, Disk) or not math.isfinite(shift):
+        return out
+    L = det_coeffs.shape[1]
+    k = np.arange(L)
+    power = np.subtract.outer(k, k)
+    with np.errstate(all="ignore"):
+        # q = p @ taylor, taylor[k, j] = C(k, j) shift**(k - j) for k >= j
+        binom = np.array([[math.comb(a, b) for b in range(L)] for a in range(L)], dtype=float)
+        taylor = np.where(power >= 0, binom * float(shift) ** np.maximum(power, 0), 0.0)
+        shifted = det_coeffs @ taylor
+        bound = np.abs(det_coeffs) @ np.abs(taylor)
+        finite = np.isfinite(shifted).all(axis=1) & np.isfinite(bound).all(axis=1)
+        degrees = _row_degrees(det_coeffs)
+        for d in np.unique(degrees[finite & (degrees > 0)]):
+            rows = np.nonzero(finite & (degrees == d))[0]
+            q = shifted[rows, : d + 1] * np.sign(shifted[rows, d : d + 1])
+            err = FILTER_GUARD * bound[rows, : d + 1]
+            ok = (q > err).all(axis=1)
+            # Routh rows [q_d, q_{d-2}, ...] and [q_{d-1}, q_{d-3}, ...] down axis 0,
+            # with zeros past their ends
+            top, top_err, low, low_err = np.zeros((4, d // 2 + 2, rows.size))
+            top[: d // 2 + 1], top_err[: d // 2 + 1] = q[:, d::-2].T, err[:, d::-2].T
+            low[: (d + 1) // 2], low_err[: (d + 1) // 2] = q[:, d - 1 :: -2].T, err[:, d - 1 :: -2].T
+            for _ in range(d):
+                ok &= low[0] > low_err[0]
+                ratio = top[0] / low[0]
+                size = np.abs(ratio)
+                ratio_err = size * (top_err[0] / top[0] + low_err[0] / low[0] + _UNIT)
+                scaled = ratio * low[1:]
+                nxt, nxt_err = np.zeros((2,) + top.shape)
+                nxt[:-1] = top[1:] - scaled
+                nxt_err[:-1] = (
+                    top_err[1:]
+                    + size * low_err[1:]
+                    + ratio_err * np.abs(low[1:])
+                    + _UNIT * (np.abs(top[1:]) + 2.0 * np.abs(scaled))
+                )
+                top, top_err, low, low_err = low, low_err, nxt, nxt_err
+            out[rows] = ok
+    return out

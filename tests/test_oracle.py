@@ -14,7 +14,10 @@ import pathlib
 import numpy as np
 import pytest
 
+import edgestab.oracle as oracle
+from edgestab.cli import parse_family_dict
 from edgestab.det import _laplace, det_matrix
+from edgestab.errors import SchemaError, ValidationFailure
 from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
 from edgestab.oracle import (
     _cell_coeff_arrays,
@@ -25,7 +28,7 @@ from edgestab.oracle import (
     sample_family,
 )
 from edgestab.poly import Polynomial
-from edgestab.region import Disk, HurwitzHalfPlane, member_margins
+from edgestab.region import Disk, HurwitzHalfPlane, ShiftedHalfPlane, member_margins
 from edgestab.stab import analyze_family, point_stable
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -175,9 +178,110 @@ def test_sampling_respects_region():
     assert rep.verdict == "UnstableSampleFound"
 
 
+def test_interval_cells_of_different_lengths_are_sampled():
+    # sampled weights span the longest cell; a shorter cell ignores the rest
+    fam = MatrixFamily(
+        [
+            [IntervalEntry([1.0, 2.0, 1.0], [1.1, 2.1, 1.1]), IntervalEntry([0.1], [0.2])],
+            [IntervalEntry([0.1], [0.2]), IntervalEntry([1.0, 1.0], [1.1, 1.2])],
+        ],
+        HurwitzHalfPlane(),
+    )
+    for scheme in ("random", "grid"):
+        rep = sample_family(fam, budget=300, seed=4, scheme=scheme)
+        assert rep.verdict == "StableAtAllSamples"
+        margin, _ = member_margin(fam, [np.asarray(w) for w in rep.worst_member.weights])
+        assert margin == rep.worst_margin
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(Exception):
         sample_family(stable_2x2(), budget=10, scheme="sobol")
+
+
+# ----------------------------------------------------------------------
+# root-solving only the members that could still be the worst
+
+
+def seeded_family(seed, n, region=None, shift=0.0, interval=False):
+    """A diagonally dominant family around stable quadratics, moved right by ``shift``."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                roots = -rng.uniform(0.3, 2.0, size=2) + shift
+                base = np.real(np.poly(roots))[::-1] * rng.uniform(0.5, 2.0)
+            else:
+                base = rng.uniform(-0.2, 0.2, size=int(rng.integers(1, 3)))
+            if interval:
+                width = rng.uniform(0.0, 0.1, size=base.size) * np.abs(base)
+                row.append(IntervalEntry(base - width, base + width))
+            else:
+                m = int(rng.integers(1, 4))
+                row.append(cell(*[base * (1.0 + 0.1 * rng.normal(size=base.size)) for _ in range(m)]))
+        entries.append(row)
+    return MatrixFamily(entries, region or HurwitzHalfPlane())
+
+
+SEEDED = {
+    "seeded2": seeded_family(1, 2),
+    "seeded3": seeded_family(2, 3),
+    "seeded3_interval": seeded_family(3, 3, interval=True),
+    "seeded3_unstable": seeded_family(4, 3, shift=1.2),
+    "seeded3_shifted": seeded_family(5, 3, region=ShiftedHalfPlane(-0.2)),
+    "seeded2_disk": seeded_family(6, 2, region=Disk(-1.0, 2.5)),
+}
+
+
+def oracle_cases():
+    cases = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            cases[path.stem] = parse_family_dict(json.loads(path.read_text()))
+        except SchemaError:
+            continue  # a schema fixture the oracle never sees
+    return cases | SEEDED
+
+
+CASES = oracle_cases()
+
+
+@pytest.mark.parametrize("fam", CASES.values(), ids=CASES.keys())
+def test_skipping_cleared_members_keeps_every_report(fam, monkeypatch):
+    # the reference run root-solves every member
+    def reports():
+        out = []
+        for scheme, seed in (("random", 0), ("random", 7), ("grid", 0)):
+            try:
+                out.append(sample_family(fam, budget=5000, seed=seed, scheme=scheme).describe())
+            except ValidationFailure as exc:
+                out.append(str(exc))
+        return out
+
+    filtered = reports()
+    monkeypatch.setattr(oracle, "margins_exceed", lambda region, rows, tau: np.zeros(rows.shape[0], bool))
+    assert filtered == reports()
+
+
+def test_seeded_cases_cover_both_signs_of_the_bar():
+    worst = {name: sample_family(fam, budget=2000, seed=0).worst_margin for name, fam in SEEDED.items()}
+    assert worst["seeded3_unstable"] < 0.0 < worst["seeded3"]
+    assert worst["seeded3_shifted"] > 0.0
+
+
+def test_most_sampled_members_skip_the_root_solver(monkeypatch):
+    solved = []
+
+    def counting(region, rows):
+        solved.append(rows.shape[0])
+        return member_margins(region, rows)
+
+    monkeypatch.setattr(oracle, "member_margins", counting)
+    rep = sample_family(family_from_fixture("demo3x3.json"), budget=20_000, seed=0)
+    assert rep.samples == 20_000
+    assert 0 < sum(solved) < 0.05 * 20_000
 
 
 # ----------------------------------------------------------------------

@@ -5,16 +5,20 @@ The sweep-range soundness oracle samples members of random parametric
 determinants and verifies no root modulus ever exceeds the reported range.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from edgestab.det import ParametricDeterminant, coefficient_box
 from edgestab.errors import DegreeDropError
+from edgestab.oracle import _SLACK
 from edgestab.poly import Polynomial
 from edgestab.region import (
     Disk,
     HurwitzHalfPlane,
     ShiftedHalfPlane,
+    margins_exceed,
     member_margins,
     sweep_range,
     sweep_range_from_box,
@@ -93,6 +97,92 @@ def test_member_margins_leave_overflowed_rows_unmeasured():
     assert np.isnan(margins[1]) and np.isnan(margins[2])
     assert roots[1] is None and roots[2] is None
     assert margins[3] == np.inf and roots[3] is None
+
+
+# ----------------------------------------------------------------------
+# the filter in front of member_margins
+
+
+def _slack(bar):
+    """The sampling oracle's skip slack: a member is skipped only above bar + slack."""
+    return _SLACK * (1.0 + abs(bar))
+
+
+def _random_roots(rng, d, scale):
+    """Roots of a real degree-d polynomial: mostly stable, some repeated or clustered."""
+    roots = []
+    while len(roots) < d:
+        pair = len(roots) + 2 <= d and rng.random() < 0.6
+        re = -abs(rng.normal()) if rng.random() < 0.85 else rng.normal()
+        z = scale * complex(re, rng.normal() if pair else 0.0)
+        mult = int(rng.integers(2, 5)) if rng.random() < 0.25 else 1
+        spread = 0.0 if rng.random() < 0.5 else scale * 10.0 ** rng.uniform(-8, -2)
+        for _ in range(mult):
+            if len(roots) + 1 + pair > d:
+                break
+            w = z + spread * complex(rng.normal(), rng.normal() if pair else 0.0)
+            roots += [w, w.conjugate()] if pair else [w.real]
+    return roots
+
+
+def _family_rows(rng, size):
+    """A family-like batch: one base row of degree 1-12, jittered per member and scaled."""
+    d = int(rng.integers(1, 13))
+    base = np.real(np.poly(_random_roots(rng, d, 10.0 ** rng.uniform(-2, 3))))[::-1]
+    rows = np.zeros((size, 13))
+    rows[:, : d + 1] = base * (1.0 + 10.0 ** rng.uniform(-6, -1) * rng.normal(size=(size, d + 1)))
+    return rows * 10.0 ** rng.uniform(-3, 3)
+
+
+def test_margins_exceed_never_clears_a_member_at_or_below_the_bar():
+    # the skip rule of sample_family: a cleared row's computed margin must
+    # exceed the bar, so it can never be the reported worst member
+    rng = np.random.default_rng(2024)
+    cleared = tried = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(60):
+            rows = _family_rows(rng, 128)
+            spread = np.max(np.abs(member_margins(HurwitzHalfPlane(), rows)[0]))
+            for region in (HurwitzHalfPlane(), ShiftedHalfPlane(float(rng.uniform(-1, 1) * spread))):
+                margins, _ = member_margins(region, rows)
+                for bar in (margins.min(), *np.quantile(margins, [0.01, 0.05, 0.2])):
+                    bar = float(bar)
+                    ok = margins_exceed(region, rows, bar + _slack(bar))
+                    assert not (ok & (margins <= bar)).any()
+                    cleared += int(ok.sum())
+                    tried += rows.shape[0]
+    assert cleared > tried // 2  # the filter is not vacuous
+
+
+def test_margins_exceed_on_known_roots():
+    region = HurwitzHalfPlane()
+    rows = np.array([np.poly([-1.0, -2.0, -3.0])[::-1], np.poly([1.0, -2.0, -3.0])[::-1]])
+    assert margins_exceed(region, rows, 0.99).tolist() == [True, False]
+    assert margins_exceed(region, rows, 1.0).tolist() == [False, False]
+    assert margins_exceed(region, rows, -1.01).tolist() == [True, True]
+    shifted = ShiftedHalfPlane(-0.5)  # margins 0.5 and -1.5
+    assert margins_exceed(shifted, rows, 0.49).tolist() == [True, False]
+    assert margins_exceed(shifted, rows, -1.49).tolist() == [True, False]
+    assert margins_exceed(shifted, rows, -1.51).tolist() == [True, True]
+
+
+def test_margins_exceed_edge_rows_stay_uncleared_without_warnings():
+    stable = np.poly([-1.0, -2.0, -3.0])[::-1]
+    rows = np.array(
+        [np.zeros(4), [5.0, 0.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0], stable, [np.inf, 1.0, 1.0, 1.0],
+         [np.nan, 1.0, 1.0, 1.0]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert margins_exceed(HurwitzHalfPlane(), rows, -10.0).tolist() == [False] * 3 + [True] + [False] * 2
+        # the shift by -tau overflows: nothing is cleared
+        for tau in (-1e160, 1e160, np.inf, -np.inf, np.nan):
+            assert not margins_exceed(HurwitzHalfPlane(), rows, tau).any()
+            assert not margins_exceed(ShiftedHalfPlane(-0.5), rows, tau).any()
+        # a disk clears nothing, so every disk member is root-solved
+        assert not margins_exceed(Disk(0.0, 10.0), rows, -10.0).any()
+        assert not margins_exceed(Disk(-1.0, 0.5), rows[:0], 0.0).any()
 
 
 # ----------------------------------------------------------------------
