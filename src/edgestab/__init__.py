@@ -19,7 +19,6 @@ from .errors import (
     RegionNotHurwitzError,
     SchemaError,
     ValidationFailure,
-    ZeroLeadingCoefficientError,
     ZeroPolynomialError,
 )
 from .family import (
@@ -41,7 +40,7 @@ from .oracle import (
     sample_family,
 )
 from .poly import Polynomial, from_roots
-from .region import Disk, HurwitzHalfPlane, ShiftedHalfPlane, sweep_range
+from .region import Disk, HurwitzHalfPlane, ShiftedHalfPlane
 from .stab import (
     Status,
     Tolerances,
@@ -82,7 +81,6 @@ __all__ = [
     "ValidationFailure",
     "Verdict",
     "Witness",
-    "ZeroLeadingCoefficientError",
     "ZeroPolynomialError",
     "analyze_family",
     "analyze_family_detailed",
@@ -105,6 +103,5 @@ __all__ = [
     "polytope_edges",
     "sample_family",
     "segment_stable",
-    "sweep_range",
     "validate",
 ]

@@ -9,10 +9,6 @@ class ZeroPolynomialError(EdgeStabError):
     """An operation that needs a nonzero polynomial received the zero polynomial."""
 
 
-class ZeroLeadingCoefficientError(EdgeStabError):
-    """A root bound was requested for a polynomial with no usable leading coefficient."""
-
-
 class BoundOrderViolation(EdgeStabError):
     """An interval entry has a lower coefficient bound above its upper bound."""
 

@@ -2,24 +2,29 @@
 
 Independent of the edge-configuration machinery: members are drawn directly
 from the family (random simplex/box weights or a structured grid), and root
-margins are measured against the region.  Their determinants come from the
-one loop-based Laplace core, ``det._laplace``, that also serves the concrete
-and parametric determinants: a batch of members is one call whose cells
-carry a leading batch axis.  Their margins come from
-``region.member_margins``, the analyzer's member-margin rule, so a sampled
-member gets bitwise ``point_stable``'s margin; a single member is its batch
-of one.  Only the members that could still be the worst are root-solved:
-the first 64 of the first chunk, and then every member that
+margins are measured against the region.  Every member is measured on one
+path: per-cell weight arrays mix the cells' coefficient arrays
+(``_coeff_batches``), one ``det._laplace`` call takes the batch's cells with
+a leading batch axis, and ``region.member_margins``, the analyzer's
+member-margin rule, measures the determinant rows.  ``member_margin`` is
+that path's batch of one, and serves the witness-guided counterexample
+search.  The worst sampled member is re-measured through it before it is
+reported: a polytope cell's mix is a matrix product, and with three or more
+vertices it can round differently at batch 1 than at batch 2048, so the
+re-measure is what makes ``member_margin`` reproduce every record bit for
+bit.  Only the members that could still be the worst are root-solved: the
+first 64 of the first chunk, and then every member that
 ``region.margins_exceed`` cannot clear above the running worst margin U plus
 a slack of 1e-6 (1 + |U|).  A cleared member's computed margin exceeds U, so
 it can never be the first member of least margin, and every report is
 bitwise the one that solving every member gives.  Disks clear nothing, so
-every disk member is solved.  Families whose vertex polynomials (polytope
-vertices or Kharitonov vertices of interval cells) lost coefficients at
-construction are refused, as the analyzer calls them Degenerate, and so are
-families with a sampled member whose determinant overflows float64.  Used to
-cross-validate the symbolic decision path and to hunt for explicit unstable
-members.
+every disk member is solved.  A family whose every determinant is a nonzero
+constant reports its first sampled member, with margin +inf and no root.
+Families whose vertex polynomials (polytope vertices or Kharitonov vertices
+of interval cells) lost coefficients at construction are refused, as the
+analyzer calls them Degenerate, and so are families with a sampled member
+whose determinant overflows float64.  Used to cross-validate the symbolic
+decision path and to hunt for explicit unstable members.
 """
 
 from __future__ import annotations
@@ -29,13 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .det import _laplace, det_matrix
+from .det import _laplace
 from .edges import config_at, entry_vertices
 from .errors import ValidationFailure
-from .family import IntervalEntry, MatrixFamily, PolytopeEntry
-from .poly import Polynomial
+from .family import _KHARITONOV_LOWER_PHASES, MatrixFamily, PolytopeEntry
 from .region import margins_exceed, member_margins
 
+# Members per batch.
+_CHUNK = 2048
 # Members solved exactly at the start of the first chunk, to set the first bar.
 _PREFIX = 64
 # Slack delta of the skip test, relative to 1 + |bar|: a cleared member's
@@ -196,26 +202,45 @@ def _coeff_batches(cells, weight_arrays):
     return out
 
 
-def _member_from_weights(fam: MatrixFamily, weights) -> list[Polynomial]:
-    grid = []
-    for i in range(fam.n):
-        row = []
-        for j in range(fam.n):
-            e = fam.entry(i, j)
-            w = np.asarray(weights[i * fam.n + j], dtype=float)
-            if isinstance(e, PolytopeEntry):
-                row.append(e.member(w))
-            else:
-                w = w[: e.length]  # weights past a shorter cell's length mix padding zeros
-                row.append(e.member(e.lower * (1.0 - w) + e.upper * w))
-        grid.append(row)
-    return grid
+def _determinants(n: int, coeffs) -> np.ndarray:
+    """(batch, L) determinant rows of the members whose cells are ``coeffs``, row-major."""
+    return _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
 
 
 def member_margin(fam: MatrixFamily, weights) -> tuple[float, complex | None]:
-    """Margin and worst root of a single member, ``member_margins``' batch of one."""
-    det = det_matrix(_member_from_weights(fam, weights))
-    margins, roots = member_margins(fam.region, det.coeffs[None])
+    """Margin and worst root of a single member, the sampled path's batch of one.
+
+    ``weights`` holds one vector per cell, row-major: simplex weights for a
+    polytope cell, per-coefficient mixes for an interval cell, at the cell's
+    length or at the padded width that sampled records carry.  Weights off
+    the simplex, a mix that leaves the interval box by more than 1e-9 and a
+    determinant that overflows float64 raise ``ValueError``.
+    """
+    cells = _cell_coeff_arrays(fam)
+    entries = [e for row in fam.entries for e in row]
+    rows = []
+    for (kind, arr), e, w in zip(cells, entries, weights, strict=True):
+        w = np.asarray(w, dtype=float)
+        if kind == "polytope":
+            if w.size != e.m:
+                raise ValueError("weight count must match vertex count")
+            if np.any(w < -1e-12) or abs(float(w.sum()) - 1.0) > 1e-9:
+                raise ValueError("weights must be nonnegative and sum to one")
+        else:
+            if w.size not in (e.length, arr.shape[1]):
+                raise ValueError("weight count must match the bound length")
+            w = np.pad(w, (0, arr.shape[1] - w.size))
+        rows.append(w[None])
+    coeffs = _coeff_batches(cells, rows)
+    for (kind, _), e, c in zip(cells, entries, coeffs):
+        if kind == "interval" and (
+            np.any(c[0, : e.length] < e.lower - 1e-9) or np.any(c[0, : e.length] > e.upper + 1e-9)
+        ):
+            raise ValueError("coefficients leave the interval box")
+    det = _determinants(fam.n, coeffs)
+    if not np.isfinite(det).all():
+        raise ValueError("the member's determinant overflows float64")
+    margins, roots = member_margins(fam.region, det)
     return float(margins[0]), roots[0]
 
 
@@ -238,7 +263,7 @@ def sample_family(
     at ``budget`` members.  Members are measured in chunks of 2048, and only
     those ``margins_exceed`` cannot clear above the worst margin so far are
     root-solved (see the module docstring).  The worst member is re-measured
-    through the exact single-member path before reporting.
+    by ``member_margin``, the batch of one, before reporting.
     """
     if budget < 1:
         raise ValidationFailure("sampling budget must be positive")
@@ -251,22 +276,17 @@ def sample_family(
 
     worst_margin = math.inf
     worst_weights = None
-    worst_root = None
     total = 0
 
     def consume(weight_arrays):
-        nonlocal worst_margin, worst_weights, worst_root, total
-        coeffs = _coeff_batches(cells, weight_arrays)
-        det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
+        nonlocal worst_margin, worst_weights, total
+        det = _determinants(n, _coeff_batches(cells, weight_arrays))
         if not np.isfinite(det).all():
             raise ValidationFailure("a sampled member's determinant overflows float64")
         margins = np.full(det.shape[0], math.inf)
-        roots = [None] * det.shape[0]
 
         def measure(rows):
-            margins[rows], found = member_margins(fam.region, det[rows])
-            for r, root in zip(rows, found):
-                roots[r] = root
+            margins[rows] = member_margins(fam.region, det[rows])[0]
 
         # the first chunk's bar is the exact worst of its prefix
         head = min(_PREFIX, det.shape[0]) if total == 0 else 0
@@ -275,10 +295,10 @@ def sample_family(
         rest = np.arange(head, det.shape[0])
         measure(rest[~margins_exceed(fam.region, det[rest], bar + _SLACK * (1.0 + abs(bar)))])
         r = int(np.argmin(margins))
-        if margins[r] < worst_margin:
+        # a family whose every determinant is a nonzero constant keeps its first member
+        if margins[r] < worst_margin or worst_weights is None:
             worst_margin = float(margins[r])
             worst_weights = _weights_as_tuples(weight_arrays, r)
-            worst_root = roots[r]
         total += margins.size
 
     if scheme == "grid":
@@ -289,41 +309,27 @@ def sample_family(
             if math.prod(nxt) > budget or nxt == sizes:
                 break
             level, sizes = level + 1, nxt
-        lists = _grid_weight_lists(cells, level)
-        grid_total = math.prod(sizes)
-        count = min(grid_total, budget)
-        chunk = 2048
-        start = 0
-        while start < count:
-            stop = min(start + chunk, count)
-            weight_arrays = [
-                np.zeros((stop - start, len(lists[c][0]))) for c in range(len(lists))
-            ]
-            for row, flat in enumerate(range(start, stop)):
-                rem = flat
-                for c in range(len(lists) - 1, -1, -1):
-                    digit = rem % sizes[c]
-                    rem //= sizes[c]
-                    weight_arrays[c][row] = lists[c][digit]
+        tables = [np.array(choices) for choices in _grid_weight_lists(cells, level)]
+        count = min(math.prod(sizes), budget)
+        for start in range(0, count, _CHUNK):
+            # mixed-radix digits of the chunk's flat indices, the last cell fastest
+            rem = np.arange(start, min(start + _CHUNK, count))
+            weight_arrays = [None] * len(tables)
+            for c in range(len(tables) - 1, -1, -1):
+                weight_arrays[c] = tables[c][rem % sizes[c]]
+                rem = rem // sizes[c]
             consume(weight_arrays)
-            start = stop
     else:
         rng = np.random.default_rng(seed)
-        chunk = 2048
-        remaining = budget
-        while remaining > 0:
-            b = min(chunk, remaining)
-            consume(_random_weights(cells, b, rng))
-            remaining -= b
+        for start in range(0, budget, _CHUNK):
+            consume(_random_weights(cells, min(_CHUNK, budget - start), rng))
 
-    exact_margin, exact_root = member_margin(fam, worst_weights)
-    record = MemberRecord(weights=worst_weights, margin=exact_margin, worst_root=exact_root)
-    verdict = "UnstableSampleFound" if exact_margin <= 0.0 else "StableAtAllSamples"
+    margin, root = member_margin(fam, worst_weights)
     return SampleReport(
         samples=total,
-        worst_margin=exact_margin,
-        worst_member=record,
-        verdict=verdict,
+        worst_margin=margin,
+        worst_member=MemberRecord(weights=worst_weights, margin=margin, worst_root=root),
+        verdict="UnstableSampleFound" if margin <= 0.0 else "StableAtAllSamples",
         seed=seed if scheme == "random" else None,
         scheme=scheme,
     )
@@ -333,67 +339,43 @@ def sample_family(
 # witness-guided counterexample search
 
 
+def _vertex_weights(entry, r: int) -> np.ndarray:
+    """Weights of the entry's vertex ``r``.
+
+    One-hot for a polytope cell.  For an interval cell, Kharitonov vertex
+    ``r``'s bound pattern: 1 where it takes the upper bound, 0 where it takes
+    the lower one or the bounds meet.
+    """
+    if isinstance(entry, PolytopeEntry):
+        return np.eye(entry.m)[r]
+    take_lower = np.isin(np.arange(entry.length) % 4, _KHARITONOV_LOWER_PHASES[r])
+    return np.where(take_lower | (entry.upper == entry.lower), 0.0, 1.0)
+
+
 def _weights_from_hint(fam: MatrixFamily, hint) -> list:
     """Translate a configuration witness into per-cell weight vectors.
 
-    ``hint`` carries the configuration and its lambda values: pattern cells
-    get the convex mix of their edge endpoints, other cells their chosen
-    vertex.  Interval cells translate endpoint choices into bound patterns.
-    The configuration may be given as an ``EdgeConfiguration`` or as its index.
+    ``hint`` carries the configuration and its lambda values (None when k is
+    0, as in a witness of a configuration without parameters): a pattern cell
+    mixes the weights of its segment's end vertices ``index0`` and ``index1``
+    by its lambda, every other cell takes its vertex ``vertex_index``.  The
+    configuration may be given as an ``EdgeConfiguration`` or as its index.
     """
     cfg, lam = hint
     if isinstance(cfg, (int, np.integer)):
         cfg = config_at(fam, int(cfg))
-    n = fam.n
+    lam_by_col = dict(zip(cfg.lambda_columns, () if lam is None else lam))
     weights = []
-    lam_by_col = {c: t for c, t in zip(cfg.lambda_columns, lam)}
-    for i in range(n):
-        for j in range(n):
+    for i in range(fam.n):
+        for j in range(fam.n):
             e = fam.entry(i, j)
-            base_poly = cfg.base[i][j]
-            if isinstance(e, PolytopeEntry):
-                m = e.m
-                w = np.zeros(m)
-                if cfg.sigma[j] == i:
-                    choice = cfg.edge_choice[j]
-                    t = lam_by_col.get(j, 0.0)
-                    if choice.index0 is not None and choice.index1 is not None:
-                        w[choice.index0] += 1.0 - t
-                        w[choice.index1] += t
-                    else:
-                        w[_match_vertex(e, base_poly)] = 1.0
-                else:
-                    w[_match_vertex(e, base_poly)] = 1.0
+            if cfg.sigma[j] == i:
+                seg, t = cfg.edge_choice[j], lam_by_col.get(j, 0.0)
+                w0, w1 = _vertex_weights(e, seg.index0), _vertex_weights(e, seg.index1)
+                weights.append(w0 * (1.0 - t) + w1 * t)
             else:
-                L = e.length
-                if cfg.sigma[j] == i:
-                    choice = cfg.edge_choice[j]
-                    t = lam_by_col.get(j, 0.0)
-                    w0 = _interval_pattern(e, choice.p0)
-                    w1 = _interval_pattern(e, choice.p1)
-                    w = w0 * (1.0 - t) + w1 * t
-                else:
-                    w = _interval_pattern(e, base_poly)
-            weights.append(w)
+                weights.append(_vertex_weights(e, cfg.vertex_index[i, j]))
     return weights
-
-
-def _match_vertex(entry: PolytopeEntry, poly: Polynomial) -> int:
-    for r, v in enumerate(entry.vertices):
-        if v == poly or v.isclose(poly):
-            return r
-    return 0
-
-
-def _interval_pattern(entry: IntervalEntry, poly: Polynomial) -> np.ndarray:
-    L = entry.length
-    c = np.zeros(L)
-    c[: len(poly.coeffs)] = poly.coeffs[:L]
-    width = entry.upper - entry.lower
-    w = np.zeros(L)
-    solid = width > 0.0
-    w[solid] = np.clip((c[solid] - entry.lower[solid]) / width[solid], 0.0, 1.0)
-    return w
 
 
 def find_counterexample_near(
@@ -407,29 +389,20 @@ def find_counterexample_near(
 
     ``hint`` is ``(config, lambda_values)`` from an Unstable verdict, where
     the configuration may be an ``EdgeConfiguration`` or its index.  The hinted
-    member is measured exactly; a seeded local search then perturbs the
+    member is measured by ``member_margin``; a seeded local search then perturbs the
     weights with shrinking steps until the margin drops to ``target`` or
     the budget runs out.  A witness usually sits right on a boundary
     crossing (margin near zero), so a negative ``target`` digs past the
     crossing into the decisively unstable part of the family.  Returns the
     best member found if its margin is nonpositive, else None.
     """
-    weights = [np.asarray(w, dtype=float) for w in _weights_from_hint(fam, hint)]
-    margin, root = member_margin(fam, weights)
+    best_w = _weights_from_hint(fam, hint)
+    best_margin, best_root = member_margin(fam, best_w)
     goal = min(target, 0.0)
-    if margin <= goal:
-        return MemberRecord(
-            weights=tuple(tuple(float(x) for x in w) for w in weights),
-            margin=margin,
-            worst_root=root,
-        )
-
     rng = np.random.default_rng(seed)
     kinds = [kind for kind, _ in _cell_coeff_arrays(fam)]
-    best_w = [w.copy() for w in weights]
-    best_margin, best_root = margin, root
     step = 0.25
-    for trial in range(budget):
+    for trial in range(budget if best_margin > goal else 0):
         cand = []
         for w, kind in zip(best_w, kinds):
             p = w + step * rng.normal(size=w.shape)

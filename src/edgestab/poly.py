@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ZeroLeadingCoefficientError, ZeroPolynomialError
+from .errors import ZeroPolynomialError
 
 # Relative floor below which trailing coefficients are considered spurious.
 TRUNCATION_REL_TOL = 1e-12
@@ -166,19 +166,6 @@ class Polynomial:
         if self.degree == 0:
             return np.empty(0, dtype=complex)
         return batch_roots(self.coeffs[None])[0]
-
-    def cauchy_root_bound(self) -> float:
-        """1 + max(|c_i|)/|c_deg| over the non-leading coefficients.
-
-        Every root has modulus at most this bound.
-        """
-        if self.is_zero:
-            raise ZeroLeadingCoefficientError(
-                "root bound undefined for the zero polynomial"
-            )
-        if self.degree == 0:
-            return 1.0
-        return 1.0 + float(np.max(np.abs(self.coeffs[:-1]))) / abs(self.leading)
 
     # ------------------------------------------------------------------
 

@@ -157,13 +157,6 @@ def sweep_range_from_box(region: Region, box: np.ndarray) -> tuple[float, float]
     return (0.0, math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0)
 
 
-def sweep_range(region: Region, pd) -> tuple[float, float]:
-    """Sweep range for a parametric determinant (see ``sweep_range_from_box``)."""
-    from .det import coefficient_box
-
-    return sweep_range_from_box(region, coefficient_box(pd))
-
-
 def _row_degrees(det_coeffs: np.ndarray) -> np.ndarray:
     """Index of each row's last nonzero coefficient; -1 for a zero row."""
     nonzero = det_coeffs != 0.0

@@ -17,12 +17,14 @@ import pytest
 import edgestab.oracle as oracle
 from edgestab.cli import parse_family_dict
 from edgestab.det import _laplace, det_matrix
+from edgestab.edges import iter_configs
 from edgestab.errors import SchemaError, ValidationFailure
 from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
 from edgestab.oracle import (
     _cell_coeff_arrays,
     _coeff_batches,
     _random_weights,
+    _weights_from_hint,
     find_counterexample_near,
     member_margin,
     sample_family,
@@ -106,6 +108,47 @@ def test_member_margin_no_roots_is_infinite():
     margin, root = member_margin(fam, [np.array([0.5, 0.5])])
     assert margin == np.inf
     assert root is None
+
+
+def interval_2x2():
+    return MatrixFamily(
+        [
+            [IntervalEntry([1.0, 2.0, 1.0], [1.1, 2.1, 1.1]), IntervalEntry([0.1], [0.2])],
+            [IntervalEntry([0.1], [0.2]), IntervalEntry([1.0, 1.0], [1.1, 1.2])],
+        ],
+        HurwitzHalfPlane(),
+    )
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]],  # three weights, two vertices
+        [[1.5, -0.5], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]],  # a negative weight
+        [[0.5, 0.6], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]],  # does not sum to one
+    ],
+    ids=["count", "negative", "sum"],
+)
+def test_member_margin_refuses_weights_off_the_simplex(weights):
+    with pytest.raises(ValueError):
+        member_margin(stable_2x2(), [np.array(w) for w in weights])
+
+
+def test_member_margin_refuses_a_mix_outside_the_box():
+    fam = interval_2x2()
+    inside = [np.full(3, 0.5), np.full(1, 0.5), np.full(1, 0.5), np.full(2, 0.5)]
+    member_margin(fam, inside)
+    outside = [w.copy() for w in inside]
+    outside[3][1] = 1.5  # 1.0 + 1.5 * 0.2 = 1.3 > 1.2
+    with pytest.raises(ValueError):
+        member_margin(fam, outside)
+
+
+def test_member_margin_takes_interval_mixes_at_length_or_padded_width():
+    fam = interval_2x2()
+    own = [np.full(3, 0.3), np.full(1, 0.6), np.full(1, 0.2), np.full(2, 0.9)]
+    padded = [np.pad(w, (0, 3 - w.size), constant_values=0.7) for w in own]
+    assert member_margin(fam, own) == member_margin(fam, padded)
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +235,21 @@ def test_interval_cells_of_different_lengths_are_sampled():
         assert rep.verdict == "StableAtAllSamples"
         margin, _ = member_margin(fam, [np.asarray(w) for w in rep.worst_member.weights])
         assert margin == rep.worst_margin
+
+
+@pytest.mark.parametrize("scheme", ["random", "grid"])
+def test_constant_determinant_reports_the_first_member(scheme):
+    # every margin is +inf, so no member is worse than the first
+    fam = family_from_fixture("constant1x1.json")
+    rep = sample_family(fam, budget=100, seed=3, scheme=scheme)
+    assert rep.verdict == "StableAtAllSamples"
+    assert rep.worst_margin == rep.worst_member.margin == np.inf
+    assert rep.worst_member.worst_root is None
+    if scheme == "random":
+        first = _random_weights(_cell_coeff_arrays(fam), 100, np.random.default_rng(3))[0][0]
+    else:
+        first = [1.0, 0.0]
+    assert rep.worst_member.weights == (tuple(first),)
 
 
 def test_unknown_scheme_rejected():
@@ -362,6 +420,48 @@ def test_counterexample_weights_are_valid():
         arr = np.asarray(w)
         assert np.all(arr >= -1e-12)
         assert arr.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hint_weights_follow_the_configurations_vertex_indices():
+    # the two vertices of cell (0, 0) agree to 1e-12: a hint must still pin
+    # the vertex its configuration chose, not the first one close to it
+    fam = MatrixFamily(
+        [
+            [cell([1.0, 1.0], [1.0, 1.0 + 1e-12]), cell([0.1])],
+            [cell([0.1]), cell([2.0, 1.0], [3.0, 1.0])],
+        ],
+        HurwitzHalfPlane(),
+    )
+    rng = np.random.default_rng(0)
+    pinned = set()
+    for cfg in iter_configs(fam):
+        lam = tuple(rng.random(cfg.k))
+        lam_by_col = dict(zip(cfg.lambda_columns, lam))
+        weights = _weights_from_hint(fam, (cfg, lam))
+        for i in range(2):
+            for j in range(2):
+                w = weights[2 * i + j]
+                if cfg.sigma[j] == i:
+                    seg, t = cfg.edge_choice[j], lam_by_col.get(j, 0.0)
+                    want = np.zeros(w.size)
+                    want[seg.index0] += 1.0 - t
+                    want[seg.index1] += t
+                else:
+                    want = np.eye(w.size)[cfg.vertex_index[i, j]]
+                    if (i, j) == (0, 0) and cfg.vertex_index[i, j] == 1:
+                        pinned.add(cfg.index)
+                assert np.array_equal(w, want), (cfg.index, i, j)
+    assert pinned == {3, 4}
+
+
+def test_counterexample_from_a_witness_without_parameters():
+    # the one configuration has k = 0, so the witness carries lam None
+    fam = MatrixFamily([[cell([-1.0, 1.0])]], HurwitzHalfPlane())
+    w = analyze_family(fam).witness
+    assert w.lam is None
+    rec = find_counterexample_near(fam, hint=(w.config_index, w.lam), budget=10)
+    assert rec.weights == ((1.0,),)
+    assert rec.margin == -1.0
 
 
 def test_counterexample_none_for_truly_stable_family():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgestab.errors import ZeroLeadingCoefficientError, ZeroPolynomialError
+from edgestab.errors import ZeroPolynomialError
 from edgestab.poly import Polynomial, batch_roots, from_roots
 
 
@@ -293,29 +293,6 @@ def test_batch_rows_equal_single_solves(data):
         assert np.array_equal(roots, Polynomial(row).roots())
         # z exactly-zero low coefficients give exactly z roots at 0
         assert np.count_nonzero(roots == 0.0) == z
-
-
-# ----------------------------------------------------------------------
-# root bound
-
-
-def test_root_bound_examples():
-    assert Polynomial([1.0, 1.0]).cauchy_root_bound() == 2.0  # s + 1
-    assert Polynomial([0.0, 0.0, 1.0]).cauchy_root_bound() == 1.0  # s^2
-    assert Polynomial([8.0, 0.0, 2.0]).cauchy_root_bound() == 5.0  # 2s^2 + 8
-    assert Polynomial([3.0]).cauchy_root_bound() == 1.0
-    with pytest.raises(ZeroLeadingCoefficientError):
-        Polynomial([0.0]).cauchy_root_bound()
-
-
-@given(coeffs_strategy)
-@settings(max_examples=60, deadline=None)
-def test_all_roots_within_bound(a):
-    p = Polynomial(a)
-    if p.is_zero or p.degree == 0:
-        return
-    bound = p.cauchy_root_bound()
-    assert np.all(np.abs(p.roots()) <= bound * (1.0 + 1e-8))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from edgestab.region import (
     ShiftedHalfPlane,
     margins_exceed,
     member_margins,
-    sweep_range,
     sweep_range_from_box,
 )
 
@@ -230,28 +229,28 @@ def test_conjugate_root_pairing_justifies_half_sweep():
 
 def test_sweep_range_disk_is_full_circle():
     pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})
-    lo, hi = sweep_range(Disk(0.0, 1.0), pd)
+    lo, hi = sweep_range_from_box(Disk(0.0, 1.0), coefficient_box(pd))
     assert lo == 0.0
     assert hi == pytest.approx(2.0 * np.pi)
 
 
 def test_sweep_range_known_first_degree():
     pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})  # s + 1
-    lo, hi = sweep_range(HurwitzHalfPlane(), pd)
+    lo, hi = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
     assert lo == 0.0
     assert hi == pytest.approx(2.0)  # the root bound of s + 1
 
 
 def test_sweep_range_constant_determinant():
     pd = ParametricDeterminant.from_terms(0, {0: Polynomial([5.0])})
-    lo, hi = sweep_range(HurwitzHalfPlane(), pd)
+    lo, hi = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
     assert (lo, hi) == (0.0, 0.0)
 
 
 def test_sweep_range_shifted_accounts_for_offset():
     pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})
-    _, hi_plain = sweep_range(HurwitzHalfPlane(), pd)
-    _, hi_shift = sweep_range(ShiftedHalfPlane(-1.0), pd)
+    _, hi_plain = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
+    _, hi_shift = sweep_range_from_box(ShiftedHalfPlane(-1.0), coefficient_box(pd))
     # boundary points sigma + i*omega reach modulus R earlier when sigma != 0
     assert hi_shift == pytest.approx(np.sqrt(hi_plain**2 - 1.0))
 
@@ -260,7 +259,7 @@ def test_sweep_range_degree_drop():
     pd = ParametricDeterminant.from_terms(1, {0: Polynomial([1.0, 1.0]), 1: Polynomial([0.0, -2.0])})
     # leading coefficient ranges over [-1, 1]: degree may drop
     with pytest.raises(DegreeDropError):
-        sweep_range(HurwitzHalfPlane(), pd)
+        sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
 
 
 def test_sweep_range_zero_box():
@@ -276,7 +275,7 @@ def test_sweep_range_soundness_random_members():
         d1 = Polynomial(rng.integers(-2, 3, size=3).astype(float))
         d2 = Polynomial(rng.integers(-2, 3, size=3).astype(float))
         pd = ParametricDeterminant.from_terms(2, {0: base, 1: d1, 2: d2, 3: Polynomial([0.0])})
-        lo, hi = sweep_range(HurwitzHalfPlane(), pd)
+        lo, hi = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
         for _ in range(50):
             lam = rng.random(2)
             member = pd.assemble(lam)
@@ -295,5 +294,5 @@ def test_box_consistency_with_sweep_bound():
     lead_min = min(abs(lead_lo), abs(lead_hi))
     head = np.max(np.abs(box[:-1]))
     expected = 1.0 + head / lead_min
-    _, hi = sweep_range(HurwitzHalfPlane(), pd)
+    _, hi = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
     assert hi == pytest.approx(expected)
