@@ -33,12 +33,11 @@ and ``assemble`` all weight those rows by ``monomial_weights``.
 
 ``det_parametric_run`` decides a run of configurations with one ``_laplace``
 call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
-(L,)``, which the products broadcast and the sums never pad.  A run is a
-stretch of configurations that share ``run_key``: the pattern sigma, the
-``lambda_columns`` and the coefficient length of every cell and of every
-segment end ``p1``.  Within a run every cell therefore has one shape,
-nothing is padded, and each configuration's arithmetic is exactly that of
-its own determinant; ``det_parametric`` is the run of one.
+(L,)``, which the products broadcast and the sums never pad.  A run's
+configurations share ``VertexTable.signature``, so each cell gathered from
+the table's rows has one length, nothing is padded, and each
+configuration's arithmetic is exactly that of its own determinant;
+``det_parametric`` is the run of one, from an ``EdgeConfiguration``.
 """
 
 from __future__ import annotations
@@ -166,48 +165,25 @@ class ParametricDeterminant:
         return _exact(monomial_weights(self.masks, lam) @ self.rows)
 
 
-def run_key(cfg: EdgeConfiguration) -> tuple:
-    """What configurations of one run share: sigma, lambda columns, cell and ``p1`` lengths."""
-    return (
-        cfg.sigma,
-        cfg.lambda_columns,
-        tuple(cell.coeffs.size for row in cfg.base for cell in row),
-        tuple(cfg.edge_choice[j].p1.coeffs.size for j in cfg.lambda_columns),
-    )
+def _parametric_run(fixed, segments) -> list[ParametricDeterminant]:
+    """Parametric determinants of B configurations whose cells share their lengths.
 
-
-def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
-    """Parametric determinants of a run of configurations, in one ``_laplace`` call.
-
-    Every configuration must share ``run_key``.  Fixed cells become arrays of
-    shape ``(B,) + (1,) * k + (L,)``; the pattern cell of a column with a
-    nondegenerate segment stacks ``p0`` and ``p1 - p0`` on its slot's axis,
-    both as wide as the longer of ``p0`` and ``p1``.
-    The ``_laplace`` result, padded to ``(B,) + (2,) * k + (L,)``, holds
-    configuration b's ``c_S`` at index b followed by the index whose axis
-    ``l`` is bit ``l`` of ``S``.  Each configuration keeps its nonzero masks,
-    its rows cut at the last column any of them uses and +0.0 past each end.
-    A difference ``p1 - p0`` or a coefficient that overflows stays inf or
-    NaN, and ``box_stable`` calls that determinant Degenerate.
+    ``fixed[i][j]`` holds cell (i, j) at lambda = 0, shape ``(B, L)``, and
+    ``segments`` lists ``(i, j, p1)`` per lambda cell in slot order.  Fixed
+    cells become arrays of shape ``(B,) + (1,) * k + (L,)``; a lambda cell
+    stacks ``p0`` and ``p1 - p0`` on its slot's axis, both as wide as the
+    longer of ``p0`` and ``p1``.  The ``_laplace`` result, padded to
+    ``(B,) + (2,) * k + (L,)``, holds configuration b's ``c_S`` at index b
+    followed by the index whose axis ``l`` is bit ``l`` of ``S``.  Each
+    configuration keeps its nonzero masks, its rows cut at the last column
+    any of them uses and +0.0 past each end.  A difference ``p1 - p0`` or a
+    coefficient that overflows stays inf or NaN, and ``box_stable`` calls
+    that determinant Degenerate.
     """
-    cfgs = list(cfgs)
-    head = cfgs[0]
-    key = run_key(head)
-    if any(run_key(cfg) != key for cfg in cfgs[1:]):
-        raise ValueError("a run needs one sigma, lambda columns and cell lengths")
-    n, k, B = head.n, head.k, len(cfgs)
-
-    def stacked(polys) -> np.ndarray:
-        return np.stack([p.coeffs for p in polys])
-
-    cells = [
-        [stacked(cfg.base[i][j] for cfg in cfgs).reshape((B,) + (1,) * k + (-1,)) for j in range(n)]
-        for i in range(n)
-    ]
-    for slot, j in enumerate(head.lambda_columns):
-        i = head.sigma[j]
-        p0 = stacked(cfg.edge_choice[j].p0 for cfg in cfgs)
-        p1 = stacked(cfg.edge_choice[j].p1 for cfg in cfgs)
+    n, k, B = len(fixed), len(segments), fixed[0][0].shape[0]
+    cells = [[cell.reshape((B,) + (1,) * k + (-1,)) for cell in row] for row in fixed]
+    for slot, (i, j, p1) in enumerate(segments):
+        p0 = fixed[i][j]
         cell = np.zeros((B, 2, max(p0.shape[1], p1.shape[1])))
         cell[:, 0, : p0.shape[1]] = p0
         cell[:, 1, : p1.shape[1]] = p1
@@ -233,9 +209,30 @@ def det_parametric_run(cfgs) -> list[ParametricDeterminant]:
     return out
 
 
+def det_parametric_run(table, ends: np.ndarray) -> list[ParametricDeterminant]:
+    """Parametric determinants of a run whose configurations share ``table.signature``.
+
+    Each cell's rows are gathered from ``table.rows``, sliced to the run's
+    length of that cell and end.
+    """
+    sig = table.signature(ends)
+    if (sig != sig[0]).any():
+        raise ValueError("a run needs one set of lambda cells and one length per cell and end")
+    n, lengths = table.n, table.lengths[table.cells, ends[0].T]  # (2, n*n)
+
+    def gathered(c: int, end: int) -> np.ndarray:
+        return table.rows[c, ends[:, c, end], : lengths[end, c]]
+
+    fixed = [[gathered(i * n + j, 0) for j in range(n)] for i in range(n)]
+    slots = table.slots(table.lambda_cells(ends[0])).tolist()
+    return _parametric_run(fixed, [(c // n, c % n, gathered(c, 1)) for c in slots])
+
+
 def det_parametric(cfg: EdgeConfiguration) -> ParametricDeterminant:
     """Parametric determinant of one edge configuration: the run of one."""
-    return det_parametric_run([cfg])[0]
+    fixed = [[cell.coeffs[None] for cell in row] for row in cfg.base]
+    segments = [(cfg.sigma[j], j, cfg.edge_choice[j].p1.coeffs[None]) for j in cfg.lambda_columns]
+    return _parametric_run(fixed, segments)[0]
 
 
 def coefficient_box(pd: ParametricDeterminant) -> np.ndarray:

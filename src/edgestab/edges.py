@@ -16,6 +16,14 @@ Enumeration is streaming and deterministic:
   in ascending row order; the last digit moves fastest).
 
 Any slice of the stream can be reconstructed from its index range.
+
+Within a pattern a configuration is only a vertex index per cell.  A
+``VertexTable``, built once per analysis, holds every cell's vertex rows
+and turns a stream range into ``ends``, the vertex index of every cell at
+lambda = 0 and lambda = 1, by one mixed-radix decomposition per pattern
+block.  The drivers decide configurations from ``ends`` alone;
+``iter_configs`` and ``config_at`` build ``EdgeConfiguration`` objects from
+the same table, for reports, listings, witnesses and the oracle's hint.
 """
 
 from __future__ import annotations
@@ -38,21 +46,12 @@ from .family import (
 from .poly import Polynomial
 
 
-def _parity(perm: tuple[int, ...]) -> int:
-    inv = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inv += 1
-    return inv % 2
-
-
 def permutations_in_order(n: int) -> list[tuple[int, ...]]:
     """All permutations of range(n): even ones first, lex within parity class."""
-    evens, odds = [], []
-    for p in itertools.permutations(range(n)):
-        (evens if _parity(p) == 0 else odds).append(p)
-    return evens + odds
+    # a stable sort by inversion parity keeps itertools' lexicographic order
+    return sorted(
+        itertools.permutations(range(n)), key=lambda p: sum(a > b for a, b in itertools.combinations(p, 2)) % 2
+    )
 
 
 def entry_vertices(entry) -> list[Polynomial]:
@@ -156,72 +155,135 @@ class EdgeConfiguration:
         }
 
 
-def _choice_lists(fam: MatrixFamily, pattern: tuple[int, ...]) -> list[tuple]:
-    """One pattern's digit layout: per column j, ``(j, edges)`` for its
-    pattern cell, then ``((i, j), vertices)`` for every other row i in
-    ascending order."""
-    out = []
-    for j in range(fam.n):
-        out.append((j, entry_edges(fam.entry(pattern[j], j))))
-        out.extend(((i, j), entry_vertices(fam.entry(i, j))) for i in range(fam.n) if i != pattern[j])
-    return out
+class VertexTable:
+    """One family's cells as arrays indexed by (cell, vertex index), built once per analysis.
 
+    Cells are row-major, ``c = i * n + j``.  ``vertices[c]`` lists the cell's
+    ``entry_vertices``; ``rows[c, v]`` holds vertex v's coefficients
+    zero-padded to the family's longest vertex, ``lengths[c, v]`` its own
+    length, ``truncated[c, v]`` its flag, and ``same[c, a, b]`` says whether
+    vertices a and b are equal.  ``segments[c]`` holds the
+    ``(index0, index1)`` of each of the cell's ``entry_edges``.  In ``ends``
+    a configuration's lambda cells are those whose two ends differ, and
+    slot l is the lambda cell of its l-th such column.  A padded row sliced
+    to its own length is the unpadded row, so every array gathered from the
+    table is bitwise the one stacked from the polynomials.
+    """
 
-def _blocks(fam: MatrixFamily):
-    """Each pattern in stream order, with its choice lists and digit radices."""
-    for pattern in permutations_in_order(fam.n):
-        choices = _choice_lists(fam, pattern)
-        yield pattern, choices, [len(options) for _, options in choices]
+    def __init__(self, fam: MatrixFamily):
+        n = self.n = fam.n
+        entries = [fam.entry(c // n, c % n) for c in range(n * n)]
+        self.cells = np.arange(n * n)
+        self.vertices = [entry_vertices(e) for e in entries]
+        self.segments = [np.array([(s.index0, s.index1) for s in entry_edges(e)]) for e in entries]
+        counts = [len(vs) for vs in self.vertices]
+        m = max(counts)
+        self.rows = np.zeros((n * n, m, max(v.coeffs.size for vs in self.vertices for v in vs)))
+        self.lengths = np.zeros((n * n, m), dtype=np.intp)
+        self.truncated = np.zeros((n * n, m), dtype=bool)
+        self.same = np.zeros((n * n, m, m), dtype=bool)
+        for c, vs in enumerate(self.vertices):
+            for a, v in enumerate(vs):
+                self.rows[c, a, : v.coeffs.size] = v.coeffs
+                self.lengths[c, a] = v.coeffs.size
+                self.truncated[c, a] = v.truncated
+                self.same[c, a, : len(vs)] = [v == w for w in vs]
+        # a block takes every vertex choice of each column but its pattern
+        # cell's, which it replaces by that cell's segments
+        column = [math.prod(counts[j::n]) for j in range(n)]
+        self.patterns = permutations_in_order(n)
+        self.sizes = [
+            math.prod(column[j] // counts[i * n + j] * len(self.segments[i * n + j]) for j, i in enumerate(p))
+            for p in self.patterns
+        ]
+        self.total = sum(self.sizes)
+
+    def ends(self, start: int, stop: int):
+        """Yield ``(pattern, first index, ends)`` for each pattern block that meets [start, stop).
+
+        ``ends[b, c]`` is the vertex index of cell c of configuration
+        ``first + b`` at lambda = 0 and at lambda = 1: a pattern cell's
+        segment ends, an off-pattern cell's vertex twice.
+        """
+        first = 0
+        for pattern, size in zip(self.patterns, self.sizes):
+            if first >= stop:
+                break
+            lo, hi = max(start - first, 0), min(stop - first, size)
+            if lo < hi:
+                # the mixed-radix digits of each local index, the last digit first
+                local = np.arange(lo, hi, dtype=np.int64 if size <= np.iinfo(np.int64).max else object)
+                out = np.empty((hi - lo, self.n * self.n, 2), dtype=np.intp)
+                for j in reversed(range(self.n)):
+                    for i in [*(i for i in reversed(range(self.n)) if i != pattern[j]), pattern[j]]:
+                        c = i * self.n + j
+                        radix = len(self.segments[c]) if i == pattern[j] else len(self.vertices[c])
+                        digit = (local % radix).astype(np.intp)
+                        out[:, c] = self.segments[c][digit] if i == pattern[j] else digit[:, None]
+                        local //= radix
+                yield pattern, first + lo, out
+            first += size
+
+    def runs(self, start: int, stop: int):
+        """Yield ``(first index, ends)`` for each maximal stretch of a block that shares ``signature``."""
+        for _, first, ends in self.ends(start, stop):
+            sig = self.signature(ends)
+            cuts = [0, *(np.flatnonzero((sig[1:] != sig[:-1]).any(axis=1)) + 1).tolist(), len(ends)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                yield first + lo, ends[lo:hi]
+
+    def config(self, index: int, pattern, ends) -> EdgeConfiguration:
+        """The ``EdgeConfiguration`` of one configuration's ends, given as nested lists."""
+        n, verts = self.n, self.vertices
+        edge_choice, vertex_choice, vertex_index = [], {}, {}
+        for j, row in enumerate(pattern):
+            a, b = ends[row * n + j]
+            edge_choice.append(EdgeSegment(verts[row * n + j][a], verts[row * n + j][b], index0=a, index1=b))
+            for i in range(n):
+                if i != row:
+                    vertex_index[i, j] = v = ends[i * n + j][0]
+                    vertex_choice[i, j] = verts[i * n + j][v]
+        return EdgeConfiguration(index, pattern, edge_choice, vertex_choice, vertex_index)
+
+    def lambda_cells(self, ends: np.ndarray) -> np.ndarray:
+        """Whether each cell carries a parameter, shape ``ends.shape[:-1]``."""
+        return ~self.same[self.cells, ends[..., 0], ends[..., 1]]
+
+    def slots(self, lambda_cells: np.ndarray) -> np.ndarray:
+        """One configuration's lambda cells in slot order, by ascending column."""
+        cells = np.flatnonzero(lambda_cells)
+        return cells[np.argsort(cells % self.n)]
+
+    def any_truncated(self, ends: np.ndarray) -> np.ndarray:
+        """Whether a vertex at either end of any cell lost coefficients at construction, shape (B,)."""
+        return self.truncated[self.cells[:, None], ends].any(axis=(1, 2))
+
+    def signature(self, ends: np.ndarray) -> np.ndarray:
+        """What a run's configurations share besides their pattern, shape (B, 3 * n*n).
+
+        The lambda cells, every cell's length at lambda = 0, and each lambda
+        cell's length at lambda = 1 (0 for the other cells).
+        """
+        free = self.lambda_cells(ends)
+        lengths = self.lengths[self.cells[:, None], ends]
+        return np.concatenate([free, lengths[..., 0], np.where(free, lengths[..., 1], 0)], axis=1)
 
 
 def count_configs(fam: MatrixFamily) -> int:
     """Total number of configurations in the stream, without materializing it."""
-    return sum(math.prod(radices) for _, _, radices in _blocks(fam))
-
-
-def _digits_of(value: int, radices: list[int]) -> list[int]:
-    digits = [0] * len(radices)
-    for pos in range(len(radices) - 1, -1, -1):
-        digits[pos] = value % radices[pos]
-        value //= radices[pos]
-    return digits
-
-
-def _config_from_digits(index, pattern, choices, digits) -> EdgeConfiguration:
-    edge_choice, vertex_choice, vertex_index = [], {}, {}
-    for (place, options), d in zip(choices, digits):
-        if isinstance(place, int):
-            edge_choice.append(options[d])
-        else:
-            vertex_choice[place] = options[d]
-            vertex_index[place] = d
-    return EdgeConfiguration(index, pattern, edge_choice, vertex_choice, vertex_index)
+    return VertexTable(fam).total
 
 
 def iter_configs(fam: MatrixFamily, start: int = 0, stop: int | None = None):
-    """Yield configurations with indices in [start, stop), in stream order."""
+    """Yield configurations with indices in [start, stop), in stream order, 4,096 at a time."""
     if start < 0:
         raise ValueError("start must be nonnegative")
-    if stop is None:
-        stop = math.inf
-    index = 0
-    for pattern, choices, radices in _blocks(fam):
-        size = math.prod(radices)
-        if index >= stop:
-            break
-        if index + size > start:
-            local = max(start - index, 0)
-            digits = _digits_of(local, radices)
-            while index + local < stop and local < size:
-                yield _config_from_digits(index + local, pattern, choices, digits)
-                local += 1
-                # odometer step, last digit fastest
-                for pos in range(len(digits) - 1, -1, -1):
-                    digits[pos] += 1
-                    if digits[pos] < radices[pos]:
-                        break
-                    digits[pos] = 0
-        index += size
+    table = VertexTable(fam)
+    stop = table.total if stop is None else min(stop, table.total)
+    for step in range(start, stop, 4096):
+        for pattern, first, ends in table.ends(step, min(step + 4096, stop)):
+            for b, cell_ends in enumerate(ends.tolist()):
+                yield table.config(first + b, pattern, cell_ends)
 
 
 def config_at(fam: MatrixFamily, index: int) -> EdgeConfiguration:

@@ -36,18 +36,6 @@ class PolytopeEntry:
     def m(self) -> int:
         return len(self.vertices)
 
-    def member(self, weights: Sequence[float]) -> Polynomial:
-        """Convex combination of the vertices; weights must be a full simplex point."""
-        w = np.asarray(weights, dtype=float)
-        if w.size != self.m:
-            raise ValueError("weight count must match vertex count")
-        if np.any(w < -1e-12) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to one")
-        out = self.vertices[0] * float(w[0])
-        for wi, v in zip(w[1:], self.vertices[1:]):
-            out = out + v * float(wi)
-        return out
-
 
 @dataclass(frozen=True)
 class IntervalEntry:
@@ -86,14 +74,6 @@ class IntervalEntry:
             raise BoundOrderViolation(
                 f"lower bound exceeds upper bound at coefficient index {int(bad[0])}"
             )
-
-    def member(self, coeffs: Sequence[float]) -> Polynomial:
-        c = np.asarray(coeffs, dtype=float)
-        if c.size != self.length:
-            raise ValueError("coefficient count must match the bound length")
-        if np.any(c < self.lower - 1e-9) or np.any(c > self.upper + 1e-9):
-            raise ValueError("coefficients leave the interval box")
-        return Polynomial(c)
 
 
 Entry = Union[PolytopeEntry, IntervalEntry]

@@ -12,17 +12,18 @@ The decision layers build on each other:
   of a family in one chunk plan, whatever the worker count: the parent
   decides ``[0, 1)`` and stops if it is Unstable; the chunks ``[1, 64)``,
   ``[64, 128)``, ... follow, in-process or on worker processes, up to the
-  first chunk that ends Unstable.  A run is a maximal stretch of a chunk
-  that shares ``run_key``.  ``VertexMembers`` gives each configuration its
-  corner verdicts: it solves the new all-vertex members of each run in
-  batches (one determinant and one margin call per cell-length signature)
-  and memoises each verdict by member key.  It also holds the box memo: a
-  configuration with k < n whose box (lambda cells and vertex choices)
-  recurred under an earlier pattern reuses that box's verdict and builds
-  nothing.  Every other configuration passes ``box_stable``'s checks
-  before the sweep, in stream order; the configurations of a run that need
-  a sweep are swept together, one batch per mask set and row shape, and
-  each gets bitwise the verdict ``box_stable`` gives it alone.
+  first chunk that ends Unstable.  A run is a maximal stretch of a chunk's
+  ``ends`` that ``VertexTable.runs`` keeps together.  ``VertexMembers``
+  holds the table and gives each configuration its corner verdicts: it
+  solves the new all-vertex members of each run in batches (one
+  determinant and one margin call per cell-length signature) and memoises
+  each verdict by the member's vertex indices.  It also holds the box
+  memo: a configuration with k < n whose box recurred under an earlier
+  pattern reuses that box's verdict and builds nothing.  Every other
+  configuration passes ``box_stable``'s checks before the sweep, in stream
+  order; the configurations of a run that need a sweep are swept together,
+  one batch per mask set and row shape, and each gets bitwise the verdict
+  ``box_stable`` gives it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -31,7 +32,6 @@ Inconclusive beats RobustlyStable.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import numbers
 import os
@@ -50,9 +50,8 @@ from .det import (
     det_parametric,  # noqa: F401  bench/tracing.py patches stab.det_parametric
     det_parametric_run,
     monomial_weights,
-    run_key,
 )
-from .edges import EdgeConfiguration, count_configs, iter_configs
+from .edges import VertexTable, iter_configs  # noqa: F401  bench/tracing.py patches stab.iter_configs
 from .errors import RegionNotHurwitzError, ValidationFailure, ZeroPolynomialError
 from .family import EdgeSegment, MatrixFamily, validate
 from .poly import Polynomial, horner
@@ -634,8 +633,8 @@ def box_stable(
 
     ``corners[v]`` is the ``point_stable`` verdict of the member at box
     vertex v (slot l at bit l of v).  The family drivers pass the
-    configuration's list from ``VertexMembers.solve(run)``: every corner of
-    a configuration is an all-vertex matrix, solved once per family from its
+    configuration's list from ``VertexMembers.solve``: every corner of a
+    configuration is an all-vertex matrix, solved once per family from its
     own cells, in the batch of its run.  Without ``corners`` the corner
     members are assembled from ``pd`` and measured here in one
     ``member_margins`` call.
@@ -672,100 +671,61 @@ class ConfigOutcome:
 _CHUNK = 64
 
 
-def _corner_keys(cfg: EdgeConfiguration) -> list[tuple]:
-    """Member key of each box corner of a configuration, corner v at index v."""
-    n = cfg.n
-    base = [0] * (n * n)
-    for (i, j), idx in cfg.vertex_index.items():
-        base[i * n + j] = idx
-    for j, seg in enumerate(cfg.edge_choice):
-        if seg.index0 is None or seg.index1 is None:
-            raise ValueError(f"segment of column {j} does not name its vertices")
-        base[cfg.sigma[j] * n + j] = seg.index0
-    keys = []
-    for v in range(1 << len(cfg.lambda_columns)):
-        key = list(base)
-        for slot, j in enumerate(cfg.lambda_columns):
-            if v >> slot & 1:
-                key[cfg.sigma[j] * n + j] = cfg.edge_choice[j].index1
-        keys.append(tuple(key))
-    return keys
+def _corner_ends(ends: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Vertex index of every cell of each box-corner member of a run, shape (B, 2**k, n*n).
 
-
-def _corner_cells(cfg: EdgeConfiguration, v: int) -> list[Polynomial]:
-    """Cells, row-major, of the member at box corner v of a configuration."""
-    cells = [cell for row in cfg.base for cell in row]
-    for slot, j in enumerate(cfg.lambda_columns):
-        if v >> slot & 1:
-            cells[cfg.sigma[j] * cfg.n + j] = cfg.edge_choice[j].p1
-    return cells
+    Corner v takes slot l's lambda cell at its lambda = 1 end where bit l of
+    v is set, and every other cell at its lambda = 0 end.
+    """
+    bits = corner_lambdas(slots.size) > 0.0
+    out = np.repeat(ends[:, None, :, 0], bits.shape[0], axis=1)
+    out[:, :, slots] = np.where(bits, ends[:, None, slots, 1], ends[:, None, slots, 0])
+    return out
 
 
 class VertexMembers:
-    """Point verdicts of all-vertex members, solved in batches and memoised per key.
+    """One analysis's ``VertexTable``, and the point verdicts of its all-vertex members.
 
-    The corner of a configuration at box vertex v is its base grid with the
-    pattern cell of column ``lambda_columns[l]`` set to that segment's ``p1``
-    wherever bit l of v is set.  A member is keyed by the vertex index of
-    every cell in row-major order: ``cfg.vertex_index`` for an off-pattern
-    cell, the segment's ``index0`` or ``index1`` for a pattern cell (vertex
-    list positions, or Kharitonov indices for an interval cell).  Within one
-    family's stream an index names one polynomial of its cell, so the key
-    names the member; it never names a configuration.
-
-    ``solve(cfgs, keys)`` measures the members of a run of configurations
-    that the memo has not seen, given each configuration's ``_corner_keys``.
-    It groups them by the coefficient length of every cell and makes one
-    ``_laplace`` call and one ``member_margins`` call per group.  Groups are
-    never zero-padded, which would reorder the sums of the determinant, so
-    each member's coefficients, margin and verdict are bitwise
-    ``point_stable(det_matrix(grid))``'s and do not depend on the batch, the
-    configuration or the worker that reaches the member first.  A zero
-    member gets ``member_margins``' -inf margin instead of raising;
+    A member is named by the vertex index of every cell, row-major, as in
+    ``_corner_ends``.  Within one family an index names one polynomial of
+    its cell, so the key names the member; it never names a configuration.
+    ``solve`` measures the members the memo has not seen, grouped by the
+    coefficient length of every cell: one ``_laplace`` call and one
+    ``member_margins`` call per group, on rows gathered from the table.
+    Groups are never zero-padded, which would reorder the sums of the
+    determinant, so each member's coefficients, margin and verdict are
+    bitwise ``point_stable(det_matrix(grid))``'s and do not depend on the
+    batch, the configuration or the worker that reaches the member first.
+    A zero member gets ``member_margins``' -inf margin instead of raising;
     ``box_stable`` calls such a configuration Degenerate before it reads a
     corner.
 
     ``_boxes`` is the analysis's box memo, which ``_check_chunk`` fills and
     reads: the verdict of a configuration with k < n, keyed by its first and
-    last corner keys.
+    last corner members.
     """
 
-    def __init__(self, region: Region):
-        self.region = region
+    def __init__(self, fam: MatrixFamily):
+        self.table = VertexTable(fam)
+        self.region = fam.region
         self._verdicts: dict[tuple, Verdict] = {}
         self._boxes: dict[tuple, Verdict] = {}
 
-    def solve(self, cfgs, keys) -> list[list[Verdict]]:
-        """The corner verdicts of each of ``cfgs``, whose ``_corner_keys`` are ``keys``.
-
-        What the memo lacks is solved in batches.
-        """
-        groups: dict[tuple, dict[tuple, list[Polynomial]]] = {}
-        for cfg, cfg_keys in zip(cfgs, keys):
-            for v, key in enumerate(cfg_keys):
-                if key not in self._verdicts:
-                    cells = _corner_cells(cfg, v)
-                    sig = tuple(cell.coeffs.size for cell in cells)
-                    groups.setdefault(sig, {}).setdefault(key, cells)
-        for sig, group in groups.items():
-            n = math.isqrt(len(sig))
-            members = list(group.values())
-            grid = [[np.stack([m[i * n + j].coeffs for m in members]) for j in range(n)] for i in range(n)]
+    def solve(self, corners: np.ndarray) -> list[list[Verdict]]:
+        """The verdicts of the members ``corners``, shape (B, V, n*n), as B lists of V."""
+        table, n = self.table, self.table.n
+        keys = [tuple(key) for key in corners.reshape(-1, n * n).tolist()]
+        fresh = list(dict.fromkeys(key for key in keys if key not in self._verdicts))
+        picks = np.array(fresh, dtype=np.intp).reshape(-1, n * n)
+        sigs, group = np.unique(table.lengths[table.cells, picks], axis=0, return_inverse=True)
+        for g, sig in enumerate(sigs):
+            rows = np.flatnonzero(group.ravel() == g)
+            grid = [[table.rows[c, picks[rows, c], : sig[c]] for c in range(i * n, i * n + n)] for i in range(n)]
             margins, roots = member_margins(self.region, _laplace(grid))
-            for key, margin, root in zip(group, margins, roots):
+            for key, margin, root in zip([fresh[r] for r in rows], margins, roots):
                 self._verdicts[key] = _member_verdict(margin, root)
-        return [[self._verdicts[key] for key in cfg_keys] for cfg_keys in keys]
-
-    def corners(self, cfg: EdgeConfiguration) -> list[Verdict]:
-        """``box_stable``'s ``corners`` for one configuration."""
-        return self.solve([cfg], [_corner_keys(cfg)])[0]
-
-
-def _truncated_input(cfg: EdgeConfiguration) -> bool:
-    """Whether a base cell or segment endpoint lost coefficients at construction."""
-    return any(cell.truncated for row in cfg.base for cell in row) or any(
-        seg.p1.truncated for seg in cfg.edge_choice
-    )
+        width = corners.shape[1]
+        return [[self._verdicts[key] for key in keys[b : b + width]] for b in range(0, len(keys), width)]
 
 
 def _check_chunk(
@@ -773,20 +733,19 @@ def _check_chunk(
 ) -> list:
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable.
 
-    A run is a maximal stretch of the chunk that shares ``run_key``.  A
-    configuration with k < n first looks up its box in ``members._boxes``,
-    keyed by its first and last corner keys.  Those two corners differ
-    exactly at the lambda cells, in slot order, so the key names every cell
-    and slot of the box.  A fixed entry's pattern cell is a degenerate
-    segment equal to its one vertex, so the same box recurs under each
-    pattern that shares its lambda cells and vertex choices; with k = n the
-    lambda cells fix sigma, so such a box never recurs and is not stored.
-    The memo holds at most one verdict per distinct k < n box of the family.
-    A hit is bitwise the verdict the box gets again: the same cells give
-    the same ``_laplace`` inputs, the same corner members and the same
-    sweep, whose verdicts do not depend on batch-mates.  A configuration
-    with a truncated input is Degenerate at once and stays out of the memo,
-    since a degenerate segment's ``p1`` is not in its key.
+    Each run comes from ``members.table.runs``.  A configuration with a
+    truncated input (a vertex at either end of a cell lost coefficients at
+    construction) is Degenerate at once and stays out of the box memo.
+    Another configuration with k < n first looks up its box in
+    ``members._boxes``, keyed by its first and last corner members.  Those
+    two corners differ exactly at the lambda cells, in slot order, so the
+    key names every cell and slot of the box.  A fixed entry's pattern cell
+    is a degenerate segment at its one vertex, so the same box recurs under
+    each pattern that shares its lambda cells and vertex choices; with
+    k = n the lambda cells fix sigma, so such a box never recurs and is not
+    stored.  A hit is bitwise the verdict the box gets again: the same
+    cells give the same ``_laplace`` inputs, the same corner members and
+    the same sweep, whose verdicts do not depend on batch-mates.
 
     The rest of a run, up to the first configuration already known to be
     Unstable, gets its determinants and corners in one batch each and
@@ -796,31 +755,33 @@ def _check_chunk(
     order of each batch's first configuration; a batch drops the
     configurations after an Unstable one already found.
     """
+    table = members.table
     out = []
-    for _, group in itertools.groupby(iter_configs(fam, start=start, stop=stop), key=run_key):
-        run = list(group)
-        keys = [_corner_keys(cfg) for cfg in run]
+    for first, ends in table.runs(start, stop):
+        truncated = table.any_truncated(ends)
+        corners = _corner_ends(ends, table.slots(table.lambda_cells(ends[0])))
+        boxed = corners.shape[1] < 1 << table.n  # k < n, so the box can recur
+        box_keys = [(tuple(c[0]), tuple(c[-1])) for c in corners[:, [0, -1]].tolist()]
         decided = []
-        for cfg, cfg_keys in zip(run, keys):
-            if _truncated_input(cfg):
+        for pos in range(len(ends)):
+            if truncated[pos]:
                 v = Verdict(
                     Status.DEGENERATE,
                     reason="an input polynomial has trailing coefficients below the "
                     "truncation floor, so its degree is not resolved",
                 )
             else:
-                v = members._boxes.get((cfg_keys[0], cfg_keys[-1])) if cfg.k < cfg.n else None
-            decided.append([cfg.index, v])
+                v = members._boxes.get(box_keys[pos]) if boxed else None
+            decided.append([first + pos, v])
             if v is not None and v.status is Status.UNSTABLE:
                 break
         end = len(decided)
         todo = [pos for pos in range(end) if decided[pos][1] is None]
         batches: dict[tuple, list] = {}
         if todo:
-            cfgs = [run[pos] for pos in todo]
-            pds = det_parametric_run(cfgs)
-            for pos, pd, corners in zip(todo, pds, members.solve(cfgs, [keys[pos] for pos in todo])):
-                v, box = _box_checks(pd, fam.region, tol, corners)
+            pds = det_parametric_run(table, ends[todo])
+            for pos, pd, corner_verdicts in zip(todo, pds, members.solve(corners[todo])):
+                v, box = _box_checks(pd, fam.region, tol, corner_verdicts)
                 if v is None:
                     batches.setdefault((pd.masks.tobytes(), pd.rows.shape), []).append((pos, pd, box))
                 decided[pos][1] = v
@@ -831,32 +792,29 @@ def _check_chunk(
             batch = [item for item in batch if item[0] < end]
             if not batch:
                 continue
-            verdicts = _zero_exclusion_sweep(
-                [pd for _, pd, _ in batch], [box for _, _, box in batch], fam.region, tol
-            )
+            verdicts = _zero_exclusion_sweep([pd for _, pd, _ in batch], [box for _, _, box in batch], fam.region, tol)
             for (pos, _, _), v in zip(batch, verdicts):
                 if pos < end:
                     decided[pos][1] = v
                     if v.status is Status.UNSTABLE:
                         end = pos + 1
         for pos in todo:
-            cfg = run[pos]
-            if pos < end and cfg.k < cfg.n:
-                members._boxes[keys[pos][0], keys[pos][-1]] = decided[pos][1]
+            if boxed and pos < end:
+                members._boxes[box_keys[pos]] = decided[pos][1]
         out.extend(tuple(item) for item in decided[:end])
         if out and out[-1][1].status is Status.UNSTABLE:
             return out
     return out
 
 
-# A pool worker's member memo, shared by every chunk it runs.  The pool lives
-# for one family's analysis, so the memo never sees another region.
+# A pool worker's vertex table and member memo, shared by every chunk it
+# runs.  The pool lives for one family's analysis, so they never see another.
 _pool_members: VertexMembers | None = None
 
 
-def _start_pool_worker(region: Region) -> None:
+def _start_pool_worker(fam: MatrixFamily) -> None:
     global _pool_members
-    _pool_members = VertexMembers(region)
+    _pool_members = VertexMembers(fam)
 
 
 def _check_pool_chunk(fam: MatrixFamily, start: int, stop: int, tol: Tolerances) -> list:
@@ -895,10 +853,10 @@ def _aggregate(results, total: int):
 def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     # one chunk plan for every worker count, so the report cannot depend on
     # it: [0, 1), then [1, 64), [64, 128), ..., ending at total
-    total = count_configs(fam)
+    members = VertexMembers(fam)
+    total = members.table.total
     bounds = sorted({0, 1, total, *range(_CHUNK, total, _CHUNK)})
     chunks = list(zip(bounds[1:-1], bounds[2:]))
-    members = VertexMembers(fam.region)
     # the parent decides configuration 0 alone and goes on only when it is not Unstable
     results = _check_chunk(fam, 0, 1, tol, members)
     if results[-1][1].status is Status.UNSTABLE:
@@ -911,7 +869,7 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_start_pool_worker, initargs=(fam.region,))
+                ProcessPoolExecutor(max_workers=workers, initializer=_start_pool_worker, initargs=(fam,))
             )
             stack.callback(pool.shutdown, cancel_futures=True)
             futures = [pool.submit(_check_pool_chunk, fam, a, b, tol) for a, b in chunks]

@@ -6,6 +6,7 @@ be a convex combination of its entry's vertices.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from edgestab.edges import (
     EdgeConfiguration,
     config_at,
     count_configs,
+    entry_edges,
     entry_vertices,
     iter_configs,
     permutations_in_order,
@@ -165,6 +167,74 @@ def test_config_at_matches_stream():
         assert direct.describe() == other.describe()
 
 
+def reference_stream(fam):
+    """Every configuration in stream order, as (sigma, segments, vertex choices).
+
+    Per pattern, ``itertools.product`` over each column's segments, then the
+    vertices of its other rows in ascending order, moves the last digit
+    fastest.
+    """
+    n = fam.n
+    for sigma in permutations_in_order(n):
+        places, options = [], []
+        for j in range(n):
+            places.append(j)
+            options.append(entry_edges(fam.entry(sigma[j], j)))
+            for i in range(n):
+                if i != sigma[j]:
+                    places.append((i, j))
+                    options.append(list(enumerate(entry_vertices(fam.entry(i, j)))))
+        for combo in itertools.product(*options):
+            segs = [c for place, c in zip(places, combo) if isinstance(place, int)]
+            verts = {place: c for place, c in zip(places, combo) if not isinstance(place, int)}
+            yield sigma, segs, verts
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        two_vertex_family(3, seed=5),
+        square(lambda i, j: interval([0.0, 1.0, 0.0], [1.0, 2.0, 0.5]) if i == j else interval([0.1], [0.1]), 2),
+        square(lambda i, j: cell([1.0], [2.0, 1.0], [3.0]) if (i + j) % 2 else cell([1.0, 1.0]), 2),
+    ],
+    ids=["two_vertex", "interval", "mixed_counts"],
+)
+def test_stream_matches_product_order(fam):
+    streamed = list(iter_configs(fam))
+    reference = list(reference_stream(fam))
+    assert len(streamed) == len(reference) == count_configs(fam)
+    for cfg, (sigma, segs, verts) in zip(streamed, reference):
+        assert cfg.sigma == sigma, cfg.index
+        assert cfg.edge_choice == tuple(segs), cfg.index
+        assert cfg.vertex_index == {place: v for place, (v, _) in verts.items()}, cfg.index
+        for (i, j), (_, poly) in verts.items():
+            assert cfg.base[i][j] == poly, cfg.index
+
+
+def test_config_at_beyond_int64_block_sizes():
+    # n = 8 with three vertices per cell: each pattern block holds 3**64
+    # configurations, more than int64 holds, so the digits of an index must
+    # come out as they do in Python integers
+    n = 8
+    fam = square(lambda i, j: cell([1.0 + i, 1.0], [2.0 + j, 1.0], [3.0, 1.0 + j]), n)
+    per_block = 3**64
+    assert count_configs(fam) == math.factorial(n) * per_block
+    for index in (per_block - 1, 5 * per_block + 2**70 + 12345):
+        cfg = config_at(fam, index)
+        assert cfg.sigma == permutations_in_order(n)[index // per_block]
+        local = index % per_block
+        # the last digit first: per column from the right, its other rows
+        # from the bottom, then its segment
+        for j in reversed(range(n)):
+            for i in reversed(range(n)):
+                if i != cfg.sigma[j]:
+                    assert cfg.vertex_index[i, j] == local % 3
+                    local //= 3
+            seg = cfg.edge_choice[j]
+            assert (seg.index0, seg.index1) == [(0, 1), (0, 2), (1, 2)][local % 3]
+            local //= 3
+
+
 def test_iter_configs_range_slicing():
     fam = two_vertex_family(3, seed=4)
     whole = [cfg.index for cfg in iter_configs(fam)]
@@ -297,7 +367,10 @@ def test_value_sets_respect_vertex_hull():
             for j in range(2):
                 e = fam.entry(i, j)
                 w = rng.dirichlet(np.ones(e.m))
-                row.append(e.member(w))
+                mix = e.vertices[0] * float(w[0])
+                for wi, v in zip(w[1:], e.vertices[1:]):
+                    mix = mix + v * float(wi)
+                row.append(mix)
             grid.append(row)
         val = complex(det_matrix(grid)(s))
         # val must be a convex combination of the vertex values

@@ -37,18 +37,6 @@ def interval(lo, hi):
 def test_polytope_entry_basic():
     e = PolytopeEntry((Polynomial([1.0, 1.0]), Polynomial([2.0, 1.0])))
     assert e.m == 2
-    member = e.member([0.25, 0.75])
-    assert member.isclose(Polynomial([1.75, 1.0]))
-
-
-def test_polytope_member_weight_validation():
-    e = PolytopeEntry((Polynomial([1.0]), Polynomial([2.0])))
-    with pytest.raises(ValueError):
-        e.member([0.5, 0.6])  # does not sum to 1
-    with pytest.raises(ValueError):
-        e.member([1.5, -0.5])  # negative weight
-    with pytest.raises(ValueError):
-        e.member([1.0])  # wrong length
 
 
 def test_polytope_entry_rejects_empty_and_non_polynomials():
@@ -89,14 +77,6 @@ def test_interval_entry_bound_order():
     fam = MatrixFamily([[bad]], HurwitzHalfPlane())
     diags = validate(fam)
     assert any(d.level == "error" and d.code == "bound-order" for d in diags)
-
-
-def test_interval_member():
-    e = interval([1.0, 3.0], [2.0, 4.0])
-    m = e.member([1.5, 3.5])
-    assert m.isclose(Polynomial([1.5, 3.5]))
-    with pytest.raises(ValueError):
-        e.member([0.0, 3.5])  # below the lower bound
 
 
 def test_interval_point_flag():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from edgestab.cli import parse_family_dict
-from edgestab import det
+from edgestab import det, poly
 from edgestab.det import (
     ParametricDeterminant,
     _polyadd,
@@ -24,9 +24,16 @@ from edgestab.det import (
     det_matrix,
     det_parametric,
     det_parametric_run,
-    run_key,
 )
-from edgestab.edges import EdgeConfiguration, count_configs, entry_edges, entry_vertices, iter_configs
+from edgestab.edges import (
+    EdgeConfiguration,
+    VertexTable,
+    config_at,
+    count_configs,
+    entry_edges,
+    entry_vertices,
+    iter_configs,
+)
 from edgestab.errors import (
     RegionNotHurwitzError,
     ValidationFailure,
@@ -707,9 +714,9 @@ def test_overflowing_determinant_is_degenerate():
     assert verdict.status is Status.DEGENERATE
     assert "overflow" in verdict.reason
     assert all(o.status is Status.DEGENERATE for o in outcomes)
-    members = VertexMembers(fam.region)
+    members = VertexMembers(fam)
     for cfg in iter_configs(fam):
-        assert all(v.status is Status.DEGENERATE for v in members.corners(cfg))
+        assert all(v.status is Status.DEGENERATE for v in vertex_corners(members, cfg))
 
 
 def test_overflowing_corner_member_is_degenerate():
@@ -727,7 +734,7 @@ def test_overflowing_corner_member_is_degenerate():
     cfg = next(iter_configs(fam))
     pd = det_parametric(cfg)
     assert np.isfinite(det.coefficient_box(pd)).all()
-    corners = VertexMembers(fam.region).corners(cfg)
+    corners = vertex_corners(VertexMembers(fam), cfg)
     assert [c.status for c in corners] == [Status.ROBUSTLY_STABLE, Status.DEGENERATE]
     v = box_stable(pd, fam.region, corners=corners)
     assert v.status is Status.DEGENERATE
@@ -838,11 +845,11 @@ def test_member_memo_matches_assembled_corners(make):
     # corner verdicts solved once per all-vertex member must decide every
     # configuration as the corners assembled from its own determinant do
     fam = make()
-    members = VertexMembers(fam.region)
+    members = VertexMembers(fam)
     statuses = set()
     for cfg in iter_configs(fam):
         pd = det_parametric(cfg)
-        memo = box_stable(pd, fam.region, corners=members.corners(cfg))
+        memo = box_stable(pd, fam.region, corners=vertex_corners(members, cfg))
         direct = box_stable(pd, fam.region)
         assert (memo.status, memo.reason) == (direct.status, direct.reason), cfg.index
         statuses.add(memo.status)
@@ -857,22 +864,72 @@ def test_member_memo_matches_assembled_corners(make):
     assert statuses
 
 
-def test_member_key_needs_vertex_indices():
-    # members are keyed by vertex indices, so a segment that does not name
-    # its endpoints cannot be keyed
-    seg = EdgeSegment(Polynomial([1.0, 1.0]), Polynomial([2.0, 1.0]))
-    cfg = EdgeConfiguration(0, (0,), [seg], {})
-    with pytest.raises(ValueError):
-        VertexMembers(HurwitzHalfPlane()).corners(cfg)
+def reference_corner_keys(cfg):
+    """Member key of each box corner, from the configuration's polynomials and indices.
+
+    The key is the vertex index of every cell, row-major: ``vertex_index``
+    off the pattern, the segment's ``index0`` on it, and its ``index1`` at
+    corner v for the lambda column of each slot whose bit is set in v.
+    """
+    n = cfg.n
+    base = [0] * (n * n)
+    for (i, j), idx in cfg.vertex_index.items():
+        base[i * n + j] = idx
+    for j, seg in enumerate(cfg.edge_choice):
+        base[cfg.sigma[j] * n + j] = seg.index0
+    keys = []
+    for v in range(1 << cfg.k):
+        key = list(base)
+        for slot, j in enumerate(cfg.lambda_columns):
+            if v >> slot & 1:
+                key[cfg.sigma[j] * n + j] = cfg.edge_choice[j].index1
+        keys.append(tuple(key))
+    return keys
+
+
+def reference_run_key(cfg):
+    """What the configurations of one run share: sigma, lambda columns, cell and ``p1`` lengths."""
+    return (
+        cfg.sigma,
+        cfg.lambda_columns,
+        tuple(cell.coeffs.size for row in cfg.base for cell in row),
+        tuple(cfg.edge_choice[j].p1.coeffs.size for j in cfg.lambda_columns),
+    )
+
+
+def reference_truncated(cfg):
+    """Whether a base cell or segment end ``p1`` lost coefficients at construction."""
+    return any(cell.truncated for row in cfg.base for cell in row) or any(
+        seg.p1.truncated for seg in cfg.edge_choice
+    )
+
+
+def vertex_corners(members, cfg):
+    """The corner verdicts ``members`` gives one configuration."""
+    return members.solve(np.array(reference_corner_keys(cfg))[None])[0]
+
+
+def stream_runs(fam, bounds=None):
+    """``VertexTable.runs`` of each range between ``bounds`` (the whole stream by default).
+
+    Yields ``(table, configurations, ends)`` per run.
+    """
+    table = VertexTable(fam)
+    bounds = [0, table.total] if bounds is None else bounds
+    for start, stop in zip(bounds, bounds[1:]):
+        for first, ends in table.runs(start, stop):
+            yield table, list(iter_configs(fam, start=first, stop=first + len(ends))), ends
 
 
 def plan_runs(fam):
-    """The drivers' runs: maximal ``run_key`` stretches of [0, 1), [1, 64), [64, 128), ..."""
+    """The drivers' runs: ``VertexTable.runs`` of [0, 1), [1, 64), [64, 128), ..."""
     total = count_configs(fam)
-    bounds = sorted({0, 1, total, *range(64, total, 64)})
-    for start, stop in zip(bounds, bounds[1:]):
-        for _, group in itertools.groupby(iter_configs(fam, start=start, stop=stop), key=run_key):
-            yield list(group)
+    return stream_runs(fam, sorted({0, 1, total, *range(64, total, 64)}))
+
+
+def run_corners(table, ends):
+    """``_corner_ends`` of a run, with its slots from its first configuration."""
+    return stab._corner_ends(ends, table.slots(table.lambda_cells(ends[0])))
 
 
 def mixed_length_family():
@@ -926,14 +983,14 @@ def test_batched_members_equal_point_verdicts(make):
     # verdict that point_stable gives its own determinant; a zero member
     # gets the -inf verdict instead of raising
     fam = make()
-    members = VertexMembers(fam.region)
+    members = VertexMembers(fam)
     signatures = 0
-    for run in plan_runs(fam):
-        batch = members.solve(run, [stab._corner_keys(cfg) for cfg in run])
+    for table, run, ends in plan_runs(fam):
+        batch = members.solve(run_corners(table, ends))
         solved = len(members._verdicts)
         sigs = set()
         for cfg, solved_corner in zip(run, batch, strict=True):
-            corner = members.corners(cfg)
+            corner = vertex_corners(members, cfg)
             assert all(a is b for a, b in zip(corner, solved_corner, strict=True)), cfg.index
             assert len(corner) == 1 << cfg.k
             for v in range(1 << cfg.k):
@@ -993,9 +1050,8 @@ def test_run_terms_equal_single_determinants(make):
     # a run stacks its configurations on a batch axis without padding, so
     # every term must be bitwise the term of the configuration's own determinant
     fam = make()
-    for _, group in itertools.groupby(iter_configs(fam), key=run_key):
-        run = list(group)
-        for cfg, pd in zip(run, det_parametric_run(run)):
+    for table, run, ends in stream_runs(fam):
+        for cfg, pd in zip(run, det_parametric_run(table, ends), strict=True):
             alone = det_parametric(cfg)
             assert pd.k == alone.k
             assert pd.masks.tolist() == alone.masks.tolist(), cfg.index
@@ -1063,9 +1119,8 @@ def test_run_rows_equal_termwise_construction(name, monkeypatch):
 
     monkeypatch.setattr(det, "_laplace", recording_laplace)
     checked = 0
-    for _, group in itertools.groupby(iter_configs(fam), key=run_key):
-        run = list(group)
-        pds = det_parametric_run(run)
+    for table, run, ends in stream_runs(fam):
+        pds = det_parametric_run(table, ends)
         full = _polyadd(outputs.pop(), np.zeros((len(run),) + (2,) * run[0].k + (1,)))
         for b, pd in enumerate(pds):
             masks, rows = termwise_rows(full, b, pd.k)
@@ -1114,10 +1169,13 @@ def test_default_corners_equal_assembled_point_verdicts_on_random_segments():
 
 
 def test_run_rejects_mixed_structure():
-    cfgs = list(iter_configs(fixture_family("demo3x3"), start=63, stop=65))
-    assert run_key(cfgs[0]) != run_key(cfgs[1])
+    # configurations 63 and 64 of demo3x3 end and start a pattern block
+    table = VertexTable(fixture_family("demo3x3"))
+    ends = np.concatenate([block for _, _, block in table.ends(63, 65)])
+    sig = table.signature(ends)
+    assert (sig[0] != sig[1]).any()
     with pytest.raises(ValueError):
-        det_parametric_run(cfgs)
+        det_parametric_run(table, ends)
 
 
 def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
@@ -1140,9 +1198,9 @@ def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
     sizes = []
     run_of = stab.det_parametric_run
 
-    def recording_run(cfgs):
-        sizes.append(len(cfgs))
-        return run_of(cfgs)
+    def recording_run(table, ends):
+        sizes.append(len(ends))
+        return run_of(table, ends)
 
     monkeypatch.setattr(stab, "det_parametric_run", recording_run)
     v, outcomes = analyze_family_detailed(fam, jobs=1)
@@ -1163,10 +1221,10 @@ def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
 
 def lone_outcomes(fam, tol, stop=None):
     """Each configuration decided by ``box_stable`` on its own, up to the first Unstable."""
-    members = VertexMembers(fam.region)
+    members = VertexMembers(fam)
     out = []
     for cfg in iter_configs(fam, stop=stop):
-        v = box_stable(det_parametric(cfg), fam.region, tol, members.corners(cfg))
+        v = box_stable(det_parametric(cfg), fam.region, tol, vertex_corners(members, cfg))
         out.append((cfg.index, repr(v)))
         if v.status is Status.UNSTABLE:
             break
@@ -1175,7 +1233,7 @@ def lone_outcomes(fam, tol, stop=None):
 
 def chunk_outcomes(fam, tol, stop=None):
     stop = count_configs(fam) if stop is None else stop
-    return [(index, repr(v)) for index, v in stab._check_chunk(fam, 0, stop, tol, VertexMembers(fam.region))]
+    return [(index, repr(v)) for index, v in stab._check_chunk(fam, 0, stop, tol, VertexMembers(fam))]
 
 
 def split_shape_family():
@@ -1267,6 +1325,7 @@ SWEEP_FAMILIES = {
     "interval": interval_family,
     "split_shape": split_shape_family,
     "mid_run_unstable": mid_run_unstable_family,
+    "mixed_lengths": lambda: fixture_family("mixed_lengths"),
     **{f"seeded{seed}": (lambda seed=seed: seeded_family(seed)) for seed in range(9)},
     **REPEAT_FAMILIES,
 }
@@ -1285,7 +1344,7 @@ def test_batched_sweep_equals_lone_box_stable(name, grid):
 
 
 def box_key(cfg):
-    keys = stab._corner_keys(cfg)
+    keys = reference_corner_keys(cfg)
     return keys[0], keys[-1]
 
 
@@ -1311,9 +1370,9 @@ def test_repeated_boxes_build_no_determinant(monkeypatch):
     sizes = []
     run_of = stab.det_parametric_run
 
-    def recording_run(cfgs):
-        sizes.append(len(cfgs))
-        return run_of(cfgs)
+    def recording_run(table, ends):
+        sizes.append(len(ends))
+        return run_of(table, ends)
 
     monkeypatch.setattr(stab, "det_parametric_run", recording_run)
     v, outcomes = analyze_family_detailed(fam)
@@ -1338,7 +1397,7 @@ def test_truncated_segment_end_shares_no_box():
     )
     cfg0, cfg1, cfg2 = iter_configs(fam)
     assert box_key(cfg0) == box_key(cfg1) and cfg0.k == 0
-    outcomes = stab._check_chunk(fam, 0, 3, Tolerances(), VertexMembers(fam.region))
+    outcomes = stab._check_chunk(fam, 0, 3, Tolerances(), VertexMembers(fam))
     assert [v.status for _, v in outcomes] == [Status.DEGENERATE, Status.ROBUSTLY_STABLE, Status.DEGENERATE]
     assert repr(outcomes[1][1]) == repr(box_stable(det_parametric(cfg1), fam.region))
 
@@ -1348,8 +1407,8 @@ def recorded_members(monkeypatch):
     made = []
 
     class Recording(VertexMembers):
-        def __init__(self, region):
-            super().__init__(region)
+        def __init__(self, fam):
+            super().__init__(fam)
             made.append(self)
 
     monkeypatch.setattr(stab, "VertexMembers", Recording)
@@ -1381,7 +1440,7 @@ def test_repeated_boxes_same_outcomes_at_two_jobs(name, monkeypatch):
 
 def test_unstable_mid_run_ends_the_report(monkeypatch):
     fam = mid_run_unstable_family()
-    runs = [[cfg.index for cfg in run] for run in plan_runs(fam)]
+    runs = [[cfg.index for cfg in run] for _, run, _ in plan_runs(fam)]
     assert runs == [[0], [1, 2, 3, 4, 5], list(range(6, 14))]
     captured = []
     subdivide = stab._subdivide_at_theta
@@ -1394,9 +1453,8 @@ def test_unstable_mid_run_ends_the_report(monkeypatch):
         (index, Status.UNSTABLE if index == 4 else Status.ROBUSTLY_STABLE) for index in range(5)
     ]
     # alone, configuration 5 (after the Unstable one in its run) is stable
-    members = VertexMembers(fam.region)
     cfg5 = next(iter_configs(fam, start=5, stop=6))
-    assert box_stable(det_parametric(cfg5), fam.region, None, members.corners(cfg5)).is_stable
+    assert box_stable(det_parametric(cfg5), fam.region, None, vertex_corners(VertexMembers(fam), cfg5)).is_stable
 
 
 def test_split_shape_runs_sweep_in_two_batches(monkeypatch):
@@ -1410,7 +1468,7 @@ def test_split_shape_runs_sweep_in_two_batches(monkeypatch):
         return sweep(pds, boxes, region, tol)
 
     monkeypatch.setattr(stab, "_zero_exclusion_sweep", recording_sweep)
-    stab._check_chunk(fam, 0, 6, Tolerances(), VertexMembers(fam.region))
+    stab._check_chunk(fam, 0, 6, Tolerances(), VertexMembers(fam))
     assert batches == [[(4, 2)] * 3, [(4, 3)] * 3]
 
 
@@ -1476,3 +1534,116 @@ def test_theta_grids_equal_lone_grids(region, count):
     for c, (lo, hi) in enumerate(spans):
         want = lone_theta_grid(region, lo, hi, count)
         assert thetas[owner == c].tobytes() == want.tobytes(), (c, hi)
+
+
+# ----------------------------------------------------------------------
+# the index path: configurations as rows of ``ends``
+
+
+def index_polytope_family(seed):
+    # n = 1, 2, 3; one to three vertices per cell, of lengths 1 to 3, so
+    # vertices of one cell differ in length and fixed entries occur; some
+    # cells repeat a vertex (a degenerate segment between distinct indices),
+    # and at odd seeds cell (0, 0)'s vertex 1 equals vertex 0 only once its
+    # -1e-13 is truncated, so that degenerate segment's p1 is truncated and
+    # its p0 is not
+    rng = np.random.default_rng(41_000 + seed)
+    n = 1 + seed % 3
+
+    def entry(i, j):
+        if (i, j) == (0, 0) and seed % 2:
+            return cell([1.0, 2.0, 1.0], [1.0, 2.0, 1.0, -1e-13], [1.5, 2.0, 1.0])
+        vs = [Polynomial(rng.uniform(-1.0, 1.0, int(rng.integers(1, 4)))) for _ in range(int(rng.integers(1, 4)))]
+        if len(vs) > 1 and rng.random() < 0.3:
+            vs[-1] = Polynomial(vs[0].coeffs)
+        return PolytopeEntry(vs)
+
+    return MatrixFamily([[entry(i, j) for j in range(n)] for i in range(n)], HurwitzHalfPlane())
+
+
+def index_interval_family(seed):
+    # interval cells whose Kharitonov vertices lose a zero top coefficient
+    # (so one cell's vertices differ in length), fixed coefficients (so some
+    # Kharitonov vertices and edges coincide), point intervals, and at odd
+    # seeds a vertex truncated at construction
+    rng = np.random.default_rng(43_000 + seed)
+    n = 1 + seed % 3
+
+    def entry(i, j):
+        if (i, j) == (0, 0) and seed % 2:
+            return interval([1.0, 2.0, 1e-13], [1.5, 2.5, 1.0])
+        size = int(rng.integers(1, 4))
+        lo = rng.uniform(-1.0, 1.0, size)
+        hi = lo + rng.choice([0.0, 0.5], size)
+        if rng.random() < 0.5:
+            lo[-1], hi[-1] = 0.0, hi[-1] - lo[-1]
+        return interval(lo, hi)
+
+    return MatrixFamily([[entry(i, j) for j in range(n)] for i in range(n)], HurwitzHalfPlane())
+
+
+INDEX_FAMILIES = {
+    **{name: (lambda name=name: fixture_family(name)) for name in FAMILY_FIXTURES},
+    **{name: (lambda name=name: fixture_family(name)) for name in ("overflow", "delta_overflow", "diagonal3")},
+    "mixed_lengths": lambda: fixture_family("mixed_lengths"),
+    "constant1x1": lambda: fixture_family("constant1x1"),
+    "interval": interval_family,
+    **{f"polytope{seed}": (lambda seed=seed: index_polytope_family(seed)) for seed in range(6)},
+    **{f"interval{seed}": (lambda seed=seed: index_interval_family(seed)) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", list(INDEX_FAMILIES))
+def test_index_path_equals_configuration_path(name):
+    # every quantity the drivers derive from ``ends`` equals what the same
+    # configuration's EdgeConfiguration gives: run boundaries, lambda
+    # columns, corner member keys, box-memo keys, truncation and the
+    # parametric determinant, bitwise; at most eight of the driver's chunks
+    # per family, spread over the stream
+    fam = INDEX_FAMILIES[name]()
+    table = VertexTable(fam)
+    bounds = sorted({0, 1, table.total, *range(64, table.total, 64)})
+    chunks = list(zip(bounds, bounds[1:]))
+    p1_only = 0
+    for start, stop in chunks[:: max(1, len(chunks) // 8)]:
+        cfgs = [config_at(fam, index) for index in range(start, stop)]
+        want_runs = [
+            [cfg.index for cfg in group] for _, group in itertools.groupby(cfgs, key=reference_run_key)
+        ]
+        runs = []
+        for first, ends in table.runs(start, stop):
+            runs.append(list(range(first, first + len(ends))))
+            truncated = table.any_truncated(ends)
+            corners = run_corners(table, ends).tolist()
+            pds = det_parametric_run(table, ends)
+            for b, cfg in enumerate(cfgs[first - start : first - start + len(ends)]):
+                slots = table.slots(table.lambda_cells(ends[b]))
+                assert tuple((slots % fam.n).tolist()) == cfg.lambda_columns, cfg.index
+                assert [tuple(key) for key in corners[b]] == reference_corner_keys(cfg), cfg.index
+                assert (tuple(corners[b][0]), tuple(corners[b][-1])) == box_key(cfg), cfg.index
+                assert truncated[b] == reference_truncated(cfg), cfg.index
+                pd, alone = pds[b], det_parametric(cfg)
+                assert pd.k == alone.k, cfg.index
+                assert (pd.masks.dtype, pd.masks.tolist()) == (alone.masks.dtype, alone.masks.tolist()), cfg.index
+                assert (pd.rows.shape, pd.rows.tobytes()) == (alone.rows.shape, alone.rows.tobytes()), cfg.index
+                p1_only += truncated[b] and not any(c.truncated for row in cfg.base for c in row)
+        assert runs == want_runs
+    if name in ("polytope1", "polytope3", "polytope5"):
+        assert p1_only  # a segment truncated only at its p1 is reached
+
+
+@pytest.mark.parametrize("name", ["demo3x3", "diagonal3", "mixed_lengths", "degree_drop", "interval"])
+def test_chunks_build_no_configuration_or_polynomial(name, monkeypatch):
+    # once the analysis has its vertex table, deciding a chunk works on
+    # vertex indices and coefficient arrays alone
+    fam = interval_family() if name == "interval" else fixture_family(name)
+    members = VertexMembers(fam)
+    made = []
+    for owner in (EdgeConfiguration, Polynomial):
+        init = owner.__init__
+        monkeypatch.setattr(owner, "__init__", lambda self, *a, init=init, **kw: made.append(1) or init(self, *a, **kw))
+    for module in (det, poly):
+        exact = module._exact
+        monkeypatch.setattr(module, "_exact", lambda *a, exact=exact: made.append(1) or exact(*a))
+    outcomes = stab._check_chunk(fam, 0, members.table.total, Tolerances(), members)
+    assert outcomes and made == []
