@@ -96,13 +96,6 @@ class EdgeSegment:
     def degenerate(self) -> bool:
         return self.p0 == self.p1
 
-    def at(self, lam: float) -> Polynomial:
-        lam = float(lam)
-        if lam < -1e-12 or lam > 1.0 + 1e-12:
-            raise ValueError("segment parameter must lie in [0, 1]")
-        lam = min(max(lam, 0.0), 1.0)
-        return self.p0 * (1.0 - lam) + self.p1 * lam
-
 
 # ----------------------------------------------------------------------
 # Kharitonov construction for interval entries.

@@ -12,12 +12,13 @@ search.  The worst sampled member is re-measured through it before it is
 reported: a polytope cell's mix is a matrix product, and with three or more
 vertices it can round differently at batch 1 than at batch 2048, so the
 re-measure is what makes ``member_margin`` reproduce every record bit for
-bit.  Only the members that could still be the worst are root-solved: the
-first 64 of the first chunk, and then every member that
+bit.  Only the members that could still be the worst are root-solved, in
+blocks of 64: the first block of the first chunk, and then every member that
 ``region.margins_exceed`` cannot clear above the running worst margin U plus
-a slack of 1e-6 (1 + |U|).  A cleared member's computed margin exceeds U, so
-it can never be the first member of least margin, and every report is
-bitwise the one that solving every member gives.  Disks clear nothing, so
+a slack of 1e-6 (1 + |U|).  Each block that lowers U clears the members
+still waiting again, at the new U.  A cleared member's computed margin
+exceeds U, so it can never be the first member of least margin, and every
+report is bitwise the one that solving every member gives.  Disks clear nothing, so
 every disk member is solved.  A family whose every determinant is a nonzero
 constant reports its first sampled member, with margin +inf and no root.
 Families whose vertex polynomials (polytope vertices or Kharitonov vertices
@@ -42,8 +43,8 @@ from .region import margins_exceed, member_margins
 
 # Members per batch.
 _CHUNK = 2048
-# Members solved exactly at the start of the first chunk, to set the first bar.
-_PREFIX = 64
+# Members solved exactly per block; each block may lower the bar.
+_BLOCK = 64
 # Slack delta of the skip test, relative to 1 + |bar|: a cleared member's
 # computed margin exceeds bar + delta - (root-solver error) > bar.
 _SLACK = 1e-6
@@ -262,7 +263,7 @@ def sample_family(
     cells, bound patterns for interval cells), then interior mixes, stopping
     at ``budget`` members.  Members are measured in chunks of 2048, and only
     those ``margins_exceed`` cannot clear above the worst margin so far are
-    root-solved (see the module docstring).  The worst member is re-measured
+    root-solved, 64 at a time (see the module docstring).  The worst member is re-measured
     by ``member_margin``, the batch of one, before reporting.
     """
     if budget < 1:
@@ -284,16 +285,18 @@ def sample_family(
         if not np.isfinite(det).all():
             raise ValidationFailure("a sampled member's determinant overflows float64")
         margins = np.full(det.shape[0], math.inf)
-
-        def measure(rows):
-            margins[rows] = member_margins(fam.region, det[rows])[0]
-
-        # the first chunk's bar is the exact worst of its prefix
-        head = min(_PREFIX, det.shape[0]) if total == 0 else 0
-        measure(np.arange(head))
-        bar = min(worst_margin, float(margins.min()))
-        rest = np.arange(head, det.shape[0])
-        measure(rest[~margins_exceed(fam.region, det[rest], bar + _SLACK * (1.0 + abs(bar)))])
+        # solve the members the bar cannot clear a block at a time, and clear
+        # the rest again each time a block lowers the bar; the first chunk's
+        # first bar is the exact worst of its first block
+        pending, bar, cleared_at = np.arange(det.shape[0]), worst_margin, math.inf
+        while pending.size:
+            if bar < cleared_at:
+                pending = pending[~margins_exceed(fam.region, det[pending], bar + _SLACK * (1.0 + abs(bar)))]
+                cleared_at = bar
+            block, pending = pending[:_BLOCK], pending[_BLOCK:]
+            if block.size:
+                margins[block] = member_margins(fam.region, det[block])[0]
+                bar = min(bar, float(margins[block].min()))
         r = int(np.argmin(margins))
         # a family whose every determinant is a nonzero constant keeps its first member
         if margins[r] < worst_margin or worst_weights is None:

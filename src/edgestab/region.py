@@ -15,6 +15,14 @@ than tau inside" (True) or "cannot tell" (False), and never solves a root.
 The sampling oracle root-solves only the members it cannot clear, because a
 cleared member cannot be its worst.  Disks clear nothing, so every disk
 member is solved.
+
+``boxes_exceed`` is the analyzer's box test on whole coefficient boxes: it
+maps each box into the Hurwitz frame of the region tightened by tau (the
+Taylor shift for half planes, a bilinear map for a disk with a real
+centre), widens it by its rounding bound, and runs Kharitonov's four
+polynomials through ``margins_exceed`` (``kharitonov_hurwitz``).  Like the
+filter, it can only say "every root of every member lies more than tau
+inside" or "cannot tell".
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeDropError
+from .family import _KHARITONOV_LOWER_PHASES
 from .poly import batch_roots
 
 TWO_PI = 2.0 * math.pi
@@ -206,8 +215,9 @@ def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.nda
     Conservative: True means a guarded Routh-Hurwitz test (Gantmacher, *The
     Theory of Matrices*, vol. 2, ch. XV) shows it; False means only that it
     could not.  For a half plane Re(z) < sigma a row p passes when the
-    Taylor-shifted row q(s) = p(s + sigma - tau) is Hurwitz with room to
-    spare: every coefficient of q has the leading coefficient's sign and
+    Taylor-shifted row q(s) = p(s + sigma - tau) (``_hurwitz_frame``, with
+    sigma - tau rounded down) is Hurwitz with room to spare: every
+    coefficient of q has the leading coefficient's sign and
     clears ``FILTER_GUARD`` times its magnitude bound, and every first-column
     entry of q's Routh array is positive and clears a first-order bound on
     the error it carries from those seeds and from its own rounding.  A
@@ -218,15 +228,10 @@ def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.nda
     shift = (region.sigma if isinstance(region, ShiftedHalfPlane) else 0.0) - tau
     if isinstance(region, Disk) or not math.isfinite(shift):
         return out
-    L = det_coeffs.shape[1]
-    k = np.arange(L)
-    power = np.subtract.outer(k, k)
+    taylor, taylor_abs, _ = _hurwitz_frame(region, np.array(float(tau)), det_coeffs.shape[1])
     with np.errstate(all="ignore"):
-        # q = p @ taylor, taylor[k, j] = C(k, j) shift**(k - j) for k >= j
-        binom = np.array([[math.comb(a, b) for b in range(L)] for a in range(L)], dtype=float)
-        taylor = np.where(power >= 0, binom * float(shift) ** np.maximum(power, 0), 0.0)
         shifted = det_coeffs @ taylor
-        bound = np.abs(det_coeffs) @ np.abs(taylor)
+        bound = np.abs(det_coeffs) @ taylor_abs
         finite = np.isfinite(shifted).all(axis=1) & np.isfinite(bound).all(axis=1)
         degrees = _row_degrees(det_coeffs)
         for d in np.unique(degrees[finite & (degrees > 0)]):
@@ -256,3 +261,129 @@ def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.nda
                 top, top_err, low, low_err = low, low_err, nxt, nxt_err
             out[rows] = ok
     return out
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u): the relative error of m rounded operations."""
+    return m * _UNIT / (1.0 - m * _UNIT)
+
+
+def _down(a, b):
+    """The largest float not above the exact a - b, elementwise (Knuth's TwoSum)."""
+    s = a - b
+    bv = s - a
+    err = (a - (s - bv)) + (-b - bv)
+    return np.where(err < 0.0, np.nextafter(s, -np.inf), s)
+
+
+# Outward widening of a mapped coefficient box, as a multiple of its
+# first-order rounding bound: the factor 2 covers the second-order terms, the
+# rounding of the bound itself and that of subtracting it.
+_BOX_SLACK = 2.0
+# Absolute widening that covers underflow in the map and its bound.
+_BOX_FLOOR = 2.0**-1060
+# Whether Kharitonov polynomial r takes the lower bound at a coefficient of index l, by l % 4.
+_KHARITONOV_LOWER = np.array([[phase in at for phase in range(4)] for at in _KHARITONOV_LOWER_PHASES])
+
+
+def _powers(x: np.ndarray, L: int) -> np.ndarray:
+    """x**p for p < L on a new last axis, by repeated multiplication: within gamma_p of exact."""
+    out = np.ones(x.shape + (L,))
+    for p in range(1, L):
+        out[..., p] = out[..., p - 1] * x
+    return out
+
+
+def _hurwitz_frame(region: Region, taus: np.ndarray, L: int):
+    """Maps of degree L - 1 rows into the Hurwitz frame of the region tightened by each tau.
+
+    Returns (T, T_abs, valid): ``T[..., i, l]`` is the coefficient of s**l in
+    (a + b s)**i (1 + f s)**(L - 1 - i), so q = p @ T is Hurwitz iff every root
+    of p lies in the tightened region; ``T_abs`` is the same with |a|, |b|
+    and |f|, and the computed T is within ``_gamma(3 * L + 2) * T_abs`` of
+    the exact one.  Half planes Re z < sigma - tau take the Taylor shift
+    a = sigma - tau, b = 1, f = 0.  A disk with a real centre c takes the
+    bilinear map a = c + rho, b = rho - c, f = -1, whose image of the open
+    left half plane is the disk of centre (a - b) / 2 and radius (a + b) / 2.
+    rho = r - tau, a and b are rounded down, so the tested region lies inside
+    the tightened one (Barmish, *New Tools for Robustness of Linear Systems*,
+    1994, for the map); ``valid`` is False where the disk's radius is not
+    positive.
+    """
+    i = np.arange(L)[:, None]
+    binom = np.array([[math.comb(x, y) for y in range(L)] for x in range(L)], dtype=float)
+    if isinstance(region, Disk):
+        rho = _down(region.radius, taus)
+        a, b = _down(region.center.real, -rho), _down(rho, region.center.real)
+        valid = a + b > 0.0
+    else:
+        sigma = region.sigma if isinstance(region, ShiftedHalfPlane) else 0.0
+        a, b = _down(sigma, taus), None
+        valid = np.ones(taus.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # P[..., i, j] = C(i, j) a**(i - j) b**j, zero for j > i
+        P = binom * _powers(a, L)[..., np.maximum(i - i.T, 0)]
+        if b is None:
+            return P, np.abs(P), valid
+        P *= _powers(b, L)[..., None, :]
+        # times (1 - s)**(L - 1 - i), whose coefficient of s**t is C(L - 1 - i, t) (-1)**t
+        tail = binom[L - 1 - i[:, 0]]
+        T, T_abs = P * tail[:, :1], np.abs(P) * tail[:, :1]
+        for t in range(1, L):
+            T[..., t:] += P[..., : L - t] * (tail[:, t : t + 1] * (-1.0) ** t)
+            T_abs[..., t:] += np.abs(P[..., : L - t]) * tail[:, t : t + 1]
+    return T, T_abs, valid
+
+
+def kharitonov_hurwitz(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether every polynomial with coefficients in [lo, hi] is Hurwitz, for (..., L) ascending bounds.
+
+    The box is negated if its leading interval is negative.  Its leading
+    interval must then exclude zero, so that every member has degree L - 1:
+    a member of lower degree escapes the four polynomials.  Kharitonov's
+    theorem (Kharitonov 1978; Barmish 1994, ch. 5) then makes the box
+    Hurwitz iff its four Kharitonov polynomials are, and each goes through
+    ``margins_exceed`` with the Hurwitz region and tau = 0, which can only
+    err towards False.  Non-finite bounds pass nothing.
+    """
+    flip = hi[..., -1:] < 0.0
+    lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    ok = (lo[..., -1] > 0.0) & np.isfinite(lo).all(axis=-1) & np.isfinite(hi).all(axis=-1)
+    L = lo.shape[-1]
+    rows = np.where(_KHARITONOV_LOWER[:, np.arange(L) % 4], lo[..., None, :], hi[..., None, :])
+    passed = margins_exceed(HurwitzHalfPlane(), np.where(ok[..., None, None], rows, 0.0).reshape(-1, L), 0.0)
+    return ok & passed.reshape(rows.shape[:-1]).all(axis=-1)
+
+
+def boxes_exceed(region: Region, corners: np.ndarray, errors: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Kharitonov's test on coefficient boxes: (C, J) bools, True where every root clears taus[c, j].
+
+    ``corners`` (C, V, L) holds each box's corner rows as computed and
+    ``errors`` (C, V, L) bounds on their rounding errors; every member of box
+    c must lie in the convex hull of its exact corner rows, and have degree
+    L - 1.  Each corner row is mapped into the Hurwitz frame of the region
+    tightened by tau (``_hurwitz_frame``); the maps are linear, so the
+    mapped corners' min and max bound every mapped member.  That box is
+    widened outward by ``_BOX_SLACK`` times the first-order bound on the
+    corners' and the map's rounding, plus ``_BOX_FLOOR``, and goes through
+    ``kharitonov_hurwitz``.  If it passes, every root of every member lies
+    more than tau inside the region.  For a disk the leading interval is
+    (-1)**d p(c - rho), so it reaches zero where a member has a root at the
+    point c - rho of the tightened boundary.  A disk with a complex centre
+    passes nothing.  Every operation is elementwise, and each box's result
+    does not depend on the other boxes.
+    """
+    C, V, L = corners.shape
+    if isinstance(region, Disk) and region.center.imag != 0.0:
+        return np.zeros(taus.shape, dtype=bool)
+    T, T_abs, valid = _hurwitz_frame(region, taus, L)
+    spread = _gamma(4 * L + 2) * np.abs(corners) + errors
+    mapped = np.zeros((C,) + taus.shape[1:] + (V, L))
+    bound = np.zeros_like(mapped)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(L):
+            mapped += corners[:, None, :, i, None] * T[:, :, None, i]
+            bound += spread[:, None, :, i, None] * T_abs[:, :, None, i]
+        slack = _BOX_SLACK * bound + _BOX_FLOOR
+        lo, hi = (mapped - slack).min(axis=2), (mapped + slack).max(axis=2)
+    return valid & kharitonov_hurwitz(lo, hi)

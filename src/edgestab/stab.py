@@ -4,8 +4,15 @@ The decision layers build on each other:
 
 * ``point_stable`` checks one polynomial by its worst root margin, the
   batch of one of ``region.member_margins``, as every member is measured.
-* ``box_stable`` decides a multi-affine parameter box by zero exclusion of
-  its boundary value sets, with certified interval refinement; its sweep,
+* ``box_stable`` decides a multi-affine parameter box.  After the degree
+  checks and the anchor member comes the box test: every coefficient is
+  multi-affine in lambda, so the coefficient box holds every member, and
+  Kharitonov's theorem on that box, mapped into the Hurwitz frame of the
+  region tightened by tau and widened by its rounding bound, certifies the
+  box with a root-distance margin tau (``_box_certificates``, its batch of
+  one).  A box it leaves goes on to its other corner members and to zero
+  exclusion of its boundary value sets, with certified interval
+  refinement, whose margin is a relative exclusion distance; its sweep,
   ``_zero_exclusion_sweep``, is a batch of one.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` decide the edge configurations
@@ -20,10 +27,12 @@ The decision layers build on each other:
   each verdict by the member's vertex indices.  It also holds the box
   memo: a configuration with k < n whose box recurred under an earlier
   pattern reuses that box's verdict and builds nothing.  Every other
-  configuration passes ``box_stable``'s checks before the sweep, in stream
-  order; the configurations of a run that need a sweep are swept together,
-  one batch per mask set and row shape, and each gets bitwise the verdict
-  ``box_stable`` gives it alone.
+  configuration passes ``box_stable``'s checks in stream order: the
+  anchors of a run are solved first, the box test runs on the run's boxes
+  in one batch per row length, and only the boxes it leaves have their
+  other corner members solved.  The configurations of a run that need a
+  sweep are swept together, one batch per mask set and row shape, and each
+  gets bitwise the verdict ``box_stable`` gives it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -60,6 +69,8 @@ from .region import (
     HurwitzHalfPlane,
     Region,
     ShiftedHalfPlane,
+    _gamma,
+    boxes_exceed,
     member_margins,
     sweep_range_from_box,
 )
@@ -465,7 +476,9 @@ def _zero_exclusion_sweep(
         if min_rel >= tol.zero_margin:
             if certified:
                 return Verdict(
-                    Status.ROBUSTLY_STABLE, margin=min_rel, reason="boundary value sets exclude the origin"
+                    Status.ROBUSTLY_STABLE,
+                    margin=min_rel,
+                    reason="boundary value sets exclude the origin; the margin is a relative exclusion distance",
                 )
             return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
         idx = int(np.argmin(rel))
@@ -560,10 +573,8 @@ def _assembled_corners(pd: ParametricDeterminant, region: Region) -> list[Verdic
     return [_member_verdict(m, r) for m, r in zip(margins, roots)]
 
 
-def _box_checks(
-    pd: ParametricDeterminant, region: Region, tol: Tolerances, corners
-) -> tuple[Verdict | None, np.ndarray | None]:
-    """``box_stable``'s checks before the sweep: (verdict, None) or (None, coefficient box)."""
+def _degree_checks(pd: ParametricDeterminant, tol: Tolerances) -> tuple[Verdict | None, np.ndarray | None]:
+    """``box_stable``'s checks before any member: (verdict, None) or (None, coefficient box)."""
     if not pd.rows.any():
         return Verdict(Status.DEGENERATE, reason="determinant is identically zero"), None
 
@@ -592,15 +603,20 @@ def _box_checks(
             margin=math.inf,
             reason="constant nonzero determinant",
         ), None
+    return None, box
 
-    if corners is None:
-        corners = _assembled_corners(pd, region)
-    if pd.k == 0:
-        return corners[0], None
 
-    for v, (lam, verdict) in enumerate(zip(corner_lambdas(pd.k), corners)):
+def _corner_checks(verdicts, k: int, tol: Tolerances, start: int = 0) -> Verdict | None:
+    """The verdict that ends the box, if any, among the members at corners start, start + 1, ...
+
+    A corner member that overflowed makes the box Degenerate.  The anchor
+    (corner 0) ends it on any root on or outside the boundary, another
+    corner only when the root is clearly outside.
+    """
+    lams = corner_lambdas(k)
+    for v, verdict in enumerate(verdicts, start):
         if verdict.status is Status.DEGENERATE:
-            return verdict, None
+            return verdict
         if verdict.status is not Status.UNSTABLE:
             continue
         root = verdict.witness.root
@@ -608,10 +624,78 @@ def _box_checks(
             return Verdict(
                 Status.UNSTABLE,
                 margin=verdict.margin,
-                witness=Witness(lam=tuple(float(x) for x in lam), root=root),
+                witness=Witness(lam=tuple(float(x) for x in lams[v]), root=root),
                 reason="anchor member is unstable" if v == 0 else "box corner member is unstable",
-            ), None
-    return None, box
+            )
+    return None
+
+
+def _corner_rows(pds: list[ParametricDeterminant]) -> tuple[np.ndarray, np.ndarray]:
+    """Box-corner rows of determinants that share k and row length, (C, 2**k, L), and the same sums of |c_S|.
+
+    Corner v sums ``c_S`` over the masks S inside v: each slot's pass adds
+    every corner without the slot's bit into the one with it, elementwise,
+    so a corner does not depend on the other determinants.  A corner is a
+    sum of at most 2**k rows, so its rounding error is at most
+    ``gamma_{2**k}`` times its sum of |c_S| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.1).
+    """
+    k, L = pds[0].k, pds[0].rows.shape[1]
+    rows = np.zeros((len(pds), 1 << k, L))
+    for c, pd in enumerate(pds):
+        rows[c, pd.masks] = pd.rows
+    mags = np.abs(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            for arr in (rows, mags):
+                view = arr.reshape(len(pds), -1, 2, 1 << j, L)
+                view[:, :, 1] += view[:, :, 0]
+    return rows, mags
+
+
+# Rungs of the box test's ladder: it tries tau = m * 2**-j for j < _RUNGS,
+# where m is the anchor member's root margin.
+_RUNGS = 4
+# Corner magnitude sums from which the box test leaves a box to its corner
+# members: near the top of the float64 range a member's own products may
+# overflow, which makes the box Degenerate.
+_BOX_RANGE = 2.0**1000
+
+
+def _box_certificates(
+    pds: list[ParametricDeterminant], anchors, region: Region, tol: Tolerances
+) -> list[Verdict | None]:
+    """Kharitonov's test on the coefficient boxes of a batch: a RobustlyStable verdict where it certifies.
+
+    ``anchors[c]`` is the point verdict of box c's anchor member, which is
+    not Unstable.  ``region.boxes_exceed`` tests every box at every rung of
+    the ladder in one call per row length; a box that passes a rung has
+    every member's roots more than that tau inside the region.  The largest
+    such tau not below ``tol.zero_margin``, the inconclusive band, is the
+    box's margin, a root-distance bound.  A box that passes no such rung, an
+    anchor without a finite positive margin, a box whose corner sums reach
+    ``_BOX_RANGE`` and every box of a disk with a complex centre get None.
+    A box's verdict does not depend on its batch-mates.
+    """
+    out: list[Verdict | None] = [None] * len(pds)
+    groups: dict[int, list[int]] = {}
+    for c, (pd, anchor) in enumerate(zip(pds, anchors)):
+        if anchor.margin is not None and 0.0 < anchor.margin < math.inf:
+            groups.setdefault(pd.rows.shape[1], []).append(c)
+    for picks in groups.values():
+        corners, mags = _corner_rows([pds[c] for c in picks])
+        taus = np.array([anchors[c].margin for c in picks])[:, None] * 2.0 ** -np.arange(_RUNGS)
+        passed = boxes_exceed(region, corners, _gamma(mags.shape[1]) * mags, taus) & (taus >= tol.zero_margin)
+        passed &= (mags < _BOX_RANGE).all(axis=(1, 2))[:, None]
+        for c, row, tau in zip(picks, passed, taus):
+            if row.any():
+                out[c] = Verdict(
+                    Status.ROBUSTLY_STABLE,
+                    margin=float(tau[np.argmax(row)]),
+                    reason="Kharitonov polynomials of the coefficient box are stable; "
+                    "the margin is a root-distance bound",
+                )
+    return out
 
 
 def box_stable(
@@ -622,14 +706,26 @@ def box_stable(
 ) -> Verdict:
     """Robust stability of a multi-affine determinant over the lambda box.
 
-    Degree health comes first: a coefficient box that overflows float64 or
-    a leading-coefficient interval touching zero is Degenerate.  All box
-    corners are root-tested directly; instability there is exact, and a
-    corner member that overflowed makes the box Degenerate.  Corner 0 is the
-    anchor member (lambda = 0) and fails on any root on or outside the
-    boundary; the other corners must be clearly outside.  The remaining
-    obstruction is a boundary root strictly inside the box, ruled out by the
-    certified zero-exclusion sweep, run here as a batch of one.
+    The checks run in this order, and the first that decides ends the box:
+
+    * Degree health: a zero determinant, a coefficient box that overflows
+      float64 or a leading-coefficient interval touching zero is
+      Degenerate; a nonzero constant is RobustlyStable.
+    * The anchor member (lambda = 0, corner 0) is root-tested; any root on
+      or outside the boundary makes the box Unstable, and an anchor that
+      overflowed makes it Degenerate.  With k = 0 the anchor is the box.
+    * The box test (``_box_certificates``, the batch of one): Kharitonov's
+      theorem on the coefficient box, mapped into the Hurwitz frame of the
+      region tightened by tau, for each tau of a ladder below the anchor's
+      margin.  Every coefficient is multi-affine in lambda, so the box of
+      the mapped corner rows, widened by their rounding bound, holds every
+      member.  A pass is RobustlyStable with the largest passing tau as its
+      margin: every member's roots lie more than tau inside.
+    * The other corner members; a clearly unstable one is an exact
+      Unstable verdict.
+    * The certified zero-exclusion sweep, run here as a batch of one, which
+      rules out a boundary root strictly inside the box; its margin is a
+      relative exclusion distance.
 
     ``corners[v]`` is the ``point_stable`` verdict of the member at box
     vertex v (slot l at bit l of v).  The family drivers pass the
@@ -640,7 +736,18 @@ def box_stable(
     ``member_margins`` call.
     """
     tol = tol or Tolerances()
-    verdict, box = _box_checks(pd, region, tol, corners)
+    verdict, box = _degree_checks(pd, tol)
+    if verdict is not None:
+        return verdict
+    if corners is None:
+        corners = _assembled_corners(pd, region)
+    if pd.k == 0:
+        return corners[0]
+    verdict = (
+        _corner_checks(corners[:1], pd.k, tol)
+        or _box_certificates([pd], corners[:1], region, tol)[0]
+        or _corner_checks(corners[1:], pd.k, tol, start=1)
+    )
     if verdict is not None:
         return verdict
     return _zero_exclusion_sweep([pd], [box], region, tol)[0]
@@ -748,12 +855,15 @@ def _check_chunk(
     the same sweep, whose verdicts do not depend on batch-mates.
 
     The rest of a run, up to the first configuration already known to be
-    Unstable, gets its determinants and corners in one batch each and
-    passes ``box_stable``'s checks before the sweep in stream order, up to
-    the first one that is Unstable there.  Those that need a sweep are
-    swept together, one batch per ``masks`` and ``rows.shape``, in the
-    order of each batch's first configuration; a batch drops the
-    configurations after an Unstable one already found.
+    Unstable, gets its determinants and anchor members in one batch each
+    and passes the degree and anchor checks in stream order, up to the
+    first one that is Unstable there.  The box test then decides the boxes
+    before it in one batch; the boxes it leaves get their other corner
+    members in one batch and pass the corner checks in stream order, up to
+    the first one that is Unstable.  Those that need a sweep are swept
+    together, one batch per ``masks`` and ``rows.shape``, in the order of
+    each batch's first configuration; a batch drops the configurations
+    after an Unstable one already found.
     """
     table = members.table
     out = []
@@ -780,14 +890,35 @@ def _check_chunk(
         batches: dict[tuple, list] = {}
         if todo:
             pds = det_parametric_run(table, ends[todo])
-            for pos, pd, corner_verdicts in zip(todo, pds, members.solve(corners[todo])):
-                v, box = _box_checks(pd, fam.region, tol, corner_verdicts)
+            anchored = []
+            for pos, pd, (anchor,) in zip(todo, pds, members.solve(corners[todo, :1])):
+                v, box = _degree_checks(pd, tol)
                 if v is None:
-                    batches.setdefault((pd.masks.tobytes(), pd.rows.shape), []).append((pos, pd, box))
+                    v = anchor if pd.k == 0 else _corner_checks([anchor], pd.k, tol)
+                    if v is None:
+                        anchored.append((pos, pd, box, anchor))
                 decided[pos][1] = v
                 if v is not None and v.status is Status.UNSTABLE:
                     end = pos + 1
                     break
+            certified = _box_certificates(
+                [pd for _, pd, _, _ in anchored], [anchor for *_, anchor in anchored], fam.region, tol
+            )
+            rest = []
+            for (pos, pd, box, _), v in zip(anchored, certified):
+                decided[pos][1] = v
+                if v is None:
+                    rest.append((pos, pd, box))
+            if rest:
+                others = members.solve(corners[[pos for pos, _, _ in rest], 1:])
+                for (pos, pd, box), corner_verdicts in zip(rest, others):
+                    v = _corner_checks(corner_verdicts, pd.k, tol, start=1)
+                    if v is None:
+                        batches.setdefault((pd.masks.tobytes(), pd.rows.shape), []).append((pos, pd, box))
+                    decided[pos][1] = v
+                    if v is not None and v.status is Status.UNSTABLE:
+                        end = pos + 1
+                        break
         for batch in batches.values():
             batch = [item for item in batch if item[0] < end]
             if not batch:

@@ -446,7 +446,7 @@ def test_criterion_6_segment_vs_grid(capsys):
     lam_star = verdict.witness.lam[0] if verdict.witness and verdict.witness.lam else None
     reproduces = False
     if lam_star is not None:
-        member = EdgeSegment(p0, p1).at(lam_star)
+        member = p0 * (1.0 - lam_star) + p1 * lam_star
         reproduces = float(np.max(member.roots().real)) >= -1e-6
 
     detail = (

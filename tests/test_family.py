@@ -186,7 +186,7 @@ def test_vertices_stay_inside_the_coefficient_box(e):
 @settings(max_examples=80, deadline=None)
 def test_edge_midpoints_stay_inside_the_coefficient_box(e):
     for seg in kharitonov_edges(e):
-        mid = seg.at(0.5)
+        mid = seg.p0 * 0.5 + seg.p1 * 0.5
         c = np.zeros(e.length)
         c[: mid.coeffs.size] = mid.coeffs
         assert np.all(c >= e.lower - 1e-12)
@@ -195,15 +195,6 @@ def test_edge_midpoints_stay_inside_the_coefficient_box(e):
 
 # ----------------------------------------------------------------------
 # edge segments
-
-
-def test_edge_segment_interpolation():
-    seg = EdgeSegment(Polynomial([0.0, 1.0]), Polynomial([2.0, 1.0]))
-    assert seg.at(0.0) == seg.p0
-    assert seg.at(1.0) == seg.p1
-    assert seg.at(0.5).isclose(Polynomial([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        seg.at(1.5)
 
 
 def test_edge_segment_degeneracy_flag():

@@ -237,11 +237,16 @@ def seg(a, b):
     return EdgeSegment(Polynomial(list(a)), Polynomial(list(b)))
 
 
+def segment_member(segment, lam):
+    """The member p0 * (1 - lam) + p1 * lam of a segment."""
+    return segment.p0 * (1.0 - lam) + segment.p1 * lam
+
+
 def grid_oracle(segment, region, points=1001):
     """Dense-parameter oracle: worst root margin across the segment."""
     worst = math.inf
     for lam in np.linspace(0.0, 1.0, points):
-        p = segment.at(lam)
+        p = segment_member(segment, lam)
         if p.is_zero:
             return -math.inf
         roots = p.roots()
@@ -262,7 +267,7 @@ def test_segment_with_midrange_crossing():
     assert v.witness is not None
     lam = v.witness.lam[0]
     assert 0.25 <= lam <= 1.0
-    member = seg([1.0, 1.0], [-1.0, 1.0]).at(lam)
+    member = segment_member(seg([1.0, 1.0], [-1.0, 1.0]), lam)
     assert float(np.min(HurwitzHalfPlane().margin(member.roots()))) <= 1e-6
 
 
@@ -300,7 +305,7 @@ def test_segment_shared_boundary_root_is_unstable(r0, r1):
     v = segment_stable(EdgeSegment(p0, p1), HurwitzHalfPlane())
     assert v.status is Status.UNSTABLE
     assert v.witness is not None and v.witness.lam is not None
-    member = EdgeSegment(p0, p1).at(v.witness.lam[0])
+    member = segment_member(EdgeSegment(p0, p1), v.witness.lam[0])
     assert float(np.min(HurwitzHalfPlane().margin(member.roots()))) <= 1e-6
 
 
@@ -409,8 +414,10 @@ def test_box_two_parameters_stable():
 
 
 def test_box_root_solves_one_per_corner(monkeypatch):
-    # corner 0 is the anchor member: a stable k = 2 box measures 2**k member
-    # rows before the sweep, not 2**k + 1
+    # corner 0 is the anchor member: a stable k = 2 box that reaches the
+    # sweep measures 2**k member rows before it, not 2**k + 1.  Lambda 1
+    # moves s and 1 together, so every member keeps a1 * a2 > a0 * a3, but
+    # the coefficient box pairs a1 = 1 with a0 = 16: the box test fails
     rows = []
     seen_at_sweep = []
     margins = stab.member_margins
@@ -429,13 +436,14 @@ def test_box_root_solves_one_per_corner(monkeypatch):
     pd = ParametricDeterminant.from_terms(
         2,
         {
-            0: from_roots([-1.0, -2.0]),
-            1: Polynomial([0.3, 0.0, 0.0]),
-            2: Polynomial([0.0, 0.2, 0.0]),
+            0: Polynomial([1.0, 1.0, 2.0, 1.0]),
+            1: Polynomial([15.0, 10.0]),
+            2: Polynomial([0.0, 0.0, 0.1]),
         },
     )
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.ROBUSTLY_STABLE
+    assert "relative exclusion" in v.reason
     assert seen_at_sweep == [4]
 
 
@@ -1011,9 +1019,11 @@ def test_batched_members_equal_point_verdicts(make):
 
 
 def test_family_solves_each_vertex_member_once(monkeypatch):
-    # demo3x3: 384 configurations with k = 3 have 3,072 box corners, and
-    # they are the 2**9 = 512 all-vertex matrices of the family; members are
-    # measured as rows of the batched margin rule, never one root call each
+    # demo3x3: 384 configurations with k = 3 have 3,072 box corners among
+    # the 2**9 = 512 all-vertex matrices of the family; the box test
+    # certifies every configuration after its anchor, so only the 247
+    # distinct anchors are measured, each once, as rows of the batched
+    # margin rule and never one root call each
     rows = []
     roots_calls = []
     margins = stab.member_margins
@@ -1029,9 +1039,10 @@ def test_family_solves_each_vertex_member_once(monkeypatch):
 
     monkeypatch.setattr(stab, "member_margins", counting_margins)
     monkeypatch.setattr(Polynomial, "roots", counting_roots)
-    v = analyze_family(fixture_family("demo3x3"))
+    fam = fixture_family("demo3x3")
+    v = analyze_family(fam)
     assert v.status is Status.ROBUSTLY_STABLE
-    assert sum(rows) == 512
+    assert sum(rows) == len({reference_corner_keys(cfg)[0] for cfg in iter_configs(fam)}) == 247
     assert roots_calls == []
 
 
@@ -1219,6 +1230,11 @@ def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
 # the run-level sweep
 
 
+def without_box_test(monkeypatch):
+    """Turn the box test off, so every configuration it would certify goes on to the sweep."""
+    monkeypatch.setattr(stab, "_box_certificates", lambda pds, anchors, region, tol: [None] * len(pds))
+
+
 def lone_outcomes(fam, tol, stop=None):
     """Each configuration decided by ``box_stable`` on its own, up to the first Unstable."""
     members = VertexMembers(fam)
@@ -1334,13 +1350,62 @@ SWEEP_FAMILIES = {
 @pytest.mark.parametrize("grid", [128, 512])
 @pytest.mark.parametrize("name", list(SWEEP_FAMILIES))
 def test_batched_sweep_equals_lone_box_stable(name, grid):
-    # which configurations share a sweep batch must not change any verdict:
-    # every outcome of a chunk is bitwise box_stable's on that configuration
-    # alone, and nothing after the first Unstable is reported
+    # which configurations share a box test or a sweep batch must not change
+    # any verdict: every outcome of a chunk, its margin included, is bitwise
+    # box_stable's on that configuration alone, and nothing after the first
+    # Unstable is reported
     fam = SWEEP_FAMILIES[name]()
     tol = Tolerances(boundary_grid=grid)
     stop = min(count_configs(fam), 96)
-    assert chunk_outcomes(fam, tol, stop) == lone_outcomes(fam, tol, stop)
+    outcomes = chunk_outcomes(fam, tol, stop)
+    assert outcomes == lone_outcomes(fam, tol, stop)
+    assert sum("Kharitonov" in text for _, text in outcomes) == BOX_CERTIFIED[name]
+
+
+@pytest.mark.parametrize("grid", [128, 512])
+@pytest.mark.parametrize("name", list(SWEEP_FAMILIES))
+def test_batched_sweep_equals_lone_box_stable_without_box_test(name, grid, monkeypatch):
+    # the same with the box test off, so the sweep batches decide what the
+    # box test would certify
+    without_box_test(monkeypatch)
+    fam = SWEEP_FAMILIES[name]()
+    tol = Tolerances(boundary_grid=grid)
+    stop = min(count_configs(fam), 96)
+    outcomes = chunk_outcomes(fam, tol, stop)
+    assert outcomes == lone_outcomes(fam, tol, stop)
+    assert not any("Kharitonov" in text for _, text in outcomes)
+
+
+# Outcomes among the first 96 of each family that the box test certifies;
+# the others stop before it or go on to the sweep.
+BOX_CERTIFIED = {
+    "demo3x3": 96,
+    "vertex_insufficiency": 0,
+    "degree_drop": 0,
+    "cancellation": 0,
+    "overflow": 0,
+    "delta_overflow": 0,
+    "interval": 0,
+    "split_shape": 6,
+    "mid_run_unstable": 0,
+    "mixed_lengths": 96,
+    "seeded0": 1,
+    "seeded1": 8,
+    "seeded2": 96,
+    "seeded3": 1,
+    "seeded4": 0,
+    "seeded5": 96,
+    "seeded6": 1,
+    "seeded7": 0,
+    "seeded8": 32,
+    "diagonal3": 13,
+    "repeat0": 13,
+    "repeat1": 0,
+    "repeat2": 30,
+    "repeat3": 64,
+    "repeat4": 0,
+    "repeat5": 96,
+}
 
 
 def box_key(cfg):
@@ -1417,11 +1482,12 @@ def recorded_members(monkeypatch):
 
 def test_box_memo_holds_only_boxes_with_free_columns(monkeypatch):
     # every demo3x3 configuration has k = n, so its box never recurs and
-    # nothing is stored; diagonal3 stores its 20 distinct k < n boxes
+    # nothing is stored (the member memo holds its 247 distinct anchors);
+    # diagonal3 stores its 20 distinct k < n boxes
     made = recorded_members(monkeypatch)
     assert analyze_family(fixture_family("demo3x3")).is_stable
     (members,) = made
-    assert members._boxes == {} and len(members._verdicts) == 512
+    assert members._boxes == {} and len(members._verdicts) == 247
     made.clear()
     assert analyze_family(fixture_family("diagonal3")).is_stable
     (members,) = made
@@ -1458,8 +1524,10 @@ def test_unstable_mid_run_ends_the_report(monkeypatch):
 
 
 def test_split_shape_runs_sweep_in_two_batches(monkeypatch):
-    # configurations 0 to 5 are one run with rows of widths 2 and 3
+    # configurations 0 to 5 are one run with rows of widths 2 and 3; with
+    # the box test off, every one of them is swept
     fam = split_shape_family()
+    without_box_test(monkeypatch)
     batches = []
     sweep = stab._zero_exclusion_sweep
 
@@ -1493,11 +1561,13 @@ def test_refinement_budget_exhausted_in_a_batch(grid, monkeypatch):
     region = HurwitzHalfPlane()
     tol = Tolerances(boundary_grid=grid)
     pds = [geometric_segment(1.0), stiff_segment(), geometric_segment(0.5)]
-    alone = [box_stable(pd, region, tol) for pd in pds]
+    boxes = [det.coefficient_box(pd) for pd in pds]
+    alone = [stab._zero_exclusion_sweep([pd], [box], region, tol)[0] for pd, box in zip(pds, boxes)]
     assert [v.status for v in alone] == [Status.ROBUSTLY_STABLE, Status.INCONCLUSIVE, Status.ROBUSTLY_STABLE]
     assert alone[1].reason == "boundary refinement budget exhausted"
-    boxes = [det.coefficient_box(pd) for pd in pds]
     assert [repr(v) for v in stab._zero_exclusion_sweep(pds, boxes, region, tol)] == [repr(v) for v in alone]
+    # the box test cannot certify the stiff segment, so box_stable sweeps it
+    assert repr(box_stable(stiff_segment(), region, tol)) == repr(alone[1])
 
     samples = []
     margin = stab.hull.batch_origin_margin
