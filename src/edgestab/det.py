@@ -31,7 +31,7 @@ drop only exactly-zero trailing coefficients, so a leading one that nearly
 cancels is kept.  The coefficient box, the sweep, the lambda-box subdivision
 and ``assemble`` all weight those rows by ``monomial_weights``.
 
-``det_parametric_run`` decides a run of configurations with one ``_laplace``
+``det_parametric_run`` computes a run's dense terms with one ``_laplace``
 call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
 (L,)``, which the products broadcast and the sums never pad.  A run's
 configurations share ``VertexTable.signature``, so each cell gathered from
@@ -157,6 +157,19 @@ class ParametricDeterminant:
             rows[r, : c.size] = c
         return cls(k, masks, rows)
 
+    @classmethod
+    def from_dense(cls, terms: np.ndarray) -> "ParametricDeterminant":
+        """From one configuration's dense terms (2**k, L), row S holding ``c_S``.
+
+        Keeps the nonzero masks, cut at the last column any of them uses and
+        +0.0 past each end; a zero determinant keeps mask 0 with row [0.0].
+        """
+        lengths = ((terms != 0.0) * np.arange(1, terms.shape[1] + 1)).max(axis=1)
+        masks = np.flatnonzero(lengths) if lengths.any() else np.zeros(1, dtype=int)
+        width = max(int(lengths.max()), 1)
+        rows = np.where(np.arange(width) < lengths[masks, None], terms[masks, :width], 0.0)
+        return cls(terms.shape[0].bit_length() - 1, masks, rows)
+
     def assemble(self, lam) -> Polynomial:
         """Concrete determinant polynomial at one lambda vector."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -165,20 +178,18 @@ class ParametricDeterminant:
         return _exact(monomial_weights(self.masks, lam) @ self.rows)
 
 
-def _parametric_run(fixed, segments) -> list[ParametricDeterminant]:
-    """Parametric determinants of B configurations whose cells share their lengths.
+def _parametric_run(fixed, segments) -> np.ndarray:
+    """Dense parametric terms of B configurations whose cells share their lengths, (B, 2**k, L).
 
     ``fixed[i][j]`` holds cell (i, j) at lambda = 0, shape ``(B, L)``, and
     ``segments`` lists ``(i, j, p1)`` per lambda cell in slot order.  Fixed
     cells become arrays of shape ``(B,) + (1,) * k + (L,)``; a lambda cell
     stacks ``p0`` and ``p1 - p0`` on its slot's axis, both as wide as the
-    longer of ``p0`` and ``p1``.  The ``_laplace`` result, padded to
-    ``(B,) + (2,) * k + (L,)``, holds configuration b's ``c_S`` at index b
-    followed by the index whose axis ``l`` is bit ``l`` of ``S``.  Each
-    configuration keeps its nonzero masks, its rows cut at the last column
-    any of them uses and +0.0 past each end.  A difference ``p1 - p0`` or a
-    coefficient that overflows stays inf or NaN, and ``box_stable`` calls
-    that determinant Degenerate.
+    longer of ``p0`` and ``p1``.  Row ``S`` of configuration b holds its
+    ``c_S`` as ``_laplace`` computed it, zero-padded to the run's length; a
+    term past a configuration's own length is zero of either sign.  A
+    difference ``p1 - p0`` or a coefficient that overflows stays inf or
+    NaN, and ``box_stable`` calls that determinant Degenerate.
     """
     n, k, B = len(fixed), len(segments), fixed[0][0].shape[0]
     cells = [[cell.reshape((B,) + (1,) * k + (-1,)) for cell in row] for row in fixed]
@@ -195,25 +206,15 @@ def _parametric_run(fixed, segments) -> list[ParametricDeterminant]:
 
     full = _polyadd(_laplace(cells), np.zeros((B,) + (2,) * k + (1,)))
     # row ``mask`` of configuration b: reversing the slot axes puts slot 0 on the last bit
-    flat = full.transpose((0,) + tuple(range(k, 0, -1)) + (k + 1,)).reshape(B, 1 << k, -1)
-    nonzero = flat != 0.0
-    lengths = np.where(nonzero.any(axis=2), flat.shape[2] - np.argmax(nonzero[..., ::-1], axis=2), 0)
-    out = []
-    for b in range(B):
-        # an identically zero determinant keeps mask 0 with the row [0.0]
-        masks = np.flatnonzero(lengths[b]) if lengths[b].any() else np.zeros(1, dtype=int)
-        own = lengths[b, masks, None]
-        width = max(int(own.max()), 1)
-        rows = np.where(np.arange(width) < own, flat[b, masks, :width], 0.0)
-        out.append(ParametricDeterminant(k, masks, rows))
-    return out
+    return full.transpose((0,) + tuple(range(k, 0, -1)) + (k + 1,)).reshape(B, 1 << k, -1)
 
 
-def det_parametric_run(table, ends: np.ndarray) -> list[ParametricDeterminant]:
-    """Parametric determinants of a run whose configurations share ``table.signature``.
+def det_parametric_run(table, ends: np.ndarray) -> np.ndarray:
+    """Dense parametric terms of a run whose configurations share ``table.signature``, (B, 2**k, L).
 
     Each cell's rows are gathered from ``table.rows``, sliced to the run's
-    length of that cell and end.
+    length of that cell and end; ``ParametricDeterminant.from_dense`` cuts
+    out one configuration's determinant.
     """
     sig = table.signature(ends)
     if (sig != sig[0]).any():
@@ -232,7 +233,7 @@ def det_parametric(cfg: EdgeConfiguration) -> ParametricDeterminant:
     """Parametric determinant of one edge configuration: the run of one."""
     fixed = [[cell.coeffs[None] for cell in row] for row in cfg.base]
     segments = [(cfg.sigma[j], j, cfg.edge_choice[j].p1.coeffs[None]) for j in cfg.lambda_columns]
-    return _parametric_run(fixed, segments)[0]
+    return ParametricDeterminant.from_dense(_parametric_run(fixed, segments)[0])
 
 
 def coefficient_box(pd: ParametricDeterminant) -> np.ndarray:

@@ -9,11 +9,11 @@ The decision layers build on each other:
   multi-affine in lambda, so the coefficient box holds every member, and
   Kharitonov's theorem on that box, mapped into the Hurwitz frame of the
   region tightened by tau and widened by its rounding bound, certifies the
-  box with a root-distance margin tau (``_box_certificates``, its batch of
-  one).  A box it leaves goes on to its other corner members and to zero
-  exclusion of its boundary value sets, with certified interval
-  refinement, whose margin is a relative exclusion distance; its sweep,
-  ``_zero_exclusion_sweep``, is a batch of one.
+  box with a root-distance margin tau.  A box it leaves goes on to its
+  other corner members and to zero exclusion of its boundary value sets,
+  with certified interval refinement, whose margin is a relative exclusion
+  distance.  Its degree checks, box test and sweep are the drivers' batch
+  functions on a batch of one.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` decide the edge configurations
   of a family in one chunk plan, whatever the worker count: the parent
@@ -27,11 +27,11 @@ The decision layers build on each other:
   each verdict by the member's vertex indices.  It also holds the box
   memo: a configuration with k < n whose box recurred under an earlier
   pattern reuses that box's verdict and builds nothing.  Every other
-  configuration passes ``box_stable``'s checks in stream order: the
-  anchors of a run are solved first, the box test runs on the run's boxes
-  in one batch per row length, and only the boxes it leaves have their
-  other corner members solved.  The configurations of a run that need a
-  sweep are swept together, one batch per mask set and row shape, and each
+  configuration passes ``box_stable``'s checks in stream order on the
+  run's dense terms: the corner rows, degree checks, anchors and box test
+  each take the run at once; only the boxes the box test leaves get their
+  other corner members and, to be swept, a ``ParametricDeterminant``.  The
+  sweeps are batched per mask set and row shape, and each configuration
   gets bitwise the verdict ``box_stable`` gives it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
@@ -573,39 +573,6 @@ def _assembled_corners(pd: ParametricDeterminant, region: Region) -> list[Verdic
     return [_member_verdict(m, r) for m, r in zip(margins, roots)]
 
 
-def _degree_checks(pd: ParametricDeterminant, tol: Tolerances) -> tuple[Verdict | None, np.ndarray | None]:
-    """``box_stable``'s checks before any member: (verdict, None) or (None, coefficient box)."""
-    if not pd.rows.any():
-        return Verdict(Status.DEGENERATE, reason="determinant is identically zero"), None
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        box = coefficient_box(pd)
-    if not np.isfinite(box).all():
-        return Verdict(
-            Status.DEGENERATE,
-            reason="determinant coefficients overflow float64, so the degree and roots are not resolved",
-        ), None
-    mags = np.max(np.abs(box), axis=1)
-    cmax = float(np.max(mags))
-    nz = np.nonzero(mags > 0.0)[0]
-    d = int(nz[-1])
-    blo, bhi = box[d]
-    lead_min = 0.0 if blo <= 0.0 <= bhi else min(abs(blo), abs(bhi))
-    if lead_min < tol.degree_eps * cmax:
-        return Verdict(
-            Status.DEGENERATE,
-            margin=None,
-            reason="leading-coefficient interval reaches zero (degree drop)",
-        ), None
-    if d == 0:
-        return Verdict(
-            Status.ROBUSTLY_STABLE,
-            margin=math.inf,
-            reason="constant nonzero determinant",
-        ), None
-    return None, box
-
-
 def _corner_checks(verdicts, k: int, tol: Tolerances, start: int = 0) -> Verdict | None:
     """The verdict that ends the box, if any, among the members at corners start, start + 1, ...
 
@@ -630,32 +597,62 @@ def _corner_checks(verdicts, k: int, tol: Tolerances, start: int = 0) -> Verdict
     return None
 
 
-def _corner_rows(pds: list[ParametricDeterminant]) -> tuple[np.ndarray, np.ndarray]:
-    """Box-corner rows of determinants that share k and row length, (C, 2**k, L), and the same sums of |c_S|.
+def _corner_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-corner rows of a run's dense terms (B, 2**k, L), and the same sums of |c_S|.
 
     Corner v sums ``c_S`` over the masks S inside v: each slot's pass adds
     every corner without the slot's bit into the one with it, elementwise,
-    so a corner does not depend on the other determinants.  A corner is a
-    sum of at most 2**k rows, so its rounding error is at most
+    so a corner depends on no other configuration and no other column.  A
+    corner is a sum of at most 2**k rows, so its rounding error is at most
     ``gamma_{2**k}`` times its sum of |c_S| (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., section 3.1).
     """
-    k, L = pds[0].k, pds[0].rows.shape[1]
-    rows = np.zeros((len(pds), 1 << k, L))
-    for c, pd in enumerate(pds):
-        rows[c, pd.masks] = pd.rows
-    mags = np.abs(rows)
+    B, V, L = terms.shape
+    rows, mags = terms.copy(), np.abs(terms)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(k):
+        for j in range(V.bit_length() - 1):
             for arr in (rows, mags):
-                view = arr.reshape(len(pds), -1, 2, 1 << j, L)
+                view = arr.reshape(B, -1, 2, 1 << j, L)
                 view[:, :, 1] += view[:, :, 0]
     return rows, mags
 
 
-# Rungs of the box test's ladder: it tries tau = m * 2**-j for j < _RUNGS,
-# where m is the anchor member's root margin.
-_RUNGS = 4
+# The verdicts of the checks before any member, in the order they apply.
+_EARLY = [
+    Verdict(Status.DEGENERATE, reason=reason)
+    for reason in (
+        "determinant is identically zero",
+        "determinant coefficients overflow float64, so the degree and roots are not resolved",
+        "leading-coefficient interval reaches zero (degree drop)",
+    )
+] + [Verdict(Status.ROBUSTLY_STABLE, margin=math.inf, reason="constant nonzero determinant"), None]
+
+
+def _early_verdicts(corners: np.ndarray, tol: Tolerances) -> tuple[list, np.ndarray]:
+    """The degree health of boxes from their ``_corner_rows``: each one's verdict (None to go on), and degree.
+
+    A coefficient box is the min and max of the corner rows, and its degree
+    d the last column where some corner is nonzero.  It is Degenerate when
+    every corner (so every term) is zero, a corner is not finite, or its
+    leading interval comes within ``tol.degree_eps`` times its largest
+    magnitude of zero.
+    """
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    mags = np.maximum(np.abs(lo), np.abs(hi))
+    degrees = ((mags > 0.0) * np.arange(mags.shape[1])).max(axis=1)
+    at = np.arange(degrees.size)
+    blo, bhi = lo[at, degrees], hi[at, degrees]
+    lead_min = np.where((blo <= 0.0) & (0.0 <= bhi), 0.0, np.minimum(np.abs(blo), np.abs(bhi)))
+    drop = lead_min < tol.degree_eps * mags.max(axis=1)
+    zero = ~corners.any(axis=(1, 2))
+    overflow = ~np.isfinite(corners).all(axis=(1, 2))
+    which = np.select([zero, overflow, drop, degrees == 0], [0, 1, 2, 3], 4)
+    return [_EARLY[w] for w in which], degrees
+
+
+# Rungs of the box test's ladder, tau = m * 2**-j for 1 <= j <= _RUNGS, m the
+# anchor's root margin: tau = m puts the anchor's worst root on the boundary.
+_RUNGS = 3
 # Corner magnitude sums from which the box test leaves a box to its corner
 # members: near the top of the float64 range a member's own products may
 # overflow, which makes the box Degenerate.
@@ -663,30 +660,28 @@ _BOX_RANGE = 2.0**1000
 
 
 def _box_certificates(
-    pds: list[ParametricDeterminant], anchors, region: Region, tol: Tolerances
+    corners: np.ndarray, mags: np.ndarray, degrees: np.ndarray, margins: np.ndarray, region: Region, tol: Tolerances
 ) -> list[Verdict | None]:
     """Kharitonov's test on the coefficient boxes of a batch: a RobustlyStable verdict where it certifies.
 
-    ``anchors[c]`` is the point verdict of box c's anchor member, which is
-    not Unstable.  ``region.boxes_exceed`` tests every box at every rung of
-    the ladder in one call per row length; a box that passes a rung has
-    every member's roots more than that tau inside the region.  The largest
-    such tau not below ``tol.zero_margin``, the inconclusive band, is the
-    box's margin, a root-distance bound.  A box that passes no such rung, an
-    anchor without a finite positive margin, a box whose corner sums reach
-    ``_BOX_RANGE`` and every box of a disk with a complex centre get None.
-    A box's verdict does not depend on its batch-mates.
+    ``corners``, ``mags`` (``_corner_rows``) and ``degrees`` describe the
+    boxes, and ``margins[c]`` is the root margin of box c's anchor member,
+    not Unstable, or NaN to leave box c out.  ``region.boxes_exceed`` tests
+    the boxes of degree d on their first d + 1 columns at every rung in one
+    call; passing a rung puts every member's roots more than that tau
+    inside the region.  The largest such tau not below ``tol.zero_margin``,
+    the inconclusive band, is the box's margin, a root-distance bound.  A
+    box that passes no such rung, an anchor without a finite positive
+    margin, a box whose corner sums reach ``_BOX_RANGE`` and every box of a
+    disk with a complex centre get None, whatever its batch-mates.
     """
-    out: list[Verdict | None] = [None] * len(pds)
-    groups: dict[int, list[int]] = {}
-    for c, (pd, anchor) in enumerate(zip(pds, anchors)):
-        if anchor.margin is not None and 0.0 < anchor.margin < math.inf:
-            groups.setdefault(pd.rows.shape[1], []).append(c)
-    for picks in groups.values():
-        corners, mags = _corner_rows([pds[c] for c in picks])
-        taus = np.array([anchors[c].margin for c in picks])[:, None] * 2.0 ** -np.arange(_RUNGS)
-        passed = boxes_exceed(region, corners, _gamma(mags.shape[1]) * mags, taus) & (taus >= tol.zero_margin)
-        passed &= (mags < _BOX_RANGE).all(axis=(1, 2))[:, None]
+    out: list[Verdict | None] = [None] * margins.size
+    fit = (0.0 < margins) & (margins < math.inf) & (mags < _BOX_RANGE).all(axis=(1, 2))
+    for d in np.unique(degrees[fit]):
+        picks = np.flatnonzero(fit & (degrees == d))
+        taus = margins[picks, None] * 2.0 ** -np.arange(1, _RUNGS + 1)
+        errors = _gamma(mags.shape[1]) * mags[picks, :, : d + 1]
+        passed = boxes_exceed(region, corners[picks, :, : d + 1], errors, taus) & (taus >= tol.zero_margin)
         for c, row, tau in zip(picks, passed, taus):
             if row.any():
                 out[c] = Verdict(
@@ -708,9 +703,9 @@ def box_stable(
 
     The checks run in this order, and the first that decides ends the box:
 
-    * Degree health: a zero determinant, a coefficient box that overflows
-      float64 or a leading-coefficient interval touching zero is
-      Degenerate; a nonzero constant is RobustlyStable.
+    * Degree health (``_early_verdicts``): a zero determinant, a coefficient
+      box that overflows float64 or a leading-coefficient interval touching
+      zero is Degenerate; a nonzero constant is RobustlyStable.
     * The anchor member (lambda = 0, corner 0) is root-tested; any root on
       or outside the boundary makes the box Unstable, and an anchor that
       overflowed makes it Degenerate.  With k = 0 the anchor is the box.
@@ -736,7 +731,10 @@ def box_stable(
     ``member_margins`` call.
     """
     tol = tol or Tolerances()
-    verdict, box = _degree_checks(pd, tol)
+    terms = np.zeros((1, 1 << pd.k, pd.rows.shape[1]))
+    terms[0, pd.masks] = pd.rows
+    rows, mags = _corner_rows(terms)
+    (verdict,), degrees = _early_verdicts(rows, tol)
     if verdict is not None:
         return verdict
     if corners is None:
@@ -745,12 +743,12 @@ def box_stable(
         return corners[0]
     verdict = (
         _corner_checks(corners[:1], pd.k, tol)
-        or _box_certificates([pd], corners[:1], region, tol)[0]
+        or _box_certificates(rows, mags, degrees, np.array([corners[0].margin]), region, tol)[0]
         or _corner_checks(corners[1:], pd.k, tol, start=1)
     )
     if verdict is not None:
         return verdict
-    return _zero_exclusion_sweep([pd], [box], region, tol)[0]
+    return _zero_exclusion_sweep([pd], [coefficient_box(pd)], region, tol)[0]
 
 
 def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = None) -> Verdict:
@@ -855,22 +853,22 @@ def _check_chunk(
     the same sweep, whose verdicts do not depend on batch-mates.
 
     The rest of a run, up to the first configuration already known to be
-    Unstable, gets its determinants and anchor members in one batch each
-    and passes the degree and anchor checks in stream order, up to the
-    first one that is Unstable there.  The box test then decides the boxes
-    before it in one batch; the boxes it leaves get their other corner
+    Unstable, gets its dense terms, corner rows, degree checks and anchor
+    members in one batch each and passes the degree and anchor checks in
+    stream order, up to the first one that is Unstable there.  One box test
+    call decides the boxes that pass; those it leaves get their other corner
     members in one batch and pass the corner checks in stream order, up to
-    the first one that is Unstable.  Those that need a sweep are swept
-    together, one batch per ``masks`` and ``rows.shape``, in the order of
-    each batch's first configuration; a batch drops the configurations
-    after an Unstable one already found.
+    the first one that is Unstable.  Only those that need a sweep get a
+    ``ParametricDeterminant``; they are swept together, one batch per
+    ``masks`` and ``rows.shape`` in the order of each batch's first
+    configuration, and a batch drops those after an Unstable one.
     """
     table = members.table
     out = []
     for first, ends in table.runs(start, stop):
         truncated = table.any_truncated(ends)
         corners = _corner_ends(ends, table.slots(table.lambda_cells(ends[0])))
-        boxed = corners.shape[1] < 1 << table.n  # k < n, so the box can recur
+        k = corners.shape[1].bit_length() - 1
         box_keys = [(tuple(c[0]), tuple(c[-1])) for c in corners[:, [0, -1]].tolist()]
         decided = []
         for pos in range(len(ends)):
@@ -881,7 +879,7 @@ def _check_chunk(
                     "truncation floor, so its degree is not resolved",
                 )
             else:
-                v = members._boxes.get(box_keys[pos]) if boxed else None
+                v = members._boxes.get(box_keys[pos]) if k < table.n else None
             decided.append([first + pos, v])
             if v is not None and v.status is Status.UNSTABLE:
                 break
@@ -889,32 +887,33 @@ def _check_chunk(
         todo = [pos for pos in range(end) if decided[pos][1] is None]
         batches: dict[tuple, list] = {}
         if todo:
-            pds = det_parametric_run(table, ends[todo])
-            anchored = []
-            for pos, pd, (anchor,) in zip(todo, pds, members.solve(corners[todo, :1])):
-                v, box = _degree_checks(pd, tol)
+            terms = det_parametric_run(table, ends[todo])
+            rows, mags = _corner_rows(terms)
+            early, degrees = _early_verdicts(rows, tol)
+            margins = np.full(len(todo), math.nan)
+            for i, (pos, v, (anchor,)) in enumerate(zip(todo, early, members.solve(corners[todo, :1]))):
                 if v is None:
-                    v = anchor if pd.k == 0 else _corner_checks([anchor], pd.k, tol)
+                    v = anchor if k == 0 else _corner_checks([anchor], k, tol)
                     if v is None:
-                        anchored.append((pos, pd, box, anchor))
+                        margins[i] = anchor.margin
                 decided[pos][1] = v
                 if v is not None and v.status is Status.UNSTABLE:
                     end = pos + 1
                     break
-            certified = _box_certificates(
-                [pd for _, pd, _, _ in anchored], [anchor for *_, anchor in anchored], fam.region, tol
-            )
-            rest = []
-            for (pos, pd, box, _), v in zip(anchored, certified):
-                decided[pos][1] = v
-                if v is None:
-                    rest.append((pos, pd, box))
+            certified = _box_certificates(rows, mags, degrees, margins, fam.region, tol)
+            anchored = np.flatnonzero(~np.isnan(margins))
+            for i in anchored:
+                decided[todo[i]][1] = certified[i]
+            rest = [i for i in anchored if certified[i] is None]
             if rest:
-                others = members.solve(corners[[pos for pos, _, _ in rest], 1:])
-                for (pos, pd, box), corner_verdicts in zip(rest, others):
-                    v = _corner_checks(corner_verdicts, pd.k, tol, start=1)
+                others = members.solve(corners[[todo[i] for i in rest], 1:])
+                for i, corner_verdicts in zip(rest, others):
+                    pos = todo[i]
+                    v = _corner_checks(corner_verdicts, k, tol, start=1)
                     if v is None:
-                        batches.setdefault((pd.masks.tobytes(), pd.rows.shape), []).append((pos, pd, box))
+                        pd = ParametricDeterminant.from_dense(terms[i])
+                        key = (pd.masks.tobytes(), pd.rows.shape)
+                        batches.setdefault(key, []).append((pos, pd, coefficient_box(pd)))
                     decided[pos][1] = v
                     if v is not None and v.status is Status.UNSTABLE:
                         end = pos + 1
@@ -930,7 +929,7 @@ def _check_chunk(
                     if v.status is Status.UNSTABLE:
                         end = pos + 1
         for pos in todo:
-            if boxed and pos < end:
+            if k < table.n and pos < end:
                 members._boxes[box_keys[pos]] = decided[pos][1]
         out.extend(tuple(item) for item in decided[:end])
         if out and out[-1][1].status is Status.UNSTABLE:

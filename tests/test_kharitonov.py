@@ -17,10 +17,11 @@ import pytest
 from edgestab import region as reg
 from edgestab.cli import parse_family_dict
 from edgestab.det import ParametricDeterminant, det_parametric, monomial_weights
-from edgestab.edges import config_at
+from edgestab.edges import config_at, iter_configs
 from edgestab.family import MatrixFamily, PolytopeEntry
 from edgestab.poly import Polynomial
 from edgestab.region import Disk, HurwitzHalfPlane, ShiftedHalfPlane, boxes_exceed, kharitonov_hurwitz
+from edgestab import stab
 from edgestab.stab import Status, Tolerances, VertexMembers, _check_chunk, box_stable
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -172,11 +173,78 @@ def test_complex_centre_disk_passes_nothing():
 
 
 def test_margin_is_the_largest_passing_rung():
-    # (s + 1)(s + 2) with a small second slot: the anchor's margin is 1 and
-    # the box clears tau = 1/2, not tau = 1
+    # (s + 1)(s + 2) with a small second slot: the anchor's margin is 1, and
+    # the ladder's first rung, tau = 1/2, is the largest the box clears;
+    # tau = 1 would put the anchor's root -1 on the tightened boundary
     pd = ParametricDeterminant.from_terms(
         1, {0: Polynomial([2.0, 3.0, 1.0]), 1: Polynomial([0.01])}
     )
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.ROBUSTLY_STABLE and v.margin == 0.5
     assert v.reason.endswith("the margin is a root-distance bound")
+
+
+def cell(*coeff_lists):
+    return PolytopeEntry(tuple(Polynomial(list(c)) for c in coeff_lists))
+
+
+def test_degree_test_reads_every_corner():
+    # det = a d - b c with a in {2 + s, 2.5 + 0.5 s}, d in {3 + s, 3.5 + 0.5 s}
+    # and b c = (0.5 + 0.5 s)^2: the s^2 coefficient a1 d1 - 0.25 is 0.75,
+    # 0.25, 0.25 and 0 at corners 0 to 3 of the k = 2 box, so its interval
+    # reaches zero at corner 3 alone, where the member drops to degree 1
+    fam = MatrixFamily(
+        [
+            [cell([2.0, 1.0], [2.5, 0.5]), cell([0.5, 0.5])],
+            [cell([0.5, 0.5]), cell([3.0, 1.0], [3.5, 0.5])],
+        ],
+        HurwitzHalfPlane(),
+    )
+    (cfg,) = [cfg for cfg in iter_configs(fam) if cfg.k == 2]
+    pd = det_parametric(cfg)
+    corners = monomial_weights(pd.masks, [[0, 0], [1, 0], [0, 1], [1, 1]]) @ pd.rows
+    assert corners[:, 2].tolist() == [0.75, 0.25, 0.25, 0.0]
+    want = "leading-coefficient interval reaches zero (degree drop)"
+    alone = box_stable(pd, fam.region)
+    assert (alone.status, alone.reason) == (Status.DEGENERATE, want)
+    members = VertexMembers(fam)
+    chunk = dict(_check_chunk(fam, 0, members.table.total, Tolerances(), members))
+    assert repr(chunk[cfg.index]) == repr(alone)
+
+
+def test_mixed_degrees_in_one_run(monkeypatch):
+    # det = a d - b c of the identity pattern, with a = 3 or 3.5 plus s,
+    # d = 4 or 4.5 plus s and c = 0.5 + s: with b = 0.5 + s the s^2 term
+    # cancels exactly in every mask, with b = 0.5 + 0.5 s it does not.  Both
+    # vertex choices of b share one run of width 3; the first box has degree
+    # 1 and is tested on its own 2 columns, the second on 3
+    fam = MatrixFamily(
+        [
+            [cell([3.0, 1.0], [3.5, 1.0]), cell([0.5, 1.0], [0.5, 0.5])],
+            [cell([0.5, 1.0]), cell([4.0, 1.0], [4.5, 1.0])],
+        ],
+        HurwitzHalfPlane(),
+    )
+    members = VertexMembers(fam)
+    table = members.table
+    (first, ends), *_ = [(first, ends) for first, ends in table.runs(0, table.total) if len(ends) == 2]
+    cfgs = [config_at(fam, first), config_at(fam, first + 1)]
+    assert [cfg.k for cfg in cfgs] == [2, 2]
+    pds = [det_parametric(cfg) for cfg in cfgs]
+    assert [pd.rows.shape[1] for pd in pds] == [2, 3]
+
+    tested = []
+    exceed = stab.boxes_exceed
+
+    def recording_exceed(region, corners, errors, taus):
+        tested.append(corners.shape)
+        return exceed(region, corners, errors, taus)
+
+    monkeypatch.setattr(stab, "boxes_exceed", recording_exceed)
+    chunk = dict(_check_chunk(fam, first, first + 2, Tolerances(), members))
+    assert sorted(tested) == [(1, 4, 2), (1, 4, 3)]
+    corners = members.solve(stab._corner_ends(ends, table.slots(table.lambda_cells(ends[0]))))
+    for cfg, pd, own in zip(cfgs, pds, corners):
+        alone = box_stable(pd, fam.region, None, own)
+        assert "Kharitonov" in alone.reason
+        assert repr(chunk[cfg.index]) == repr(alone)

@@ -1062,8 +1062,8 @@ def test_run_terms_equal_single_determinants(make):
     # every term must be bitwise the term of the configuration's own determinant
     fam = make()
     for table, run, ends in stream_runs(fam):
-        for cfg, pd in zip(run, det_parametric_run(table, ends), strict=True):
-            alone = det_parametric(cfg)
+        for cfg, terms in zip(run, det_parametric_run(table, ends), strict=True):
+            pd, alone = ParametricDeterminant.from_dense(terms), det_parametric(cfg)
             assert pd.k == alone.k
             assert pd.masks.tolist() == alone.masks.tolist(), cfg.index
             assert pd.rows.shape == alone.rows.shape, cfg.index
@@ -1131,7 +1131,7 @@ def test_run_rows_equal_termwise_construction(name, monkeypatch):
     monkeypatch.setattr(det, "_laplace", recording_laplace)
     checked = 0
     for table, run, ends in stream_runs(fam):
-        pds = det_parametric_run(table, ends)
+        pds = [ParametricDeterminant.from_dense(terms) for terms in det_parametric_run(table, ends)]
         full = _polyadd(outputs.pop(), np.zeros((len(run),) + (2,) * run[0].k + (1,)))
         for b, pd in enumerate(pds):
             masks, rows = termwise_rows(full, b, pd.k)
@@ -1141,6 +1141,38 @@ def test_run_rows_equal_termwise_construction(name, monkeypatch):
             assert not (pd.masks.flags.writeable or pd.rows.flags.writeable)
             checked += 1
     assert checked == sum(1 for _ in iter_configs(fam))
+
+
+def reference_early_reason(pd, tol):
+    """The degree checks of one determinant, read from ``coefficient_box``; None when the box goes on."""
+    if not pd.rows.any():
+        return "determinant is identically zero"
+    with np.errstate(over="ignore", invalid="ignore"):
+        box = det.coefficient_box(pd)
+    if not np.isfinite(box).all():
+        return "determinant coefficients overflow float64, so the degree and roots are not resolved"
+    mags = np.max(np.abs(box), axis=1)
+    d = int(np.flatnonzero(mags > 0.0)[-1])
+    lo, hi = box[d]
+    lead_min = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    if lead_min < tol.degree_eps * float(np.max(mags)):
+        return "leading-coefficient interval reaches zero (degree drop)"
+    return "constant nonzero determinant" if d == 0 else None
+
+
+@pytest.mark.parametrize("name", FAMILY_FIXTURES + ["overflow", "delta_overflow", "interval", "cancelling_top"])
+def test_run_degree_checks_equal_per_determinant_reference(name):
+    # the degree checks on a run's corner rows give every configuration the
+    # reason the per-determinant rule on its coefficient box gives, and a box
+    # that goes on has the degree its own rows end at
+    fam, tol = family_by_name(name), Tolerances()
+    for table, run, ends in stream_runs(fam):
+        early, degrees = stab._early_verdicts(stab._corner_rows(det_parametric_run(table, ends))[0], tol)
+        for cfg, v, d in zip(run, early, degrees, strict=True):
+            pd = det_parametric(cfg)
+            want = reference_early_reason(pd, tol)
+            assert (v and v.reason) == want, cfg.index
+            assert want is not None or d == pd.rows.shape[1] - 1, cfg.index
 
 
 def assert_corners_match_assembled(pd, region, label):
@@ -1232,7 +1264,11 @@ def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
 
 def without_box_test(monkeypatch):
     """Turn the box test off, so every configuration it would certify goes on to the sweep."""
-    monkeypatch.setattr(stab, "_box_certificates", lambda pds, anchors, region, tol: [None] * len(pds))
+
+    def no_certificates(corners, mags, degrees, margins, region, tol):
+        return [None] * len(margins)
+
+    monkeypatch.setattr(stab, "_box_certificates", no_certificates)
 
 
 def lone_outcomes(fam, tol, stop=None):
@@ -1685,14 +1721,14 @@ def test_index_path_equals_configuration_path(name):
             runs.append(list(range(first, first + len(ends))))
             truncated = table.any_truncated(ends)
             corners = run_corners(table, ends).tolist()
-            pds = det_parametric_run(table, ends)
+            run_terms = det_parametric_run(table, ends)
             for b, cfg in enumerate(cfgs[first - start : first - start + len(ends)]):
                 slots = table.slots(table.lambda_cells(ends[b]))
                 assert tuple((slots % fam.n).tolist()) == cfg.lambda_columns, cfg.index
                 assert [tuple(key) for key in corners[b]] == reference_corner_keys(cfg), cfg.index
                 assert (tuple(corners[b][0]), tuple(corners[b][-1])) == box_key(cfg), cfg.index
                 assert truncated[b] == reference_truncated(cfg), cfg.index
-                pd, alone = pds[b], det_parametric(cfg)
+                pd, alone = ParametricDeterminant.from_dense(run_terms[b]), det_parametric(cfg)
                 assert pd.k == alone.k, cfg.index
                 assert (pd.masks.dtype, pd.masks.tolist()) == (alone.masks.dtype, alone.masks.tolist()), cfg.index
                 assert (pd.rows.shape, pd.rows.tobytes()) == (alone.rows.shape, alone.rows.tobytes()), cfg.index
