@@ -212,36 +212,47 @@ _UNIT = 2.0**-53
 def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.ndarray:
     """Rows of (B, L) ascending determinant rows whose every root lies more than tau inside.
 
-    Conservative: True means a guarded Routh-Hurwitz test (Gantmacher, *The
-    Theory of Matrices*, vol. 2, ch. XV) shows it; False means only that it
-    could not.  For a half plane Re(z) < sigma a row p passes when the
-    Taylor-shifted row q(s) = p(s + sigma - tau) (``_hurwitz_frame``, with
-    sigma - tau rounded down) is Hurwitz with room to spare: every
-    coefficient of q has the leading coefficient's sign and
-    clears ``FILTER_GUARD`` times its magnitude bound, and every first-column
-    entry of q's Routh array is positive and clears a first-order bound on
-    the error it carries from those seeds and from its own rounding.  A
-    zero, constant or non-finite row, a row whose shift overflows, a
-    non-finite tau and every row of a disk region pass nothing.
+    Conservative: True means a guarded Routh-Hurwitz test (``_routh_passes``)
+    shows it; False means only that it could not.  For a half plane
+    Re(z) < sigma a row p passes when the Taylor-shifted row
+    q(s) = p(s + sigma - tau) (``_hurwitz_frame``, with sigma - tau rounded
+    down) passes, its seeds' errors being ``FILTER_GUARD`` times the bound
+    that the same shift gives on p's magnitudes.  A zero, constant or
+    non-finite row, a row whose shift overflows, a non-finite tau and every
+    row of a disk region pass nothing.
     """
-    out = np.zeros(det_coeffs.shape[0], dtype=bool)
     shift = (region.sigma if isinstance(region, ShiftedHalfPlane) else 0.0) - tau
     if isinstance(region, Disk) or not math.isfinite(shift):
-        return out
+        return np.zeros(det_coeffs.shape[0], dtype=bool)
     taylor, taylor_abs, _ = _hurwitz_frame(region, np.array(float(tau)), det_coeffs.shape[1])
     with np.errstate(all="ignore"):
         shifted = det_coeffs @ taylor
         bound = np.abs(det_coeffs) @ taylor_abs
         finite = np.isfinite(shifted).all(axis=1) & np.isfinite(bound).all(axis=1)
-        degrees = _row_degrees(det_coeffs)
-        for d in np.unique(degrees[finite & (degrees > 0)]):
-            rows = np.nonzero(finite & (degrees == d))[0]
-            q = shifted[rows, : d + 1] * np.sign(shifted[rows, d : d + 1])
-            err = FILTER_GUARD * bound[rows, : d + 1]
+        return _routh_passes(shifted, FILTER_GUARD * bound, np.where(finite, _row_degrees(det_coeffs), -1))
+
+
+def _routh_passes(rows: np.ndarray, errors: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Rows of (B, L) ascending rows shown Hurwitz with room to spare by a guarded Routh test.
+
+    Row b is tested as a polynomial of degree ``degrees[b]``; a degree below
+    1 passes nothing.  ``errors`` (B, L) bounds the error each coefficient
+    carries.  A row passes when every coefficient has the leading
+    coefficient's sign and clears its error, and every first-column entry of
+    its Routh array (Gantmacher, *The Theory of Matrices*, vol. 2, ch. XV)
+    is positive and clears a first-order bound on the error it carries from
+    those seeds and from its own rounding.
+    """
+    out = np.zeros(rows.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        for d in np.unique(degrees[degrees > 0]):
+            picks = np.nonzero(degrees == d)[0]
+            q = rows[picks, : d + 1] * np.sign(rows[picks, d : d + 1])
+            err = errors[picks, : d + 1]
             ok = (q > err).all(axis=1)
             # Routh rows [q_d, q_{d-2}, ...] and [q_{d-1}, q_{d-3}, ...] down axis 0,
             # with zeros past their ends
-            top, top_err, low, low_err = np.zeros((4, d // 2 + 2, rows.size))
+            top, top_err, low, low_err = np.zeros((4, d // 2 + 2, picks.size))
             top[: d // 2 + 1], top_err[: d // 2 + 1] = q[:, d::-2].T, err[:, d::-2].T
             low[: (d + 1) // 2], low_err[: (d + 1) // 2] = q[:, d - 1 :: -2].T, err[:, d - 1 :: -2].T
             for _ in range(d):
@@ -259,7 +270,7 @@ def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.nda
                     + _UNIT * (np.abs(top[1:]) + 2.0 * np.abs(scaled))
                 )
                 top, top_err, low, low_err = low, low_err, nxt, nxt_err
-            out[rows] = ok
+            out[picks] = ok
     return out
 
 
@@ -343,15 +354,17 @@ def kharitonov_hurwitz(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     a member of lower degree escapes the four polynomials.  Kharitonov's
     theorem (Kharitonov 1978; Barmish 1994, ch. 5) then makes the box
     Hurwitz iff its four Kharitonov polynomials are, and each goes through
-    ``margins_exceed`` with the Hurwitz region and tau = 0, which can only
-    err towards False.  Non-finite bounds pass nothing.
+    ``_routh_passes`` with errors of ``FILTER_GUARD`` times its magnitudes,
+    as ``margins_exceed`` tests it with the Hurwitz region and tau = 0,
+    which can only err towards False.  Non-finite bounds pass nothing.
     """
     flip = hi[..., -1:] < 0.0
     lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
     ok = (lo[..., -1] > 0.0) & np.isfinite(lo).all(axis=-1) & np.isfinite(hi).all(axis=-1)
     L = lo.shape[-1]
     rows = np.where(_KHARITONOV_LOWER[:, np.arange(L) % 4], lo[..., None, :], hi[..., None, :])
-    passed = margins_exceed(HurwitzHalfPlane(), np.where(ok[..., None, None], rows, 0.0).reshape(-1, L), 0.0)
+    flat = np.where(ok[..., None, None], rows, 0.0).reshape(-1, L)
+    passed = _routh_passes(flat, FILTER_GUARD * np.abs(flat), _row_degrees(flat))
     return ok & passed.reshape(rows.shape[:-1]).all(axis=-1)
 
 

@@ -12,8 +12,8 @@ The decision layers build on each other:
   box with a root-distance margin tau.  A box it leaves goes on to its
   other corner members and to zero exclusion of its boundary value sets,
   with certified interval refinement, whose margin is a relative exclusion
-  distance.  Its degree checks, box test and sweep are the drivers' batch
-  functions on a batch of one.
+  distance.  Its degree checks and box test are the drivers' batch
+  functions on a batch of one; its sweep is the drivers' sweep.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` decide the edge configurations
   of a family in one chunk plan, whatever the worker count: the parent
@@ -30,9 +30,9 @@ The decision layers build on each other:
   configuration passes ``box_stable``'s checks in stream order on the
   run's dense terms: the corner rows, degree checks, anchors and box test
   each take the run at once; only the boxes the box test leaves get their
-  other corner members and, to be swept, a ``ParametricDeterminant``.  The
-  sweeps are batched per mask set and row shape, and each configuration
-  gets bitwise the verdict ``box_stable`` gives it alone.
+  other corner members and, to be swept, a ``ParametricDeterminant``.
+  Each configuration gets bitwise the verdict ``box_stable`` gives it
+  alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -83,9 +83,6 @@ MAX_DRIVER_SIZE = 8
 # never fewer than _REFINE_BUDGET_FLOOR.
 _REFINE_ROUND_CAP_FACTOR = 64
 _REFINE_BUDGET_FLOOR = 32_768
-
-# Samples per evaluation block of a batched sweep, which bounds its memory.
-_SWEEP_BLOCK = 512
 
 
 class Status(enum.Enum):
@@ -213,32 +210,22 @@ def point_stable(p: Polynomial, region: Region) -> Verdict:
 # boundary sweep helpers
 
 
-def _theta_grids(region: Region, spans, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary sample parameters of each sweep range, concatenated, and the owner of each.
+def _theta_grid(region: Region, lo: float, hi: float, count: int) -> np.ndarray:
+    """Boundary sample parameters of the sweep range [lo, hi].
 
     Disks get a uniform closed circle.  Half planes mix a linear grid with a
     geometric one so that both the low-frequency structure and the Cauchy
     tail are resolved before refinement starts; an empty range is its one
-    end.  All ranges are built in one pass: ``np.linspace`` and
-    ``np.geomspace`` compute each row elementwise, as for a lone range, and
-    sorting a row and dropping repeats is ``np.unique`` of it.
+    end.
     """
-    lo = np.array([a for a, _ in spans])
-    hi = np.array([b for _, b in spans])
+    if hi <= lo:
+        return np.array([lo])
     if isinstance(region, Disk):
-        grid = np.linspace(lo, hi, count + 1, axis=1)
-        return grid.ravel(), np.repeat(np.arange(lo.size), count + 1)
-    empty = hi <= lo
-    # an empty range gets a stand-in range, then keeps only its first sample
-    lo, hi = np.where(empty, 0.0, lo), np.where(empty, 1.0, hi)
+        return np.linspace(lo, hi, count + 1)
     half = count // 2
-    lin = np.linspace(lo, hi, half, axis=1)
-    geo = np.geomspace(np.maximum(hi * 1e-6, 1e-12), hi, count - half, axis=1)
-    grid = np.sort(np.concatenate([lo[:, None], lin, geo], axis=1), axis=1)
-    keep = np.ones(grid.shape, dtype=bool)
-    keep[:, 1:] = grid[:, 1:] != grid[:, :-1]
-    keep[empty, 1:] = False
-    return grid[keep], np.repeat(np.arange(lo.size), keep.sum(axis=1))
+    lin = np.linspace(lo, hi, half)
+    geo = np.geomspace(max(hi * 1e-6, 1e-12), hi, count - half)
+    return np.unique(np.concatenate([[lo], lin, geo]))
 
 
 def _deriv_envelope(box: np.ndarray) -> np.ndarray:
@@ -353,113 +340,71 @@ def _confirm_boundary_root(
     return None
 
 
-def _zero_exclusion_sweep(
-    pds: list[ParametricDeterminant],
-    boxes: list[np.ndarray],
-    region: Region,
-    tol: Tolerances,
-) -> list[Verdict | None]:
-    """Certified zero-exclusion sweep of the region boundary, for a batch of determinants.
+def _zero_exclusion_sweep(pd: ParametricDeterminant, region: Region, tol: Tolerances) -> Verdict:
+    """Certified zero-exclusion sweep of the region boundary.
 
-    ``pds`` share ``masks`` and ``rows.shape``; ``boxes[c]`` is
-    ``coefficient_box(pds[c])``, which fixes configuration c's sweep range
-    and derivative envelope.  The value set of D(s(theta), lambda-box) at
-    each sampled theta is boxed by the convex hull of its 2**k box-corner
-    values.  An interval between neighboring samples is certified root-free
-    when both endpoint exclusion distances exceed L * h / 2, where L bounds
+    ``coefficient_box(pd)`` fixes the sweep range and the derivative
+    envelope.  The value set of D(s(theta), lambda-box) at each sampled
+    theta is boxed by the convex hull of its 2**k box-corner values.  An
+    interval between neighboring samples is certified root-free when both
+    endpoint exclusion distances exceed L * h / 2, where L bounds
     |dD/dtheta| via the coefficient box.  The seed grid only sets where
     refinement starts: uncertified intervals are split at their midpoints,
     breadth-first, so the certificate rests on this interval test and not
     on the grid's density.  Sample points whose hull captures the origin go
     through lambda-box subdivision and, if that fails, witness confirmation,
-    which may conclude a configuration with an Unstable verdict.
-
-    Each round evaluates the new points of every configuration of the batch
-    together, in blocks of whole configurations of at most ``_SWEEP_BLOCK``
-    samples (one configuration alone when it has more).  Every per-sample
-    operation stays per sample: ``horner`` with the sample's own rows, the
-    hull margins, and the Lipschitz bound in ``np.polyval``'s operation
-    order with the sample's own envelope.  Each configuration keeps its own
-    ``transform @ tv`` product over its own new points, because a matrix
-    product's summation order changes with its shape.  Captures, the
-    budget, the depth cap and the conclusion stay per configuration, so
-    configuration c's verdict is bitwise the one it gets in a batch of one.
-    Once a configuration is Unstable, the later ones leave the batch and
-    get ``None``.
+    which may conclude the sweep with an Unstable verdict.
     """
-    count = len(pds)
-    masks, k = pds[0].masks, pds[0].k
-    rows = np.stack([pd.rows for pd in pds])  # (C, terms, L)
-    transform = monomial_weights(masks, corner_lambdas(k))
+    box = coefficient_box(pd)
+    k = pd.k
+    rows = pd.rows[:, None, :]  # each term's row, broadcast over the samples
+    transform = monomial_weights(pd.masks, corner_lambdas(k))
     speed = region.boundary_speed()
     budget = max(_REFINE_ROUND_CAP_FACTOR * tol.boundary_grid, _REFINE_BUDGET_FLOOR)
     scale_floor = 1e-300
-    spans = [sweep_range_from_box(region, box) for box in boxes]
-    envs = np.stack([_deriv_envelope(box) for box in boxes])
-    live_floor = np.array([1e-14 * max(hi - lo, 1.0) for lo, hi in spans])
+    lo, hi = sweep_range_from_box(region, box)
+    env = _deriv_envelope(box)
+    live_floor = 1e-14 * max(hi - lo, 1.0)
 
-    def evaluate(ts: np.ndarray, own: np.ndarray):
-        """Hull margins and value scales at samples ``ts`` of configurations ``own`` (grouped)."""
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(own)) + 1, [ts.size]])
-        margins = np.empty(ts.size)
-        scales = np.empty(ts.size)
-        first = 0
-        while first < cuts.size - 1:
-            last = first + 1
-            while last < cuts.size - 1 and cuts[last + 1] - cuts[first] <= _SWEEP_BLOCK:
-                last += 1
-            lo, hi = cuts[first], cuts[last]
-            tv = horner(rows[own[lo:hi]].transpose(1, 0, 2), region.boundary(ts[lo:hi]))  # (terms, T)
-            corner_vals = np.concatenate(
-                [
-                    transform @ np.ascontiguousarray(tv[:, a - lo : b - lo])
-                    for a, b in zip(cuts[first:last], cuts[first + 1 : last + 1])
-                ],
-                axis=1,
-            )  # (2**k, T)
-            margins[lo:hi] = hull.batch_origin_margin(corner_vals.T)
-            scales[lo:hi] = np.maximum(np.max(np.abs(corner_vals), axis=0), scale_floor)
-            first = last
-        return margins, scales
+    def evaluate(ts: np.ndarray):
+        """Hull margins and value scales at samples ``ts``."""
+        corner_vals = transform @ horner(rows, region.boundary(ts))  # (2**k, T)
+        return hull.batch_origin_margin(corner_vals.T), np.maximum(np.max(np.abs(corner_vals), axis=0), scale_floor)
 
-    thetas, owner = _theta_grids(region, spans, tol.boundary_grid)
-    resolved_dist, scales = evaluate(thetas, owner)  # absolute lower bound on value-set distance
-    verdicts: list[Verdict | None] = [None] * count
-    active = np.ones(count, dtype=bool)
+    thetas = _theta_grid(region, lo, hi, tol.boundary_grid)
+    resolved_dist, scales = evaluate(thetas)  # absolute lower bound on value-set distance
 
-    def own_slice(c: int) -> slice:
-        return slice(*np.searchsorted(owner, [c, c + 1]))
-
-    def finish(c: int, verdict: Verdict) -> None:
-        verdicts[c] = verdict
-        active[c] = False
-        if verdict.status is Status.UNSTABLE:
-            active[c + 1 :] = False
-
-    def handle_capture(c: int, grid: np.ndarray, dist: np.ndarray, idx: int) -> Verdict | None:
+    def handle_capture(idx: int) -> Verdict | None:
         """Subdivide the lambda box at a captured sample; may conclude the sweep."""
-        pd = pds[c]
-        tv = horner(pd.rows, region.boundary(grid[idx]))
-        dist_here, leftover = _subdivide_at_theta(tv, masks, k, tol.box_depth)
+        tv = horner(pd.rows, region.boundary(thetas[idx]))
+        dist_here, leftover = _subdivide_at_theta(tv, pd.masks, k, tol.box_depth)
         if dist_here > 0.0:
-            dist[idx] = dist_here
+            resolved_dist[idx] = dist_here
             return None
-        span = grid[-1] - grid[0]
-        t_lo = grid[max(idx - 1, 0)]
-        t_hi = grid[min(idx + 1, grid.size - 1)]
+        span = thetas[-1] - thetas[0]
+        t_lo = thetas[max(idx - 1, 0)]
+        t_hi = thetas[min(idx + 1, thetas.size - 1)]
         if t_hi <= t_lo:
-            t_lo, t_hi = grid[idx] - 1e-6 * span, grid[idx] + 1e-6 * span
+            t_lo, t_hi = thetas[idx] - 1e-6 * span, thetas[idx] + 1e-6 * span
         found = _confirm_boundary_root(pd, region, t_lo, t_hi, leftover, tol)
         if found is not None:
             return found
         return Verdict(
             Status.INCONCLUSIVE,
             margin=0.0,
-            reason=f"value set hull captures the origin near theta={grid[idx]:.6g} "
+            reason=f"value set hull captures the origin near theta={thetas[idx]:.6g} "
             "and no boundary root could be confirmed",
         )
 
-    def conclude(c: int, reason: str | None, certified: bool = False) -> Verdict:
+    def captures() -> Verdict | None:
+        """Handle captured samples in grid order until one concludes the sweep."""
+        for idx in np.nonzero(resolved_dist <= 0.0)[0]:
+            out = handle_capture(int(idx))
+            if out is not None:
+                return out
+        return None
+
+    def conclude(reason: str | None, certified: bool = False) -> Verdict:
         """Below the trust band, hunt for an actual crossing before giving up.
 
         A transversal boundary crossing shows up as sampled hull distances
@@ -467,9 +412,7 @@ def _zero_exclusion_sweep(
         with a boundary root converts that to a sound Unstable verdict.
         Only a fully certified sweep may report exclusion.
         """
-        own = own_slice(c)
-        grid = thetas[own]
-        rel = resolved_dist[own] / scales[own]
+        rel = resolved_dist / scales
         min_rel = float(np.min(rel))
         if reason is None:
             reason = f"minimal relative exclusion margin {min_rel:.3e} is below zero_margin"
@@ -482,78 +425,44 @@ def _zero_exclusion_sweep(
                 )
             return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
         idx = int(np.argmin(rel))
-        t_lo = grid[max(idx - 1, 0)]
-        t_hi = grid[min(idx + 1, grid.size - 1)]
+        t_lo = thetas[max(idx - 1, 0)]
+        t_hi = thetas[min(idx + 1, thetas.size - 1)]
         if t_hi <= t_lo:
-            t_lo, t_hi = grid[idx] - 1e-6, grid[idx] + 1e-6
-        found = _confirm_boundary_root(pds[c], region, t_lo, t_hi, (np.zeros(k), np.ones(k)), tol)
+            t_lo, t_hi = thetas[idx] - 1e-6, thetas[idx] + 1e-6
+        found = _confirm_boundary_root(pd, region, t_lo, t_hi, (np.zeros(k), np.ones(k)), tol)
         if found is not None:
             return found
         return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
 
-    def captures(positions: np.ndarray) -> None:
-        """Handle captured samples in grid order, per configuration, until that configuration concludes."""
-        for c in np.unique(owner[positions]):
-            if not active[c]:
-                continue
-            own = own_slice(c)
-            grid, dist = thetas[own], resolved_dist[own]
-            for idx in positions[owner[positions] == c] - own.start:
-                out = handle_capture(int(c), grid, dist, int(idx))
-                if out is not None:
-                    finish(int(c), out)
-                    break
-
-    captures(np.nonzero(resolved_dist <= 0.0)[0])
-
+    verdict = captures()
     for _ in range(tol.refine_depth):
-        if not active.any():
-            break
-        keep = active[owner]
-        if not keep.all():
-            thetas, resolved_dist, scales, owner = (x[keep] for x in (thetas, resolved_dist, scales, owner))
-        sizes = np.bincount(owner, minlength=count)
-        for c in np.nonzero(active & (sizes > budget))[0]:
-            if active[c]:
-                finish(int(c), conclude(int(c), "boundary refinement budget exhausted"))
+        if verdict is not None:
+            return verdict
+        if thetas.size > budget:
+            return conclude("boundary refinement budget exhausted")
         a, b = thetas[:-1], thetas[1:]
         widths = b - a
         radii = _abs_s_bound(region, a, b)
-        # the Lipschitz bound in np.polyval's operation order, with each
-        # interval's own envelope, times speed * h / 2; in place, so a large
-        # batch makes few temporaries
+        # the Lipschitz bound in np.polyval's operation order, times speed * h / 2
         need = np.zeros_like(radii)
-        for l in range(envs.shape[1] - 1, -1, -1):
+        for c in env[::-1]:
             need *= radii
-            need += envs[owner[:-1], l]
+            need += c
         need *= speed
         need *= widths
         need *= 0.5
         ok = (resolved_dist[:-1] > need) & (resolved_dist[1:] > need)
-        live = widths > live_floor[owner[:-1]]
-        bad = np.nonzero(~ok & live & (owner[:-1] == owner[1:]))[0]
-        refining = np.zeros(count, dtype=bool)
-        refining[owner[bad]] = True
-        for c in np.nonzero(active & ~refining)[0]:
-            if active[c]:
-                finish(int(c), conclude(int(c), None, certified=True))
-        bad = bad[active[owner[bad]]]
+        bad = np.nonzero(~ok & (widths > live_floor))[0]
         if not bad.size:
-            break
+            return conclude(None, certified=True)
         mids = 0.5 * (a[bad] + b[bad])
-        mid_owner = owner[bad]
-        mid_margins, mid_scales = evaluate(mids, mid_owner)
-        # weave the new samples into the sorted grids
+        mid_margins, mid_scales = evaluate(mids)
+        # weave the new samples into the sorted grid
         thetas = np.insert(thetas, bad + 1, mids)
         resolved_dist = np.insert(resolved_dist, bad + 1, mid_margins)
         scales = np.insert(scales, bad + 1, mid_scales)
-        owner = np.insert(owner, bad + 1, mid_owner)
-        captures(np.nonzero(resolved_dist <= 0.0)[0])
-
-    for c in np.nonzero(active)[0]:
-        if active[c]:
-            finish(int(c), conclude(int(c), "interval certificates still open at the refinement depth cap"))
-    return verdicts
+        verdict = captures()
+    return verdict or conclude("interval certificates still open at the refinement depth cap")
 
 
 # ----------------------------------------------------------------------
@@ -718,9 +627,8 @@ def box_stable(
       margin: every member's roots lie more than tau inside.
     * The other corner members; a clearly unstable one is an exact
       Unstable verdict.
-    * The certified zero-exclusion sweep, run here as a batch of one, which
-      rules out a boundary root strictly inside the box; its margin is a
-      relative exclusion distance.
+    * The certified zero-exclusion sweep, which rules out a boundary root
+      strictly inside the box; its margin is a relative exclusion distance.
 
     ``corners[v]`` is the ``point_stable`` verdict of the member at box
     vertex v (slot l at bit l of v).  The family drivers pass the
@@ -748,7 +656,7 @@ def box_stable(
     )
     if verdict is not None:
         return verdict
-    return _zero_exclusion_sweep([pd], [coefficient_box(pd)], region, tol)[0]
+    return _zero_exclusion_sweep(pd, region, tol)
 
 
 def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = None) -> Verdict:
@@ -794,10 +702,11 @@ class VertexMembers:
     A member is named by the vertex index of every cell, row-major, as in
     ``_corner_ends``.  Within one family an index names one polynomial of
     its cell, so the key names the member; it never names a configuration.
-    ``solve`` measures the members the memo has not seen, grouped by the
-    coefficient length of every cell: one ``_laplace`` call and one
-    ``member_margins`` call per group, on rows gathered from the table.
-    Groups are never zero-padded, which would reorder the sums of the
+    ``solve`` measures the members of one run that the memo has not seen,
+    grouped by corner: the run's members at one corner share every cell's
+    coefficient length (``VertexTable.signature``), so each corner takes one
+    ``_laplace`` call and one ``member_margins`` call, on rows gathered from
+    the table.  Groups are never zero-padded, which would reorder the sums of the
     determinant, so each member's coefficients, margin and verdict are
     bitwise ``point_stable(det_matrix(grid))``'s and do not depend on the
     batch, the configuration or the worker that reaches the member first.
@@ -817,19 +726,20 @@ class VertexMembers:
         self._boxes: dict[tuple, Verdict] = {}
 
     def solve(self, corners: np.ndarray) -> list[list[Verdict]]:
-        """The verdicts of the members ``corners``, shape (B, V, n*n), as B lists of V."""
+        """The verdicts of the members ``corners`` of one run, shape (B, V, n*n), as B lists of V."""
         table, n = self.table, self.table.n
-        keys = [tuple(key) for key in corners.reshape(-1, n * n).tolist()]
-        fresh = list(dict.fromkeys(key for key in keys if key not in self._verdicts))
-        picks = np.array(fresh, dtype=np.intp).reshape(-1, n * n)
-        sigs, group = np.unique(table.lengths[table.cells, picks], axis=0, return_inverse=True)
-        for g, sig in enumerate(sigs):
-            rows = np.flatnonzero(group.ravel() == g)
-            grid = [[table.rows[c, picks[rows, c], : sig[c]] for c in range(i * n, i * n + n)] for i in range(n)]
-            margins, roots = member_margins(self.region, _laplace(grid))
-            for key, margin, root in zip([fresh[r] for r in rows], margins, roots):
-                self._verdicts[key] = _member_verdict(margin, root)
         width = corners.shape[1]
+        keys = [tuple(key) for key in corners.reshape(-1, n * n).tolist()]
+        for v in range(width):
+            fresh = [key for key in dict.fromkeys(keys[v::width]) if key not in self._verdicts]
+            if not fresh:
+                continue
+            picks = np.array(fresh, dtype=np.intp)
+            lengths = table.lengths[table.cells, picks[0]]
+            grid = [[table.rows[c, picks[:, c], : lengths[c]] for c in range(i * n, i * n + n)] for i in range(n)]
+            margins, roots = member_margins(self.region, _laplace(grid))
+            for key, margin, root in zip(fresh, margins, roots):
+                self._verdicts[key] = _member_verdict(margin, root)
         return [[self._verdicts[key] for key in keys[b : b + width]] for b in range(0, len(keys), width)]
 
 
@@ -850,18 +760,17 @@ def _check_chunk(
     k = n the lambda cells fix sigma, so such a box never recurs and is not
     stored.  A hit is bitwise the verdict the box gets again: the same
     cells give the same ``_laplace`` inputs, the same corner members and
-    the same sweep, whose verdicts do not depend on batch-mates.
+    the same sweep.
 
     The rest of a run, up to the first configuration already known to be
     Unstable, gets its dense terms, corner rows, degree checks and anchor
     members in one batch each and passes the degree and anchor checks in
     stream order, up to the first one that is Unstable there.  One box test
     call decides the boxes that pass; those it leaves get their other corner
-    members in one batch and pass the corner checks in stream order, up to
-    the first one that is Unstable.  Only those that need a sweep get a
-    ``ParametricDeterminant``; they are swept together, one batch per
-    ``masks`` and ``rows.shape`` in the order of each batch's first
-    configuration, and a batch drops those after an Unstable one.
+    members in one batch.  Each of them then passes the corner checks and,
+    if those do not decide it, the sweep on its own
+    ``ParametricDeterminant``, in stream order, up to the first one that is
+    Unstable.
     """
     table = members.table
     out = []
@@ -885,7 +794,6 @@ def _check_chunk(
                 break
         end = len(decided)
         todo = [pos for pos in range(end) if decided[pos][1] is None]
-        batches: dict[tuple, list] = {}
         if todo:
             terms = det_parametric_run(table, ends[todo])
             rows, mags = _corner_rows(terms)
@@ -909,25 +817,13 @@ def _check_chunk(
                 others = members.solve(corners[[todo[i] for i in rest], 1:])
                 for i, corner_verdicts in zip(rest, others):
                     pos = todo[i]
-                    v = _corner_checks(corner_verdicts, k, tol, start=1)
-                    if v is None:
-                        pd = ParametricDeterminant.from_dense(terms[i])
-                        key = (pd.masks.tobytes(), pd.rows.shape)
-                        batches.setdefault(key, []).append((pos, pd, coefficient_box(pd)))
-                    decided[pos][1] = v
-                    if v is not None and v.status is Status.UNSTABLE:
-                        end = pos + 1
-                        break
-        for batch in batches.values():
-            batch = [item for item in batch if item[0] < end]
-            if not batch:
-                continue
-            verdicts = _zero_exclusion_sweep([pd for _, pd, _ in batch], [box for _, _, box in batch], fam.region, tol)
-            for (pos, _, _), v in zip(batch, verdicts):
-                if pos < end:
+                    v = _corner_checks(corner_verdicts, k, tol, start=1) or _zero_exclusion_sweep(
+                        ParametricDeterminant.from_dense(terms[i]), fam.region, tol
+                    )
                     decided[pos][1] = v
                     if v.status is Status.UNSTABLE:
                         end = pos + 1
+                        break
         for pos in todo:
             if k < table.n and pos < end:
                 members._boxes[box_keys[pos]] = decided[pos][1]

@@ -1290,7 +1290,7 @@ def chunk_outcomes(fam, tol, stop=None):
 
 def split_shape_family():
     # the top coefficient cancels exactly when cell (0, 1) is s + 3, so the
-    # runs of pattern (0, 1) mix rows of widths 2 and 3: two sweep batches
+    # runs of pattern (0, 1) mix rows of widths 2 and 3
     entries = [
         [{"vertices": [[1.0, 1.0], [1.2, 1.0], [0.9, 1.0]]}, {"vertices": [[3.0, 1.0], [3.0, 2.0]]}],
         [{"vertices": [[1.0, 1.0]]}, {"vertices": [[1.0, 1.0], [1.1, 1.0]]}],
@@ -1386,8 +1386,8 @@ SWEEP_FAMILIES = {
 @pytest.mark.parametrize("grid", [128, 512])
 @pytest.mark.parametrize("name", list(SWEEP_FAMILIES))
 def test_batched_sweep_equals_lone_box_stable(name, grid):
-    # which configurations share a box test or a sweep batch must not change
-    # any verdict: every outcome of a chunk, its margin included, is bitwise
+    # which configurations share a run's box test must not change any
+    # verdict: every outcome of a chunk, its margin included, is bitwise
     # box_stable's on that configuration alone, and nothing after the first
     # Unstable is reported
     fam = SWEEP_FAMILIES[name]()
@@ -1401,7 +1401,7 @@ def test_batched_sweep_equals_lone_box_stable(name, grid):
 @pytest.mark.parametrize("grid", [128, 512])
 @pytest.mark.parametrize("name", list(SWEEP_FAMILIES))
 def test_batched_sweep_equals_lone_box_stable_without_box_test(name, grid, monkeypatch):
-    # the same with the box test off, so the sweep batches decide what the
+    # the same with the box test off, so the chunk's sweeps decide what the
     # box test would certify
     without_box_test(monkeypatch)
     fam = SWEEP_FAMILIES[name]()
@@ -1559,21 +1559,18 @@ def test_unstable_mid_run_ends_the_report(monkeypatch):
     assert box_stable(det_parametric(cfg5), fam.region, None, vertex_corners(VertexMembers(fam), cfg5)).is_stable
 
 
-def test_split_shape_runs_sweep_in_two_batches(monkeypatch):
-    # configurations 0 to 5 are one run with rows of widths 2 and 3; with
-    # the box test off, every one of them is swept
-    fam = split_shape_family()
+def test_no_sweep_after_the_first_unstable_in_a_run(monkeypatch):
+    # with the box test off, configurations 0 to 4 are swept and 4 is
+    # Unstable; configuration 5, later in the same run, is not swept
+    fam = mid_run_unstable_family()
     without_box_test(monkeypatch)
-    batches = []
-    sweep = stab._zero_exclusion_sweep
-
-    def recording_sweep(pds, boxes, region, tol):
-        batches.append([pd.rows.shape for pd in pds])
-        return sweep(pds, boxes, region, tol)
-
-    monkeypatch.setattr(stab, "_zero_exclusion_sweep", recording_sweep)
-    stab._check_chunk(fam, 0, 6, Tolerances(), VertexMembers(fam))
-    assert batches == [[(4, 2)] * 3, [(4, 3)] * 3]
+    ranges = []
+    sweep_range = stab.sweep_range_from_box
+    monkeypatch.setattr(stab, "sweep_range_from_box", lambda *args: ranges.append(1) or sweep_range(*args))
+    outcomes = stab._check_chunk(fam, 0, 14, Tolerances(), VertexMembers(fam))
+    assert [index for index, _ in outcomes] == [0, 1, 2, 3, 4]
+    assert outcomes[-1][1].status is Status.UNSTABLE
+    assert len(ranges) == 5
 
 
 def stiff_segment():
@@ -1590,18 +1587,16 @@ def geometric_segment(scale):
 
 
 @pytest.mark.parametrize("grid", [8, 128, 512])
-def test_refinement_budget_exhausted_in_a_batch(grid, monkeypatch):
+def test_refinement_budget_exhausted(grid, monkeypatch):
     # the budget is 64 samples per seed-grid point, never below 32,768; the
-    # exhausted configuration is Inconclusive and its batch-mates get the
-    # verdicts they get alone
+    # exhausted configuration is Inconclusive, and the two degree-24
+    # segments beside it are certified
     region = HurwitzHalfPlane()
     tol = Tolerances(boundary_grid=grid)
     pds = [geometric_segment(1.0), stiff_segment(), geometric_segment(0.5)]
-    boxes = [det.coefficient_box(pd) for pd in pds]
-    alone = [stab._zero_exclusion_sweep([pd], [box], region, tol)[0] for pd, box in zip(pds, boxes)]
+    alone = [stab._zero_exclusion_sweep(pd, region, tol) for pd in pds]
     assert [v.status for v in alone] == [Status.ROBUSTLY_STABLE, Status.INCONCLUSIVE, Status.ROBUSTLY_STABLE]
     assert alone[1].reason == "boundary refinement budget exhausted"
-    assert [repr(v) for v in stab._zero_exclusion_sweep(pds, boxes, region, tol)] == [repr(v) for v in alone]
     # the box test cannot certify the stiff segment, so box_stable sweeps it
     assert repr(box_stable(stiff_segment(), region, tol)) == repr(alone[1])
 
@@ -1612,34 +1607,15 @@ def test_refinement_budget_exhausted_in_a_batch(grid, monkeypatch):
     assert 32_768 < sum(samples) <= 2 * 32_768
 
 
-def lone_theta_grid(region, lo, hi, count):
-    # one range's seed grid as the sweep built it before ranges were batched
-    if hi <= lo:
-        return np.array([lo])
-    if isinstance(region, Disk):
-        return np.linspace(lo, hi, count + 1)
-    half = count // 2
-    lin = np.linspace(lo, hi, half)
-    geo = np.geomspace(max(hi * 1e-6, 1e-12), hi, count - half)
-    return np.unique(np.concatenate([[lo], lin, geo]))
-
-
-@pytest.mark.parametrize("region", [HurwitzHalfPlane(), ShiftedHalfPlane(2.0), Disk(-1.0 + 0.5j, 1.5)])
-@pytest.mark.parametrize("count", [8, 9, 128, 512])
-def test_theta_grids_equal_lone_grids(region, count):
-    # the one-pass seed grids are bitwise each range's own grid, empty
-    # ranges (a shifted half plane right of every root bound) included
-    rng = np.random.default_rng(count)
-    if isinstance(region, Disk):
-        spans = [(0.0, 2.0 * math.pi)] * 3
-    else:
-        spans = [(0.0, float(h)) for h in np.exp(rng.uniform(-30.0, 30.0, 40))]
-        spans[3:3] = [(0.0, 0.0), (0.0, 1e-300), (0.0, 1.0)]
-    thetas, owner = stab._theta_grids(region, spans, count)
-    assert owner.tolist() == sorted(owner.tolist())
-    for c, (lo, hi) in enumerate(spans):
-        want = lone_theta_grid(region, lo, hi, count)
-        assert thetas[owner == c].tobytes() == want.tobytes(), (c, hi)
+@pytest.mark.parametrize("hi", [0.0, 1e-300])
+def test_theta_grid_of_empty_and_tiny_ranges(hi):
+    # a shifted half plane right of every root bound sweeps the empty range
+    # (0, 0), whose grid is its one end; the tiny range (0, 1e-300) gets
+    # distinct finite samples in increasing order, from 0 through hi
+    grid = stab._theta_grid(ShiftedHalfPlane(2.0), 0.0, hi, 128)
+    assert grid[0] == 0.0 and hi in grid
+    assert np.isfinite(grid).all() and (np.diff(grid) > 0.0).all()
+    assert (grid.size == 1) == (hi == 0.0)
 
 
 # ----------------------------------------------------------------------
