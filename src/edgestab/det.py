@@ -38,6 +38,12 @@ configurations share ``VertexTable.signature``, so each cell gathered from
 the table's rows has one length, nothing is padded, and each
 configuration's arithmetic is exactly that of its own determinant;
 ``det_parametric`` is the run of one, from an ``EdgeConfiguration``.
+
+``det_enclosure`` runs the same core on cell boxes in midpoint-radius form
+(``cell_boxes``): the centre is the determinant of the midpoints, and the
+radius comes from the expansion with every sign ``+``, plus a rounding
+term, so every member's determinant coefficients lie within it.  The
+family certificate encloses a batch of corner members this way.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import numpy as np
 
 from .edges import EdgeConfiguration
 from .poly import Polynomial, _exact
+from .region import _gamma, _up
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,7 +77,7 @@ def _polyadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _laplace(cells) -> np.ndarray:
+def _laplace(cells, unsigned: bool = False) -> np.ndarray:
     """Determinant of a square grid of coefficient arrays of equal rank.
 
     Laplace expansion built bottom-up over column subsets in order of size:
@@ -79,7 +86,9 @@ def _laplace(cells) -> np.ndarray:
     the previous size.  Only that previous size is kept, so the cost is
     O(2^n * n) array products instead of factorial.  A coefficient that
     overflows float64 comes back inf or NaN, without a warning; the callers
-    decide what a non-finite determinant means.
+    decide what a non-finite determinant means.  ``unsigned`` makes every
+    sign ``+``: the same products and sums, whose value at nonnegative cells
+    bounds the magnitudes that ``det_enclosure`` needs.
     """
     n = len(cells)
     prev = {(j,): cells[n - 1][j] for j in range(n)}
@@ -91,7 +100,7 @@ def _laplace(cells) -> np.ndarray:
                 acc = None
                 for pos, j in enumerate(cols):
                     term = _polymul(row[j], prev[cols[:pos] + cols[pos + 1 :]])
-                    if pos % 2:
+                    if pos % 2 and not unsigned:
                         term = -term
                     acc = term if acc is None else _polyadd(acc, term)
                 cur[cols] = acc
@@ -245,3 +254,45 @@ def coefficient_box(pd: ParametricDeterminant) -> np.ndarray:
     """
     vecs = monomial_weights(pd.masks, corner_lambdas(pd.k)) @ pd.rows
     return np.stack([vecs.min(axis=0), vecs.max(axis=0)], axis=1)
+
+
+def cell_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and radii of the boxes [lo, hi], with [mid - rad, mid + rad] covering [lo, hi].
+
+    ``mid`` is the rounded average; ``rad`` is the larger of ``hi - mid``
+    and ``mid - lo``, each rounded up, so the covering holds in floating
+    point.  Non-finite bounds give a non-finite radius.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * lo + 0.5 * hi
+        return mid, np.maximum(_up(hi, -mid), _up(-lo, mid))
+
+
+def det_enclosure(mid, rad) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint-radius enclosure of the determinant over a grid of cell boxes |x - mid| <= rad.
+
+    ``mid[i][j]`` and ``rad[i][j]`` hold cell (i, j)'s ascending midpoints
+    and radii, shape ``(S, L_ij)`` for S boxes of the same shapes.  Returns
+    ``(centre, radius)``, shape (S, L), such that the determinant of every
+    matrix with cells in the boxes has coefficients within ``radius`` of
+    ``centre`` (Rump, "Verification methods", *Acta Numerica* 2010).
+
+    The centre is ``_laplace(mid)``.  Write P+ for the expansion with every
+    sign ``+``; each determinant coefficient is a sum of distinct products
+    of cell coefficients, so it moves by at most P+(|mid| + rad) - P+(|mid|)
+    over the boxes.  Every product and sum of the expansion rounds at most
+    K = n (L_max + n) times on its way to a coefficient, so each of the
+    three computed expansions is within ``_gamma(K)`` times P+ of its exact
+    value (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., section 3.1); ``4 * _gamma(K) * P+(|mid| + rad)`` covers those
+    errors and that of the subtraction, and the radius is rounded up.
+    Non-finite inputs or an overflow give non-finite output.
+    """
+    n = len(mid)
+    size = [[np.abs(m) for m in row] for row in mid]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = [[_up(a, r) for a, r in zip(row_a, row_r)] for row_a, row_r in zip(size, rad)]
+        centre = _laplace(mid)
+        low, high = _laplace(size, unsigned=True), _laplace(reach, unsigned=True)
+        gamma = _gamma(n * (max(m.shape[-1] for row in mid for m in row) + n))
+        return centre, _up(high - low, 4.0 * gamma * high)

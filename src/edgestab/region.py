@@ -287,6 +287,11 @@ def _down(a, b):
     return np.where(err < 0.0, np.nextafter(s, -np.inf), s)
 
 
+def _up(a, b):
+    """The least float not below the exact a + b, elementwise."""
+    return -_down(-a, b)
+
+
 # Outward widening of a mapped coefficient box, as a multiple of its
 # first-order rounding bound: the factor 2 covers the second-order terms, the
 # rounding of the bound itself and that of subtracting it.

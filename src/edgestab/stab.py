@@ -15,24 +15,36 @@ The decision layers build on each other:
   distance.  Its degree checks and box test are the drivers' batch
   functions on a batch of one; its sweep is the drivers' sweep.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
-* ``analyze_family`` / ``analyze_interval`` decide the edge configurations
-  of a family in one chunk plan, whatever the worker count: the parent
-  decides ``[0, 1)`` and stops if it is Unstable; the chunks ``[1, 64)``,
-  ``[64, 128)``, ... follow, in-process or on worker processes, up to the
-  first chunk that ends Unstable.  A run is a maximal stretch of a chunk's
-  ``ends`` that ``VertexTable.runs`` keeps together.  ``VertexMembers``
-  holds the table and gives each configuration its corner verdicts: it
-  solves the new all-vertex members of each run in batches (one
-  determinant and one margin call per cell-length signature) and memoises
-  each verdict by the member's vertex indices.  It also holds the box
-  memo: a configuration with k < n whose box recurred under an earlier
-  pattern reuses that box's verdict and builds nothing.  Every other
-  configuration passes ``box_stable``'s checks in stream order on the
-  run's dense terms: the corner rows, degree checks, anchors and box test
-  each take the run at once; only the boxes the box test leaves get their
-  other corner members and, to be swept, a ``ParametricDeterminant``.
-  Each configuration gets bitwise the verdict ``box_stable`` gives it
-  alone.
+* ``analyze_family`` / ``analyze_interval`` decide a family.  The parent
+  decides configuration 0 and stops if it is Unstable.  If it is
+  RobustlyStable and no vertex is truncated, the family certificate
+  (``_family_certificate``) tests every member at once: the corner members
+  take one point of every cell (a polytope cell's vertices, an interval
+  cell's box corners; the thinnest cells enter as boxes beyond
+  ``_HULL_CAP`` corners), ``det.det_enclosure`` encloses their
+  determinants in midpoint-radius form, and the box test on the hull of
+  those enclosures, the family box, runs on the rung ladder below
+  configuration 0's anchor margin.  If the family box fails, one split
+  round halves every two-vertex cell's segment and tests the 2**u
+  sub-families in the same calls.  A pass gives every configuration the
+  RobustlyStable verdict with the least passing tau, a root-distance
+  bound, and no chunk runs.  Otherwise the edge configurations are
+  decided in one chunk plan, whatever the worker count: the chunks
+  ``[1, 64)``, ``[64, 128)``, ... follow configuration 0, in-process or on
+  worker processes, up to the first chunk that ends Unstable.  A run is a
+  maximal stretch of a chunk's ``ends`` that ``VertexTable.runs`` keeps
+  together.  ``VertexMembers`` holds the table and gives each
+  configuration its corner verdicts: it solves the new all-vertex members
+  of each run in batches (one determinant and one margin call per
+  cell-length signature) and memoises each verdict by the member's vertex
+  indices.  It also holds the box memo: a configuration with k < n whose
+  box recurred under an earlier pattern reuses that box's verdict and
+  builds nothing.  Every other configuration passes ``box_stable``'s
+  checks in stream order on the run's dense terms: the corner rows, degree
+  checks, anchors and box test each take the run at once; only the boxes
+  the box test leaves get their other corner members and, to be swept, a
+  ``ParametricDeterminant``.  Each configuration gets bitwise the verdict
+  ``box_stable`` gives it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -54,8 +66,10 @@ from . import hull
 from .det import (
     ParametricDeterminant,
     _laplace,
+    cell_boxes,
     coefficient_box,
     corner_lambdas,
+    det_enclosure,
     det_parametric,  # noqa: F401  bench/tracing.py patches stab.det_parametric
     det_parametric_run,
     monomial_weights,
@@ -69,7 +83,9 @@ from .region import (
     HurwitzHalfPlane,
     Region,
     ShiftedHalfPlane,
+    _down,
     _gamma,
+    _up,
     boxes_exceed,
     member_margins,
     sweep_range_from_box,
@@ -215,8 +231,9 @@ def _theta_grid(region: Region, lo: float, hi: float, count: int) -> np.ndarray:
 
     Disks get a uniform closed circle.  Half planes mix a linear grid with a
     geometric one so that both the low-frequency structure and the Cauchy
-    tail are resolved before refinement starts; an empty range is its one
-    end.
+    tail are resolved before refinement starts; the geometric part starts at
+    hi * 1e-6, but not below 1e-12 unless hi is, so every sample lies in the
+    range.  An empty range is its one end.
     """
     if hi <= lo:
         return np.array([lo])
@@ -224,7 +241,7 @@ def _theta_grid(region: Region, lo: float, hi: float, count: int) -> np.ndarray:
         return np.linspace(lo, hi, count + 1)
     half = count // 2
     lin = np.linspace(lo, hi, half)
-    geo = np.geomspace(max(hi * 1e-6, 1e-12), hi, count - half)
+    geo = np.geomspace(max(hi * 1e-6, 1e-12) if hi >= 1e-12 else hi * 1e-6, hi, count - half)
     return np.unique(np.concatenate([[lo], lin, geo]))
 
 
@@ -568,6 +585,31 @@ _RUNGS = 3
 _BOX_RANGE = 2.0**1000
 
 
+def _rung_margins(
+    corners: np.ndarray, errors: np.ndarray, degrees: np.ndarray, margins: np.ndarray, region: Region, tol: Tolerances
+) -> np.ndarray:
+    """The largest rung tau = m * 2**-j that each box clears, NaN where none does.
+
+    Box c is the corner rows ``corners[c]`` (C, V, L) with the rounding
+    bounds ``errors[c]``, of degree ``degrees[c]``, below the root margin
+    ``margins[c]`` of one of its members, or NaN to leave it out.
+    ``region.boxes_exceed`` tests the boxes of degree d on their first d + 1
+    columns at every rung in one call; passing a rung puts every member's
+    roots more than that tau inside the region.  Rungs below
+    ``tol.zero_margin``, the inconclusive band, do not count.
+    """
+    out = np.full(margins.size, math.nan)
+    kept = ~np.isnan(margins)
+    for d in np.unique(degrees[kept]):
+        picks = np.flatnonzero(kept & (degrees == d))
+        taus = margins[picks, None] * 2.0 ** -np.arange(1, _RUNGS + 1)
+        passed = boxes_exceed(region, corners[picks, :, : d + 1], errors[picks, :, : d + 1], taus)
+        passed &= taus >= tol.zero_margin
+        best = taus[np.arange(picks.size), np.argmax(passed, axis=1)]
+        out[picks] = np.where(passed.any(axis=1), best, math.nan)
+    return out
+
+
 def _box_certificates(
     corners: np.ndarray, mags: np.ndarray, degrees: np.ndarray, margins: np.ndarray, region: Region, tol: Tolerances
 ) -> list[Verdict | None]:
@@ -575,31 +617,27 @@ def _box_certificates(
 
     ``corners``, ``mags`` (``_corner_rows``) and ``degrees`` describe the
     boxes, and ``margins[c]`` is the root margin of box c's anchor member,
-    not Unstable, or NaN to leave box c out.  ``region.boxes_exceed`` tests
-    the boxes of degree d on their first d + 1 columns at every rung in one
-    call; passing a rung puts every member's roots more than that tau
-    inside the region.  The largest such tau not below ``tol.zero_margin``,
-    the inconclusive band, is the box's margin, a root-distance bound.  A
-    box that passes no such rung, an anchor without a finite positive
-    margin, a box whose corner sums reach ``_BOX_RANGE`` and every box of a
-    disk with a complex centre get None, whatever its batch-mates.
+    not Unstable, or NaN to leave box c out.  A corner's rounding error is
+    at most ``_gamma(2**k)`` times its ``mags`` row.  The box's margin is
+    its ``_rung_margins`` tau, a root-distance bound.  A box that passes no
+    rung, an anchor without a finite positive margin, a box whose corner
+    sums reach ``_BOX_RANGE`` and every box of a disk with a complex centre
+    get None, whatever its batch-mates.
     """
-    out: list[Verdict | None] = [None] * margins.size
     fit = (0.0 < margins) & (margins < math.inf) & (mags < _BOX_RANGE).all(axis=(1, 2))
-    for d in np.unique(degrees[fit]):
-        picks = np.flatnonzero(fit & (degrees == d))
-        taus = margins[picks, None] * 2.0 ** -np.arange(1, _RUNGS + 1)
-        errors = _gamma(mags.shape[1]) * mags[picks, :, : d + 1]
-        passed = boxes_exceed(region, corners[picks, :, : d + 1], errors, taus) & (taus >= tol.zero_margin)
-        for c, row, tau in zip(picks, passed, taus):
-            if row.any():
-                out[c] = Verdict(
-                    Status.ROBUSTLY_STABLE,
-                    margin=float(tau[np.argmax(row)]),
-                    reason="Kharitonov polynomials of the coefficient box are stable; "
-                    "the margin is a root-distance bound",
-                )
-    return out
+    taus = _rung_margins(
+        corners, _gamma(mags.shape[1]) * mags, degrees, np.where(fit, margins, math.nan), region, tol
+    )
+    return [
+        None
+        if math.isnan(tau)
+        else Verdict(
+            Status.ROBUSTLY_STABLE,
+            margin=float(tau),
+            reason="Kharitonov polynomials of the coefficient box are stable; the margin is a root-distance bound",
+        )
+        for tau in taus
+    ]
 
 
 def box_stable(
@@ -833,6 +871,131 @@ def _check_chunk(
     return out
 
 
+# Corner members of one round of the family certificate, over all its
+# sub-families, at most: beyond it, the thinnest cells enter as boxes.
+_HULL_CAP = 1024
+# Sub-families of the family certificate's split round, at most: it halves
+# the segment of every two-vertex cell, so it runs for up to six of them.
+_SPLIT_CAP = 64
+
+
+def _family_points(table: VertexTable, interval: bool, halved: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every cell's points in midpoint-radius form, ``(mid, rad)`` of shape (S, P_c, L_c), for S sub-families.
+
+    Every member of cell c lies in the convex hull of the boxes
+    |x - mid[s, p]| <= rad[s, p] of sub-family s.  A polytope cell's points
+    are its distinct vertices.  An interval cell's box is the min and max
+    over its four Kharitonov vertices, which take both bounds at every
+    coefficient; its points are the box's distinct corners, or the box itself
+    (``cell_boxes``) if they would exceed ``_HULL_CAP``.  Each cell of
+    ``halved`` has two vertices, and sub-family b of the S = 2**len(halved)
+    takes the half of its segment that bit t of b picks for ``halved[t]``:
+    both halves share the rounded midpoint, with a radius of two floats,
+    which covers its rounding (half a float from the sum, at most 2**-1074
+    from halving a subnormal vertex), so every member of the segment lies
+    in one of them.
+    """
+    S = 1 << len(halved)
+    out = []
+    for c in range(table.n**2):
+        count = len(table.vertices[c])
+        rows = table.rows[c, :count, : table.lengths[c, :count].max()]
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        if interval and 1 << lo.size > _HULL_CAP:
+            mid, rad = (box[None] for box in cell_boxes(lo, hi))
+        else:
+            if interval:
+                mid = np.unique(np.where(corner_lambdas(lo.size) > 0.0, hi, lo), axis=0)
+            else:
+                mid = rows[~np.tril(table.same[c, :count, :count], -1).any(axis=1)]
+            rad = np.zeros_like(mid)
+        mid, rad = np.broadcast_to(mid, (S,) + mid.shape), np.broadcast_to(rad, (S,) + rad.shape)
+        if c in halved:
+            v0, v1 = rows
+            point = 0.5 * v0 + 0.5 * v1
+            gap = np.nextafter(np.abs(point), np.inf) - np.abs(point)
+            cover, exact = np.where((v0 == 0.0) & (v1 == 0.0), 0.0, 2.0 * gap), np.zeros_like(point)
+            # side, then (mid, rad), then the half's two points
+            sides = np.array([[[v0, point], [exact, cover]], [[point, v1], [cover, exact]]])
+            side = np.arange(S) >> halved.index(c) & 1
+            mid, rad = sides[side, 0], sides[side, 1]
+        out.append((mid, rad))
+    return out
+
+
+def _family_enclosures(points: list[tuple[np.ndarray, np.ndarray]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Determinant enclosures of every corner member of each sub-family, ``(centre, radius)`` of shape (S, V, L).
+
+    A corner member takes one point of every cell.  While the S * V corners
+    of the S sub-families would exceed ``_HULL_CAP``, the cell with the
+    thinnest box (the min and max over its points' boxes, rounded outward)
+    that still has several points enters as that one box: it loses least.
+    Then ``det_enclosure`` encloses every corner's determinant in one batch.
+    The determinant is affine in each cell, so every member's determinant
+    is a convex combination of the determinants of corners made of points
+    within their radii of the members' own, each within its radius of its
+    centre.
+    """
+    points = list(points)
+    S, counts = points[0][0].shape[0], [mid.shape[1] for mid, _ in points]
+    boxes = [(_down(mid, rad).min(axis=1), _up(mid, rad).max(axis=1)) for mid, rad in points]
+    for c in sorted(range(len(points)), key=lambda c: float(np.sum(boxes[c][1] - boxes[c][0]))):
+        if S * math.prod(counts) <= _HULL_CAP:
+            break
+        if counts[c] > 1:
+            points[c] = tuple(box[:, None] for box in cell_boxes(*boxes[c]))
+            counts[c] = 1
+    corners = np.indices(counts).reshape(len(counts), -1)
+    V = corners.shape[1]
+    grids = [
+        [[points[c][t][:, corners[c]].reshape(S * V, -1) for c in range(i * n, i * n + n)] for i in range(n)]
+        for t in (0, 1)
+    ]
+    centre, radius = det_enclosure(*grids)
+    return centre.reshape(S, V, -1), radius.reshape(S, V, -1)
+
+
+def _family_certificate(fam: MatrixFamily, table: VertexTable, margin: float, tol: Tolerances) -> Verdict | None:
+    """Kharitonov's test on the whole family's determinants: a RobustlyStable verdict if it certifies.
+
+    ``margin`` is the root margin of configuration 0's anchor member.  The
+    family box is the hull of the enclosed corner-member determinants
+    (``_family_enclosures``); after the degree checks of the configurations'
+    boxes (``_early_verdicts``), its corners go to the box test with their
+    radii as their error bounds, on the rung ladder below ``margin``
+    (``_rung_margins``).
+
+    If the family box fails, the split round tests the 2**u sub-families of
+    its u two-vertex cells (``_family_points``) in the same calls, while
+    2**u is at most ``_SPLIT_CAP``.  When every (sub-)family passes, every
+    member's roots lie more than the least passing tau inside the region.
+    A family with a truncated vertex, an anchor without a finite positive
+    margin, a box that fails the degree checks or whose magnitudes reach
+    ``_BOX_RANGE``, and one that neither round certifies get None: the edge
+    stream decides them.
+    """
+    if table.truncated.any() or not 0.0 < margin < math.inf:
+        return None
+    interval = fam.mode == "interval"
+    halved = [c for c in range(table.n**2) if not interval and len(table.vertices[c]) == 2 and not table.same[c, 0, 1]]
+    rounds = [[], halved] if halved and 1 << len(halved) <= _SPLIT_CAP else [[]]
+    for cut in rounds:
+        centre, radius = _family_enclosures(_family_points(table, interval, cut), table.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            early, degrees = _early_verdicts(np.concatenate([centre - radius, centre + radius], axis=1), tol)
+            if any(v is not None for v in early) or not (np.abs(centre) + radius < _BOX_RANGE).all():
+                return None
+        taus = _rung_margins(centre, radius, degrees, np.full(len(early), margin), fam.region, tol)
+        if not np.isnan(taus).any():
+            split = f", split into {len(early)} sub-family boxes," if cut else ""
+            return Verdict(
+                Status.ROBUSTLY_STABLE,
+                margin=float(taus.min()),
+                reason=f"Kharitonov polynomials of the family box{split} are stable; the margin is a root-distance bound",
+            )
+    return None
+
+
 # A pool worker's vertex table and member memo, shared by every chunk it
 # runs.  The pool lives for one family's analysis, so they never see another.
 _pool_members: VertexMembers | None = None
@@ -887,6 +1050,12 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     results = _check_chunk(fam, 0, 1, tol, members)
     if results[-1][1].status is Status.UNSTABLE:
         return _aggregate(results, total)
+    if results[0][1].is_stable:
+        _, _, ends = next(members.table.ends(0, 1))
+        anchor = members._verdicts[tuple(ends[0, :, 0].tolist())]
+        family = _family_certificate(fam, members.table, anchor.margin, tol)
+        if family is not None:
+            return _aggregate([(index, family) for index in range(total)], total)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     with ExitStack() as stack:
         if workers <= 1:

@@ -1,12 +1,18 @@
-"""The box test: Kharitonov's theorem on a configuration's coefficient box.
+"""The box test: Kharitonov's theorem on a configuration's coefficient box, and on the whole family's.
 
 Soundness on seeded families (every member of a certified box keeps its
 roots more than the reported margin inside the region), and constructed
 near-boundary boxes that each part of the test is needed for: the outward
 widening, all four Kharitonov polynomials, and the leading interval that
-must exclude zero.
+must exclude zero.  The family certificate gets the same: sampled and
+all-vertex members of every family it certifies, and constructed cases for
+the outward rounding of the cell boxes and of the split point, the
+rounding term of the determinant enclosure, the truncation check, all four
+Kharitonov polynomials, and the enclosures' corners as the box test's
+rows.
 """
 
+import itertools
 import json
 import pathlib
 from fractions import Fraction
@@ -16,10 +22,11 @@ import pytest
 
 from edgestab import region as reg
 from edgestab.cli import parse_family_dict
-from edgestab.det import ParametricDeterminant, det_parametric, monomial_weights
-from edgestab.edges import config_at, iter_configs
-from edgestab.family import MatrixFamily, PolytopeEntry
+from edgestab.det import ParametricDeterminant, _laplace, cell_boxes, det_enclosure, det_parametric, monomial_weights
+from edgestab.edges import VertexTable, config_at, iter_configs
+from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
 from edgestab.poly import Polynomial
+from edgestab.oracle import sample_family
 from edgestab.region import Disk, HurwitzHalfPlane, ShiftedHalfPlane, boxes_exceed, kharitonov_hurwitz
 from edgestab import stab
 from edgestab.stab import Status, Tolerances, VertexMembers, _check_chunk, box_stable
@@ -248,3 +255,275 @@ def test_mixed_degrees_in_one_run(monkeypatch):
         alone = box_stable(pd, fam.region, None, own)
         assert "Kharitonov" in alone.reason
         assert repr(chunk[cfg.index]) == repr(alone)
+
+
+# ----------------------------------------------------------------------
+# the family certificate: one box test for every member of the family
+
+
+def dominant_family(seed, n, uncertain, region=HurwitzHalfPlane(), off=0.05):
+    # diagonal quadratics around (s + a)(s + b), a, b in [0.5, 1.8], and
+    # small off-diagonal constants; the cells in ``uncertain`` get a second
+    # vertex, every coefficient moved by up to 0.1 (0.05 off the diagonal)
+    rng = np.random.default_rng(59_000 + seed)
+
+    def entry(i, j):
+        if i == j:
+            a, b = rng.uniform(0.5, 1.8, 2)
+            base, bump = np.array([a * b, a + b, 1.0]), 0.1
+        else:
+            base, bump = np.array([rng.uniform(-off, off)]), 0.05
+        count = 2 if (i, j) in uncertain else 1
+        return PolytopeEntry(tuple(Polynomial(base + rng.uniform(-bump, bump, base.size)) for _ in range(count)))
+
+    return MatrixFamily([[entry(i, j) for j in range(n)] for i in range(n)], region)
+
+
+def diagonal(n):
+    return {(i, i) for i in range(n)}
+
+
+def every_cell(n):
+    return {(i, j) for i in range(n) for j in range(n)}
+
+
+def family_outcome(fam, jobs=1):
+    analyze = stab.analyze_interval_detailed if fam.mode == "interval" else stab.analyze_family_detailed
+    return analyze(fam, jobs=jobs)
+
+
+def all_vertex_margins(fam):
+    """Root margin of every member whose cells are all vertices (Kharitonov vertices for interval cells)."""
+    table = VertexTable(fam)
+    n = fam.n
+    counts = [len(vs) for vs in table.vertices]
+    picks = np.indices(counts).reshape(n * n, -1)
+    widths = [int(table.lengths[c, : counts[c]].max()) for c in range(n * n)]
+    grid = [[table.rows[c, picks[c], : widths[c]] for c in range(i * n, i * n + n)] for i in range(n)]
+    return reg.member_margins(fam.region, _laplace(grid))[0]
+
+
+def box_diagonal_family():
+    # s^2 + p1 s + p0 over the four corners of p0 in [0.6, 3], p1 in [1.5, 6],
+    # the anchor (3, 6) first: its margin is 0.55, but the corner (0.6, 6)
+    # has a root at -0.1.  The box test on the two corner rows
+    # [(0.6, 1.5, 1), (3, 6, 1)] would pass tau = 0.275, since the Taylor
+    # shift maps those two corners to stable rows; the corner (0.6, 6) maps
+    # outside their box
+    corners = [[3.0, 6.0, 1.0], [0.6, 1.5, 1.0], [0.6, 6.0, 1.0], [3.0, 1.5, 1.0]]
+    return MatrixFamily([[PolytopeEntry([Polynomial(c) for c in corners])]], HurwitzHalfPlane())
+
+
+FIXTURE_REGIONS = {"own": None, "shifted": ShiftedHalfPlane(-0.3), "disk": Disk(-2.0 + 0.0j, 2.5)}
+
+
+def fixture_in(name, region):
+    fam = parse_family_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
+    return fam if region is None else MatrixFamily(fam.entries, region)
+
+
+CERTIFIED_FAMILIES = {
+    **{
+        f"{name}:{region}": (lambda name=name, region=region: fixture_in(name, FIXTURE_REGIONS[region]))
+        for name in ("demo3x3", "diagonal3", "mixed_lengths")
+        for region in FIXTURE_REGIONS
+    },
+    "dominant4_partial:own": lambda: fixture_in("dominant4_partial", None),
+    "dominant4_partial:shifted": lambda: fixture_in("dominant4_partial", FIXTURE_REGIONS["shifted"]),
+    **{f"dominant3_full{seed}": (lambda seed=seed: dominant_family(seed, 3, every_cell(3))) for seed in range(3)},
+    **{f"dominant4_diag{seed}": (lambda seed=seed: dominant_family(seed, 4, diagonal(4))) for seed in range(3)},
+    **{f"dominant4_partial{seed}": (lambda seed=seed: dominant_family(seed, 4, diagonal(4) | {(0, 1)})) for seed in range(3)},
+    "dominant4_full0": lambda: dominant_family(0, 4, every_cell(4)),
+    "box_diagonal": box_diagonal_family,
+}
+# the family boxes that only the split round certifies
+SPLIT = ("diagonal3:disk", "dominant4_partial:own", "dominant4_partial:shifted")
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_FAMILIES))
+def test_family_certificates_are_sound(name):
+    # every configuration gets the family verdict, and 10,000 sampled
+    # members and every all-vertex member keep their roots at least the
+    # family margin tau inside the region
+    fam = CERTIFIED_FAMILIES[name]()
+    verdict, outcomes = family_outcome(fam)
+    assert verdict.status is Status.ROBUSTLY_STABLE and len(outcomes) == VertexTable(fam).total
+    (reason,) = {o.reason for o in outcomes}
+    assert "family box" in reason and reason.endswith("the margin is a root-distance bound")
+    assert ("split into" in reason) == (name in SPLIT)
+    tau = verdict.margin
+    assert {o.margin for o in outcomes} == {tau} and tau >= Tolerances().zero_margin
+    assert sample_family(fam, budget=10_000, seed=0).worst_margin >= tau
+    assert all_vertex_margins(fam).min() >= tau
+
+
+@pytest.mark.parametrize("name", SPLIT)
+def test_split_round_certifies_what_the_family_box_leaves(name, monkeypatch):
+    fam = CERTIFIED_FAMILIES[name]()
+    members = VertexMembers(fam)
+    table = members.table
+    halved = [c for c in range(fam.n**2) if len(table.vertices[c]) == 2]
+    stab._check_chunk(fam, 0, 1, Tolerances(), members)  # solves configuration 0's anchor
+    anchor = members._verdicts[tuple(next(table.ends(0, 1))[2][0, :, 0].tolist())]
+    split = stab._family_certificate(fam, table, anchor.margin, Tolerances())
+    assert f"split into {2 ** len(halved)} sub-family boxes" in split.reason
+    monkeypatch.setattr(stab, "_SPLIT_CAP", 2 ** len(halved) - 1)
+    assert stab._family_certificate(fam, table, anchor.margin, Tolerances()) is None
+
+
+def test_thin_cells_enter_as_boxes_beyond_the_hull_cap(monkeypatch):
+    # the 2**16 corner members of the n = 4 family with every cell
+    # two-vertex exceed the cap of 2**10, so the six thinnest cells, all of
+    # them off-diagonal constants, enter as boxes and the rest as vertices
+    fam = CERTIFIED_FAMILIES["dominant4_full0"]()
+    grids = []
+    enclosure = stab.det_enclosure
+    monkeypatch.setattr(stab, "det_enclosure", lambda mid, rad: grids.append(mid) or enclosure(mid, rad))
+    centre, radius = stab._family_enclosures(stab._family_points(VertexTable(fam), False, []), 4)
+    assert centre.shape == radius.shape == (1, stab._HULL_CAP, 9)
+    (mid,) = grids
+    distinct = {(i, j): len(np.unique(mid[i][j], axis=0)) for i in range(4) for j in range(4)}
+    boxed = {cell for cell, count in distinct.items() if count == 1}
+    assert len(boxed) == 6 and all(i != j for i, j in boxed)
+    assert all(count == 2 for cell, count in distinct.items() if cell not in boxed)
+
+
+def test_certified_family_starts_no_pool_and_reports_every_configuration(tmp_path, monkeypatch):
+    import concurrent.futures
+    import os
+
+    from edgestab.cli import run
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for a family the family box certifies")
+
+    path = FIXTURES / "dominant4_partial.json"
+    serial = family_outcome(fixture_in("dominant4_partial", None))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert family_outcome(fixture_in("dominant4_partial", None), jobs=2) == serial
+    assert run(["analyze", str(path), "--jobs", "2", "--report", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["configs_checked"] == report["config_count"] == len(report["configs"]) == 398
+
+
+
+# Constructed near-boundary cases for each part of the family certificate's
+# rounding account and test.
+
+
+def exact_det(grid):
+    """Ascending coefficients of the determinant of a grid of float coefficient lists, in rational arithmetic."""
+    n = len(grid)
+    out = []
+    for perm in itertools.permutations(range(n)):
+        prod = [Fraction((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))]
+        for i, j in enumerate(perm):
+            cell = [Fraction(float(c)) for c in grid[i][j]]
+            nxt = [Fraction(0)] * (len(prod) + len(cell) - 1)
+            for a, x in enumerate(prod):
+                for b, y in enumerate(cell):
+                    nxt[a + b] += x * y
+            prod = nxt
+        out += [Fraction(0)] * (len(prod) - len(out))
+        for l, c in enumerate(prod):
+            out[l] += c
+    return out
+
+
+def encloses(centre, radius, exact):
+    return all(Fraction(c) - Fraction(r) <= e <= Fraction(c) + Fraction(r) for c, r, e in zip(centre, radius, exact))
+
+
+def test_cell_boxes_cover_their_bounds():
+    # at (-2**-60, 1 + 2**-52) the rounded mid - lo falls 2**-60 short of
+    # the exact one, and at (1, 1 + 3 * 2**-52) the rounded average lies
+    # 2**-52 / 2 off the middle, so half the width would not reach lo
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-3.0, 1.0, 400) * 10.0 ** rng.integers(-20, 20, 400)
+    hi = lo + rng.uniform(0.0, 2.0, 400) * 10.0 ** rng.integers(-20, 20, 400)
+    lo = np.concatenate([[-(2.0**-60), 1.0, 5.0], lo])
+    hi = np.concatenate([[1.0 + 2.0**-52, 1.0 + 3 * 2.0**-52, 5.0], hi])
+    mid, rad = cell_boxes(lo, hi)
+    assert rad[2] == 0.0
+    for a, b, m, r in zip(lo, hi, mid, rad):
+        assert Fraction(m) - Fraction(r) <= Fraction(a) and Fraction(b) <= Fraction(m) + Fraction(r)
+
+
+def test_enclosure_covers_the_rounding_of_the_expansion():
+    # a = d = 1 + 2**-30 and b = c = 1: a d - b c rounds to 2**-29, while the
+    # exact determinant is 2**-29 + 2**-60; the cells are points, so only
+    # the rounding term gives the enclosure any width
+    a, one = np.array([[1.0 + 2.0**-30]]), np.array([[1.0]])
+    zero = np.zeros((1, 1))
+    centre, radius = det_enclosure([[a, one], [one, a]], [[zero, zero], [zero, zero]])
+    exact = exact_det([[a[0], one[0]], [one[0], a[0]]])
+    assert centre[0, 0] == 2.0**-29 and Fraction(centre[0, 0]) != exact[0]
+    assert encloses(centre[0], radius[0], exact)
+
+
+def test_enclosure_holds_every_member_of_the_cell_boxes():
+    # members at the corners and inside random 3 x 3 boxes of polynomial
+    # cells, some boxes straddling zero, all inside the enclosure exactly
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(1, 4, (3, 3))
+    lo = [[rng.uniform(-2.0, 2.0, lengths[i, j]) for j in range(3)] for i in range(3)]
+    hi = [[lo[i][j] + rng.uniform(0.0, 0.5, lengths[i, j]) for j in range(3)] for i in range(3)]
+    boxes = [[cell_boxes(lo[i][j], hi[i][j]) for j in range(3)] for i in range(3)]
+    centre, radius = det_enclosure(*([[box[t][None] for box in row] for row in boxes] for t in (0, 1)))
+    for trial in range(24):
+        pick = (lambda a, b: np.where(rng.random(a.size) < 0.5, a, b)) if trial < 8 else None
+        member = [
+            [pick(lo[i][j], hi[i][j]) if pick else lo[i][j] + rng.random(lo[i][j].size) * (hi[i][j] - lo[i][j]) for j in range(3)]
+            for i in range(3)
+        ]
+        assert encloses(centre[0], radius[0], exact_det(member))
+
+
+def test_split_point_covers_the_exact_midpoint():
+    # vertices (1, 0, 1) and (2**-60, 1, 1): the midpoint's constant term
+    # (1 + 2**-60) / 2 rounds to 1/2, so a member just past the middle of the
+    # segment, with constant and s terms both above 1/2, would lie in
+    # neither half's hull unless the shared point carries its rounding
+    v0, v1 = [1.0, 0.0, 1.0], [2.0**-60, 1.0, 1.0]
+    fam = MatrixFamily([[PolytopeEntry([Polynomial(v0), Polynomial(v1)])]], HurwitzHalfPlane())
+    ((mid, rad),) = stab._family_points(VertexTable(fam), False, [0])
+    exact = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(v0, v1)]
+    assert mid[0, 1, 0] == 0.5 and Fraction(mid[0, 1, 0]) != exact[0]
+    # sub-family 0 takes [v0, point], sub-family 1 takes [point, v1]
+    assert mid[0, 1].tobytes() == mid[1, 0].tobytes() and rad[0, 1].tobytes() == rad[1, 0].tobytes()
+    assert encloses(mid[0, 1], rad[0, 1], exact)
+    assert mid[0, 0].tolist() == v0 and mid[1, 1].tolist() == v1 and not rad[0, 0].any() and not rad[1, 1].any()
+
+
+def test_truncated_vertex_outside_configuration_0_keeps_the_family_degenerate():
+    # cell (0, 1)'s second vertex loses its -1e-14 s^2 term at construction;
+    # configuration 0 uses the first and is stable, and the family box would
+    # certify every member, but the configurations that use the truncated
+    # vertex are Degenerate, and so is the family
+    fam = MatrixFamily(
+        [[cell([2.0, 3.0, 1.0]), cell([0.1], [0.12, 0.0, -1e-14])], [cell([0.05]), cell([6.0, 5.0, 1.0])]],
+        HurwitzHalfPlane(),
+    )
+    assert VertexTable(fam).truncated.any()
+    verdict, outcomes = family_outcome(fam)
+    assert outcomes[0].status is Status.ROBUSTLY_STABLE
+    assert verdict.status is Status.DEGENERATE and "truncation" in verdict.reason
+
+
+@pytest.mark.parametrize("name", ["truncation", "interval_truncation"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_truncation_fixtures_stay_degenerate(name, jobs):
+    verdict, _ = family_outcome(fixture_in(name, None), jobs=jobs)
+    assert verdict.status is Status.DEGENERATE and "truncation" in verdict.reason
+
+
+@pytest.mark.parametrize("bad", sorted(ONE_BAD_KHARITONOV))
+def test_family_box_needs_all_four_kharitonov_polynomials(bad):
+    # the interval polynomial whose Kharitonov polynomial ``bad`` alone has
+    # a root right of the axis: on the rungs below a margin of 4e-7, far
+    # closer than that root, the three others pass, and the family box must
+    # still fail
+    lo, hi = ONE_BAD_KHARITONOV[bad]
+    fam = MatrixFamily([[IntervalEntry(lo, hi)]], HurwitzHalfPlane())
+    assert stab._family_certificate(fam, VertexTable(fam), 4e-7, Tolerances()) is None

@@ -571,7 +571,13 @@ def test_degenerate_dominates_stable_in_aggregate():
     assert v.status is Status.DEGENERATE
 
 
-def test_parallel_results_match_sequential():
+def without_family_certificate(monkeypatch):
+    """Turn the family certificate off, so a stable family walks its configuration stream."""
+    monkeypatch.setattr(stab, "_family_certificate", lambda fam, table, margin, tol: None)
+
+
+def test_parallel_results_match_sequential(monkeypatch):
+    without_family_certificate(monkeypatch)
     fam = diag_dominant_family()
     v1, o1 = analyze_family_detailed(fam, jobs=1)
     v2, o2 = analyze_family_detailed(fam, jobs=2)
@@ -660,6 +666,7 @@ class InlineExecutor:
 def test_serial_and_pool_decide_the_same_chunks(monkeypatch):
     import concurrent.futures
 
+    without_family_certificate(monkeypatch)
     fam = fixture_family("demo3x3")
     plan = [(0, 1), (1, 64)] + [(s, s + 64) for s in range(64, 384, 64)]
     calls = recorded_chunks(monkeypatch)
@@ -819,6 +826,7 @@ def test_workers_clamped_to_cpu_count(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started on one CPU")
 
+    without_family_certificate(monkeypatch)
     fam = MatrixFamily(
         [[PolytopeEntry([Polynomial([1.0 + 0.1 * i, 1.0]) for i in range(12)])]],
         HurwitzHalfPlane(),
@@ -1039,6 +1047,7 @@ def test_family_solves_each_vertex_member_once(monkeypatch):
 
     monkeypatch.setattr(stab, "member_margins", counting_margins)
     monkeypatch.setattr(Polynomial, "roots", counting_roots)
+    without_family_certificate(monkeypatch)
     fam = fixture_family("demo3x3")
     v = analyze_family(fam)
     assert v.status is Status.ROBUSTLY_STABLE
@@ -1467,6 +1476,7 @@ def test_repeated_boxes_build_no_determinant(monkeypatch):
     # diagonal3: 29 configurations and 21 distinct boxes; the 8 k = 0
     # boxes of the 3-cycle at configurations 1-8 recur at 9-16 under the
     # other 3-cycle, which reuse their verdicts and build nothing
+    without_family_certificate(monkeypatch)
     fam = fixture_family("diagonal3")
     sizes = []
     run_of = stab.det_parametric_run
@@ -1520,6 +1530,7 @@ def test_box_memo_holds_only_boxes_with_free_columns(monkeypatch):
     # every demo3x3 configuration has k = n, so its box never recurs and
     # nothing is stored (the member memo holds its 247 distinct anchors);
     # diagonal3 stores its 20 distinct k < n boxes
+    without_family_certificate(monkeypatch)
     made = recorded_members(monkeypatch)
     assert analyze_family(fixture_family("demo3x3")).is_stable
     (members,) = made
@@ -1534,6 +1545,7 @@ def test_box_memo_holds_only_boxes_with_free_columns(monkeypatch):
 def test_repeated_boxes_same_outcomes_at_two_jobs(name, monkeypatch):
     # repeat3 has 233 configurations, so two workers each keep their own
     # box memo across their chunks
+    without_family_certificate(monkeypatch)
     fam = REPEAT_FAMILIES[name]()
     serial = analyze_family_detailed(fam, jobs=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -1607,15 +1619,29 @@ def test_refinement_budget_exhausted(grid, monkeypatch):
     assert 32_768 < sum(samples) <= 2 * 32_768
 
 
-@pytest.mark.parametrize("hi", [0.0, 1e-300])
+@pytest.mark.parametrize("hi", [0.0, 1e-300, 1e-13])
 def test_theta_grid_of_empty_and_tiny_ranges(hi):
     # a shifted half plane right of every root bound sweeps the empty range
-    # (0, 0), whose grid is its one end; the tiny range (0, 1e-300) gets
-    # distinct finite samples in increasing order, from 0 through hi
+    # (0, 0), whose grid is its one end; the tiny ranges (0, hi) get
+    # distinct finite samples in increasing order, from 0 through hi, and
+    # none outside the range
     grid = stab._theta_grid(ShiftedHalfPlane(2.0), 0.0, hi, 128)
     assert grid[0] == 0.0 and hi in grid
     assert np.isfinite(grid).all() and (np.diff(grid) > 0.0).all()
+    assert ((0.0 <= grid) & (grid <= hi)).all()
     assert (grid.size == 1) == (hi == 0.0)
+    if hi > 0.0:
+        assert grid.size > 64 + 1  # the geometric part adds samples of its own
+
+
+@pytest.mark.parametrize("hi", [1e-12, 3e-9, 1e-6, 2.5, 1e4])
+def test_theta_grid_from_the_absolute_floor_up(hi):
+    # from hi = 1e-12 up, the geometric part starts at max(hi * 1e-6, 1e-12)
+    half = np.linspace(0.0, hi, 64)
+    geo = np.geomspace(max(hi * 1e-6, 1e-12), hi, 64)
+    want = np.unique(np.concatenate([[0.0], half, geo]))
+    grid = stab._theta_grid(ShiftedHalfPlane(2.0), 0.0, hi, 128)
+    assert grid.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
