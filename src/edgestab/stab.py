@@ -10,14 +10,17 @@ The decision layers build on each other:
   Kharitonov's theorem on that box, mapped into the Hurwitz frame of the
   region tightened by tau and widened by its rounding bound, certifies the
   box with a root-distance margin tau.  A box it leaves goes on to its
-  other corner members and to zero exclusion of its boundary value sets,
-  with certified interval refinement, whose margin is a relative exclusion
-  distance.  Its degree checks and box test are the drivers' batch
-  functions on a batch of one; its sweep is the drivers' sweep.
+  other corner members, then to its centre member (every lambda 0.5): a
+  corner or the centre clearly outside the region ends the box as
+  Unstable, with that member as the witness.  Only then comes zero
+  exclusion of its boundary value sets, with certified interval
+  refinement, whose margin is a relative exclusion distance.  Its degree
+  checks, box test and centre member are the drivers' batch functions on a
+  batch of one; its sweep is the drivers' sweep.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` decide a family.  The parent
-  decides configuration 0 and stops if it is Unstable.  If it is
-  RobustlyStable and no vertex is truncated, the family certificate
+  decides configuration 0 and stops if it is Unstable.  If it is not
+  Degenerate either and no vertex is truncated, the family certificate
   (``_family_certificate``) tests every member at once: the corner members
   take one point of every cell (a polytope cell's vertices, an interval
   cell's box corners; the thinnest cells enter as boxes beyond
@@ -42,9 +45,10 @@ The decision layers build on each other:
   builds nothing.  Every other configuration passes ``box_stable``'s
   checks in stream order on the run's dense terms: the corner rows, degree
   checks, anchors and box test each take the run at once; only the boxes
-  the box test leaves get their other corner members and, to be swept, a
-  ``ParametricDeterminant``.  Each configuration gets bitwise the verdict
-  ``box_stable`` gives it alone.
+  the box test leaves get their other corner members, only those the
+  corners leave get their centre members, in one batch, and only those the
+  centre leaves get, to be swept, a ``ParametricDeterminant``.  Each
+  configuration gets bitwise the verdict ``box_stable`` gives it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -147,7 +151,12 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Witness:
-    """Where instability was found: configuration, parameters, offending root."""
+    """Where instability was found: configuration, parameters, offending root.
+
+    ``theta`` is the boundary parameter of a root that the sweep confirmed;
+    it is None for a member witness (the anchor, another box corner or the
+    box centre), whose ``lam`` names the member.
+    """
 
     config_index: int | None = None
     lam: tuple[float, ...] | None = None
@@ -499,6 +508,11 @@ def _assembled_corners(pd: ParametricDeterminant, region: Region) -> list[Verdic
     return [_member_verdict(m, r) for m, r in zip(margins, roots)]
 
 
+def _clearly_outside(margin: float, root: complex, tol: Tolerances) -> bool:
+    """Whether a member's worst root lies clearly outside: its margin is below -zero_margin * (1 + |root|)."""
+    return margin < -tol.zero_margin * (1.0 + abs(root))
+
+
 def _corner_checks(verdicts, k: int, tol: Tolerances, start: int = 0) -> Verdict | None:
     """The verdict that ends the box, if any, among the members at corners start, start + 1, ...
 
@@ -513,7 +527,7 @@ def _corner_checks(verdicts, k: int, tol: Tolerances, start: int = 0) -> Verdict
         if verdict.status is not Status.UNSTABLE:
             continue
         root = verdict.witness.root
-        if v == 0 or verdict.margin < -tol.zero_margin * (1.0 + abs(root)):
+        if v == 0 or _clearly_outside(verdict.margin, root, tol):
             return Verdict(
                 Status.UNSTABLE,
                 margin=verdict.margin,
@@ -541,6 +555,40 @@ def _corner_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 view = arr.reshape(B, -1, 2, 1 << j, L)
                 view[:, :, 1] += view[:, :, 0]
     return rows, mags
+
+
+def _centre_verdicts(terms: np.ndarray, region: Region, tol: Tolerances) -> list[Verdict | None]:
+    """Each box's verdict from its centre member (every lambda 0.5), given a run's dense terms (B, 2**k, L).
+
+    k elementwise passes fold each slot's pairs of rows into
+    ``row0 + 0.5 * row1``, so, as in ``_corner_rows``, a centre row depends
+    on no other configuration and no other column; adding +0.0 makes its
+    zeros positive, whatever the sign of the zero terms past a row's end.
+    One ``member_margins`` call measures every centre.  A centre whose worst
+    root is clearly outside, the rule ``_corner_checks`` applies to the
+    corners after the anchor, makes its box Unstable with lambda = 0.5 as
+    the witness; any other margin, NaN included, gives None.
+    """
+    B, V, L = terms.shape
+    k = V.bit_length() - 1
+    rows = terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            pairs = rows.reshape(B, -1, 2, L)
+            rows = pairs[:, :, 0] + 0.5 * pairs[:, :, 1]
+        rows = rows[:, 0] + 0.0
+    margins, roots = member_margins(region, rows)
+    return [
+        Verdict(
+            Status.UNSTABLE,
+            margin=float(margin),
+            witness=Witness(lam=(0.5,) * k, root=root),
+            reason="box centre member is unstable",
+        )
+        if root is not None and _clearly_outside(margin, root, tol)
+        else None
+        for margin, root in zip(margins, roots)
+    ]
 
 
 # The verdicts of the checks before any member, in the order they apply.
@@ -665,6 +713,9 @@ def box_stable(
       margin: every member's roots lie more than tau inside.
     * The other corner members; a clearly unstable one is an exact
       Unstable verdict.
+    * The centre member, every lambda 0.5 (``_centre_verdicts``, the batch
+      of one), under the same rule: clearly unstable, it is an exact
+      Unstable verdict with lambda = (0.5, ..., 0.5) as its witness.
     * The certified zero-exclusion sweep, which rules out a boundary root
       strictly inside the box; its margin is a relative exclusion distance.
 
@@ -691,6 +742,7 @@ def box_stable(
         _corner_checks(corners[:1], pd.k, tol)
         or _box_certificates(rows, mags, degrees, np.array([corners[0].margin]), region, tol)[0]
         or _corner_checks(corners[1:], pd.k, tol, start=1)
+        or _centre_verdicts(terms, region, tol)[0]
     )
     if verdict is not None:
         return verdict
@@ -805,8 +857,10 @@ def _check_chunk(
     members in one batch each and passes the degree and anchor checks in
     stream order, up to the first one that is Unstable there.  One box test
     call decides the boxes that pass; those it leaves get their other corner
-    members in one batch.  Each of them then passes the corner checks and,
-    if those do not decide it, the sweep on its own
+    members in one batch and pass the corner checks, up to the first one
+    that is Unstable there.  The boxes the corners leave get their centre
+    members in one batch.  Each of them then takes its centre verdict or,
+    if that does not decide it, the sweep on its own
     ``ParametricDeterminant``, in stream order, up to the first one that is
     Unstable.
     """
@@ -851,13 +905,21 @@ def _check_chunk(
             for i in anchored:
                 decided[todo[i]][1] = certified[i]
             rest = [i for i in anchored if certified[i] is None]
-            if rest:
-                others = members.solve(corners[[todo[i] for i in rest], 1:])
-                for i, corner_verdicts in zip(rest, others):
+            others = members.solve(corners[[todo[i] for i in rest], 1:]) if rest else []
+            left = []  # the boxes the corners leave, before the first corner-Unstable one
+            for i, corner_verdicts in zip(rest, others):
+                v = _corner_checks(corner_verdicts, k, tol, start=1)
+                decided[todo[i]][1] = v
+                if v is None:
+                    left.append(i)
+                elif v.status is Status.UNSTABLE:
+                    end = todo[i] + 1
+                    break
+            if left:
+                for i, v in zip(left, _centre_verdicts(terms[left], fam.region, tol)):
                     pos = todo[i]
-                    v = _corner_checks(corner_verdicts, k, tol, start=1) or _zero_exclusion_sweep(
-                        ParametricDeterminant.from_dense(terms[i]), fam.region, tol
-                    )
+                    if v is None:
+                        v = _zero_exclusion_sweep(ParametricDeterminant.from_dense(terms[i]), fam.region, tol)
                     decided[pos][1] = v
                     if v.status is Status.UNSTABLE:
                         end = pos + 1
@@ -1046,11 +1108,12 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     total = members.table.total
     bounds = sorted({0, 1, total, *range(_CHUNK, total, _CHUNK)})
     chunks = list(zip(bounds[1:-1], bounds[2:]))
-    # the parent decides configuration 0 alone and goes on only when it is not Unstable
+    # the parent decides configuration 0 alone and goes on only when it is not
+    # Unstable; the family certificate follows unless it is Degenerate
     results = _check_chunk(fam, 0, 1, tol, members)
     if results[-1][1].status is Status.UNSTABLE:
         return _aggregate(results, total)
-    if results[0][1].is_stable:
+    if results[0][1].status is not Status.DEGENERATE:
         _, _, ends = next(members.table.ends(0, 1))
         anchor = members._verdicts[tuple(ends[0, :, 0].tolist())]
         family = _family_certificate(fam, members.table, anchor.margin, tol)

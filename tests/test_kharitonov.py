@@ -330,6 +330,9 @@ CERTIFIED_FAMILIES = {
     },
     "dominant4_partial:own": lambda: fixture_in("dominant4_partial", None),
     "dominant4_partial:shifted": lambda: fixture_in("dominant4_partial", FIXTURE_REGIONS["shifted"]),
+    # configuration 0 is Inconclusive here (the sweep's refinement budget
+    # runs out), and the family certificate still runs after it
+    "dominant4_partial:disk": lambda: fixture_in("dominant4_partial", FIXTURE_REGIONS["disk"]),
     **{f"dominant3_full{seed}": (lambda seed=seed: dominant_family(seed, 3, every_cell(3))) for seed in range(3)},
     **{f"dominant4_diag{seed}": (lambda seed=seed: dominant_family(seed, 4, diagonal(4))) for seed in range(3)},
     **{f"dominant4_partial{seed}": (lambda seed=seed: dominant_family(seed, 4, diagonal(4) | {(0, 1)})) for seed in range(3)},
@@ -337,7 +340,7 @@ CERTIFIED_FAMILIES = {
     "box_diagonal": box_diagonal_family,
 }
 # the family boxes that only the split round certifies
-SPLIT = ("diagonal3:disk", "dominant4_partial:own", "dominant4_partial:shifted")
+SPLIT = ("diagonal3:disk", "dominant4_partial:own", "dominant4_partial:shifted", "dominant4_partial:disk")
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED_FAMILIES))
@@ -355,6 +358,17 @@ def test_family_certificates_are_sound(name):
     assert {o.margin for o in outcomes} == {tau} and tau >= Tolerances().zero_margin
     assert sample_family(fam, budget=10_000, seed=0).worst_margin >= tau
     assert all_vertex_margins(fam).min() >= tau
+
+
+def test_family_certificate_follows_an_inconclusive_configuration_0():
+    # alone, configuration 0 of dominant4_partial under the disk exhausts
+    # the sweep's refinement budget; the family certificate decides it too
+    fam = CERTIFIED_FAMILIES["dominant4_partial:disk"]()
+    members = VertexMembers(fam)
+    ((index, alone),) = stab._check_chunk(fam, 0, 1, Tolerances(), members)
+    assert alone.status is Status.INCONCLUSIVE and alone.reason == "boundary refinement budget exhausted"
+    verdict, outcomes = family_outcome(fam)
+    assert verdict.status is Status.ROBUSTLY_STABLE and outcomes[0].status is Status.ROBUSTLY_STABLE
 
 
 @pytest.mark.parametrize("name", SPLIT)

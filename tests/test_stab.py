@@ -415,7 +415,8 @@ def test_box_two_parameters_stable():
 
 def test_box_root_solves_one_per_corner(monkeypatch):
     # corner 0 is the anchor member: a stable k = 2 box that reaches the
-    # sweep measures 2**k member rows before it, not 2**k + 1.  Lambda 1
+    # sweep measures 2**k corner rows and its centre member before it,
+    # 2**k + 1 rows, not 2**k + 2.  Lambda 1
     # moves s and 1 together, so every member keeps a1 * a2 > a0 * a3, but
     # the coefficient box pairs a1 = 1 with a0 = 16: the box test fails
     rows = []
@@ -444,7 +445,7 @@ def test_box_root_solves_one_per_corner(monkeypatch):
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.ROBUSTLY_STABLE
     assert "relative exclusion" in v.reason
-    assert seen_at_sweep == [4]
+    assert seen_at_sweep == [5]
 
 
 def test_box_interior_instability_is_found():
@@ -493,6 +494,97 @@ def test_box_edge_interior_instability():
     member = pd.assemble(bv.witness.lam)
     worst = float(np.min(region.margin(member.roots())))
     assert worst <= 1e-6
+
+
+def counted(monkeypatch, *names):
+    """Count the calls of the named ``stab`` functions; returns the name -> count map."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, f):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return counting
+
+    for name in names:
+        monkeypatch.setattr(stab, name, wrap(name, getattr(stab, name)))
+    return calls
+
+
+# The cubic a0 + a1 s + a2 s^2 + a3 s^3 with positive coefficients is
+# Hurwitz iff a1 a2 > a0 a3.  Along a0 = 1 + 9t, a3 = 10 - 9t (t = lambda_1,
+# or t = lambda_1 xor lambda_2 in its multi-affine form l1 + l2 - 2 l1 l2)
+# a0 a3 peaks at t = 0.5 with 30.25, so with a1 = 1, a2 = 11 every corner
+# (a0 a3 = 10) is stable and the centre is clearly not.
+CENTRE_UNSTABLE = {
+    1: {0: Polynomial([1.0, 1.0, 11.0, 10.0]), 1: Polynomial([9.0, 0.0, 0.0, -9.0])},
+    2: {
+        0: Polynomial([1.0, 1.0, 11.0, 10.0]),
+        1: Polynomial([9.0, 0.0, 0.0, -9.0]),
+        2: Polynomial([9.0, 0.0, 0.0, -9.0]),
+        3: Polynomial([-18.0, 0.0, 0.0, 18.0]),
+    },
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_unstable_centre_ends_the_box_without_a_sweep(k, monkeypatch):
+    calls = counted(monkeypatch, "_zero_exclusion_sweep")
+    pd = ParametricDeterminant.from_terms(k, CENTRE_UNSTABLE[k])
+    region = HurwitzHalfPlane()
+    for lam in corner_lambdas(k):
+        assert point_stable(pd.assemble(lam), region).is_stable
+    v = box_stable(pd, region)
+    assert v.status is Status.UNSTABLE and v.reason == "box centre member is unstable"
+    assert v.witness.lam == (0.5,) * k and v.witness.theta is None
+    centre = point_stable(pd.assemble(v.witness.lam), region)
+    assert v.margin == centre.margin < -0.05 and v.witness.root == centre.witness.root
+    assert calls == {"_zero_exclusion_sweep": 0}
+
+
+def test_centre_inside_the_zero_margin_band_does_not_end_the_box(monkeypatch):
+    # a2 = 30.25 - 1e-7 puts the centre's imaginary root pair just outside,
+    # margin about -5e-11, well inside the band -zero_margin * (1 + |root|):
+    # the centre decides nothing and the sweep confirms a boundary root
+    calls = counted(monkeypatch, "_zero_exclusion_sweep")
+    pd = ParametricDeterminant.from_terms(
+        1, {0: Polynomial([1.0, 1.0, 30.25 - 1e-7, 10.0]), 1: Polynomial([9.0, 0.0, 0.0, -9.0])}
+    )
+    region = HurwitzHalfPlane()
+    centre = point_stable(pd.assemble([0.5]), region)
+    assert centre.status is Status.UNSTABLE
+    assert -Tolerances().zero_margin * (1.0 + abs(centre.witness.root)) < centre.margin < 0.0
+    v = box_stable(pd, region)
+    assert v.status is Status.UNSTABLE and v.reason == "member with a boundary root found inside the box"
+    assert calls == {"_zero_exclusion_sweep": 1}
+
+
+def test_interior_witness_when_the_centre_is_stable(monkeypatch):
+    # a0 = 1.1 + l1, a3 = 1.5 - l1, a1 = 1 + 0.2 l2, a2 = 1.67: a0 a3 peaks
+    # at l1 = 0.2, so members near l1 = 0.2 with small l2 are unstable while
+    # every corner and the centre are stable; the corner hulls capture the
+    # origin near the crossing, and subdivision and least squares confirm a
+    # member with a boundary root
+    sites = ("_zero_exclusion_sweep", "_subdivide_at_theta", "_confirm_boundary_root", "least_squares")
+    calls = counted(monkeypatch, *sites)
+    pd = ParametricDeterminant.from_terms(
+        2,
+        {
+            0: Polynomial([1.1, 1.0, 1.67, 1.5]),
+            1: Polynomial([1.0, 0.0, 0.0, -1.0]),
+            2: Polynomial([0.0, 0.2, 0.0, 0.0]),
+        },
+    )
+    region = HurwitzHalfPlane()
+    for lam in [*corner_lambdas(2), (0.5, 0.5)]:
+        assert point_stable(pd.assemble(lam), region).is_stable
+    assert not point_stable(pd.assemble([0.2, 0.0]), region).is_stable
+    v = box_stable(pd, region)
+    assert v.status is Status.UNSTABLE and v.reason == "member with a boundary root found inside the box"
+    assert v.witness.theta is not None and v.witness.lam != (0.5, 0.5)
+    assert point_stable(pd.assemble(v.witness.lam), region).margin <= 1e-6
+    assert all(count >= 1 for count in calls.values()), calls
 
 
 # ----------------------------------------------------------------------
@@ -1552,16 +1644,15 @@ def test_repeated_boxes_same_outcomes_at_two_jobs(name, monkeypatch):
     assert analyze_family_detailed(fam, jobs=2) == serial
 
 
-def test_unstable_mid_run_ends_the_report(monkeypatch):
+def test_unstable_mid_run_ends_the_report():
     fam = mid_run_unstable_family()
     runs = [[cfg.index for cfg in run] for _, run, _ in plan_runs(fam)]
     assert runs == [[0], [1, 2, 3, 4, 5], list(range(6, 14))]
-    captured = []
-    subdivide = stab._subdivide_at_theta
-    monkeypatch.setattr(stab, "_subdivide_at_theta", lambda *args: captured.append(1) or subdivide(*args))
     outcomes = chunk_outcomes(fam, Tolerances())
     assert [index for index, _ in outcomes] == [0, 1, 2, 3, 4]
-    assert "Status.UNSTABLE" in outcomes[-1][1] and captured
+    # its box centre member is unstable; a witness the sweep's subdivision
+    # finds is tested in test_interior_witness_when_the_centre_is_stable
+    assert "Status.UNSTABLE" in outcomes[-1][1] and "box centre member is unstable" in outcomes[-1][1]
     assert all("ROBUSTLY_STABLE" in text for _, text in outcomes[:-1])
     assert [(o.index, o.status) for o in analyze_family_detailed(fam)[1]] == [
         (index, Status.UNSTABLE if index == 4 else Status.ROBUSTLY_STABLE) for index in range(5)
@@ -1572,8 +1663,9 @@ def test_unstable_mid_run_ends_the_report(monkeypatch):
 
 
 def test_no_sweep_after_the_first_unstable_in_a_run(monkeypatch):
-    # with the box test off, configurations 0 to 4 are swept and 4 is
-    # Unstable; configuration 5, later in the same run, is not swept
+    # with the box test off, configurations 0 to 3 are swept and 4 is
+    # Unstable at its box centre; configuration 5, later in the same run,
+    # is not swept
     fam = mid_run_unstable_family()
     without_box_test(monkeypatch)
     ranges = []
@@ -1582,7 +1674,7 @@ def test_no_sweep_after_the_first_unstable_in_a_run(monkeypatch):
     outcomes = stab._check_chunk(fam, 0, 14, Tolerances(), VertexMembers(fam))
     assert [index for index, _ in outcomes] == [0, 1, 2, 3, 4]
     assert outcomes[-1][1].status is Status.UNSTABLE
-    assert len(ranges) == 5
+    assert len(ranges) == 4
 
 
 def stiff_segment():
