@@ -20,16 +20,23 @@ oracle's member batches).  It works on coefficient arrays of shape
 parametric cell carries one leading axis per lambda slot.  A slot axis is in
 the monomial basis: index 0 is the lambda-free coefficient and index 1 the
 coefficient of ``lam_slot``, so a cell with a segment has size 2 on its own
-slot's axis and size 1 on every other axis.  Products convolve the last axis
-and broadcast the slot axes; since the two factors of a Laplace product never
-share a column, they never share a size-2 axis, and the broadcast is exactly
-the product of monomials.  Sums zero-pad every axis to the larger size and
-never broadcast: a size-1 slot axis holds no ``lam_slot`` term, so it must
-not be copied onto index 1.  A concrete determinant becomes a ``Polynomial``,
-a parametric one the arrays of its nonzero masks and coefficient rows; both
-drop only exactly-zero trailing coefficients, so a leading one that nearly
-cancels is kept.  The coefficient box, the sweep, the lambda-box subdivision
-and ``assemble`` all weight those rows by ``monomial_weights``.
+slot's axis and size 1 on every other axis.  Products convolve the power
+axis and broadcast the slot axes; since the two factors of a Laplace product
+never share a column, they never share a size-2 axis, and the broadcast is
+exactly the product of monomials.  Sums zero-pad every axis to the larger
+size and never broadcast: a size-1 slot axis holds no ``lam_slot`` term, so
+it must not be copied onto index 1.  Inside the core the power axis comes
+first: each cell enters as a view with its first and last axes swapped, so
+a batch axis comes last, and the result leaves swapped back as one
+contiguous ``(..., L)`` copy.  Each convolution pass then adds contiguous
+batch rows rather than strided columns of ``L`` values, which halves the
+cost of a batch of thousands, and every product and sum rounds exactly as
+in a last-axis convolution.  A concrete determinant becomes a
+``Polynomial``, a parametric one the arrays of its nonzero masks and
+coefficient rows; both drop only exactly-zero trailing coefficients, so a
+leading one that nearly cancels is kept.  The coefficient box, the sweep,
+the lambda-box subdivision and ``assemble`` all weight those rows by
+``monomial_weights``.
 
 ``det_parametric_run`` computes a run's dense terms with one ``_laplace``
 call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
@@ -59,13 +66,19 @@ from .region import _gamma, _up
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of coefficient arrays: convolve the last axis, broadcast the rest."""
-    if a.shape[-1] > b.shape[-1]:
+    """Product of coefficient-first arrays ``(L, ...)``: convolve axis 0, broadcast the rest.
+
+    Each pass adds one scaled copy of ``b`` into contiguous rows of a
+    zero-initialised accumulator, in ascending order of ``a``'s powers, so
+    every coefficient is the same sum of the same products, rounded in the
+    same order, as a convolution of the last axis would give.
+    """
+    if a.shape[0] > b.shape[0]:
         a, b = b, a
-    la, lb = a.shape[-1], b.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (la + lb - 1,))
+    la, lb = a.shape[0], b.shape[0]
+    out = np.zeros((la + lb - 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
     for i in range(la):
-        out[..., i : i + lb] += a[..., i : i + 1] * b
+        out[i : i + lb] += a[i] * b
     return out
 
 
@@ -89,8 +102,19 @@ def _laplace(cells, unsigned: bool = False) -> np.ndarray:
     decide what a non-finite determinant means.  ``unsigned`` makes every
     sign ``+``: the same products and sums, whose value at nonnegative cells
     bounds the magnitudes that ``det_enclosure`` needs.
+
+    Cells come in and the determinant goes out as ``(..., L)``, but the
+    expansion runs coefficient-first: each cell enters as a view with its
+    ``s``-power axis swapped with its first axis, so ``_polymul`` adds whole
+    contiguous batch rows instead of strided coefficient columns, and the
+    result leaves swapped back as one contiguous copy.  Every number, signed
+    zeros and infinities included, is bitwise that of a last-axis
+    expansion, and every NaN falls in the same place; only a NaN's sign,
+    which IEEE 754 leaves unspecified and numpy's vectorised add picks by
+    memory position, may differ.
     """
     n = len(cells)
+    cells = [[cell.swapaxes(0, -1) for cell in row] for row in cells]
     prev = {(j,): cells[n - 1][j] for j in range(n)}
     with np.errstate(over="ignore", invalid="ignore"):
         for size in range(2, n + 1):
@@ -105,7 +129,7 @@ def _laplace(cells, unsigned: bool = False) -> np.ndarray:
                     acc = term if acc is None else _polyadd(acc, term)
                 cur[cols] = acc
             prev = cur
-    return prev[tuple(range(n))]
+    return np.ascontiguousarray(prev[tuple(range(n))].swapaxes(0, -1))
 
 
 def det_matrix(grid) -> Polynomial:

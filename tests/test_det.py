@@ -6,12 +6,15 @@ On integer inputs the engine must match it exactly.
 """
 
 import gc
+import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgestab import det
 from edgestab.det import (
     ParametricDeterminant,
     _laplace,
@@ -153,6 +156,119 @@ def test_laplace_and_det_matrix_leave_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# the coefficient-first core against a batch-last expansion, bit for bit
+#
+# ``batch_last_*`` are the expansion that convolves the last axis of
+# ``(..., L)`` arrays, kept verbatim as the reference: ``_laplace`` must
+# give its bytes exactly, signed zeros and infinities included, and NaN in
+# exactly the same places.  Only a NaN's sign is left out: when two NaNs of
+# opposite sign meet in a sum, numpy's vectorised add keeps one operand's or
+# the other's by where the element falls in its SIMD blocks, so the sign
+# follows the memory layout (on an AVX-512 machine, ``x = [nan] * 9;
+# x += [-nan] * 9`` leaves eight +nan and one -nan).  IEEE 754 leaves that
+# sign unspecified, and no caller reads it.
+
+
+def batch_last_polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of coefficient arrays: convolve the last axis, broadcast the rest."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    la, lb = a.shape[-1], b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (la + lb - 1,))
+    for i in range(la):
+        out[..., i : i + lb] += a[..., i : i + 1] * b
+    return out
+
+
+def batch_last_polyadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of coefficient arrays, every axis zero-padded to the larger size."""
+    out = np.zeros(tuple(max(x, y) for x, y in zip(a.shape, b.shape)))
+    out[tuple(slice(0, x) for x in a.shape)] += a
+    out[tuple(slice(0, x) for x in b.shape)] += b
+    return out
+
+
+def batch_last_laplace(cells, unsigned: bool = False) -> np.ndarray:
+    n = len(cells)
+    prev = {(j,): cells[n - 1][j] for j in range(n)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size in range(2, n + 1):
+            row = cells[n - size]
+            cur = {}
+            for cols in itertools.combinations(range(n), size):
+                acc = None
+                for pos, j in enumerate(cols):
+                    term = batch_last_polymul(row[j], prev[cols[:pos] + cols[pos + 1 :]])
+                    if pos % 2 and not unsigned:
+                        term = -term
+                    acc = term if acc is None else batch_last_polyadd(acc, term)
+                cur[cols] = acc
+            prev = cur
+    return prev[tuple(range(n))]
+
+
+def slot_cells(rng, n: int, B: int, k: int, scale: float):
+    """A grid shaped as ``_parametric_run`` shapes it, with signed zeros among the coefficients.
+
+    Every cell is ``(B,) + (1,) * k + (L,)`` with L in 1..4; the lambda cell
+    of slot s sits in its own column and has size 2 on axis ``1 + s``.
+    About a quarter of the coefficients are -0.0 and a tenth +0.0; the
+    rest are normal draws times ``scale``.
+    """
+    columns = rng.choice(n, size=k, replace=False)
+    slot_of = {(int(rng.integers(n)), int(j)): s for s, j in enumerate(columns)}
+
+    def cell(i, j):
+        shape = [B] + [1] * k + [int(rng.integers(1, 5))]
+        if (i, j) in slot_of:
+            shape[1 + slot_of[i, j]] = 2
+        values = rng.normal(size=shape) * scale
+        u = rng.random(size=shape)
+        return np.where(u < 0.25, -0.0, np.where(u < 0.35, 0.0, values))
+
+    return [[cell(i, j) for j in range(n)] for i in range(n)]
+
+
+def layout_free_bytes(x: np.ndarray) -> bytes:
+    """The bytes of ``x`` in C order with every NaN written as +nan."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 3, 2048])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_laplace_is_bitwise_the_batch_last_expansion(n, B, monkeypatch):
+    polymul = det._polymul
+    products = []
+
+    def checked_polymul(a, b):
+        # every product of the expansion, on the same factors swapped back to (..., L)
+        out = polymul(a, b)
+        want = batch_last_polymul(a.swapaxes(0, -1), b.swapaxes(0, -1))
+        assert layout_free_bytes(out.swapaxes(0, -1)) == layout_free_bytes(want)
+        products.append(out.size)
+        return out
+
+    monkeypatch.setattr(det, "_polymul", checked_polymul)
+    rng = np.random.default_rng([n, B])
+    cases = overflowed = 0
+    for k in range(min(n, 3) + 1):
+        for scale in (1.0, 1e200):
+            cells = slot_cells(rng, n, B, k, scale)
+            for unsigned in (False, True):
+                want = batch_last_laplace(cells, unsigned)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = _laplace(cells, unsigned)
+                assert got.flags.c_contiguous
+                assert got.shape == want.shape
+                assert layout_free_bytes(got) == layout_free_bytes(want), (k, scale, unsigned)
+                overflowed += not np.isfinite(got).all()
+                cases += 1
+    assert len(products) == cases * n * (2 ** (n - 1) - 1)
+    assert overflowed > 0 or n == 1  # the cells near 1e200 overflowed, and silently
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Golden-report regression test.
 
 ``tests/golden/`` holds reports of ``edgestab analyze`` (four family
-fixtures) and of the grid ``edgestab oracle``, generated without
-``--timing``.  Regenerating them must give the same statuses, reasons,
-configuration indices and witness configurations, and the same numbers to
-1e-9 relative; analyze reports must also be byte-identical for one and two
-worker processes.  Refresh a golden file only for an intended change of the
+fixtures) and of ``edgestab oracle`` (the grid scheme on an n = 2 family,
+the random scheme on an n = 4 one), generated without ``--timing``.
+Regenerating them must give the same statuses, reasons, configuration
+indices and witness configurations, and the same numbers to 1e-9 relative;
+analyze reports must also be byte-identical for one and two worker
+processes.  Refresh a golden file only for an intended change of the
 report, and say why in CHANGES.md.
 """
 
@@ -64,6 +65,10 @@ def _assert_matches(got, want, path="report"):
             ["oracle", "vertex_insufficiency.json", "--scheme", "grid", "--budget", "1000"],
         ),
         ("analyze_diagonal3", ["analyze", "diagonal3.json"]),
+        (
+            "oracle_random_dominant4_partial",
+            ["oracle", "dominant4_partial.json", "--budget", "4096", "--seed", "43"],
+        ),
     ],
 )
 def test_reports_match_golden(golden, argv, tmp_path):
