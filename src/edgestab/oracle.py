@@ -3,29 +3,34 @@
 Independent of the edge-configuration machinery: members are drawn directly
 from the family (random simplex/box weights or a structured grid), and root
 margins are measured against the region.  Every member is measured on one
-path: per-cell weight arrays mix the cells' coefficient arrays
-(``_coeff_batches``), one ``det._laplace`` call takes the batch's cells with
-a leading batch axis, and ``region.member_margins``, the analyzer's
-member-margin rule, measures the determinant rows.  ``member_margin`` is
-that path's batch of one, and serves the witness-guided counterexample
-search.  The worst sampled member is re-measured through it before it is
-reported: a polytope cell's mix is a matrix product, and with three or more
-vertices it can round differently at batch 1 than at batch 2048, so the
-re-measure is what makes ``member_margin`` reproduce every record bit for
-bit.  Only the members that could still be the worst are root-solved, in
-blocks of 64: the first block of the first chunk, and then every member that
-``region.margins_exceed`` cannot clear above the running worst margin U plus
-a slack of 1e-6 (1 + |U|).  Each block that lowers U clears the members
-still waiting again, at the new U.  A cleared member's computed margin
-exceeds U, so it can never be the first member of least margin, and every
-report is bitwise the one that solving every member gives.  Disks clear nothing, so
-every disk member is solved.  A family whose every determinant is a nonzero
-constant reports its first sampled member, with margin +inf and no root.
-Families whose vertex polynomials (polytope vertices or Kharitonov vertices
-of interval cells) lost coefficients at construction are refused, as the
-analyzer calls them Degenerate, and so are families with a sampled member
-whose determinant overflows float64.  Used to cross-validate the symbolic
-decision path and to hunt for explicit unstable members.
+path: per-cell weight arrays mix the cells' coefficient arrays, padded to
+the family's longest cell, and each mixed cell is cut back to its own
+length as a coefficient-major copy (``_coeff_batches``).  One
+``det._laplace`` call takes the batch's cells with a leading batch axis,
+so no product runs over padding and every cell's coefficient-first view is
+contiguous, and ``region.member_margins``, the analyzer's member-margin
+rule, measures the determinant rows.  ``member_margin`` is that path's
+batch of one, and serves the witness-guided counterexample search.  The
+worst sampled member is re-measured through it before it is reported: a
+polytope cell's mix is a matrix product, and with three or more vertices
+it can round differently at batch 1 than at batch 2048, so the re-measure
+is what makes ``member_margin`` reproduce every record bit for bit.  Only
+the members that could still be the worst are root-solved, in blocks of
+64: the first block of the first chunk, and then every member that
+``region.margins_exceed`` (Lipatov and Sokolov's screen, then a guarded
+Routh test) cannot clear above the running worst margin U plus a slack of
+1e-6 (1 + |U|).  Each block that lowers U clears the members still
+waiting again, at the new U.  A cleared member's computed margin exceeds
+U, so it can never be the first member of least margin, and every report
+is bitwise the one that solving every member gives.  Disks clear nothing,
+so every disk member is solved.  A family whose every determinant is a
+nonzero constant reports its first sampled member, with margin +inf and
+no root.  Families whose vertex polynomials (polytope vertices or
+Kharitonov vertices of interval cells) lost coefficients at construction
+are refused, as the analyzer calls them Degenerate, and so are families
+with a sampled member whose determinant overflows float64.  Used to
+cross-validate the symbolic decision path and to hunt for explicit
+unstable members.
 """
 
 from __future__ import annotations
@@ -89,41 +94,38 @@ class SampleReport:
 
 
 def _cell_coeff_arrays(fam: MatrixFamily):
-    """Per-cell (choices, L) coefficient arrays padded to a common length.
+    """Per-cell ``(kind, arr, length)``: (choices, L) coefficient arrays padded to a common length L.
 
     A polytope cell's rows are its vertex coefficient vectors; weights are
     simplex coordinates.  An interval cell contributes two rows (lower,
     upper); weights are per-coefficient mixes, handled separately.
+    ``length`` is the cell's own length: its longest vertex, or its bounds'
+    length.  Weights keep the padded shapes; only the mixed cells are cut.
     """
-    max_len = 1
-    for i in range(fam.n):
-        for j in range(fam.n):
-            e = fam.entry(i, j)
-            if isinstance(e, PolytopeEntry):
-                max_len = max(max_len, max(len(v.coeffs) for v in e.vertices))
-            else:
-                max_len = max(max_len, e.length)
+    entries = [fam.entry(i, j) for i in range(fam.n) for j in range(fam.n)]
+    lengths = [
+        max(len(v.coeffs) for v in e.vertices) if isinstance(e, PolytopeEntry) else e.length for e in entries
+    ]
+    max_len = max(lengths)
     cells = []
-    for i in range(fam.n):
-        for j in range(fam.n):
-            e = fam.entry(i, j)
-            if isinstance(e, PolytopeEntry):
-                arr = np.zeros((e.m, max_len))
-                for r, v in enumerate(e.vertices):
-                    arr[r, : len(v.coeffs)] = v.coeffs
-                cells.append(("polytope", arr))
-            else:
-                arr = np.zeros((2, max_len))
-                arr[0, : e.length] = e.lower
-                arr[1, : e.length] = e.upper
-                cells.append(("interval", arr))
+    for e, length in zip(entries, lengths):
+        if isinstance(e, PolytopeEntry):
+            arr = np.zeros((e.m, max_len))
+            for r, v in enumerate(e.vertices):
+                arr[r, : len(v.coeffs)] = v.coeffs
+            cells.append(("polytope", arr, length))
+        else:
+            arr = np.zeros((2, max_len))
+            arr[0, : e.length] = e.lower
+            arr[1, : e.length] = e.upper
+            cells.append(("interval", arr, length))
     return cells
 
 
 def _random_weights(cells, batch: int, rng: np.random.Generator):
     """Dirichlet simplex weights per polytope cell, uniform box per interval."""
     out = []
-    for kind, arr in cells:
+    for kind, arr, _ in cells:
         if kind == "polytope":
             m = arr.shape[0]
             if m == 1:
@@ -144,7 +146,7 @@ def _grid_weight_lists(cells, level: int):
     plus all-lower and all-upper.  Higher levels add interior mixes.
     """
     lists = []
-    for kind, arr in cells:
+    for kind, arr, _ in cells:
         if kind == "polytope":
             m = arr.shape[0]
             choices = [np.eye(m)[r] for r in range(m)]
@@ -184,7 +186,7 @@ def _grid_sizes(cells, first: list[int], level: int) -> list[int]:
     vertex stays one choice.  Interval cells gain the half pattern at level 2.
     """
     sizes = []
-    for (kind, _), n1 in zip(cells, first):
+    for (kind, _, _), n1 in zip(cells, first):
         if kind == "polytope":
             sizes.append(n1 * level if n1 > 1 else 1)
         else:
@@ -193,13 +195,23 @@ def _grid_sizes(cells, first: list[int], level: int) -> list[int]:
 
 
 def _coeff_batches(cells, weight_arrays):
-    """Per-cell (batch, L) coefficient arrays from per-cell weights."""
+    """Per-cell (batch, length) coefficient arrays from per-cell weights, each at its own length.
+
+    Each cell is mixed at the padded width and then cut to its own length as
+    a coefficient-major copy, so ``_laplace``'s coefficient-first view of it
+    is contiguous and no product runs over padding.  The padding only ever
+    added exact zeros, so every determinant is the padded expansion's bit
+    for bit unless a cell is longer than a minor of three or more
+    coefficients that it multiplies: ``_polymul`` then loops over the minor,
+    and its sums run in the other order.
+    """
     out = []
-    for (kind, arr), w in zip(cells, weight_arrays):
+    for (kind, arr, length), w in zip(cells, weight_arrays):
         if kind == "polytope":
-            out.append(w @ arr)
+            mixed = w @ arr
         else:
-            out.append(arr[0][None, :] * (1.0 - w) + arr[1][None, :] * w)
+            mixed = arr[0][None, :] * (1.0 - w) + arr[1][None, :] * w
+        out.append(np.ascontiguousarray(mixed[:, :length].T).T)
     return out
 
 
@@ -220,7 +232,7 @@ def member_margin(fam: MatrixFamily, weights) -> tuple[float, complex | None]:
     cells = _cell_coeff_arrays(fam)
     entries = [e for row in fam.entries for e in row]
     rows = []
-    for (kind, arr), e, w in zip(cells, entries, weights, strict=True):
+    for (kind, arr, _), e, w in zip(cells, entries, weights, strict=True):
         w = np.asarray(w, dtype=float)
         if kind == "polytope":
             if w.size != e.m:
@@ -233,7 +245,7 @@ def member_margin(fam: MatrixFamily, weights) -> tuple[float, complex | None]:
             w = np.pad(w, (0, arr.shape[1] - w.size))
         rows.append(w[None])
     coeffs = _coeff_batches(cells, rows)
-    for (kind, _), e, c in zip(cells, entries, coeffs):
+    for (kind, _, _), e, c in zip(cells, entries, coeffs):
         if kind == "interval" and (
             np.any(c[0, : e.length] < e.lower - 1e-9) or np.any(c[0, : e.length] > e.upper + 1e-9)
         ):
@@ -403,7 +415,7 @@ def find_counterexample_near(
     best_margin, best_root = member_margin(fam, best_w)
     goal = min(target, 0.0)
     rng = np.random.default_rng(seed)
-    kinds = [kind for kind, _ in _cell_coeff_arrays(fam)]
+    kinds = [kind for kind, _, _ in _cell_coeff_arrays(fam)]
     step = 0.25
     for trial in range(budget if best_margin > goal else 0):
         cand = []

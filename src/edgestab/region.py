@@ -10,19 +10,22 @@ measures every member the program measures, from ``point_stable`` and the
 analyzer's all-vertex members to witnesses and the sampling oracle's members.
 
 ``margins_exceed`` is a filter in front of that rule, not a second margin
-rule: a guarded Routh-Hurwitz test that can only say "every root lies more
-than tau inside" (True) or "cannot tell" (False), and never solves a root.
-The sampling oracle root-solves only the members it cannot clear, because a
-cleared member cannot be its worst.  Disks clear nothing, so every disk
+rule: it can only say "every root lies more than tau inside" (True) or
+"cannot tell" (False), and never solves a root.  Each Taylor-shifted row
+and its error bounds make a coefficient box; Lipatov and Sokolov's
+sufficient Hurwitz condition, a few products per coefficient, screens it
+first, and only the rows it leaves go on to a guarded Routh-Hurwitz test.
+The sampling oracle root-solves only the members it cannot clear, because
+a cleared member cannot be its worst.  Disks clear nothing, so every disk
 member is solved.
 
 ``boxes_exceed`` is the analyzer's box test on whole coefficient boxes: it
 maps each box into the Hurwitz frame of the region tightened by tau (the
 Taylor shift for half planes, a bilinear map for a disk with a real
 centre), widens it by its rounding bound, and runs Kharitonov's four
-polynomials through ``margins_exceed`` (``kharitonov_hurwitz``).  Like the
-filter, it can only say "every root of every member lies more than tau
-inside" or "cannot tell".
+polynomials through the guarded Routh test (``kharitonov_hurwitz``), with
+no screen in front.  Like the filter, it can only say "every root of every
+member lies more than tau inside" or "cannot tell".
 """
 
 from __future__ import annotations
@@ -212,12 +215,14 @@ _UNIT = 2.0**-53
 def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.ndarray:
     """Rows of (B, L) ascending determinant rows whose every root lies more than tau inside.
 
-    Conservative: True means a guarded Routh-Hurwitz test (``_routh_passes``)
-    shows it; False means only that it could not.  For a half plane
-    Re(z) < sigma a row p passes when the Taylor-shifted row
-    q(s) = p(s + sigma - tau) (``_hurwitz_frame``, with sigma - tau rounded
-    down) passes, its seeds' errors being ``FILTER_GUARD`` times the bound
-    that the same shift gives on p's magnitudes.  A zero, constant or
+    Conservative: True means a sufficient Hurwitz test shows it; False means
+    only that it could not.  For a half plane Re(z) < sigma a row p passes
+    when the Taylor-shifted row q(s) = p(s + sigma - tau) (``_hurwitz_frame``,
+    with sigma - tau rounded down) passes, each coefficient of q carrying an
+    error of ``FILTER_GUARD`` times the bound that the same shift gives on
+    p's magnitudes.  Every row first meets Lipatov and Sokolov's screen on
+    that error box (``_lipatov_sokolov``); only the rows it leaves go on to
+    the guarded Routh-Hurwitz test (``_routh_passes``).  A zero, constant or
     non-finite row, a row whose shift overflows, a non-finite tau and every
     row of a disk region pass nothing.
     """
@@ -227,9 +232,47 @@ def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.nda
     taylor, taylor_abs, _ = _hurwitz_frame(region, np.array(float(tau)), det_coeffs.shape[1])
     with np.errstate(all="ignore"):
         shifted = det_coeffs @ taylor
-        bound = np.abs(det_coeffs) @ taylor_abs
-        finite = np.isfinite(shifted).all(axis=1) & np.isfinite(bound).all(axis=1)
-        return _routh_passes(shifted, FILTER_GUARD * bound, np.where(finite, _row_degrees(det_coeffs), -1))
+        errors = FILTER_GUARD * (np.abs(det_coeffs) @ taylor_abs)
+        finite = np.isfinite(shifted).all(axis=1) & np.isfinite(errors).all(axis=1)
+        degrees = np.where(finite, _row_degrees(det_coeffs), -1)
+        screened = _lipatov_sokolov(shifted, errors, degrees)
+        return screened | _routh_passes(shifted, errors, np.where(screened, -1, degrees))
+
+
+# Lipatov and Sokolov's constant is psi - 1 = 0.46557..., where psi is the real
+# root of x**3 = x**2 + 1.  0.4655 less ten units of rounding covers the
+# rounding of the decimal 0.4655 and of this product, of the bounds q -+ e
+# and of the comparison's three products, so a computed pass is an exact one
+# at the decimal 0.4655.
+_LIPATOV_SOKOLOV = 0.4655 * (1.0 - 10.0 * _UNIT)
+_TINY = np.finfo(float).tiny
+
+
+def _lipatov_sokolov(rows: np.ndarray, errors: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Rows of (B, L) ascending rows whose every polynomial within ``errors`` is Hurwitz, by a sufficient test.
+
+    Row b is a polynomial of degree ``degrees[b]``, its sign taken from its
+    leading coefficient, and coefficient l lies in [lo_l, hi_l], the
+    computed q_l - errors_l and q_l + errors_l.  A polynomial with positive
+    coefficients a_0 .. a_d is Hurwitz when a_{i-1} a_{i+2} <= 0.4655 a_i
+    a_{i+1} for every 0 < i < d - 1 (Lipatov and Sokolov, Automation and
+    Remote Control 39, 1978).  The condition only gets easier as a_i and
+    a_{i+1} grow and as a_{i-1} and a_{i+2} shrink, so one corner of the box
+    covers every polynomial in it: the row passes when every lo_l is a
+    normal positive float and hi_{i-1} hi_{i+2} <= 0.4655 lo_i lo_{i+1}
+    holds for every i with a finite normal right side.  Normal floats keep
+    every rounding relative, and ``_LIPATOV_SOKOLOV`` takes it off the
+    constant.  A degree below 1 passes nothing; degrees 1 and 2 need
+    positive bounds only.
+    """
+    lead = np.take_along_axis(rows, np.maximum(degrees, 0)[:, None], axis=1)
+    q = rows * np.sign(lead)
+    lo, hi = q - errors, q + errors
+    beyond = np.arange(rows.shape[1]) > degrees[:, None]
+    ok = (degrees > 0) & ((lo >= _TINY) | beyond).all(axis=1)
+    right = _LIPATOV_SOKOLOV * (lo[:, 1:-2] * lo[:, 2:-1])
+    holds = (hi[:, :-3] * hi[:, 3:] <= right) & (right >= _TINY) & (right < math.inf)
+    return ok & (holds | beyond[:, 3:]).all(axis=1)
 
 
 def _routh_passes(rows: np.ndarray, errors: np.ndarray, degrees: np.ndarray) -> np.ndarray:

@@ -19,11 +19,11 @@ The decision layers build on each other:
   batch of one; its sweep is the drivers' sweep.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` decide a family.  The parent
-  decides configuration 0 and stops if it is Unstable.  If it is not
-  Degenerate either and no vertex is truncated, the family certificate
-  (``_family_certificate``) tests every member at once: the corner members
-  take one point of every cell (a polytope cell's vertices, an interval
-  cell's box corners; the thinnest cells enter as boxes beyond
+  decides configuration 0 short of its sweep and stops if it is Unstable.
+  If it is not Degenerate either and no vertex is truncated, the family
+  certificate (``_family_certificate``) tests every member at once: the
+  corner members take one point of every cell (a polytope cell's vertices,
+  an interval cell's box corners; the thinnest cells enter as boxes beyond
   ``_HULL_CAP`` corners), ``det.det_enclosure`` encloses their
   determinants in midpoint-radius form, and the box test on the hull of
   those enclosures, the family box, runs on the rung ladder below
@@ -31,10 +31,11 @@ The decision layers build on each other:
   round halves every two-vertex cell's segment and tests the 2**u
   sub-families in the same calls.  A pass gives every configuration the
   RobustlyStable verdict with the least passing tau, a root-distance
-  bound, and no chunk runs.  Otherwise the edge configurations are
-  decided in one chunk plan, whatever the worker count: the chunks
-  ``[1, 64)``, ``[64, 128)``, ... follow configuration 0, in-process or on
-  worker processes, up to the first chunk that ends Unstable.  A run is a
+  bound, and no chunk runs.  Otherwise configuration 0 is swept if its
+  checks left it, and the edge configurations are decided in one chunk
+  plan, whatever the worker count: the chunks ``[1, 64)``,
+  ``[64, 128)``, ... follow configuration 0, in-process or on worker
+  processes, up to the first chunk that ends Unstable.  A run is a
   maximal stretch of a chunk's ``ends`` that ``VertexTable.runs`` keeps
   together.  ``VertexMembers`` holds the table and gives each
   configuration its corner verdicts: it solves the new all-vertex members
@@ -834,7 +835,7 @@ class VertexMembers:
 
 
 def _check_chunk(
-    fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers
+    fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers, sweep: bool = True
 ) -> list:
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable.
 
@@ -862,7 +863,8 @@ def _check_chunk(
     members in one batch.  Each of them then takes its centre verdict or,
     if that does not decide it, the sweep on its own
     ``ParametricDeterminant``, in stream order, up to the first one that is
-    Unstable.
+    Unstable.  With ``sweep`` False, a box its centre leaves is not swept:
+    its verdict stays None and it stays out of the box memo.
     """
     table = members.table
     out = []
@@ -918,17 +920,17 @@ def _check_chunk(
             if left:
                 for i, v in zip(left, _centre_verdicts(terms[left], fam.region, tol)):
                     pos = todo[i]
-                    if v is None:
+                    if v is None and sweep:
                         v = _zero_exclusion_sweep(ParametricDeterminant.from_dense(terms[i]), fam.region, tol)
                     decided[pos][1] = v
-                    if v.status is Status.UNSTABLE:
+                    if v is not None and v.status is Status.UNSTABLE:
                         end = pos + 1
                         break
         for pos in todo:
-            if k < table.n and pos < end:
+            if k < table.n and pos < end and decided[pos][1] is not None:
                 members._boxes[box_keys[pos]] = decided[pos][1]
         out.extend(tuple(item) for item in decided[:end])
-        if out and out[-1][1].status is Status.UNSTABLE:
+        if out and out[-1][1] is not None and out[-1][1].status is Status.UNSTABLE:
             return out
     return out
 
@@ -1108,17 +1110,22 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     total = members.table.total
     bounds = sorted({0, 1, total, *range(_CHUNK, total, _CHUNK)})
     chunks = list(zip(bounds[1:-1], bounds[2:]))
-    # the parent decides configuration 0 alone and goes on only when it is not
-    # Unstable; the family certificate follows unless it is Degenerate
-    results = _check_chunk(fam, 0, 1, tol, members)
-    if results[-1][1].status is Status.UNSTABLE:
-        return _aggregate(results, total)
-    if results[0][1].status is not Status.DEGENERATE:
+    # the parent decides configuration 0 alone, short of its sweep; the family
+    # certificate follows unless it is Unstable or Degenerate, and only if the
+    # certificate fails is configuration 0 swept; the stream goes on unless
+    # configuration 0 is Unstable
+    results = _check_chunk(fam, 0, 1, tol, members, sweep=False)
+    first = results[0][1]
+    if first is None or first.status not in (Status.UNSTABLE, Status.DEGENERATE):
         _, _, ends = next(members.table.ends(0, 1))
         anchor = members._verdicts[tuple(ends[0, :, 0].tolist())]
         family = _family_certificate(fam, members.table, anchor.margin, tol)
         if family is not None:
             return _aggregate([(index, family) for index in range(total)], total)
+    if first is None:
+        results = _check_chunk(fam, 0, 1, tol, members)
+    if results[-1][1].status is Status.UNSTABLE:
+        return _aggregate(results, total)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     with ExitStack() as stack:
         if workers <= 1:

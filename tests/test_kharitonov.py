@@ -371,6 +371,36 @@ def test_family_certificate_follows_an_inconclusive_configuration_0():
     assert verdict.status is Status.ROBUSTLY_STABLE and outcomes[0].status is Status.ROBUSTLY_STABLE
 
 
+def sweeps_of(monkeypatch):
+    """Record the verdict of every ``stab._zero_exclusion_sweep`` call from now on."""
+    seen = []
+    sweep = stab._zero_exclusion_sweep
+    monkeypatch.setattr(stab, "_zero_exclusion_sweep", lambda *args: seen.append(sweep(*args)) or seen[-1])
+    return seen
+
+
+def test_family_certificate_comes_before_configuration_0s_sweep(monkeypatch):
+    # configuration 0's checks leave it to the sweep; the certificate passes,
+    # so nothing is swept and no deferred box enters the box memo
+    fam = CERTIFIED_FAMILIES["dominant4_partial:disk"]()
+    members = VertexMembers(fam)
+    assert stab._check_chunk(fam, 0, 1, Tolerances(), members, sweep=False) == [(0, None)]
+    assert members._boxes == {}
+    swept = sweeps_of(monkeypatch)
+    verdict, _ = family_outcome(fam)
+    assert verdict.status is Status.ROBUSTLY_STABLE and swept == []
+
+
+def test_failed_family_certificate_sweeps_configuration_0_as_before(monkeypatch):
+    # a complex-centre disk certifies nothing: configuration 0 is swept after
+    # the certificate fails, and gets the verdict it gets alone
+    fam = fixture_in("diagonal3", Disk(-3.0 + 0.2j, 3.5))
+    ((_, alone),) = _check_chunk(fam, 0, 1, Tolerances(), VertexMembers(fam))
+    swept = sweeps_of(monkeypatch)
+    _, outcomes = family_outcome(fam)
+    assert swept[0] == alone and outcomes[0].status is alone.status and outcomes[0].margin == alone.margin
+
+
 @pytest.mark.parametrize("name", SPLIT)
 def test_split_round_certifies_what_the_family_box_leaves(name, monkeypatch):
     fam = CERTIFIED_FAMILIES[name]()

@@ -374,20 +374,56 @@ def test_batched_member_determinants_equal_single_member_calls():
         assert np.array_equal(batched[b : b + 1], single)
 
 
-def test_sampled_vertex_members_get_the_analyzers_margins():
-    # one root solver: a batched member's margin is bitwise point_stable's
-    fam = family_from_fixture("demo3x3.json")
+def _padded_determinants(fam, cells, weights):
+    """The reference expansion: every mixed cell zero-padded to the family's longest cell."""
     n = fam.n
+    mixed = [
+        w @ arr if kind == "polytope" else arr[0] * (1.0 - w) + arr[1] * w
+        for (kind, arr, _), w in zip(cells, weights)
+    ]
+    return _laplace([mixed[i * n : (i + 1) * n] for i in range(n)])
+
+
+POLYTOPE_FIXTURES = [
+    path.stem for path in sorted(FIXTURES.glob("*.json")) if path.stem in CASES and CASES[path.stem].mode == "polytope"
+]
+
+
+@pytest.mark.parametrize("name", POLYTOPE_FIXTURES)
+def test_cells_at_their_own_length_keep_the_padded_determinants(name):
+    # a cut cell drops only products with padding zeros; the sums keep their
+    # order while no cell is longer than a minor of three or more
+    # coefficients that it multiplies, which holds on every fixture
+    fam = CASES[name]
     cells = _cell_coeff_arrays(fam)
-    rng = np.random.default_rng(5)
-    picks = [rng.integers(arr.shape[0], size=64) for _, arr in cells]
-    weights = [np.eye(arr.shape[0])[p] for (_, arr), p in zip(cells, picks)]
-    coeffs = _coeff_batches(cells, weights)
-    det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
-    margins, _ = member_margins(fam.region, det)
-    for b in range(64):
-        grid = [[fam.entry(i, j).vertices[picks[i * n + j][b]] for j in range(n)] for i in range(n)]
-        assert margins[b] == point_stable(det_matrix(grid), fam.region).margin
+    assert max(length for _, _, length in cells) == cells[0][1].shape[1]
+    for seed in (0, 1):
+        weights = _random_weights(cells, 256, np.random.default_rng(seed))
+        coeffs = _coeff_batches(cells, weights)
+        assert [c.shape[1] for c in coeffs] == [length for _, _, length in cells]
+        assert all(c.T.flags.c_contiguous for c in coeffs)
+        det = oracle._determinants(fam.n, coeffs)
+        padded = _padded_determinants(fam, cells, weights)
+        assert np.array_equal(det, padded[:, : det.shape[1]], equal_nan=True)
+        assert not padded[:, det.shape[1] :].any()
+
+
+def test_sampled_vertex_members_get_the_analyzers_margins():
+    # one root solver and cells at their own length: a batched vertex
+    # member's margin is bitwise point_stable's
+    for name in ("demo3x3.json", "mixed_lengths.json", "dominant4_partial.json"):
+        fam = family_from_fixture(name)
+        n = fam.n
+        cells = _cell_coeff_arrays(fam)
+        rng = np.random.default_rng(5)
+        picks = [rng.integers(arr.shape[0], size=64) for _, arr, _ in cells]
+        weights = [np.eye(arr.shape[0])[p] for (_, arr, _), p in zip(cells, picks)]
+        coeffs = _coeff_batches(cells, weights)
+        det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
+        margins, _ = member_margins(fam.region, det)
+        for b in range(64):
+            grid = [[fam.entry(i, j).vertices[picks[i * n + j][b]] for j in range(n)] for i in range(n)]
+            assert margins[b] == point_stable(det_matrix(grid), fam.region).margin
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import edgestab.region as region_module
 from edgestab.det import ParametricDeterminant, coefficient_box
 from edgestab.errors import DegreeDropError
 from edgestab.oracle import _SLACK
@@ -133,9 +134,18 @@ def _family_rows(rng, size):
     return rows * 10.0 ** rng.uniform(-3, 3)
 
 
-def test_margins_exceed_never_clears_a_member_at_or_below_the_bar():
+def test_margins_exceed_never_clears_a_member_at_or_below_the_bar(monkeypatch):
     # the skip rule of sample_family: a cleared row's computed margin must
     # exceed the bar, so it can never be the reported worst member
+    screened = []
+    screen = region_module._lipatov_sokolov
+
+    def counting(rows, errors, degrees):
+        out = screen(rows, errors, degrees)
+        screened.append(int(out.sum()))
+        return out
+
+    monkeypatch.setattr(region_module, "_lipatov_sokolov", counting)
     rng = np.random.default_rng(2024)
     cleared = tried = 0
     with warnings.catch_warnings():
@@ -152,6 +162,70 @@ def test_margins_exceed_never_clears_a_member_at_or_below_the_bar():
                     cleared += int(ok.sum())
                     tried += rows.shape[0]
     assert cleared > tried // 2  # the filter is not vacuous
+    assert sum(screened) > cleared // 4  # and much of it goes through the screen
+
+
+def test_margins_exceed_clears_no_row_with_a_root_on_the_bar():
+    # a root at -tau leaves the shifted row's constant term within rounding of
+    # zero, of either sign: only the error box keeps the screen from passing it
+    rng = np.random.default_rng(11)
+    for tau in rng.uniform(0.05, 2.0, size=200):
+        others = -tau - rng.uniform(0.1, 3.0) + np.array([1j, -1j]) * rng.uniform(0.0, 3.0)
+        row = np.real(np.poly([-tau, *others]))[::-1] * 10.0 ** rng.uniform(-3, 3)
+        assert not margins_exceed(HurwitzHalfPlane(), row[None], float(tau)).any()
+
+
+def _near_screen_boundary(rng, count):
+    """Positive rows of degree 3-10 whose every ratio a_{i-1} a_{i+2} / (a_i a_{i+1}) is near 0.4655.
+
+    Each row's ratios all sit below 0.4655 or all above it, by a relative
+    1e-12 to 0.1.  Returns the (count, 11) ascending rows and their degrees.
+    """
+    rows, degrees = np.zeros((count, 11)), rng.integers(3, 11, size=count)
+    for b, d in enumerate(degrees):
+        side = rng.choice([-1.0, 1.0])
+        a = list(10.0 ** rng.uniform(-2, 2, size=3))
+        for i in range(1, d - 1):
+            ratio = 0.4655 * (1.0 + side * 10.0 ** rng.uniform(-12, -1))
+            a.append(ratio * a[i] * a[i + 1] / a[i - 1])
+        rows[b, : d + 1] = a
+    return rows, degrees
+
+
+def _hurwitz(row, d):
+    return bool(np.roots(row[: d + 1][::-1]).real.max() < 0.0)
+
+
+def test_lipatov_sokolov_screen_passes_only_hurwitz_rows():
+    rows, degrees = _near_screen_boundary(np.random.default_rng(24), 400)
+    stable = np.array([_hurwitz(row, d) for row, d in zip(rows, degrees)])
+    screened = region_module._lipatov_sokolov(rows, np.zeros_like(rows), degrees)
+    assert stable[screened].all()
+    # the sample reaches past the boundary on both sides of the test
+    assert 100 < screened.sum() < stable.sum() < rows.shape[0]
+    # through the filter, with its guard, at tau = 0
+    cleared = margins_exceed(HurwitzHalfPlane(), rows, 0.0)
+    assert stable[cleared].all() and cleared[screened].all()
+
+
+def test_lipatov_sokolov_screen_stops_at_its_constant():
+    # 0.5 + s + s^2 + s^3 + 0.5 s^4 = (s^2 + 1)(0.5 s^2 + s + 0.5) has roots +-j
+    # and every ratio exactly 0.5, so a constant of 0.5 would pass it
+    edge = np.array([[0.5, 1.0, 1.0, 1.0, 0.5]])
+    assert not _hurwitz(edge[0], 4)
+    assert not region_module._lipatov_sokolov(edge, np.zeros_like(edge), np.array([4])).any()
+    assert not margins_exceed(HurwitzHalfPlane(), edge, 0.0).any()
+    # the quintic with every ratio lam, a_i = lam**(i*i / 4), is Hurwitz just
+    # below 0.4655 and not at 0.466, past Lipatov and Sokolov's 0.46557...
+    for lam, hurwitz in ((0.4654, True), (0.466, False)):
+        quintic = lam ** (np.arange(6.0) ** 2 / 4.0)[None]
+        assert _hurwitz(quintic[0], 5) is hurwitz
+        assert region_module._lipatov_sokolov(quintic, np.zeros_like(quintic), np.array([5])).tolist() == [hurwitz]
+    # degrees 1 and 2 need positive coefficients only; lower ends must be normal
+    rows = np.array([[1.0, 2.0, 0.0], [1.0, 1e-3, 1e3], [1e-310, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+    assert region_module._lipatov_sokolov(rows, np.zeros_like(rows), np.array([1, 2, 2, 2])).tolist() == [
+        True, True, False, False
+    ]
 
 
 def test_margins_exceed_on_known_roots():

@@ -722,9 +722,9 @@ def recorded_chunks(monkeypatch):
     bounds = []
     check_chunk = stab._check_chunk
 
-    def recording_chunk(fam, start, stop, tol, members):
+    def recording_chunk(fam, start, stop, tol, members, sweep=True):
         bounds.append((start, stop))
-        return check_chunk(fam, start, stop, tol, members)
+        return check_chunk(fam, start, stop, tol, members, sweep)
 
     monkeypatch.setattr(stab, "_check_chunk", recording_chunk)
     return bounds
