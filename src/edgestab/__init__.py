@@ -4,16 +4,16 @@ The package decides whether every member of an uncertain polynomial matrix
 family keeps all roots of its determinant inside a chosen region of the
 complex plane.  Families combine per-entry polytopes (convex hulls of vertex
 polynomials) or interval polynomials; the decision reduces the continuum of
-members to finitely many edge configurations, each checked by certified zero
-exclusion on the region boundary, and cross-checks itself with a brute-force
-sampling oracle.
+members to finitely many edge configurations, each decided by Kharitonov's
+theorem on its coefficient box (mapped into the region's Hurwitz frame, and
+bisected over its parameters where the whole box does not pass), and
+cross-checks itself with a brute-force sampling oracle.
 """
 
 from .det import ParametricDeterminant, coefficient_box, det_matrix, det_parametric
 from .edges import EdgeConfiguration, config_at, count_configs, iter_configs
 from .errors import (
     BoundOrderViolation,
-    DegreeDropError,
     DimensionMismatch,
     EdgeStabError,
     RegionNotHurwitzError,
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundOrderViolation",
-    "DegreeDropError",
     "DimensionMismatch",
     "Disk",
     "EdgeConfiguration",

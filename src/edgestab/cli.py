@@ -198,28 +198,15 @@ def parse_tolerances(doc, args) -> Tolerances:
     block = doc.get("tolerances", {}) if isinstance(doc, dict) else {}
     if not isinstance(block, dict):
         raise SchemaError("$.tolerances: expected an object")
-    names = {f.name for f in dataclass_fields(Tolerances)}
+    names = [f.name for f in dataclass_fields(Tolerances)]
     for key, val in block.items():
         if key not in names:
             raise SchemaError(f"$.tolerances.{key}: unknown tolerance")
-        _number(val, f"$.tolerances.{key}")
-        values[key] = val
-    for flag, name in (
-        ("grid", "boundary_grid"),
-        ("refine_depth", "refine_depth"),
-        ("box_depth", "box_depth"),
-        ("zero_margin", "zero_margin"),
-        ("degree_eps", "degree_eps"),
-    ):
-        v = getattr(args, flag, None)
+        values[key] = _number(val, f"$.tolerances.{key}")
+    for name in names:
+        v = getattr(args, name, None)
         if v is not None:
             values[name] = v
-    for name in ("boundary_grid", "refine_depth", "box_depth"):
-        val = values.get(name)
-        if isinstance(val, float):
-            if not val.is_integer():
-                raise SchemaError(f"tolerances: {name} must be an integer, got {val!r}")
-            values[name] = int(val)
     try:
         return Tolerances(**values)
     except ValueError as exc:
@@ -308,7 +295,6 @@ def _witness_block(fam: MatrixFamily, verdict) -> dict | None:
         return None
     block: dict = {
         "root": [w.root.real, w.root.imag] if w.root is not None else None,
-        "theta": w.theta,
         "lambda": list(w.lam) if w.lam is not None else None,
     }
     if w.config_index is None:
@@ -463,11 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="decide robust stability of a family")
     _add_common(pa)
-    pa.add_argument(
-        "--grid", type=int, help=f"boundary seed-grid sample count (default {Tolerances.boundary_grid})"
-    )
-    pa.add_argument("--refine-depth", dest="refine_depth", type=int, help="refinement rounds")
-    pa.add_argument("--box-depth", dest="box_depth", type=int, help="parameter-box subdivision depth")
     pa.add_argument("--zero-margin", dest="zero_margin", type=float, help="inconclusive band")
     pa.add_argument("--degree-eps", dest="degree_eps", type=float, help="degree-drop threshold")
     pa.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)")

@@ -34,8 +34,8 @@ cost of a batch of thousands, and every product and sum rounds exactly as
 in a last-axis convolution.  A concrete determinant becomes a
 ``Polynomial``, a parametric one the arrays of its nonzero masks and
 coefficient rows; both drop only exactly-zero trailing coefficients, so a
-leading one that nearly cancels is kept.  The coefficient box, the sweep,
-the lambda-box subdivision and ``assemble`` all weight those rows by
+leading one that nearly cancels is kept.  Bisection's sub-box corners and
+centres, ``coefficient_box`` and ``assemble`` all weight those rows by
 ``monomial_weights``.
 
 ``det_parametric_run`` computes a run's dense terms with one ``_laplace``

@@ -17,10 +17,6 @@ class DimensionMismatch(EdgeStabError):
     """A parameter vector or matrix does not have the expected shape."""
 
 
-class DegreeDropError(EdgeStabError):
-    """The leading-coefficient interval of a determinant family contains zero."""
-
-
 class RegionNotHurwitzError(EdgeStabError):
     """The interval driver supports the open left half plane only."""
 

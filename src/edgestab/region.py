@@ -1,8 +1,7 @@
 """Stability regions: open half planes and open disks.
 
-Each region knows its signed margin (positive strictly inside, zero on the
-boundary, negative outside), a boundary parameterization, and how fast the
-boundary point moves per unit of the sweep parameter.
+Each region knows its signed margin: positive strictly inside, zero on the
+boundary, negative outside.
 
 ``member_margins`` is the one rule for a member's margin and worst root: it
 takes stacks of determinant rows, solves them batched per degree, and
@@ -22,10 +21,12 @@ member is solved.
 ``boxes_exceed`` is the analyzer's box test on whole coefficient boxes: it
 maps each box into the Hurwitz frame of the region tightened by tau (the
 Taylor shift for half planes, a bilinear map for a disk with a real
-centre), widens it by its rounding bound, and runs Kharitonov's four
-polynomials through the guarded Routh test (``kharitonov_hurwitz``), with
-no screen in front.  Like the filter, it can only say "every root of every
-member lies more than tau inside" or "cannot tell".
+centre; a disk with a complex centre is tested as the real-centre disk
+inscribed in it, ``box_region``), widens it by its rounding bound, and
+runs Kharitonov's four polynomials through the guarded Routh test
+(``kharitonov_hurwitz``), with no screen in front.  Like the filter, it can
+only say "every root of every member lies more than tau inside" or "cannot
+tell".
 """
 
 from __future__ import annotations
@@ -36,11 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeDropError
 from .family import _KHARITONOV_LOWER_PHASES
 from .poly import batch_roots
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,6 @@ class HurwitzHalfPlane:
 
     def contains(self, z) -> bool:
         return bool(self.margin(z) > 0.0)
-
-    def boundary(self, theta):
-        return 1j * np.asarray(theta, dtype=float) + 0.0
-
-    def boundary_speed(self) -> float:
-        return 1.0
 
     def describe(self) -> dict:
         return {"type": "hurwitz"}
@@ -81,12 +73,6 @@ class ShiftedHalfPlane:
 
     def contains(self, z) -> bool:
         return bool(self.margin(z) > 0.0)
-
-    def boundary(self, theta):
-        return self.sigma + 1j * np.asarray(theta, dtype=float)
-
-    def boundary_speed(self) -> float:
-        return 1.0
 
     def describe(self) -> dict:
         return {"type": "shifted_half_plane", "sigma": float(self.sigma)}
@@ -114,12 +100,6 @@ class Disk:
     def contains(self, z) -> bool:
         return bool(self.margin(z) > 0.0)
 
-    def boundary(self, theta):
-        return self.center + self.radius * np.exp(1j * np.asarray(theta, dtype=float))
-
-    def boundary_speed(self) -> float:
-        return self.radius
-
     def describe(self) -> dict:
         return {
             "type": "disk",
@@ -129,44 +109,6 @@ class Disk:
 
 
 Region = HurwitzHalfPlane | ShiftedHalfPlane | Disk
-
-
-def _box_degree(box: np.ndarray) -> int:
-    """Highest index whose coefficient range is not identically zero."""
-    mags = np.max(np.abs(box), axis=1)
-    nz = np.nonzero(mags > 0.0)[0]
-    return int(nz[-1]) if nz.size else -1
-
-
-def sweep_range_from_box(region: Region, box: np.ndarray) -> tuple[float, float]:
-    """Sweep-parameter range covering every boundary root of the family.
-
-    ``box`` holds per-degree coefficient ranges (rows ``[lo, hi]``).  Disks
-    use the full turn.  For half planes the range comes from a family-uniform
-    Cauchy root bound: the largest non-leading magnitude over the smallest
-    leading magnitude.  Conjugate symmetry of real polynomials makes the
-    nonnegative half of the frequency axis sufficient.
-
-    Raises ``DegreeDropError`` if the leading-coefficient interval contains
-    zero, because then no uniform root bound exists.
-    """
-    if isinstance(region, Disk):
-        return (0.0, TWO_PI)
-    box = np.asarray(box, dtype=float)
-    d = _box_degree(box)
-    if d < 0:
-        raise DegreeDropError("coefficient box is identically zero")
-    lo, hi = box[d]
-    if lo <= 0.0 <= hi:
-        raise DegreeDropError("leading-coefficient interval contains zero")
-    lead_min = min(abs(lo), abs(hi))
-    if d == 0:
-        return (0.0, 0.0)
-    head = np.max(np.abs(box[:d]))
-    bound = 1.0 + head / lead_min
-    sigma = region.sigma if isinstance(region, ShiftedHalfPlane) else 0.0
-    omega_sq = bound * bound - sigma * sigma
-    return (0.0, math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0)
 
 
 def _row_degrees(det_coeffs: np.ndarray) -> np.ndarray:
@@ -394,6 +336,26 @@ def _hurwitz_frame(region: Region, taus: np.ndarray, L: int):
     return T, T_abs, valid
 
 
+def box_region(region: Region) -> Region | None:
+    """The region whose tightenings ``boxes_exceed`` tests in place of ``region``; None where it tests none.
+
+    A disk with a complex centre c and radius r is tested as the disk of
+    centre Re c and radius r - |Im c|, rounded down.  That disk lies inside
+    the original one, as |z - c| <= |z - Re c| + |Im c|, so a root more than
+    tau inside it is more than tau inside the original: a pass needs no
+    further rounding account.  A real polynomial's roots come in conjugate
+    pairs, so they lie in D(c, r) and D(conj(c), r) at once, and this is the
+    largest disk centred on the real axis inside both.  Where its radius is
+    not positive no real polynomial of positive degree has every root in
+    the region, and nothing is tested.  Every other region is tested as
+    itself.
+    """
+    if not isinstance(region, Disk) or region.center.imag == 0.0:
+        return region
+    radius = float(_down(region.radius, abs(region.center.imag)))
+    return Disk(region.center.real, radius) if radius > 0.0 else None
+
+
 def kharitonov_hurwitz(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Whether every polynomial with coefficients in [lo, hi] is Hurwitz, for (..., L) ascending bounds.
 
@@ -431,11 +393,12 @@ def boxes_exceed(region: Region, corners: np.ndarray, errors: np.ndarray, taus: 
     more than tau inside the region.  For a disk the leading interval is
     (-1)**d p(c - rho), so it reaches zero where a member has a root at the
     point c - rho of the tightened boundary.  A disk with a complex centre
-    passes nothing.  Every operation is elementwise, and each box's result
-    does not depend on the other boxes.
+    is tested through its ``box_region``.  Every operation is
+    elementwise, and each box's result does not depend on the other boxes.
     """
     C, V, L = corners.shape
-    if isinstance(region, Disk) and region.center.imag != 0.0:
+    region = box_region(region)
+    if region is None:
         return np.zeros(taus.shape, dtype=bool)
     T, T_abs, valid = _hurwitz_frame(region, taus, L)
     spread = _gamma(4 * L + 2) * np.abs(corners) + errors

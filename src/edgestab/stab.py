@@ -12,14 +12,17 @@ The decision layers build on each other:
   box with a root-distance margin tau.  A box it leaves goes on to its
   other corner members, then to its centre member (every lambda 0.5): a
   corner or the centre clearly outside the region ends the box as
-  Unstable, with that member as the witness.  Only then comes zero
-  exclusion of its boundary value sets, with certified interval
-  refinement, whose margin is a relative exclusion distance.  Its degree
-  checks, box test and centre member are the drivers' batch functions on a
-  batch of one; its sweep is the drivers' sweep.
+  Unstable, with that member as the witness.  Only then is the box
+  bisected (``_bisect``): each half gets its own corner rows, centre
+  member and box test, and so on, until every sub-box passes, a sub-box
+  centre is clearly outside or bisection cannot finish.  Every
+  RobustlyStable margin is a root-distance bound.  Its degree checks, box
+  test and centre member are the drivers' batch functions on a batch of
+  one; its bisection is the drivers' bisection.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` decide a family.  The parent
-  decides configuration 0 short of its sweep and stops if it is Unstable.
+  decides configuration 0 short of its bisection and stops if it is
+  Unstable.
   If it is not Degenerate either and no vertex is truncated, the family
   certificate (``_family_certificate``) tests every member at once: the
   corner members take one point of every cell (a polytope cell's vertices,
@@ -31,7 +34,7 @@ The decision layers build on each other:
   round halves every two-vertex cell's segment and tests the 2**u
   sub-families in the same calls.  A pass gives every configuration the
   RobustlyStable verdict with the least passing tau, a root-distance
-  bound, and no chunk runs.  Otherwise configuration 0 is swept if its
+  bound, and no chunk runs.  Otherwise configuration 0 is bisected if its
   checks left it, and the edge configurations are decided in one chunk
   plan, whatever the worker count: the chunks ``[1, 64)``,
   ``[64, 128)``, ... follow configuration 0, in-process or on worker
@@ -48,8 +51,8 @@ The decision layers build on each other:
   checks, anchors and box test each take the run at once; only the boxes
   the box test leaves get their other corner members, only those the
   corners leave get their centre members, in one batch, and only those the
-  centre leaves get, to be swept, a ``ParametricDeterminant``.  Each
-  configuration gets bitwise the verdict ``box_stable`` gives it alone.
+  centre leaves are bisected, one at a time.  Each configuration gets
+  bitwise the verdict ``box_stable`` gives it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -65,14 +68,13 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares  # noqa: F401  bench/tracing.py patches stab.least_squares
 
-from . import hull
 from .det import (
     ParametricDeterminant,
     _laplace,
     cell_boxes,
-    coefficient_box,
+    coefficient_box,  # noqa: F401  bench/tracing.py patches stab.coefficient_box
     corner_lambdas,
     det_enclosure,
     det_parametric,  # noqa: F401  bench/tracing.py patches stab.det_parametric
@@ -82,29 +84,19 @@ from .det import (
 from .edges import VertexTable, iter_configs  # noqa: F401  bench/tracing.py patches stab.iter_configs
 from .errors import RegionNotHurwitzError, ValidationFailure, ZeroPolynomialError
 from .family import EdgeSegment, MatrixFamily, validate
-from .poly import Polynomial, horner
+from .poly import Polynomial
 from .region import (
-    Disk,
     HurwitzHalfPlane,
     Region,
-    ShiftedHalfPlane,
     _down,
     _gamma,
     _up,
     boxes_exceed,
     member_margins,
-    sweep_range_from_box,
+    box_region,
 )
 
 MAX_DRIVER_SIZE = 8
-
-# Interval refinement beyond the base grid is triggered well before margins
-# reach the inconclusive band, and capped by a global evaluation budget per
-# configuration: _REFINE_ROUND_CAP_FACTOR samples per seed-grid point, and
-# never fewer than _REFINE_BUDGET_FLOOR.
-_REFINE_ROUND_CAP_FACTOR = 64
-_REFINE_BUDGET_FLOOR = 32_768
-
 
 class Status(enum.Enum):
     ROBUSTLY_STABLE = "RobustlyStable"
@@ -129,21 +121,10 @@ def dominant(a: Status, b: Status) -> Status:
 class Tolerances:
     """Numeric policy knobs shared by the deciders."""
 
-    boundary_grid: int = 128
-    refine_depth: int = 40
-    box_depth: int = 12
     zero_margin: float = 1e-7
     degree_eps: float = 1e-9
 
     def __post_init__(self):
-        for name in ("boundary_grid", "refine_depth", "box_depth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.boundary_grid < 8:
-            raise ValueError("boundary_grid must be at least 8")
-        if self.refine_depth < 0 or self.box_depth < 0:
-            raise ValueError("depths must be nonnegative")
         for name in ("zero_margin", "degree_eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -154,15 +135,13 @@ class Tolerances:
 class Witness:
     """Where instability was found: configuration, parameters, offending root.
 
-    ``theta`` is the boundary parameter of a root that the sweep confirmed;
-    it is None for a member witness (the anchor, another box corner or the
-    box centre), whose ``lam`` names the member.
+    ``lam`` names the witness member: the anchor, another box corner, the
+    box centre or a sub-box centre.
     """
 
     config_index: int | None = None
     lam: tuple[float, ...] | None = None
     root: complex | None = None
-    theta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -185,7 +164,6 @@ class Verdict:
                 "root": [self.witness.root.real, self.witness.root.imag]
                 if self.witness.root is not None
                 else None,
-                "theta": self.witness.theta,
             }
         return {
             "status": self.status.value,
@@ -230,266 +208,6 @@ def point_stable(p: Polynomial, region: Region) -> Verdict:
         raise ZeroPolynomialError("the zero polynomial has no root set")
     margins, roots = member_margins(region, p.coeffs[None])
     return _member_verdict(margins[0], roots[0])
-
-
-# ----------------------------------------------------------------------
-# boundary sweep helpers
-
-
-def _theta_grid(region: Region, lo: float, hi: float, count: int) -> np.ndarray:
-    """Boundary sample parameters of the sweep range [lo, hi].
-
-    Disks get a uniform closed circle.  Half planes mix a linear grid with a
-    geometric one so that both the low-frequency structure and the Cauchy
-    tail are resolved before refinement starts; the geometric part starts at
-    hi * 1e-6, but not below 1e-12 unless hi is, so every sample lies in the
-    range.  An empty range is its one end.
-    """
-    if hi <= lo:
-        return np.array([lo])
-    if isinstance(region, Disk):
-        return np.linspace(lo, hi, count + 1)
-    half = count // 2
-    lin = np.linspace(lo, hi, half)
-    geo = np.geomspace(max(hi * 1e-6, 1e-12) if hi >= 1e-12 else hi * 1e-6, hi, count - half)
-    return np.unique(np.concatenate([[lo], lin, geo]))
-
-
-def _deriv_envelope(box: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of sum_l l*max|c_l|*R**(l-1)."""
-    mags = np.max(np.abs(box), axis=1)
-    if mags.size <= 1:
-        return np.zeros(1)
-    return mags[1:] * np.arange(1, mags.size)
-
-
-def _abs_s_bound(region: Region, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max |s(theta)| over [a, b] for each interval."""
-    if isinstance(region, Disk):
-        return np.full_like(np.asarray(a, dtype=float), abs(region.center) + region.radius)
-    sigma = region.sigma if isinstance(region, ShiftedHalfPlane) else 0.0
-    return np.hypot(sigma, np.maximum(np.abs(a), np.abs(b)))
-
-
-def _subdivide_at_theta(
-    term_vals: np.ndarray,
-    masks: np.ndarray,
-    k: int,
-    depth_cap: int,
-) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
-    """Zero-exclusion distance at one boundary point by lambda-box subdivision.
-
-    Returns (distance, leftover_box).  A positive distance certifies
-    exclusion for the whole cube (minimum over leaf hull distances).  When a
-    leaf at the depth cap still captures the origin, its bounds come back as
-    ``leftover_box`` for witness search and the distance is 0.
-    """
-    corners = corner_lambdas(k) > 0.0
-    stack = [(np.zeros(k), np.ones(k), 0)]
-    dist = math.inf
-    while stack:
-        lo, hi, depth = stack.pop()
-        # D at the sub-box corners; each corner's weights multiply term_vals
-        # on their own, so it rounds as a lone ``np.dot`` would
-        weights = monomial_weights(masks, np.where(corners, hi, lo))
-        vals = (weights[:, None, :] @ term_vals)[:, 0]
-        m = hull.origin_margin(vals)
-        if m > 0.0:
-            dist = min(dist, m)
-            continue
-        if depth >= depth_cap:
-            return 0.0, (lo, hi)
-        axis = int(np.argmax(hi - lo))
-        mid = 0.5 * (lo[axis] + hi[axis])
-        hi_left = hi.copy()
-        hi_left[axis] = mid
-        lo_right = lo.copy()
-        lo_right[axis] = mid
-        stack.append((lo_right, hi.copy(), depth + 1))
-        stack.append((lo.copy(), hi_left, depth + 1))
-    return dist, None
-
-
-def _witness_window(tol: Tolerances, root: complex) -> float:
-    """Acceptance slack for confirming a member root as a boundary crossing.
-
-    Scales with zero_margin but is capped, so loosening the inconclusive
-    band can never promote a clearly interior root to a confirmed crossing.
-    """
-    return min(100.0 * tol.zero_margin, 1e-4) * (1.0 + abs(root))
-
-
-def _confirm_boundary_root(
-    pd: ParametricDeterminant,
-    region: Region,
-    theta_lo: float,
-    theta_hi: float,
-    lam_box: tuple[np.ndarray, np.ndarray],
-    tol: Tolerances,
-) -> Verdict | None:
-    """Try to pin an actual member with a root on or outside the boundary.
-
-    Solves Re D = Im D = 0 over (lambda, theta) inside the candidate box and
-    accepts only if the resulting member's root margin is within tolerance of
-    the boundary (or beyond it), as the Unstable verdict with its root margin.
-    """
-    lo, hi = lam_box
-    k = pd.k
-
-    def residual(x):
-        lam, theta = x[:k], x[k]
-        val = np.dot(monomial_weights(pd.masks, lam), horner(pd.rows, region.boundary(theta)))
-        return [val.real, val.imag]
-
-    theta_span = max(theta_hi - theta_lo, 1e-12)
-    x0 = np.concatenate([0.5 * (lo + hi), [0.5 * (theta_lo + theta_hi)]])
-    bounds = (
-        np.concatenate([lo, [theta_lo - 0.5 * theta_span]]),
-        np.concatenate([hi, [theta_hi + 0.5 * theta_span]]),
-    )
-    try:
-        sol = least_squares(residual, x0, bounds=bounds, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    except Exception:
-        return None
-    lam = tuple(float(v) for v in np.clip(sol.x[:k], 0.0, 1.0))
-    member = pd.assemble(lam)
-    if member.degree == 0:
-        return None
-    margins, roots = member_margins(region, member.coeffs[None])
-    margin, root = margins[0], roots[0]
-    if margin <= _witness_window(tol, root):
-        return Verdict(
-            Status.UNSTABLE,
-            margin=float(margin),
-            witness=Witness(lam=lam, root=root, theta=float(sol.x[k])),
-            reason="member with a boundary root found inside the box",
-        )
-    return None
-
-
-def _zero_exclusion_sweep(pd: ParametricDeterminant, region: Region, tol: Tolerances) -> Verdict:
-    """Certified zero-exclusion sweep of the region boundary.
-
-    ``coefficient_box(pd)`` fixes the sweep range and the derivative
-    envelope.  The value set of D(s(theta), lambda-box) at each sampled
-    theta is boxed by the convex hull of its 2**k box-corner values.  An
-    interval between neighboring samples is certified root-free when both
-    endpoint exclusion distances exceed L * h / 2, where L bounds
-    |dD/dtheta| via the coefficient box.  The seed grid only sets where
-    refinement starts: uncertified intervals are split at their midpoints,
-    breadth-first, so the certificate rests on this interval test and not
-    on the grid's density.  Sample points whose hull captures the origin go
-    through lambda-box subdivision and, if that fails, witness confirmation,
-    which may conclude the sweep with an Unstable verdict.
-    """
-    box = coefficient_box(pd)
-    k = pd.k
-    rows = pd.rows[:, None, :]  # each term's row, broadcast over the samples
-    transform = monomial_weights(pd.masks, corner_lambdas(k))
-    speed = region.boundary_speed()
-    budget = max(_REFINE_ROUND_CAP_FACTOR * tol.boundary_grid, _REFINE_BUDGET_FLOOR)
-    scale_floor = 1e-300
-    lo, hi = sweep_range_from_box(region, box)
-    env = _deriv_envelope(box)
-    live_floor = 1e-14 * max(hi - lo, 1.0)
-
-    def evaluate(ts: np.ndarray):
-        """Hull margins and value scales at samples ``ts``."""
-        corner_vals = transform @ horner(rows, region.boundary(ts))  # (2**k, T)
-        return hull.batch_origin_margin(corner_vals.T), np.maximum(np.max(np.abs(corner_vals), axis=0), scale_floor)
-
-    thetas = _theta_grid(region, lo, hi, tol.boundary_grid)
-    resolved_dist, scales = evaluate(thetas)  # absolute lower bound on value-set distance
-
-    def handle_capture(idx: int) -> Verdict | None:
-        """Subdivide the lambda box at a captured sample; may conclude the sweep."""
-        tv = horner(pd.rows, region.boundary(thetas[idx]))
-        dist_here, leftover = _subdivide_at_theta(tv, pd.masks, k, tol.box_depth)
-        if dist_here > 0.0:
-            resolved_dist[idx] = dist_here
-            return None
-        span = thetas[-1] - thetas[0]
-        t_lo = thetas[max(idx - 1, 0)]
-        t_hi = thetas[min(idx + 1, thetas.size - 1)]
-        if t_hi <= t_lo:
-            t_lo, t_hi = thetas[idx] - 1e-6 * span, thetas[idx] + 1e-6 * span
-        found = _confirm_boundary_root(pd, region, t_lo, t_hi, leftover, tol)
-        if found is not None:
-            return found
-        return Verdict(
-            Status.INCONCLUSIVE,
-            margin=0.0,
-            reason=f"value set hull captures the origin near theta={thetas[idx]:.6g} "
-            "and no boundary root could be confirmed",
-        )
-
-    def captures() -> Verdict | None:
-        """Handle captured samples in grid order until one concludes the sweep."""
-        for idx in np.nonzero(resolved_dist <= 0.0)[0]:
-            out = handle_capture(int(idx))
-            if out is not None:
-                return out
-        return None
-
-    def conclude(reason: str | None, certified: bool = False) -> Verdict:
-        """Below the trust band, hunt for an actual crossing before giving up.
-
-        A transversal boundary crossing shows up as sampled hull distances
-        that approach zero without a strict capture; confirming a member
-        with a boundary root converts that to a sound Unstable verdict.
-        Only a fully certified sweep may report exclusion.
-        """
-        rel = resolved_dist / scales
-        min_rel = float(np.min(rel))
-        if reason is None:
-            reason = f"minimal relative exclusion margin {min_rel:.3e} is below zero_margin"
-        if min_rel >= tol.zero_margin:
-            if certified:
-                return Verdict(
-                    Status.ROBUSTLY_STABLE,
-                    margin=min_rel,
-                    reason="boundary value sets exclude the origin; the margin is a relative exclusion distance",
-                )
-            return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
-        idx = int(np.argmin(rel))
-        t_lo = thetas[max(idx - 1, 0)]
-        t_hi = thetas[min(idx + 1, thetas.size - 1)]
-        if t_hi <= t_lo:
-            t_lo, t_hi = thetas[idx] - 1e-6, thetas[idx] + 1e-6
-        found = _confirm_boundary_root(pd, region, t_lo, t_hi, (np.zeros(k), np.ones(k)), tol)
-        if found is not None:
-            return found
-        return Verdict(Status.INCONCLUSIVE, margin=min_rel, reason=reason)
-
-    verdict = captures()
-    for _ in range(tol.refine_depth):
-        if verdict is not None:
-            return verdict
-        if thetas.size > budget:
-            return conclude("boundary refinement budget exhausted")
-        a, b = thetas[:-1], thetas[1:]
-        widths = b - a
-        radii = _abs_s_bound(region, a, b)
-        # the Lipschitz bound in np.polyval's operation order, times speed * h / 2
-        need = np.zeros_like(radii)
-        for c in env[::-1]:
-            need *= radii
-            need += c
-        need *= speed
-        need *= widths
-        need *= 0.5
-        ok = (resolved_dist[:-1] > need) & (resolved_dist[1:] > need)
-        bad = np.nonzero(~ok & (widths > live_floor))[0]
-        if not bad.size:
-            return conclude(None, certified=True)
-        mids = 0.5 * (a[bad] + b[bad])
-        mid_margins, mid_scales = evaluate(mids)
-        # weave the new samples into the sorted grid
-        thetas = np.insert(thetas, bad + 1, mids)
-        resolved_dist = np.insert(resolved_dist, bad + 1, mid_margins)
-        scales = np.insert(scales, bad + 1, mid_scales)
-        verdict = captures()
-    return verdict or conclude("interval certificates still open at the refinement depth cap")
 
 
 # ----------------------------------------------------------------------
@@ -558,17 +276,30 @@ def _corner_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, mags
 
 
-def _centre_verdicts(terms: np.ndarray, region: Region, tol: Tolerances) -> list[Verdict | None]:
-    """Each box's verdict from its centre member (every lambda 0.5), given a run's dense terms (B, 2**k, L).
+def _outside_member(margin, root, lam, tol: Tolerances, reason: str) -> Verdict | None:
+    """The Unstable verdict of the member at ``lam`` if its worst root is clearly outside, else None."""
+    if root is None or not _clearly_outside(margin, root, tol):
+        return None
+    return Verdict(
+        Status.UNSTABLE,
+        margin=float(margin),
+        witness=Witness(lam=tuple(float(x) for x in lam), root=root),
+        reason=reason,
+    )
 
-    k elementwise passes fold each slot's pairs of rows into
-    ``row0 + 0.5 * row1``, so, as in ``_corner_rows``, a centre row depends
-    on no other configuration and no other column; adding +0.0 makes its
-    zeros positive, whatever the sign of the zero terms past a row's end.
-    One ``member_margins`` call measures every centre.  A centre whose worst
-    root is clearly outside, the rule ``_corner_checks`` applies to the
-    corners after the anchor, makes its box Unstable with lambda = 0.5 as
-    the witness; any other margin, NaN included, gives None.
+
+def _centre_verdicts(terms: np.ndarray, region: Region, tol: Tolerances) -> list[tuple[Verdict | None, tuple]]:
+    """Each box's verdict from its centre member (every lambda 0.5), and that member's (margin, root).
+
+    ``terms`` are a run's dense terms (B, 2**k, L).  k elementwise passes
+    fold each slot's pairs of rows into ``row0 + 0.5 * row1``, so, as in
+    ``_corner_rows``, a centre row depends on no other configuration and no
+    other column; adding +0.0 makes its zeros positive, whatever the sign of
+    the zero terms past a row's end.  One ``member_margins`` call measures
+    every centre.  A centre whose worst root is clearly outside, the rule
+    ``_corner_checks`` applies to the corners after the anchor, makes its
+    box Unstable with lambda = 0.5 as the witness; any other margin, NaN
+    included, gives None, and ``_bisect`` takes the box on from there.
     """
     B, V, L = terms.shape
     k = V.bit_length() - 1
@@ -580,14 +311,7 @@ def _centre_verdicts(terms: np.ndarray, region: Region, tol: Tolerances) -> list
         rows = rows[:, 0] + 0.0
     margins, roots = member_margins(region, rows)
     return [
-        Verdict(
-            Status.UNSTABLE,
-            margin=float(margin),
-            witness=Witness(lam=(0.5,) * k, root=root),
-            reason="box centre member is unstable",
-        )
-        if root is not None and _clearly_outside(margin, root, tol)
-        else None
+        (_outside_member(margin, root, (0.5,) * k, tol, "box centre member is unstable"), (margin, root))
         for margin, root in zip(margins, roots)
     ]
 
@@ -669,9 +393,8 @@ def _box_certificates(
     not Unstable, or NaN to leave box c out.  A corner's rounding error is
     at most ``_gamma(2**k)`` times its ``mags`` row.  The box's margin is
     its ``_rung_margins`` tau, a root-distance bound.  A box that passes no
-    rung, an anchor without a finite positive margin, a box whose corner
-    sums reach ``_BOX_RANGE`` and every box of a disk with a complex centre
-    get None, whatever its batch-mates.
+    rung, an anchor without a finite positive margin and a box whose corner
+    sums reach ``_BOX_RANGE`` get None, whatever its batch-mates.
     """
     fit = (0.0 < margins) & (margins < math.inf) & (mags < _BOX_RANGE).all(axis=(1, 2))
     taus = _rung_margins(
@@ -687,6 +410,110 @@ def _box_certificates(
         )
         for tau in taus
     ]
+
+
+# Sub-boxes that ``_bisect`` tests for one box, at most.
+_SUBBOX_CAP = 1024
+
+
+def _witness_window(tol: Tolerances, root: complex) -> float:
+    """Acceptance slack for taking a member's root as a boundary root.
+
+    Scales with zero_margin but is capped, so loosening the inconclusive
+    band can never promote a clearly interior root to a boundary root.
+    """
+    return min(100.0 * tol.zero_margin, 1e-4) * (1.0 + abs(root))
+
+
+def _bisect(terms: np.ndarray, degree: int, region: Region, tol: Tolerances, centre: tuple) -> Verdict:
+    """Decide a box that its checks leave by bisection over the box test.
+
+    ``terms`` (2**k, L) are the box's dense terms, of degree ``degree``, and
+    ``centre`` is the (margin, root) of its centre member, which is not
+    clearly outside.  The box is halved along its widest lambda side, and
+    so, a round at a time, is every sub-box not yet decided.  Each new
+    sub-box gets its centre member and its corner rows: ``monomial_weights``
+    at its corners times the terms, each within ``_gamma(k + 2**k)`` times
+    the same sum of |c_S| of the exact row (k - 1 roundings in a weight,
+    one in its product and 2**k - 1 in the sum), as in ``_corner_rows``.
+    The centre's margin in the region the box test tests
+    (``box_region``) tops the sub-box's rung ladder (``_rung_margins``).
+    That region exists: the box's anchor is stable, and without it no real
+    polynomial of positive degree is.
+
+    * A sub-box centre clearly outside the region makes the box Unstable,
+      with that lambda as the witness.
+    * When every sub-box has passed a rung, the box is RobustlyStable with
+      the least passing tau as its margin, a root-distance bound.
+    * Bisection cannot finish when the next round would test more than
+      ``_SUBBOX_CAP`` sub-boxes, or a centre's margin in the tested region
+      is below 2 * zero_margin, so that no rung of its ladder counts.  The
+      measured member of least margin, the box centre included, then makes
+      the box Unstable if that margin is within ``_witness_window``; the box
+      is Inconclusive otherwise.
+    """
+    V = terms.shape[0]
+    k = V.bit_length() - 1
+    terms = np.ascontiguousarray(terms[:, : degree + 1])
+    masks, bits = np.arange(V), corner_lambdas(k) > 0.0
+    tested = box_region(region)
+    least = (*centre, (0.5,) * k)
+    lo, hi = np.zeros((1, k)), np.ones((1, k))
+    taus, count = [], 0
+
+    def unfinished(why: str) -> Verdict:
+        margin, root, lam = least
+        if root is not None and margin <= _witness_window(tol, root):
+            return Verdict(
+                Status.UNSTABLE,
+                margin=float(margin),
+                witness=Witness(lam=tuple(float(x) for x in lam), root=root),
+                reason="member with a boundary root found inside the box",
+            )
+        return Verdict(
+            Status.INCONCLUSIVE,
+            reason=f"bisection stopped after {count} sub-boxes: {why}; "
+            f"the least member margin measured is {margin:.3e}",
+        )
+
+    while lo.shape[0]:
+        if count + 2 * lo.shape[0] > _SUBBOX_CAP:
+            return unfinished(f"the budget of {_SUBBOX_CAP} sub-boxes is spent")
+        count += 2 * lo.shape[0]
+        at = np.arange(lo.shape[0])
+        axis = np.argmax(hi - lo, axis=1)
+        mid = 0.5 * (lo[at, axis] + hi[at, axis])
+        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+        lo[2 * at + 1, axis] = mid
+        hi[2 * at, axis] = mid
+        lams = 0.5 * (lo + hi)
+        rows = monomial_weights(masks, lams) @ terms
+        margins, roots = member_margins(region, rows)
+        for lam, margin, root in zip(lams, margins, roots):
+            verdict = _outside_member(margin, root, lam, tol, "sub-box centre member is unstable")
+            if verdict is not None:
+                return verdict
+            if margin < least[0]:
+                least = (margin, root, lam)
+        if tested is not region:
+            margins, _ = member_margins(tested, rows)
+        if not (margins >= 2.0 * tol.zero_margin).all():
+            return unfinished("a sub-box centre lies within 2 * zero_margin of the tested region's boundary")
+        weights = monomial_weights(masks, np.where(bits, hi[:, None], lo[:, None]))
+        corners, mags = weights @ terms, weights @ np.abs(terms)
+        fit = (mags < _BOX_RANGE).all(axis=(1, 2))
+        passed = _rung_margins(
+            corners, _gamma(k + V) * mags, np.full(lo.shape[0], degree), np.where(fit, margins, math.nan), region, tol
+        )
+        left = np.isnan(passed)
+        taus.extend(passed[~left])
+        lo, hi = lo[left], hi[left]
+    return Verdict(
+        Status.ROBUSTLY_STABLE,
+        margin=float(min(taus)),
+        reason=f"bisected into {count} sub-boxes: Kharitonov polynomials of its {len(taus)} leaves are stable; "
+        "the margin is a root-distance bound",
+    )
 
 
 def box_stable(
@@ -717,8 +544,9 @@ def box_stable(
     * The centre member, every lambda 0.5 (``_centre_verdicts``, the batch
       of one), under the same rule: clearly unstable, it is an exact
       Unstable verdict with lambda = (0.5, ..., 0.5) as its witness.
-    * The certified zero-exclusion sweep, which rules out a boundary root
-      strictly inside the box; its margin is a relative exclusion distance.
+    * Bisection over the box test (``_bisect``): the box is halved until
+      the box test passes every sub-box, a sub-box centre is clearly
+      outside, or bisection cannot finish.
 
     ``corners[v]`` is the ``point_stable`` verdict of the member at box
     vertex v (slot l at bit l of v).  The family drivers pass the
@@ -743,11 +571,11 @@ def box_stable(
         _corner_checks(corners[:1], pd.k, tol)
         or _box_certificates(rows, mags, degrees, np.array([corners[0].margin]), region, tol)[0]
         or _corner_checks(corners[1:], pd.k, tol, start=1)
-        or _centre_verdicts(terms, region, tol)[0]
     )
     if verdict is not None:
         return verdict
-    return _zero_exclusion_sweep(pd, region, tol)
+    ((verdict, centre),) = _centre_verdicts(terms, region, tol)
+    return verdict or _bisect(terms[0], degrees[0], region, tol, centre)
 
 
 def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = None) -> Verdict:
@@ -835,7 +663,7 @@ class VertexMembers:
 
 
 def _check_chunk(
-    fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers, sweep: bool = True
+    fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers, bisect: bool = True
 ) -> list:
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable.
 
@@ -851,7 +679,7 @@ def _check_chunk(
     k = n the lambda cells fix sigma, so such a box never recurs and is not
     stored.  A hit is bitwise the verdict the box gets again: the same
     cells give the same ``_laplace`` inputs, the same corner members and
-    the same sweep.
+    the same bisection.
 
     The rest of a run, up to the first configuration already known to be
     Unstable, gets its dense terms, corner rows, degree checks and anchor
@@ -861,10 +689,10 @@ def _check_chunk(
     members in one batch and pass the corner checks, up to the first one
     that is Unstable there.  The boxes the corners leave get their centre
     members in one batch.  Each of them then takes its centre verdict or,
-    if that does not decide it, the sweep on its own
-    ``ParametricDeterminant``, in stream order, up to the first one that is
-    Unstable.  With ``sweep`` False, a box its centre leaves is not swept:
-    its verdict stays None and it stays out of the box memo.
+    if that does not decide it, ``_bisect`` on its dense terms, in stream
+    order, up to the first one that is Unstable.  With ``bisect`` False, a
+    box its centre leaves is not bisected: its verdict stays None and it
+    stays out of the box memo.
     """
     table = members.table
     out = []
@@ -918,10 +746,10 @@ def _check_chunk(
                     end = todo[i] + 1
                     break
             if left:
-                for i, v in zip(left, _centre_verdicts(terms[left], fam.region, tol)):
+                for i, (v, centre) in zip(left, _centre_verdicts(terms[left], fam.region, tol)):
                     pos = todo[i]
-                    if v is None and sweep:
-                        v = _zero_exclusion_sweep(ParametricDeterminant.from_dense(terms[i]), fam.region, tol)
+                    if v is None and bisect:
+                        v = _bisect(terms[i], degrees[i], fam.region, tol, centre)
                     decided[pos][1] = v
                     if v is not None and v.status is Status.UNSTABLE:
                         end = pos + 1
@@ -1110,11 +938,11 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     total = members.table.total
     bounds = sorted({0, 1, total, *range(_CHUNK, total, _CHUNK)})
     chunks = list(zip(bounds[1:-1], bounds[2:]))
-    # the parent decides configuration 0 alone, short of its sweep; the family
-    # certificate follows unless it is Unstable or Degenerate, and only if the
-    # certificate fails is configuration 0 swept; the stream goes on unless
-    # configuration 0 is Unstable
-    results = _check_chunk(fam, 0, 1, tol, members, sweep=False)
+    # the parent decides configuration 0 alone, short of its bisection; the
+    # family certificate follows unless it is Unstable or Degenerate, and only
+    # if the certificate fails is configuration 0 bisected; the stream goes on
+    # unless configuration 0 is Unstable
+    results = _check_chunk(fam, 0, 1, tol, members, bisect=False)
     first = results[0][1]
     if first is None or first.status not in (Status.UNSTABLE, Status.DEGENERATE):
         _, _, ends = next(members.table.ends(0, 1))

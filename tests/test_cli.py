@@ -336,8 +336,10 @@ def test_interval_family_region_restriction(tmp_path, capsys):
 
 
 def test_bad_tolerance_rejected(tmp_path, capsys):
-    assert run(["analyze", DEMO, "--grid", "2"]) == 64
-    # margins must be finite, counts integral and finite
+    # only zero_margin and degree_eps exist, as flags and as file tolerances
+    for flag in ("--grid", "--refine-depth", "--box-depth"):
+        assert run(["analyze", DEMO, flag, "2"]) == 64
+    # margins must be finite
     assert run(["analyze", DEMO, "--zero-margin", "inf"]) == 64
     assert run(["analyze", DEMO, "--degree-eps", "nan"]) == 64
     doc = json.loads(pathlib.Path(DEMO).read_text())
@@ -389,13 +391,15 @@ def test_nonfinite_region_flag_is_schema_error(capsys, command, region):
 
 
 def test_integral_float_tolerances_accepted(tmp_path, capsys):
+    # a JSON integer is a number like any other: accepted as a tolerance,
+    # and reported as the float it sets (zero_margin 1 leaves demo3x3
+    # Inconclusive)
     doc = json.loads(pathlib.Path(DEMO).read_text())
-    doc["tolerances"] = {"boundary_grid": 512.0, "box_depth": 12.0}
+    doc["tolerances"] = {"zero_margin": 1, "degree_eps": 1e-9}
     code, rep = run_json(["analyze", write(tmp_path, doc)], capsys)
-    assert code == 0
-    assert rep["tolerances"]["boundary_grid"] == 512
-    assert rep["tolerances"]["box_depth"] == 12
-    assert isinstance(rep["tolerances"]["box_depth"], int)
+    assert code == 3
+    assert rep["tolerances"] == {"degree_eps": 1e-9, "zero_margin": 1.0}
+    assert isinstance(rep["tolerances"]["zero_margin"], float)
 
 
 def test_usage_error(capsys):

@@ -37,7 +37,14 @@ REGIONS = {
     "hurwitz": HurwitzHalfPlane(),
     "shifted": ShiftedHalfPlane(-0.1),
     "disk": Disk(-1.0 + 0.0j, 1.2),
+    # tested through the real-centre disks inscribed in them
+    "disk_complex": Disk(-3.0 + 0.2j, 3.5),
+    "disk_offset": Disk(-1.5 + 0.1j, 1.0),
 }
+COMPLEX_DISKS = ("disk_complex", "disk_offset")
+# Box-certified configurations among the first 48 of each family, at least;
+# most seeded families have members outside the small offset disk.
+MIN_CERTIFIED = {"hurwitz": 50, "shifted": 50, "disk": 50, "disk_complex": 50, "disk_offset": 10}
 
 
 def seeded_family(seed, region):
@@ -94,7 +101,26 @@ def test_box_certificates_are_sound(region):
             pd = det_parametric(config_at(fam, index))
             for margin, size in member_margins_on_grid(pd, fam.region, rng):
                 assert margin >= tau - 1e-9 * (1.0 + size), (index, margin, tau)
-    assert certified >= 50
+    assert certified >= MIN_CERTIFIED[region]
+
+
+@pytest.mark.parametrize("region", COMPLEX_DISKS)
+def test_complex_centre_disk_verdicts_are_sound(region):
+    # every family verdict under a complex-centre disk that is
+    # RobustlyStable holds for 2,000 sampled members and every all-vertex
+    # member: each keeps its roots at least tau inside the original disk
+    names = ("demo3x3", "diagonal3", "mixed_lengths", "dominant4_partial", "vertex_insufficiency")
+    families = [fixture_family(name, REGIONS[region]) for name in names]
+    families += [seeded_family(seed, REGIONS[region]) for seed in range(9)]
+    certified = 0
+    for fam in families:
+        verdict, _ = family_outcome(fam)
+        if verdict.status is not Status.ROBUSTLY_STABLE:
+            continue
+        certified += 1
+        assert sample_family(fam, budget=2_000, seed=0).worst_margin >= verdict.margin
+        assert all_vertex_margins(fam).min() >= verdict.margin
+    assert certified >= 4
 
 
 def test_tightened_parameters_round_down():
@@ -173,10 +199,28 @@ def test_bilinear_leading_interval_must_exclude_zero():
 
 
 def test_complex_centre_disk_passes_nothing():
+    # a disk with a complex centre c and radius r passes nothing beyond the
+    # disk of centre Re c and radius r - |Im c| inscribed in it: the roots -1
+    # and -2 of (s + 1)(s + 2) lie 0.49 inside D(-1.5 + 0.1j, 1) but 0.4
+    # inside D(-1.5, 0.9), and a disk with |Im c| >= r passes nothing at all
     corners = np.array([[[2.0, 3.0, 1.0]]])
-    taus = np.array([[1e-3, 1e-6]])
-    assert boxes_exceed(Disk(-1.5 + 0.0j, 1.0), corners, np.zeros_like(corners), taus).all()
-    assert not boxes_exceed(Disk(-1.5 + 0.1j, 1.0), corners, np.zeros_like(corners), taus).any()
+    taus = np.array([[1e-6, 1e-3, 0.39, 0.41, 0.48]])
+    passed = boxes_exceed(Disk(-1.5 + 0.1j, 1.0), corners, np.zeros_like(corners), taus)
+    assert passed.tolist() == [[True, True, True, False, False]]
+    assert boxes_exceed(Disk(-1.5 + 0.0j, 0.9), corners, np.zeros_like(corners), taus).tolist() == passed.tolist()
+    for centre in (-1.5 + 1.0j, -1.5 - 2.0j):
+        assert not boxes_exceed(Disk(centre, 1.0), corners, np.zeros_like(corners), taus).any()
+
+
+def test_complex_centre_disk_is_not_tested_at_its_full_radius():
+    # the roots +-0.8j of s^2 + 0.64 lie inside D(0, 1), the disk of centre
+    # Re c and the full radius r, but -0.8j lies 0.3 outside D(0.5j, 1): the
+    # box test must pass it at no tau, while D(0, 1) passes it
+    corners = np.array([[[0.64, 0.0, 1.0]]])
+    taus = np.array([[1e-6, 1e-3, 0.1]])
+    assert boxes_exceed(Disk(0.0j, 1.0), corners, np.zeros_like(corners), taus).all()
+    assert not boxes_exceed(Disk(0.5j, 1.0), corners, np.zeros_like(corners), taus).any()
+    assert Disk(0.5j, 1.0).margin(-0.8j) == pytest.approx(-0.3)
 
 
 def test_margin_is_the_largest_passing_rung():
@@ -330,8 +374,8 @@ CERTIFIED_FAMILIES = {
     },
     "dominant4_partial:own": lambda: fixture_in("dominant4_partial", None),
     "dominant4_partial:shifted": lambda: fixture_in("dominant4_partial", FIXTURE_REGIONS["shifted"]),
-    # configuration 0 is Inconclusive here (the sweep's refinement budget
-    # runs out), and the family certificate still runs after it
+    # configuration 0 is bisected here, and the family certificate still
+    # runs before it
     "dominant4_partial:disk": lambda: fixture_in("dominant4_partial", FIXTURE_REGIONS["disk"]),
     **{f"dominant3_full{seed}": (lambda seed=seed: dominant_family(seed, 3, every_cell(3))) for seed in range(3)},
     **{f"dominant4_diag{seed}": (lambda seed=seed: dominant_family(seed, 4, diagonal(4))) for seed in range(3)},
@@ -360,45 +404,49 @@ def test_family_certificates_are_sound(name):
     assert all_vertex_margins(fam).min() >= tau
 
 
-def test_family_certificate_follows_an_inconclusive_configuration_0():
-    # alone, configuration 0 of dominant4_partial under the disk exhausts
-    # the sweep's refinement budget; the family certificate decides it too
-    fam = CERTIFIED_FAMILIES["dominant4_partial:disk"]()
+def test_family_certificate_follows_an_inconclusive_configuration_0(monkeypatch):
+    # with a budget of two sub-boxes, configuration 0 of dominant4_partial
+    # under the shifted half plane (24 sub-boxes at the default budget) is
+    # Inconclusive alone; the family certificate decides it too
+    monkeypatch.setattr(stab, "_SUBBOX_CAP", 2)
+    fam = CERTIFIED_FAMILIES["dominant4_partial:shifted"]()
     members = VertexMembers(fam)
     ((index, alone),) = stab._check_chunk(fam, 0, 1, Tolerances(), members)
-    assert alone.status is Status.INCONCLUSIVE and alone.reason == "boundary refinement budget exhausted"
+    assert alone.status is Status.INCONCLUSIVE and "the budget of 2 sub-boxes is spent" in alone.reason
     verdict, outcomes = family_outcome(fam)
     assert verdict.status is Status.ROBUSTLY_STABLE and outcomes[0].status is Status.ROBUSTLY_STABLE
 
 
-def sweeps_of(monkeypatch):
-    """Record the verdict of every ``stab._zero_exclusion_sweep`` call from now on."""
+def bisections_of(monkeypatch):
+    """Record the verdict of every ``stab._bisect`` call from now on."""
     seen = []
-    sweep = stab._zero_exclusion_sweep
-    monkeypatch.setattr(stab, "_zero_exclusion_sweep", lambda *args: seen.append(sweep(*args)) or seen[-1])
+    bisect = stab._bisect
+    monkeypatch.setattr(stab, "_bisect", lambda *args: seen.append(bisect(*args)) or seen[-1])
     return seen
 
 
 def test_family_certificate_comes_before_configuration_0s_sweep(monkeypatch):
-    # configuration 0's checks leave it to the sweep; the certificate passes,
-    # so nothing is swept and no deferred box enters the box memo
+    # configuration 0's checks leave it to bisection; the certificate
+    # passes, so nothing is bisected and no deferred box enters the box memo
     fam = CERTIFIED_FAMILIES["dominant4_partial:disk"]()
     members = VertexMembers(fam)
-    assert stab._check_chunk(fam, 0, 1, Tolerances(), members, sweep=False) == [(0, None)]
+    assert stab._check_chunk(fam, 0, 1, Tolerances(), members, bisect=False) == [(0, None)]
     assert members._boxes == {}
-    swept = sweeps_of(monkeypatch)
+    bisected = bisections_of(monkeypatch)
     verdict, _ = family_outcome(fam)
-    assert verdict.status is Status.ROBUSTLY_STABLE and swept == []
+    assert verdict.status is Status.ROBUSTLY_STABLE and bisected == []
 
 
 def test_failed_family_certificate_sweeps_configuration_0_as_before(monkeypatch):
-    # a complex-centre disk certifies nothing: configuration 0 is swept after
-    # the certificate fails, and gets the verdict it gets alone
-    fam = fixture_in("diagonal3", Disk(-3.0 + 0.2j, 3.5))
+    # the family certificate of vertex_insufficiency under a complex-centre
+    # disk fails: configuration 0 is bisected after it, and gets the verdict
+    # it gets alone
+    fam = fixture_in("vertex_insufficiency", Disk(-3.0 + 0.2j, 3.5))
     ((_, alone),) = _check_chunk(fam, 0, 1, Tolerances(), VertexMembers(fam))
-    swept = sweeps_of(monkeypatch)
+    assert alone.status is Status.ROBUSTLY_STABLE and alone.reason.startswith("bisected into")
+    bisected = bisections_of(monkeypatch)
     _, outcomes = family_outcome(fam)
-    assert swept[0] == alone and outcomes[0].status is alone.status and outcomes[0].margin == alone.margin
+    assert bisected[0] == alone and outcomes[0].status is alone.status and outcomes[0].margin == alone.margin
 
 
 @pytest.mark.parametrize("name", SPLIT)

@@ -1,8 +1,5 @@
-"""Region geometry tests: membership margins, boundary parametrization, and
-the boundary-sweep range derived from the parametric coefficient box.
-
-The sweep-range soundness oracle samples members of random parametric
-determinants and verifies no root modulus ever exceeds the reported range.
+"""Region geometry tests: membership margins, the filter in front of the
+member margins, and the region the box test tests.
 """
 
 import warnings
@@ -11,8 +8,6 @@ import numpy as np
 import pytest
 
 import edgestab.region as region_module
-from edgestab.det import ParametricDeterminant, coefficient_box
-from edgestab.errors import DegreeDropError
 from edgestab.oracle import _SLACK
 from edgestab.poly import Polynomial
 from edgestab.region import (
@@ -21,7 +16,7 @@ from edgestab.region import (
     ShiftedHalfPlane,
     margins_exceed,
     member_margins,
-    sweep_range_from_box,
+    box_region,
 )
 
 
@@ -259,32 +254,34 @@ def test_margins_exceed_edge_rows_stay_uncleared_without_warnings():
 
 
 # ----------------------------------------------------------------------
-# boundary parametrization
+# boundaries
 
 
 def test_boundary_examples():
-    assert HurwitzHalfPlane().boundary(0.0) == 0.0
-    assert HurwitzHalfPlane().boundary(2.0) == 2.0j
-    assert ShiftedHalfPlane(-0.5).boundary(2.0) == -0.5 + 2.0j
-    assert Disk(0.0, 1.0).boundary(np.pi) == pytest.approx(-1.0 + 0.0j, abs=1e-12)
+    # points on each boundary have margin 0, points off it the signed distance
+    assert HurwitzHalfPlane().margin(2.0j) == 0.0
+    assert HurwitzHalfPlane().margin(-0.5 + 2.0j) == 0.5
+    assert ShiftedHalfPlane(-0.5).margin(-0.5 + 2.0j) == 0.0
+    assert ShiftedHalfPlane(-0.5).margin(0.5) == -1.0
+    assert Disk(0.0, 1.0).margin(-1.0) == 0.0
+    assert Disk(1.0j, 2.0).margin(1.0j) == 2.0
 
 
 def test_boundary_points_have_zero_margin():
     thetas = np.linspace(-7.0, 7.0, 41)
-    for region in (HurwitzHalfPlane(), ShiftedHalfPlane(-1.25), Disk(0.5 - 0.5j, 2.0)):
-        pts = region.boundary(thetas)
+    boundaries = [
+        (HurwitzHalfPlane(), 1j * thetas),
+        (ShiftedHalfPlane(-1.25), -1.25 + 1j * thetas),
+        (Disk(0.5 - 0.5j, 2.0), 0.5 - 0.5j + 2.0 * np.exp(1j * thetas)),
+    ]
+    for region, pts in boundaries:
         np.testing.assert_allclose(region.margin(pts), 0.0, atol=1e-12)
 
 
-def test_boundary_speed():
-    assert HurwitzHalfPlane().boundary_speed() == 1.0
-    assert ShiftedHalfPlane(3.0).boundary_speed() == 1.0
-    assert Disk(0.0, 2.5).boundary_speed() == 2.5
-
-
 def test_conjugate_root_pairing_justifies_half_sweep():
-    # real polynomials have conjugate-symmetric root sets, so scanning only
-    # the upper half of a half-plane boundary loses nothing
+    # real polynomials have conjugate-symmetric root sets, so every root of
+    # one lies in a disk and in its mirror image at once: the box test may
+    # test a complex-centre disk through the real-centre disk inside both
     rng = np.random.default_rng(3)
     for _ in range(25):
         coeffs = rng.integers(-5, 6, size=rng.integers(2, 7)).astype(float)
@@ -298,75 +295,27 @@ def test_conjugate_root_pairing_justifies_half_sweep():
 
 
 # ----------------------------------------------------------------------
-# sweep ranges
+# the region the box test tests
 
 
-def test_sweep_range_disk_is_full_circle():
-    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})
-    lo, hi = sweep_range_from_box(Disk(0.0, 1.0), coefficient_box(pd))
-    assert lo == 0.0
-    assert hi == pytest.approx(2.0 * np.pi)
-
-
-def test_sweep_range_known_first_degree():
-    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})  # s + 1
-    lo, hi = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
-    assert lo == 0.0
-    assert hi == pytest.approx(2.0)  # the root bound of s + 1
-
-
-def test_sweep_range_constant_determinant():
-    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([5.0])})
-    lo, hi = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
-    assert (lo, hi) == (0.0, 0.0)
-
-
-def test_sweep_range_shifted_accounts_for_offset():
-    pd = ParametricDeterminant.from_terms(0, {0: Polynomial([1.0, 1.0])})
-    _, hi_plain = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
-    _, hi_shift = sweep_range_from_box(ShiftedHalfPlane(-1.0), coefficient_box(pd))
-    # boundary points sigma + i*omega reach modulus R earlier when sigma != 0
-    assert hi_shift == pytest.approx(np.sqrt(hi_plain**2 - 1.0))
-
-
-def test_sweep_range_degree_drop():
-    pd = ParametricDeterminant.from_terms(1, {0: Polynomial([1.0, 1.0]), 1: Polynomial([0.0, -2.0])})
-    # leading coefficient ranges over [-1, 1]: degree may drop
-    with pytest.raises(DegreeDropError):
-        sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
-
-
-def test_sweep_range_zero_box():
-    with pytest.raises(DegreeDropError):
-        sweep_range_from_box(HurwitzHalfPlane(), np.zeros((3, 2)))
-
-
-def test_sweep_range_soundness_random_members():
-    # no member of the parametric family may have a root beyond the bound
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        base = Polynomial(rng.integers(-4, 5, size=4).astype(float) + np.array([0, 0, 0, 5.0]))
-        d1 = Polynomial(rng.integers(-2, 3, size=3).astype(float))
-        d2 = Polynomial(rng.integers(-2, 3, size=3).astype(float))
-        pd = ParametricDeterminant.from_terms(2, {0: base, 1: d1, 2: d2, 3: Polynomial([0.0])})
-        lo, hi = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
-        for _ in range(50):
-            lam = rng.random(2)
-            member = pd.assemble(lam)
-            if member.is_zero or member.degree == 0:
-                continue
-            assert np.all(np.abs(member.roots()) <= hi * (1.0 + 1e-9))
-
-
-def test_box_consistency_with_sweep_bound():
-    # the sweep bound equals 1 + head/lead computed from the coefficient box
-    base = Polynomial([2.0, 3.0, 4.0])
-    delta = Polynomial([1.0, -1.0, 0.5])
-    pd = ParametricDeterminant.from_terms(1, {0: base, 1: delta})
-    box = coefficient_box(pd)
-    lead_lo, lead_hi = box[-1]
-    lead_min = min(abs(lead_lo), abs(lead_hi))
-    head = np.max(np.abs(box[:-1]))
-    expected = 1.0 + head / lead_min
-    _, hi = sweep_range_from_box(HurwitzHalfPlane(), coefficient_box(pd))
-    assert hi == pytest.approx(expected)
+def test_box_region_of_a_complex_centre_disk_is_inscribed():
+    # the disk of centre Re c and radius r - |Im c|, rounded down, lies
+    # inside D(c, r) and touches its boundary; real centres and half planes
+    # are tested as themselves
+    for region in (HurwitzHalfPlane(), ShiftedHalfPlane(-0.3), Disk(-2.0, 2.5)):
+        assert box_region(region) is region
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        c = complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0))
+        r = rng.uniform(abs(c.imag), abs(c.imag) + 3.0)
+        inner = box_region(Disk(c, r))
+        if inner is None:
+            assert r <= abs(c.imag)
+            continue
+        assert inner.center == c.real and inner.radius <= r - abs(c.imag)
+        edge = inner.center + inner.radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64))
+        assert (Disk(c, r).margin(edge) >= -1e-12).all()
+        touch = c.real - 1j * np.sign(c.imag) * inner.radius
+        assert abs(Disk(c, r).margin(touch)) <= 1e-12 * (1.0 + r)
+    assert box_region(Disk(1.0j, 1.0)) is None
+    assert box_region(Disk(-3.0 + 0.2j, 3.5)) == Disk(-3.0, 3.3)

@@ -6,11 +6,13 @@ parameter grids, the box decider's root-solve count, and the family driver
 against hand-planted unstable members.
 """
 
+import dataclasses
 import itertools
 import json
 import math
 import os
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,24 +93,21 @@ def test_dominance_order():
 
 def test_tolerances_validation():
     with pytest.raises(ValueError):
-        Tolerances(boundary_grid=4)
-    with pytest.raises(ValueError):
         Tolerances(zero_margin=0.0)
     with pytest.raises(ValueError):
-        Tolerances(refine_depth=-1)
-    # counts are integers and margins finite
+        Tolerances(degree_eps=-1e-9)
+    # the margins are finite, and no other tolerance exists
     for bad in (
-        {"boundary_grid": 100.5},
-        {"boundary_grid": 512.0},
-        {"boundary_grid": True},
-        {"refine_depth": 2.5},
-        {"box_depth": 2.7},
         {"zero_margin": math.inf},
         {"zero_margin": math.nan},
         {"degree_eps": math.inf},
     ):
         with pytest.raises(ValueError):
             Tolerances(**bad)
+    for gone in ("boundary_grid", "refine_depth", "box_depth"):
+        with pytest.raises(TypeError):
+            Tolerances(**{gone: 128})
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["zero_margin", "degree_eps"]
 
 
 # ----------------------------------------------------------------------
@@ -414,26 +413,26 @@ def test_box_two_parameters_stable():
 
 
 def test_box_root_solves_one_per_corner(monkeypatch):
-    # corner 0 is the anchor member: a stable k = 2 box that reaches the
-    # sweep measures 2**k corner rows and its centre member before it,
+    # corner 0 is the anchor member: a stable k = 2 box that reaches
+    # bisection measures 2**k corner rows and its centre member before it,
     # 2**k + 1 rows, not 2**k + 2.  Lambda 1
     # moves s and 1 together, so every member keeps a1 * a2 > a0 * a3, but
     # the coefficient box pairs a1 = 1 with a0 = 16: the box test fails
     rows = []
-    seen_at_sweep = []
+    seen_at_bisection = []
     margins = stab.member_margins
-    sweep = stab._zero_exclusion_sweep
+    bisect = stab._bisect
 
     def counting_margins(region, det_coeffs):
         rows.append(det_coeffs.shape[0])
         return margins(region, det_coeffs)
 
-    def recording_sweep(*args):
-        seen_at_sweep.append(sum(rows))
-        return sweep(*args)
+    def recording_bisect(*args):
+        seen_at_bisection.append(sum(rows))
+        return bisect(*args)
 
     monkeypatch.setattr(stab, "member_margins", counting_margins)
-    monkeypatch.setattr(stab, "_zero_exclusion_sweep", recording_sweep)
+    monkeypatch.setattr(stab, "_bisect", recording_bisect)
     pd = ParametricDeterminant.from_terms(
         2,
         {
@@ -444,8 +443,8 @@ def test_box_root_solves_one_per_corner(monkeypatch):
     )
     v = box_stable(pd, HurwitzHalfPlane())
     assert v.status is Status.ROBUSTLY_STABLE
-    assert "relative exclusion" in v.reason
-    assert seen_at_sweep == [5]
+    assert v.reason.startswith("bisected into") and v.reason.endswith("the margin is a root-distance bound")
+    assert seen_at_bisection == [5]
 
 
 def test_box_interior_instability_is_found():
@@ -530,24 +529,26 @@ CENTRE_UNSTABLE = {
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_unstable_centre_ends_the_box_without_a_sweep(k, monkeypatch):
-    calls = counted(monkeypatch, "_zero_exclusion_sweep")
+    # the centre member decides the box before any bisection
+    calls = counted(monkeypatch, "_bisect")
     pd = ParametricDeterminant.from_terms(k, CENTRE_UNSTABLE[k])
     region = HurwitzHalfPlane()
     for lam in corner_lambdas(k):
         assert point_stable(pd.assemble(lam), region).is_stable
     v = box_stable(pd, region)
     assert v.status is Status.UNSTABLE and v.reason == "box centre member is unstable"
-    assert v.witness.lam == (0.5,) * k and v.witness.theta is None
+    assert v.witness.lam == (0.5,) * k
     centre = point_stable(pd.assemble(v.witness.lam), region)
     assert v.margin == centre.margin < -0.05 and v.witness.root == centre.witness.root
-    assert calls == {"_zero_exclusion_sweep": 0}
+    assert calls == {"_bisect": 0}
 
 
 def test_centre_inside_the_zero_margin_band_does_not_end_the_box(monkeypatch):
     # a2 = 30.25 - 1e-7 puts the centre's imaginary root pair just outside,
     # margin about -5e-11, well inside the band -zero_margin * (1 + |root|):
-    # the centre decides nothing and the sweep confirms a boundary root
-    calls = counted(monkeypatch, "_zero_exclusion_sweep")
+    # the centre decides nothing, bisection cannot finish next to it, and
+    # the centre, the least member measured, is within the witness window
+    calls = counted(monkeypatch, "_bisect")
     pd = ParametricDeterminant.from_terms(
         1, {0: Polynomial([1.0, 1.0, 30.25 - 1e-7, 10.0]), 1: Polynomial([9.0, 0.0, 0.0, -9.0])}
     )
@@ -557,17 +558,16 @@ def test_centre_inside_the_zero_margin_band_does_not_end_the_box(monkeypatch):
     assert -Tolerances().zero_margin * (1.0 + abs(centre.witness.root)) < centre.margin < 0.0
     v = box_stable(pd, region)
     assert v.status is Status.UNSTABLE and v.reason == "member with a boundary root found inside the box"
-    assert calls == {"_zero_exclusion_sweep": 1}
+    assert v.witness.lam == (0.5,) and v.margin == centre.margin
+    assert calls == {"_bisect": 1}
 
 
 def test_interior_witness_when_the_centre_is_stable(monkeypatch):
     # a0 = 1.1 + l1, a3 = 1.5 - l1, a1 = 1 + 0.2 l2, a2 = 1.67: a0 a3 peaks
     # at l1 = 0.2, so members near l1 = 0.2 with small l2 are unstable while
-    # every corner and the centre are stable; the corner hulls capture the
-    # origin near the crossing, and subdivision and least squares confirm a
-    # member with a boundary root
-    sites = ("_zero_exclusion_sweep", "_subdivide_at_theta", "_confirm_boundary_root", "least_squares")
-    calls = counted(monkeypatch, *sites)
+    # every corner and the centre are stable; bisection finds a sub-box
+    # centre clearly outside
+    calls = counted(monkeypatch, "_bisect")
     pd = ParametricDeterminant.from_terms(
         2,
         {
@@ -581,10 +581,11 @@ def test_interior_witness_when_the_centre_is_stable(monkeypatch):
         assert point_stable(pd.assemble(lam), region).is_stable
     assert not point_stable(pd.assemble([0.2, 0.0]), region).is_stable
     v = box_stable(pd, region)
-    assert v.status is Status.UNSTABLE and v.reason == "member with a boundary root found inside the box"
-    assert v.witness.theta is not None and v.witness.lam != (0.5, 0.5)
-    assert point_stable(pd.assemble(v.witness.lam), region).margin <= 1e-6
-    assert all(count >= 1 for count in calls.values()), calls
+    assert v.status is Status.UNSTABLE and v.reason == "sub-box centre member is unstable"
+    assert v.witness.lam != (0.5, 0.5)
+    member = point_stable(pd.assemble(v.witness.lam), region)
+    assert v.margin == member.margin < -Tolerances().zero_margin and v.witness.root == member.witness.root
+    assert calls == {"_bisect": 1}
 
 
 # ----------------------------------------------------------------------
@@ -722,9 +723,9 @@ def recorded_chunks(monkeypatch):
     bounds = []
     check_chunk = stab._check_chunk
 
-    def recording_chunk(fam, start, stop, tol, members, sweep=True):
+    def recording_chunk(fam, start, stop, tol, members, bisect=True):
         bounds.append((start, stop))
-        return check_chunk(fam, start, stop, tol, members, sweep)
+        return check_chunk(fam, start, stop, tol, members, bisect)
 
     monkeypatch.setattr(stab, "_check_chunk", recording_chunk)
     return bounds
@@ -1360,11 +1361,11 @@ def test_unstable_first_configuration_builds_one_determinant(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the run-level sweep
+# the run-level checks and bisection
 
 
 def without_box_test(monkeypatch):
-    """Turn the box test off, so every configuration it would certify goes on to the sweep."""
+    """Turn the whole-box test off, so every configuration it would certify goes on to bisection."""
 
     def no_certificates(corners, mags, degrees, margins, region, tol):
         return [None] * len(margins)
@@ -1468,7 +1469,7 @@ REPEAT_FAMILIES = {
 }
 
 
-SWEEP_FAMILIES = {
+BATCH_FAMILIES = {
     "demo3x3": lambda: fixture_family("demo3x3"),
     "vertex_insufficiency": lambda: fixture_family("vertex_insufficiency"),
     "degree_drop": lambda: fixture_family("degree_drop"),
@@ -1484,37 +1485,42 @@ SWEEP_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("grid", [128, 512])
-@pytest.mark.parametrize("name", list(SWEEP_FAMILIES))
-def test_batched_sweep_equals_lone_box_stable(name, grid):
+WHOLE_BOX = "Kharitonov polynomials of the coefficient box are stable"
+
+
+@pytest.mark.parametrize("budget", [128, 512])
+@pytest.mark.parametrize("name", list(BATCH_FAMILIES))
+def test_batched_sweep_equals_lone_box_stable(name, budget, monkeypatch):
     # which configurations share a run's box test must not change any
     # verdict: every outcome of a chunk, its margin included, is bitwise
     # box_stable's on that configuration alone, and nothing after the first
-    # Unstable is reported
-    fam = SWEEP_FAMILIES[name]()
-    tol = Tolerances(boundary_grid=grid)
+    # Unstable is reported, at two sub-box budgets of bisection
+    monkeypatch.setattr(stab, "_SUBBOX_CAP", budget)
+    fam = BATCH_FAMILIES[name]()
+    tol = Tolerances()
     stop = min(count_configs(fam), 96)
     outcomes = chunk_outcomes(fam, tol, stop)
     assert outcomes == lone_outcomes(fam, tol, stop)
-    assert sum("Kharitonov" in text for _, text in outcomes) == BOX_CERTIFIED[name]
+    assert sum(WHOLE_BOX in text for _, text in outcomes) == BOX_CERTIFIED[name]
 
 
-@pytest.mark.parametrize("grid", [128, 512])
-@pytest.mark.parametrize("name", list(SWEEP_FAMILIES))
-def test_batched_sweep_equals_lone_box_stable_without_box_test(name, grid, monkeypatch):
-    # the same with the box test off, so the chunk's sweeps decide what the
-    # box test would certify
+@pytest.mark.parametrize("budget", [128, 512])
+@pytest.mark.parametrize("name", list(BATCH_FAMILIES))
+def test_batched_sweep_equals_lone_box_stable_without_box_test(name, budget, monkeypatch):
+    # the same with the whole-box test off, so the chunk's bisections decide
+    # what the box test would certify
     without_box_test(monkeypatch)
-    fam = SWEEP_FAMILIES[name]()
-    tol = Tolerances(boundary_grid=grid)
+    monkeypatch.setattr(stab, "_SUBBOX_CAP", budget)
+    fam = BATCH_FAMILIES[name]()
+    tol = Tolerances()
     stop = min(count_configs(fam), 96)
     outcomes = chunk_outcomes(fam, tol, stop)
     assert outcomes == lone_outcomes(fam, tol, stop)
-    assert not any("Kharitonov" in text for _, text in outcomes)
+    assert not any(WHOLE_BOX in text for _, text in outcomes)
 
 
-# Outcomes among the first 96 of each family that the box test certifies;
-# the others stop before it or go on to the sweep.
+# Outcomes among the first 96 of each family that the whole-box test
+# certifies; the others stop before it or go on to bisection.
 BOX_CERTIFIED = {
     "demo3x3": 96,
     "vertex_insufficiency": 0,
@@ -1552,7 +1558,7 @@ def box_key(cfg):
 
 @pytest.mark.parametrize("name", list(REPEAT_FAMILIES))
 def test_repeated_boxes_are_exercised(name):
-    # the sweep comparison above checks the box memo only where boxes
+    # the batched comparison above checks the box memo only where boxes
     # recur: every repeat family but the n = 3 partial one has repeats among
     # its first 96 configurations, and a repeat has k < n
     fam = REPEAT_FAMILIES[name]()
@@ -1650,8 +1656,8 @@ def test_unstable_mid_run_ends_the_report():
     assert runs == [[0], [1, 2, 3, 4, 5], list(range(6, 14))]
     outcomes = chunk_outcomes(fam, Tolerances())
     assert [index for index, _ in outcomes] == [0, 1, 2, 3, 4]
-    # its box centre member is unstable; a witness the sweep's subdivision
-    # finds is tested in test_interior_witness_when_the_centre_is_stable
+    # its box centre member is unstable; a witness that bisection finds is
+    # tested in test_interior_witness_when_the_centre_is_stable
     assert "Status.UNSTABLE" in outcomes[-1][1] and "box centre member is unstable" in outcomes[-1][1]
     assert all("ROBUSTLY_STABLE" in text for _, text in outcomes[:-1])
     assert [(o.index, o.status) for o in analyze_family_detailed(fam)[1]] == [
@@ -1663,77 +1669,103 @@ def test_unstable_mid_run_ends_the_report():
 
 
 def test_no_sweep_after_the_first_unstable_in_a_run(monkeypatch):
-    # with the box test off, configurations 0 to 3 are swept and 4 is
+    # with the box test off, configurations 0 to 3 are bisected and 4 is
     # Unstable at its box centre; configuration 5, later in the same run,
-    # is not swept
+    # is not bisected
     fam = mid_run_unstable_family()
     without_box_test(monkeypatch)
-    ranges = []
-    sweep_range = stab.sweep_range_from_box
-    monkeypatch.setattr(stab, "sweep_range_from_box", lambda *args: ranges.append(1) or sweep_range(*args))
+    calls = counted(monkeypatch, "_bisect")
     outcomes = stab._check_chunk(fam, 0, 14, Tolerances(), VertexMembers(fam))
     assert [index for index, _ in outcomes] == [0, 1, 2, 3, 4]
     assert outcomes[-1][1].status is Status.UNSTABLE
-    assert len(ranges) == 4
+    assert calls == {"_bisect": 4}
+
+
+def test_bisection_corner_rows_enclose_the_exact_ones(monkeypatch):
+    # configuration 2 of mid_run_unstable_family passes the box test only
+    # on sub-boxes as small as 1/64 of a side, at tau 0.0138: every corner
+    # row that bisection hands the box test, recomputed in rationals from
+    # the sub-box's corner lambdas, lies within the rounding bound passed
+    # with it.  Most of the computed rows are not exact, so the box test
+    # would test a box that misses members without that bound
+    fam = mid_run_unstable_family()
+    pd = det_parametric(config_at(fam, 2))
+    lams, boxes = [], []
+    weights, rungs = stab.monomial_weights, stab._rung_margins
+
+    def recording_weights(masks, lam):
+        lams.append(np.asarray(lam))
+        return weights(masks, lam)
+
+    def recording_rungs(corners, errors, *args):
+        if lams and lams[-1].ndim == 3:  # a bisection round's corner lambdas
+            boxes.append((lams[-1], corners, errors))
+        return rungs(corners, errors, *args)
+
+    monkeypatch.setattr(stab, "monomial_weights", recording_weights)
+    monkeypatch.setattr(stab, "_rung_margins", recording_rungs)
+    v = box_stable(pd, fam.region)
+    assert v.status is Status.ROBUSTLY_STABLE and v.reason.startswith("bisected into 566 sub-boxes")
+    terms = np.zeros((4, pd.rows.shape[1]))
+    terms[pd.masks] = pd.rows
+    exact_terms = [[Fraction(x) for x in row] for row in terms]
+    inexact = checked = 0
+    for lam, corners, errors in boxes:
+        for corner_lams, rows, bounds in zip(lam.reshape(-1, 2), corners.reshape(-1, corners.shape[2]),
+                                             errors.reshape(-1, errors.shape[2])):
+            l1, l2 = (Fraction(x) for x in corner_lams)
+            for i, (row, bound) in enumerate(zip(rows, bounds)):
+                exact = sum(w * t[i] for w, t in zip((1, l1, l2, l1 * l2), exact_terms))
+                assert abs(exact - Fraction(row)) <= Fraction(bound)
+                inexact += exact != Fraction(row)
+                checked += 1
+    assert sum(lam.shape[0] for lam, _, _ in boxes) == 566 and inexact > checked // 2
+
+
+@pytest.mark.parametrize(
+    "region, tol",
+    [
+        # every member is 0.7 or more inside D(-3 + 2j, 3.5), but the first
+        # two sub-box centres lie outside the tested disk D(-3, 1.5)
+        (Disk(-3.0 + 2.0j, 3.5), Tolerances()),
+        # the loose band: the centres' margins, about 1.04, are below 1.8
+        (HurwitzHalfPlane(), Tolerances(zero_margin=0.9)),
+    ],
+)
+def test_bisection_stops_at_a_centre_within_twice_zero_margin(region, tol):
+    # no rung of such a centre's ladder counts, so bisection stops at the
+    # first round instead of spending its budget, and the least margin
+    # measured is far outside the witness window: Inconclusive
+    fam = MatrixFamily(fixture_family("demo3x3").entries, region)
+    v = box_stable(det_parametric(config_at(fam, 0)), region, tol)
+    assert v.status is Status.INCONCLUSIVE and v.margin is None and v.witness is None
+    assert v.reason.startswith("bisection stopped after 2 sub-boxes: a sub-box centre lies within 2 * zero_margin")
+    assert float(v.reason.rsplit(" ", 1)[1]) > 0.5
 
 
 def stiff_segment():
-    # (s + 1)**24 keeps the origin out, but the Lipschitz bound of its
-    # binomial coefficients is so loose near omega = 1 that certifying it
-    # needs more boundary samples than the refinement budget
+    # (s + 1)**24 keeps every root inside, but the box test's guarded Routh
+    # test cannot certify its binomial coefficients, on any sub-box
     return ParametricDeterminant.from_terms(1, {0: from_roots([-1.0] * 24), 1: Polynomial([0.01])})
 
 
-def geometric_segment(scale):
-    # degree 24 as well, with roots spread from -0.1 to -10: certified
-    p = from_roots(list(-np.geomspace(0.1, 10.0, 24) * scale))
-    return ParametricDeterminant.from_terms(1, {0: p, 1: Polynomial([0.01 * p.coeffs[0]])})
-
-
-@pytest.mark.parametrize("grid", [8, 128, 512])
-def test_refinement_budget_exhausted(grid, monkeypatch):
-    # the budget is 64 samples per seed-grid point, never below 32,768; the
-    # exhausted configuration is Inconclusive, and the two degree-24
-    # segments beside it are certified
-    region = HurwitzHalfPlane()
-    tol = Tolerances(boundary_grid=grid)
-    pds = [geometric_segment(1.0), stiff_segment(), geometric_segment(0.5)]
-    alone = [stab._zero_exclusion_sweep(pd, region, tol) for pd in pds]
-    assert [v.status for v in alone] == [Status.ROBUSTLY_STABLE, Status.INCONCLUSIVE, Status.ROBUSTLY_STABLE]
-    assert alone[1].reason == "boundary refinement budget exhausted"
-    # the box test cannot certify the stiff segment, so box_stable sweeps it
-    assert repr(box_stable(stiff_segment(), region, tol)) == repr(alone[1])
-
-    samples = []
-    margin = stab.hull.batch_origin_margin
-    monkeypatch.setattr(stab.hull, "batch_origin_margin", lambda v: samples.append(len(v)) or margin(v))
-    box_stable(stiff_segment(), region, tol)
-    assert 32_768 < sum(samples) <= 2 * 32_768
-
-
-@pytest.mark.parametrize("hi", [0.0, 1e-300, 1e-13])
-def test_theta_grid_of_empty_and_tiny_ranges(hi):
-    # a shifted half plane right of every root bound sweeps the empty range
-    # (0, 0), whose grid is its one end; the tiny ranges (0, hi) get
-    # distinct finite samples in increasing order, from 0 through hi, and
-    # none outside the range
-    grid = stab._theta_grid(ShiftedHalfPlane(2.0), 0.0, hi, 128)
-    assert grid[0] == 0.0 and hi in grid
-    assert np.isfinite(grid).all() and (np.diff(grid) > 0.0).all()
-    assert ((0.0 <= grid) & (grid <= hi)).all()
-    assert (grid.size == 1) == (hi == 0.0)
-    if hi > 0.0:
-        assert grid.size > 64 + 1  # the geometric part adds samples of its own
-
-
-@pytest.mark.parametrize("hi", [1e-12, 3e-9, 1e-6, 2.5, 1e4])
-def test_theta_grid_from_the_absolute_floor_up(hi):
-    # from hi = 1e-12 up, the geometric part starts at max(hi * 1e-6, 1e-12)
-    half = np.linspace(0.0, hi, 64)
-    geo = np.geomspace(max(hi * 1e-6, 1e-12), hi, 64)
-    want = np.unique(np.concatenate([[0.0], half, geo]))
-    grid = stab._theta_grid(ShiftedHalfPlane(2.0), 0.0, hi, 128)
-    assert grid.tobytes() == want.tobytes()
+@pytest.mark.parametrize("budget", [8, 128, 512])
+def test_refinement_budget_exhausted(budget, monkeypatch):
+    # configuration 2 of mid_run_unstable_family needs 566 sub-boxes; below
+    # that budget, as for the stiff segment at every budget, bisection stops
+    # Inconclusive at the last round that fits, with the budget as reason
+    fam = mid_run_unstable_family()
+    pd = det_parametric(config_at(fam, 2))
+    assert box_stable(pd, fam.region).reason.startswith("bisected into 566 sub-boxes")
+    monkeypatch.setattr(stab, "_SUBBOX_CAP", budget)
+    rounds = [2 ** (j + 1) - 2 for j in range(1, 11)]  # sub-boxes after j full rounds of k = 1
+    for box in (pd, stiff_segment()):
+        v = box_stable(box, fam.region)
+        assert v.status is Status.INCONCLUSIVE and v.margin is None and v.witness is None
+        spent = int(v.reason.split(" sub-boxes")[0].split()[-1])
+        assert f"the budget of {budget} sub-boxes is spent" in v.reason
+        assert budget // 2 <= spent <= budget
+    assert spent == max(r for r in rounds if r <= budget)
 
 
 # ----------------------------------------------------------------------
