@@ -2,7 +2,8 @@
 
 Everything runs through ``edgestab.cli.run`` in-process: exit codes, report
 structure, schema diagnostics, determinism across worker counts, and the
-flag plumbing for regions and tolerances.
+flag plumbing for regions and tolerances.  The cold-start tests alone start a
+fresh interpreter, to see what importing the package pulls in.
 """
 
 from __future__ import annotations
@@ -10,10 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import edgestab
 from edgestab.cli import run
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -452,3 +457,44 @@ def test_report_file_matches_stdout(tmp_path, capsys):
     assert via_file.read_text().strip() == json.dumps(
         rep, sort_keys=True, indent=2
     )
+
+
+# ----------------------------------------------------------------------
+# cold start: the analyzer needs numpy only
+
+PACKAGE_ROOT = str(pathlib.Path(edgestab.__file__).resolve().parents[1])
+
+BLOCKED_SCIPY_RUN = """
+import json, os, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ModuleNotFoundError
+from edgestab.cli import main
+runs = json.loads(sys.argv[1])
+with open(os.devnull, "w") as sink:
+    sys.stdout = sink
+    codes = [main(argv) for argv in runs]
+sys.stdout = sys.__stdout__
+print(json.dumps(codes))
+"""
+
+
+def fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_runs_with_scipy_blocked():
+    runs = [
+        (["analyze", DEMO], 0),
+        (["analyze", BAD_VERTEX, "--jobs", "2"], 1),
+        (["oracle", BAD_VERTEX, "--scheme", "grid"], 1),
+        (["analyze", DEGREE_DROP], 2),
+    ]
+    out = fresh_python(BLOCKED_SCIPY_RUN, json.dumps([argv for argv, _ in runs]))
+    assert json.loads(out) == [code for _, code in runs]
+
+
+def test_importing_the_cli_imports_no_scipy():
+    out = fresh_python("import sys, edgestab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"

@@ -91,6 +91,80 @@ def test_dominance_order():
     )
 
 
+def aggregate_reference(results, total):
+    """The per-configuration fold that stab._aggregate replaced, kept as the reference."""
+    worst = Status.ROBUSTLY_STABLE
+    margin = math.inf
+    witness = None
+    reason = ""
+    outcomes = []
+    for index, v in results:
+        outcomes.append(stab.ConfigOutcome(index, v.status, v.margin, v.reason))
+        if v.status is Status.UNSTABLE and worst is not Status.UNSTABLE:
+            witness = dataclasses.replace(v.witness or stab.Witness(), config_index=index)
+            reason = f"configuration {index}: {v.reason}"
+        elif v.status is not Status.ROBUSTLY_STABLE and stab._DOMINANCE[v.status] > stab._DOMINANCE[worst]:
+            reason = f"configuration {index}: {v.reason}"
+        worst = dominant(worst, v.status)
+        if v.margin is not None:
+            margin = min(margin, v.margin)
+    if worst is Status.ROBUSTLY_STABLE:
+        verdict = stab.Verdict(
+            Status.ROBUSTLY_STABLE,
+            margin=margin if margin != math.inf else None,
+            reason=f"all {total} configurations certified",
+        )
+    elif worst is Status.UNSTABLE:
+        verdict = stab.Verdict(Status.UNSTABLE, margin=margin, witness=witness, reason=reason)
+    else:
+        verdict = stab.Verdict(worst, margin=margin if margin != math.inf else None, reason=reason)
+    return verdict, outcomes
+
+
+def seeded_results(seed):
+    rng = np.random.default_rng(seed)
+    # seed % 4 sets the worst status a mix can reach: RobustlyStable, Inconclusive, Degenerate, Unstable
+    statuses = [Status.ROBUSTLY_STABLE] * 6 + [Status.INCONCLUSIVE, Status.DEGENERATE, Status.UNSTABLE][: seed % 4]
+    results = []
+    for index in range(int(rng.integers(1, 40))):
+        status = statuses[int(rng.integers(len(statuses)))]
+        margin = [None, math.inf, float(rng.normal())][int(rng.integers(3))]
+        witness = None
+        if status is Status.UNSTABLE and rng.random() < 0.7:
+            witness = stab.Witness(lam=(float(rng.random()),), root=complex(rng.normal(), rng.normal()))
+        results.append((index, stab.Verdict(status, margin=margin, witness=witness, reason=f"r{seed}.{index}")))
+    return results
+
+
+def verdicts(*statuses, margins=None):
+    margins = margins or [0.5] * len(statuses)
+    return [(i, stab.Verdict(s, margin=m, reason=f"v{i}")) for i, (s, m) in enumerate(zip(statuses, margins))]
+
+
+RS, INC, DEG, UNS = Status.ROBUSTLY_STABLE, Status.INCONCLUSIVE, Status.DEGENERATE, Status.UNSTABLE
+AGGREGATE_CASES = {
+    "unstable_first": verdicts(UNS, RS, DEG, UNS),
+    "unstable_mid_list": verdicts(RS, INC, UNS, DEG, UNS, RS),
+    "degenerate_after_inconclusive": verdicts(RS, INC, INC, DEG, INC, DEG),
+    "inconclusive_after_degenerate": verdicts(DEG, INC, RS),
+    "stable_none_and_inf_margins": verdicts(RS, RS, RS, margins=[None, math.inf, None]),
+    "stable_margins_all_none": verdicts(RS, RS, margins=[None, None]),
+    "unstable_inf_margins": verdicts(INC, UNS, margins=[math.inf, math.inf]),
+    "degenerate_none_margins": verdicts(DEG, RS, margins=[None, None]),
+    "family_certificate": [(i, stab.Verdict(RS, margin=0.25, reason="family")) for i in range(300)],
+    **{f"seed{seed}": seeded_results(seed) for seed in range(40)},
+}
+
+
+@pytest.mark.parametrize("case", list(AGGREGATE_CASES))
+def test_aggregate_matches_the_per_configuration_fold(case):
+    results = AGGREGATE_CASES[case]
+    verdict, outcomes = stab._aggregate(results, len(results))
+    want_verdict, want_outcomes = aggregate_reference(results, len(results))
+    assert verdict == want_verdict
+    assert outcomes == want_outcomes
+
+
 def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(zero_margin=0.0)
