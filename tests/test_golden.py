@@ -79,3 +79,50 @@ def test_reports_match_golden(golden, argv, tmp_path):
     _assert_matches(_normalised(text), want)
     if command == "analyze":
         assert _report(argv + ["--jobs", "2"], tmp_path, "jobs2.json") == text
+
+
+# ``tests/golden/oracle_bitwise.json`` pins ``sample_family(...).describe()``
+# bit for bit: every float is compared through its ``repr``, which a change
+# in the last bit alters.  Regenerate it with ``python tests/test_golden.py``
+# only for an intended change of the oracle's numbers, and say why in
+# CHANGES.md.
+ORACLE_BITWISE = [
+    ("demo3x3.json", None, "random", 4096, 43),
+    ("dominant4_partial.json", "shifted:-0.2", "random", 4096, 43),
+    ("dominant4_partial.json", "shifted:-0.2", "grid", 1000, 0),
+    ("mixed_lengths.json", None, "grid", 1000, 0),
+    ("diagonal3.json", "disk:-2,2.5", "random", 4096, 43),
+    ("vertex_insufficiency.json", None, "grid", 1000, 0),
+    ("cancellation.json", None, "random", 4096, 43),
+]
+
+
+def _bitwise(x):
+    """``x`` with every float replaced by its ``repr``."""
+    if isinstance(x, dict):
+        return {k: _bitwise(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bitwise(v) for v in x]
+    if isinstance(x, float):
+        return repr(x)
+    return x
+
+
+def _oracle_bitwise_report(family, region, scheme, budget, seed) -> dict:
+    from edgestab.cli import _region_from_flag, parse_family
+    from edgestab.oracle import sample_family
+
+    fam = parse_family(str(FIXTURES / family), _region_from_flag(region) if region else None)
+    return _bitwise(sample_family(fam, budget=budget, seed=seed, scheme=scheme).describe())
+
+
+@pytest.mark.parametrize("case", ORACLE_BITWISE, ids=lambda c: "-".join(str(x) for x in c))
+def test_oracle_reports_match_golden_bitwise(case):
+    want = json.loads((GOLDEN / "oracle_bitwise.json").read_text())
+    key = "|".join(str(x) for x in case)
+    assert _oracle_bitwise_report(*case) == want[key]
+
+
+if __name__ == "__main__":
+    doc = {"|".join(str(x) for x in case): _oracle_bitwise_report(*case) for case in ORACLE_BITWISE}
+    (GOLDEN / "oracle_bitwise.json").write_text(json.dumps(doc, indent=1) + "\n")
