@@ -27,16 +27,20 @@ exactly the product of monomials.  Sums zero-pad every axis to the larger
 size and never broadcast: a size-1 slot axis holds no ``lam_slot`` term, so
 it must not be copied onto index 1.  Inside the core the power axis comes
 first: each cell enters as a view with its first and last axes swapped, so
-a batch axis comes last, and the result leaves swapped back as one
-contiguous ``(..., L)`` copy.  Each convolution pass then adds contiguous
-batch rows rather than strided columns of ``L`` values, which halves the
-cost of a batch of thousands, and every product and sum rounds exactly as
-in a last-axis convolution.  A concrete determinant becomes a
-``Polynomial``, a parametric one the arrays of its nonzero masks and
-coefficient rows; both drop only exactly-zero trailing coefficients, so a
-leading one that nearly cancels is kept.  Bisection's sub-box corners and
-centres, ``coefficient_box`` and ``assemble`` all weight those rows by
-``monomial_weights``.
+a batch axis comes last, and the result leaves swapped back as a view of
+the coefficient-first array the expansion built.  Each convolution pass
+then adds contiguous batch rows rather than strided columns of ``L``
+values, which halves the cost of a batch of thousands, and every product
+and sum rounds exactly as in a last-axis convolution.  A caller that keeps
+its batches coefficient-first, as the sampling oracle keeps its (L, B)
+cells, passes their transposes and takes the transpose of the result, so
+no layout is copied on either side; a cell that is the same in every
+member may be a stride-0 view along its batch axis.  A concrete
+determinant becomes a ``Polynomial``, a parametric one the arrays of its
+nonzero masks and coefficient rows; both drop only exactly-zero trailing
+coefficients, so a leading one that nearly cancels is kept.  Bisection's
+sub-box corners and centres, ``coefficient_box`` and ``assemble`` all
+weight those rows by ``monomial_weights``.
 
 ``det_parametric_run`` computes a run's dense terms with one ``_laplace``
 call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
@@ -68,7 +72,8 @@ from .region import _gamma, _up
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of coefficient-first arrays ``(L, ...)``: convolve axis 0, broadcast the rest.
 
-    Each pass adds one scaled copy of ``b`` into contiguous rows of a
+    Each pass multiplies one coefficient of ``a`` into a single scratch
+    buffer shaped like ``b`` and adds that into contiguous rows of a
     zero-initialised accumulator, in ascending order of ``a``'s powers, so
     every coefficient is the same sum of the same products, rounded in the
     same order, as a convolution of the last axis would give.
@@ -76,9 +81,11 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] > b.shape[0]:
         a, b = b, a
     la, lb = a.shape[0], b.shape[0]
-    out = np.zeros((la + lb - 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    for i in range(la):
-        out[i : i + lb] += a[i] * b
+    scratch = np.multiply(a[0], b, order="C")
+    out = np.zeros((la + lb - 1,) + scratch.shape[1:])
+    out[:lb] += scratch
+    for i in range(1, la):
+        out[i : i + lb] += np.multiply(a[i], b, out=scratch)
     return out
 
 
@@ -104,14 +111,24 @@ def _laplace(cells, unsigned: bool = False) -> np.ndarray:
     bounds the magnitudes that ``det_enclosure`` needs.
 
     Cells come in and the determinant goes out as ``(..., L)``, but the
-    expansion runs coefficient-first: each cell enters as a view with its
-    ``s``-power axis swapped with its first axis, so ``_polymul`` adds whole
-    contiguous batch rows instead of strided coefficient columns, and the
-    result leaves swapped back as one contiguous copy.  Every number, signed
-    zeros and infinities included, is bitwise that of a last-axis
-    expansion, and every NaN falls in the same place; only a NaN's sign,
-    which IEEE 754 leaves unspecified and numpy's vectorised add picks by
-    memory position, may differ.
+    expansion runs coefficient-first, shape ``(L, ...)``: each cell enters
+    as a view with its ``s``-power axis swapped with its first axis, so
+    ``_polymul`` adds whole contiguous batch rows instead of strided
+    coefficient columns, and the result leaves as the same swapped view of
+    the coefficient-first array the expansion built, with nothing copied
+    (for n = 1 it is the cell itself).  The sampling oracle keeps its
+    cells coefficient-first, shape (L, B), and passes their transposes, so
+    its cells enter and its determinants leave contiguous and uncopied; a
+    single-vertex cell is a stride-0 view along the batch axis, which the
+    products read like any other.  Each minor sums its terms in place into
+    one zero-initialised array, adding the even-position terms and
+    subtracting the odd-position ones: ``x - y`` is ``x + (-y)`` bit for
+    bit, and the zero start turns every -0.0 into +0.0 as the pairwise
+    sums of zero-padded copies did.  Every number, signed zeros and
+    infinities included, is bitwise that of a last-axis expansion, and
+    every NaN falls in the same place; only a NaN's sign, which IEEE 754
+    leaves unspecified and numpy's vectorised add picks by memory position,
+    may differ.
     """
     n = len(cells)
     cells = [[cell.swapaxes(0, -1) for cell in row] for row in cells]
@@ -121,15 +138,17 @@ def _laplace(cells, unsigned: bool = False) -> np.ndarray:
             row = cells[n - size]
             cur = {}
             for cols in itertools.combinations(range(n), size):
-                acc = None
-                for pos, j in enumerate(cols):
-                    term = _polymul(row[j], prev[cols[:pos] + cols[pos + 1 :]])
+                terms = [_polymul(row[j], prev[cols[:pos] + cols[pos + 1 :]]) for pos, j in enumerate(cols)]
+                acc = np.zeros(tuple(map(max, *(term.shape for term in terms))))
+                for pos, term in enumerate(terms):
+                    part = acc[tuple(slice(0, x) for x in term.shape)]
                     if pos % 2 and not unsigned:
-                        term = -term
-                    acc = term if acc is None else _polyadd(acc, term)
+                        part -= term
+                    else:
+                        part += term
                 cur[cols] = acc
             prev = cur
-    return np.ascontiguousarray(prev[tuple(range(n))].swapaxes(0, -1))
+    return prev[tuple(range(n))].swapaxes(0, -1)
 
 
 def det_matrix(grid) -> Polynomial:

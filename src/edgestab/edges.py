@@ -187,7 +187,10 @@ class VertexTable:
                 self.rows[c, a, : v.coeffs.size] = v.coeffs
                 self.lengths[c, a] = v.coeffs.size
                 self.truncated[c, a] = v.truncated
-                self.same[c, a, : len(vs)] = [v == w for w in vs]
+            # equal vertices have equal lengths and equal padded rows; every
+            # coefficient is finite, so this is ``Polynomial.__eq__``
+            k, rows, lengths = len(vs), self.rows[c, : len(vs)], self.lengths[c, : len(vs)]
+            self.same[c, :k, :k] = (lengths[:, None] == lengths) & (rows[:, None] == rows).all(axis=-1)
         # a block takes every vertex choice of each column but its pattern
         # cell's, which it replaces by that cell's segments
         column = [math.prod(counts[j::n]) for j in range(n)]

@@ -3,34 +3,39 @@
 Independent of the edge-configuration machinery: members are drawn directly
 from the family (random simplex/box weights or a structured grid), and root
 margins are measured against the region.  Every member is measured on one
-path: per-cell weight arrays mix the cells' coefficient arrays, padded to
-the family's longest cell, and each mixed cell is cut back to its own
-length as a coefficient-major copy (``_coeff_batches``).  One
-``det._laplace`` call takes the batch's cells with a leading batch axis,
-so no product runs over padding and every cell's coefficient-first view is
-contiguous, and ``region.member_margins``, the analyzer's member-margin
-rule, measures the determinant rows.  ``member_margin`` is that path's
-batch of one, and serves the witness-guided counterexample search.  The
-worst sampled member is re-measured through it before it is reported: a
-polytope cell's mix is a matrix product, and with three or more vertices
-it can round differently at batch 1 than at batch 2048, so the re-measure
-is what makes ``member_margin`` reproduce every record bit for bit.  Only
-the members that could still be the worst are root-solved, in blocks of
-64: the first block of the first chunk, and then every member that
+path, which keeps a batch of B members coefficient-first from the cell mix
+to the screen: each cell is an (L, B) array at the cell's own length, row l
+holding every member's coefficient of s**l (``_coeff_batches``).  A polytope
+cell with several vertices is mixed as one transposed matrix product at the
+family's longest cell and cut to its leading rows, an interval cell
+coefficient by coefficient, and a single-vertex cell, the same in every
+member, enters as a stride-0 broadcast of its vertex, with nothing mixed or
+copied.  One ``det._laplace`` call takes the cells' transposes and hands
+back the (L, B) determinants as the transpose of the array it built, so no
+product runs over padding and no layout is copied.
+``region.margins_exceed`` screens those determinants as they are, and
+``region.member_margins``, the analyzer's member-margin rule, measures the
+members it leaves.  ``member_margin`` is that path's batch of one, and
+serves the witness-guided counterexample search.  The worst sampled member
+is re-measured through it before it is reported: a polytope cell's mix is
+a matrix product, and with three or more vertices it can round differently
+at batch 1 than at batch 2048, so the re-measure is what makes
+``member_margin`` reproduce every record bit for bit.  Only the members
+that could still be the worst are root-solved, in blocks of 64: the first
+block of the first chunk, and then every member that
 ``region.margins_exceed`` (Lipatov and Sokolov's screen, then a guarded
 Routh test) cannot clear above the running worst margin U plus a slack of
-1e-6 (1 + |U|).  Each block that lowers U clears the members still
-waiting again, at the new U.  A cleared member's computed margin exceeds
-U, so it can never be the first member of least margin, and every report
-is bitwise the one that solving every member gives.  Disks clear nothing,
-so every disk member is solved.  A family whose every determinant is a
-nonzero constant reports its first sampled member, with margin +inf and
-no root.  Families whose vertex polynomials (polytope vertices or
-Kharitonov vertices of interval cells) lost coefficients at construction
-are refused, as the analyzer calls them Degenerate, and so are families
-with a sampled member whose determinant overflows float64.  Used to
-cross-validate the symbolic decision path and to hunt for explicit
-unstable members.
+1e-6 (1 + |U|).  Each block that lowers U clears the members still waiting
+again, at the new U.  A cleared member's computed margin exceeds U, so it
+can never be the first member of least margin, and every report is bitwise
+the one that solving every member gives.  Disks clear nothing, so every
+disk member is solved.  A family whose every determinant is a nonzero
+constant reports its first sampled member, with margin +inf and no root.
+Families whose vertex polynomials (polytope vertices or Kharitonov vertices
+of interval cells) lost coefficients at construction are refused, as the
+analyzer calls them Degenerate, and so are families with a sampled member
+whose determinant overflows float64.  Used to cross-validate the symbolic
+decision path and to hunt for explicit unstable members.
 """
 
 from __future__ import annotations
@@ -195,29 +200,42 @@ def _grid_sizes(cells, first: list[int], level: int) -> list[int]:
 
 
 def _coeff_batches(cells, weight_arrays):
-    """Per-cell (batch, length) coefficient arrays from per-cell weights, each at its own length.
+    """Per-cell (length, batch) coefficient-first arrays from per-cell weights, each at its own length.
 
-    Each cell is mixed at the padded width and then cut to its own length as
-    a coefficient-major copy, so ``_laplace``'s coefficient-first view of it
-    is contiguous and no product runs over padding.  The padding only ever
-    added exact zeros, so every determinant is the padded expansion's bit
-    for bit unless a cell is longer than a minor of three or more
+    Row l of a cell's array holds its coefficient of s**l in every member
+    of the batch, contiguously, so ``_laplace`` convolves whole rows and no
+    product runs over padding.  A single-vertex cell is the same in every
+    member and enters as a stride-0 broadcast of its vertex, with nothing
+    mixed or copied.  A polytope cell with several vertices is mixed as the
+    transposed product ``arr.T @ w.T`` at the padded width, which rounds as
+    the row-major mix ``w @ arr`` does, and cut to its leading rows; an
+    interval cell is mixed coefficient by coefficient.  The padding only
+    ever added exact zeros, so every determinant is the padded expansion's
+    bit for bit unless a cell is longer than a minor of three or more
     coefficients that it multiplies: ``_polymul`` then loops over the minor,
     and its sums run in the other order.
     """
     out = []
     for (kind, arr, length), w in zip(cells, weight_arrays):
-        if kind == "polytope":
-            mixed = w @ arr
+        if kind == "interval":
+            w = np.ascontiguousarray(w[:, :length].T)
+            out.append(arr[0, :length, None] * (1.0 - w) + arr[1, :length, None] * w)
+        elif arr.shape[0] == 1:
+            out.append(np.broadcast_to(arr[0, :length, None], (length, w.shape[0])))
         else:
-            mixed = arr[0][None, :] * (1.0 - w) + arr[1][None, :] * w
-        out.append(np.ascontiguousarray(mixed[:, :length].T).T)
+            out.append((arr.T @ w.T)[:length])
     return out
 
 
 def _determinants(n: int, coeffs) -> np.ndarray:
-    """(batch, L) determinant rows of the members whose cells are ``coeffs``, row-major."""
-    return _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
+    """(L, batch) coefficient-first determinants of the members whose cells are ``coeffs``.
+
+    ``_laplace`` takes each (length, batch) cell as its (batch, length)
+    transpose, expands it coefficient-first again, and returns the
+    transpose of its coefficient-first result, so no layout is copied on
+    the way in or out.
+    """
+    return _laplace([[c.T for c in coeffs[i * n : (i + 1) * n]] for i in range(n)]).T
 
 
 def member_margin(fam: MatrixFamily, weights) -> tuple[float, complex | None]:
@@ -246,14 +264,12 @@ def member_margin(fam: MatrixFamily, weights) -> tuple[float, complex | None]:
         rows.append(w[None])
     coeffs = _coeff_batches(cells, rows)
     for (kind, _, _), e, c in zip(cells, entries, coeffs):
-        if kind == "interval" and (
-            np.any(c[0, : e.length] < e.lower - 1e-9) or np.any(c[0, : e.length] > e.upper + 1e-9)
-        ):
+        if kind == "interval" and (np.any(c[:, 0] < e.lower - 1e-9) or np.any(c[:, 0] > e.upper + 1e-9)):
             raise ValueError("coefficients leave the interval box")
     det = _determinants(fam.n, coeffs)
     if not np.isfinite(det).all():
         raise ValueError("the member's determinant overflows float64")
-    margins, roots = member_margins(fam.region, det)
+    margins, roots = member_margins(fam.region, det.T)
     return float(margins[0]), roots[0]
 
 
@@ -296,18 +312,18 @@ def sample_family(
         det = _determinants(n, _coeff_batches(cells, weight_arrays))
         if not np.isfinite(det).all():
             raise ValidationFailure("a sampled member's determinant overflows float64")
-        margins = np.full(det.shape[0], math.inf)
+        margins = np.full(det.shape[1], math.inf)
         # solve the members the bar cannot clear a block at a time, and clear
         # the rest again each time a block lowers the bar; the first chunk's
         # first bar is the exact worst of its first block
-        pending, bar, cleared_at = np.arange(det.shape[0]), worst_margin, math.inf
+        pending, bar, cleared_at = np.arange(det.shape[1]), worst_margin, math.inf
         while pending.size:
             if bar < cleared_at:
-                pending = pending[~margins_exceed(fam.region, det[pending], bar + _SLACK * (1.0 + abs(bar)))]
+                pending = pending[~margins_exceed(fam.region, det[:, pending], bar + _SLACK * (1.0 + abs(bar)))]
                 cleared_at = bar
             block, pending = pending[:_BLOCK], pending[_BLOCK:]
             if block.size:
-                margins[block] = member_margins(fam.region, det[block])[0]
+                margins[block] = member_margins(fam.region, det[:, block].T)[0]
                 bar = min(bar, float(margins[block].min()))
         r = int(np.argmin(margins))
         # a family whose every determinant is a nonzero constant keeps its first member

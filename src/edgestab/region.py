@@ -10,13 +10,16 @@ analyzer's all-vertex members to witnesses and the sampling oracle's members.
 
 ``margins_exceed`` is a filter in front of that rule, not a second margin
 rule: it can only say "every root lies more than tau inside" (True) or
-"cannot tell" (False), and never solves a root.  Each Taylor-shifted row
-and its error bounds make a coefficient box; Lipatov and Sokolov's
-sufficient Hurwitz condition, a few products per coefficient, screens it
-first, and only the rows it leaves go on to a guarded Routh-Hurwitz test.
-The sampling oracle root-solves only the members it cannot clear, because
-a cleared member cannot be its worst.  Disks clear nothing, so every disk
-member is solved.
+"cannot tell" (False), and never solves a root.  It takes the sampling
+oracle's determinants as they are, coefficient-first, shape (L, B): the
+Taylor shift of every member is one (L x L) @ (L x B) product, and each
+shifted member and its error bounds make a coefficient box.  Lipatov and
+Sokolov's sufficient Hurwitz condition, a few products per coefficient,
+screens it first, reading whole contiguous coefficient rows, and only the
+members it leaves go on to a guarded Routh-Hurwitz test.  The sampling
+oracle root-solves only the members it cannot clear, because a cleared
+member cannot be its worst.  Disks clear nothing, so every disk member is
+solved.
 
 ``boxes_exceed`` is the analyzer's box test on whole coefficient boxes: it
 maps each box into the Hurwitz frame of the region tightened by tau (the
@@ -111,11 +114,11 @@ class Disk:
 Region = HurwitzHalfPlane | ShiftedHalfPlane | Disk
 
 
-def _row_degrees(det_coeffs: np.ndarray) -> np.ndarray:
-    """Index of each row's last nonzero coefficient; -1 for a zero row."""
-    nonzero = det_coeffs != 0.0
-    last = det_coeffs.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.where(nonzero.any(axis=1), last, -1)
+def _degrees(coeffs: np.ndarray) -> np.ndarray:
+    """Index of each column's last nonzero coefficient in (L, B) coefficient-first rows; -1 for a zero column."""
+    nonzero = coeffs != 0.0
+    last = coeffs.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
+    return np.where(nonzero.any(axis=0), last, -1)
 
 
 def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, list]:
@@ -132,7 +135,7 @@ def member_margins(region: Region, det_coeffs: np.ndarray) -> tuple[np.ndarray, 
     no root.
     """
     finite = np.isfinite(det_coeffs).all(axis=1)
-    degrees = _row_degrees(det_coeffs)
+    degrees = _degrees(det_coeffs.T)
     degrees[~finite] = 0
     margins = np.where(finite, np.where(degrees < 0, -math.inf, math.inf), math.nan)
     roots_out = [0.0 + 0.0j if deg < 0 else None for deg in degrees]
@@ -155,28 +158,32 @@ _UNIT = 2.0**-53
 
 
 def margins_exceed(region: Region, det_coeffs: np.ndarray, tau: float) -> np.ndarray:
-    """Rows of (B, L) ascending determinant rows whose every root lies more than tau inside.
+    """Columns of (L, B) coefficient-first determinant rows whose every root lies more than tau inside.
 
-    Conservative: True means a sufficient Hurwitz test shows it; False means
-    only that it could not.  For a half plane Re(z) < sigma a row p passes
-    when the Taylor-shifted row q(s) = p(s + sigma - tau) (``_hurwitz_frame``,
-    with sigma - tau rounded down) passes, each coefficient of q carrying an
-    error of ``FILTER_GUARD`` times the bound that the same shift gives on
-    p's magnitudes.  Every row first meets Lipatov and Sokolov's screen on
-    that error box (``_lipatov_sokolov``); only the rows it leaves go on to
-    the guarded Routh-Hurwitz test (``_routh_passes``).  A zero, constant or
-    non-finite row, a row whose shift overflows, a non-finite tau and every
-    row of a disk region pass nothing.
+    Row l of ``det_coeffs`` holds the coefficients of s**l of B members, one
+    member per column, as the sampling oracle keeps them.  Conservative:
+    True means a sufficient Hurwitz test shows it; False means only that it
+    could not.  For a half plane Re(z) < sigma a member p passes when the
+    Taylor-shifted q(s) = p(s + sigma - tau) passes, computed for every
+    member at once as one (L x L) @ (L x B) product with the transposed
+    frame of ``_hurwitz_frame`` (sigma - tau rounded down), each coefficient
+    of q carrying an error of ``FILTER_GUARD`` times the bound that the same
+    shift gives on p's magnitudes.  Every member first meets Lipatov and
+    Sokolov's screen on that error box (``_lipatov_sokolov``); only the
+    members it leaves go on to the guarded Routh-Hurwitz test
+    (``_routh_passes``).  A zero, constant or non-finite member, a member
+    whose shift overflows, a non-finite tau and every member of a disk
+    region pass nothing.
     """
     shift = (region.sigma if isinstance(region, ShiftedHalfPlane) else 0.0) - tau
     if isinstance(region, Disk) or not math.isfinite(shift):
-        return np.zeros(det_coeffs.shape[0], dtype=bool)
-    taylor, taylor_abs, _ = _hurwitz_frame(region, np.array(float(tau)), det_coeffs.shape[1])
+        return np.zeros(det_coeffs.shape[1], dtype=bool)
+    taylor, taylor_abs, _ = _hurwitz_frame(region, np.array(float(tau)), det_coeffs.shape[0])
     with np.errstate(all="ignore"):
-        shifted = det_coeffs @ taylor
-        errors = FILTER_GUARD * (np.abs(det_coeffs) @ taylor_abs)
-        finite = np.isfinite(shifted).all(axis=1) & np.isfinite(errors).all(axis=1)
-        degrees = np.where(finite, _row_degrees(det_coeffs), -1)
+        shifted = taylor.T @ det_coeffs
+        errors = FILTER_GUARD * (taylor_abs.T @ np.abs(det_coeffs))
+        finite = np.isfinite(shifted).all(axis=0) & np.isfinite(errors).all(axis=0)
+        degrees = np.where(finite, _degrees(det_coeffs), -1)
         screened = _lipatov_sokolov(shifted, errors, degrees)
         return screened | _routh_passes(shifted, errors, np.where(screened, -1, degrees))
 
@@ -191,55 +198,56 @@ _TINY = np.finfo(float).tiny
 
 
 def _lipatov_sokolov(rows: np.ndarray, errors: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Rows of (B, L) ascending rows whose every polynomial within ``errors`` is Hurwitz, by a sufficient test.
+    """Columns of (L, B) coefficient-first rows whose every polynomial within ``errors`` is Hurwitz, by a sufficient test.
 
-    Row b is a polynomial of degree ``degrees[b]``, its sign taken from its
-    leading coefficient, and coefficient l lies in [lo_l, hi_l], the
+    Column b is a polynomial of degree ``degrees[b]``, its sign taken from
+    its leading coefficient, and coefficient l lies in [lo_l, hi_l], the
     computed q_l - errors_l and q_l + errors_l.  A polynomial with positive
     coefficients a_0 .. a_d is Hurwitz when a_{i-1} a_{i+2} <= 0.4655 a_i
     a_{i+1} for every 0 < i < d - 1 (Lipatov and Sokolov, Automation and
     Remote Control 39, 1978).  The condition only gets easier as a_i and
     a_{i+1} grow and as a_{i-1} and a_{i+2} shrink, so one corner of the box
-    covers every polynomial in it: the row passes when every lo_l is a
+    covers every polynomial in it: the column passes when every lo_l is a
     normal positive float and hi_{i-1} hi_{i+2} <= 0.4655 lo_i lo_{i+1}
     holds for every i with a finite normal right side.  Normal floats keep
     every rounding relative, and ``_LIPATOV_SOKOLOV`` takes it off the
     constant.  A degree below 1 passes nothing; degrees 1 and 2 need
-    positive bounds only.
+    positive bounds only.  Every comparison reads whole contiguous
+    coefficient rows.
     """
-    lead = np.take_along_axis(rows, np.maximum(degrees, 0)[:, None], axis=1)
+    lead = np.take_along_axis(rows, np.maximum(degrees, 0)[None], axis=0)
     q = rows * np.sign(lead)
     lo, hi = q - errors, q + errors
-    beyond = np.arange(rows.shape[1]) > degrees[:, None]
-    ok = (degrees > 0) & ((lo >= _TINY) | beyond).all(axis=1)
-    right = _LIPATOV_SOKOLOV * (lo[:, 1:-2] * lo[:, 2:-1])
-    holds = (hi[:, :-3] * hi[:, 3:] <= right) & (right >= _TINY) & (right < math.inf)
-    return ok & (holds | beyond[:, 3:]).all(axis=1)
+    beyond = np.arange(rows.shape[0])[:, None] > degrees
+    ok = (degrees > 0) & ((lo >= _TINY) | beyond).all(axis=0)
+    right = _LIPATOV_SOKOLOV * (lo[1:-2] * lo[2:-1])
+    holds = (hi[:-3] * hi[3:] <= right) & (right >= _TINY) & (right < math.inf)
+    return ok & (holds | beyond[3:]).all(axis=0)
 
 
 def _routh_passes(rows: np.ndarray, errors: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Rows of (B, L) ascending rows shown Hurwitz with room to spare by a guarded Routh test.
+    """Columns of (L, B) coefficient-first rows shown Hurwitz with room to spare by a guarded Routh test.
 
-    Row b is tested as a polynomial of degree ``degrees[b]``; a degree below
-    1 passes nothing.  ``errors`` (B, L) bounds the error each coefficient
-    carries.  A row passes when every coefficient has the leading
-    coefficient's sign and clears its error, and every first-column entry of
-    its Routh array (Gantmacher, *The Theory of Matrices*, vol. 2, ch. XV)
-    is positive and clears a first-order bound on the error it carries from
-    those seeds and from its own rounding.
+    Column b is tested as a polynomial of degree ``degrees[b]``; a degree
+    below 1 passes nothing.  ``errors`` (L, B) bounds the error each
+    coefficient carries.  A column passes when every coefficient has the
+    leading coefficient's sign and clears its error, and every first-column
+    entry of its Routh array (Gantmacher, *The Theory of Matrices*, vol. 2,
+    ch. XV) is positive and clears a first-order bound on the error it
+    carries from those seeds and from its own rounding.
     """
-    out = np.zeros(rows.shape[0], dtype=bool)
+    out = np.zeros(rows.shape[1], dtype=bool)
     with np.errstate(all="ignore"):
         for d in np.unique(degrees[degrees > 0]):
             picks = np.nonzero(degrees == d)[0]
-            q = rows[picks, : d + 1] * np.sign(rows[picks, d : d + 1])
-            err = errors[picks, : d + 1]
-            ok = (q > err).all(axis=1)
+            q = rows[: d + 1, picks] * np.sign(rows[d, picks])
+            err = errors[: d + 1, picks]
+            ok = (q > err).all(axis=0)
             # Routh rows [q_d, q_{d-2}, ...] and [q_{d-1}, q_{d-3}, ...] down axis 0,
             # with zeros past their ends
             top, top_err, low, low_err = np.zeros((4, d // 2 + 2, picks.size))
-            top[: d // 2 + 1], top_err[: d // 2 + 1] = q[:, d::-2].T, err[:, d::-2].T
-            low[: (d + 1) // 2], low_err[: (d + 1) // 2] = q[:, d - 1 :: -2].T, err[:, d - 1 :: -2].T
+            top[: d // 2 + 1], top_err[: d // 2 + 1] = q[d::-2], err[d::-2]
+            low[: (d + 1) // 2], low_err[: (d + 1) // 2] = q[d - 1 :: -2], err[d - 1 :: -2]
             for _ in range(d):
                 ok &= low[0] > low_err[0]
                 ratio = top[0] / low[0]
@@ -373,8 +381,8 @@ def kharitonov_hurwitz(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     ok = (lo[..., -1] > 0.0) & np.isfinite(lo).all(axis=-1) & np.isfinite(hi).all(axis=-1)
     L = lo.shape[-1]
     rows = np.where(_KHARITONOV_LOWER[:, np.arange(L) % 4], lo[..., None, :], hi[..., None, :])
-    flat = np.where(ok[..., None, None], rows, 0.0).reshape(-1, L)
-    passed = _routh_passes(flat, FILTER_GUARD * np.abs(flat), _row_degrees(flat))
+    flat = np.where(ok[..., None, None], rows, 0.0).reshape(-1, L).T
+    passed = _routh_passes(flat, FILTER_GUARD * np.abs(flat), _degrees(flat))
     return ok & passed.reshape(rows.shape[:-1]).all(axis=-1)
 
 

@@ -116,10 +116,6 @@ _DOMINANCE = {
 }
 
 
-def dominant(a: Status, b: Status) -> Status:
-    return a if _DOMINANCE[a] >= _DOMINANCE[b] else b
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric policy knobs shared by the deciders."""

@@ -254,19 +254,36 @@ def test_laplace_is_bitwise_the_batch_last_expansion(n, B, monkeypatch):
     monkeypatch.setattr(det, "_polymul", checked_polymul)
     rng = np.random.default_rng([n, B])
     cases = overflowed = 0
+
+    def check(cells, k, scale, unsigned):
+        nonlocal cases, overflowed
+        want = batch_last_laplace(cells, unsigned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _laplace(cells, unsigned)
+        if n > 1:  # the expansion's own coefficient-first array, handed out as a view
+            assert got.swapaxes(0, -1).flags.c_contiguous
+        assert got.shape == want.shape
+        assert layout_free_bytes(got) == layout_free_bytes(want), (k, scale, unsigned)
+        overflowed += not np.isfinite(got).all()
+        cases += 1
+
     for k in range(min(n, 3) + 1):
         for scale in (1.0, 1e200):
             cells = slot_cells(rng, n, B, k, scale)
             for unsigned in (False, True):
-                want = batch_last_laplace(cells, unsigned)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    got = _laplace(cells, unsigned)
-                assert got.flags.c_contiguous
-                assert got.shape == want.shape
-                assert layout_free_bytes(got) == layout_free_bytes(want), (k, scale, unsigned)
-                overflowed += not np.isfinite(got).all()
-                cases += 1
+                check(cells, k, scale, unsigned)
+    # cells that are the same in every member of the batch, as the sampling
+    # oracle passes single-vertex cells: stride-0 views along the batch axis
+    for k in range(min(n, 3) + 1):
+        for scale in (1.0, 1e200):
+            for every in (False, True):  # the off-diagonal cells, then every cell
+                cells = [
+                    [np.broadcast_to(c[:1], c.shape) if every or i != j else c for j, c in enumerate(row)]
+                    for i, row in enumerate(slot_cells(rng, n, B, k, scale))
+                ]
+                for unsigned in (False, True):
+                    check(cells, k, scale, unsigned)
     assert len(products) == cases * n * (2 ** (n - 1) - 1)
     assert overflowed > 0 or n == 1  # the cells near 1e200 overflowed, and silently
 

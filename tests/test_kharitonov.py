@@ -166,7 +166,7 @@ def test_all_four_kharitonov_polynomials_are_needed(bad):
     rows = np.where(reg._KHARITONOV_LOWER[:, np.arange(7) % 4], lo, hi)
     worst = [float(np.max(np.roots(row[::-1]).real)) for row in rows]
     assert [r for r in range(4) if worst[r] > 0.0] == [bad]
-    passes = reg.margins_exceed(HurwitzHalfPlane(), rows, 0.0)
+    passes = reg.margins_exceed(HurwitzHalfPlane(), rows.T, 0.0)
     assert passes.tolist() == [r != bad for r in range(4)]
     assert not kharitonov_hurwitz(lo, hi)
     # as a box whose seven slots each move one coefficient: its corner members
@@ -193,7 +193,7 @@ def test_bilinear_leading_interval_must_exclude_zero():
     assert np.allclose(mapped[1], [0.99, 2.02, 0.99], rtol=1e-15, atol=0.0)
     lo, hi = mapped.min(axis=0), mapped.max(axis=0)
     rows = np.where(reg._KHARITONOV_LOWER[:, np.arange(3) % 4], lo, hi)
-    assert reg.margins_exceed(HurwitzHalfPlane(), rows, 0.0).all()
+    assert reg.margins_exceed(HurwitzHalfPlane(), rows.T, 0.0).all()
     assert not kharitonov_hurwitz(lo, hi)
     assert not boxes_exceed(region, corners[None], np.zeros((1, 2, 3)), np.array([[0.5]]))[0, 0]
 

@@ -319,7 +319,7 @@ def test_skipping_cleared_members_keeps_every_report(fam, monkeypatch):
         return out
 
     filtered = reports()
-    monkeypatch.setattr(oracle, "margins_exceed", lambda region, rows, tau: np.zeros(rows.shape[0], bool))
+    monkeypatch.setattr(oracle, "margins_exceed", lambda region, rows, tau: np.zeros(rows.shape[1], bool))
     assert filtered == reports()
 
 
@@ -368,10 +368,10 @@ def test_batched_member_determinants_equal_single_member_calls():
     n = fam.n
     cells = _cell_coeff_arrays(fam)
     coeffs = _coeff_batches(cells, _random_weights(cells, 64, np.random.default_rng(11)))
-    batched = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
+    batched = oracle._determinants(n, coeffs)
     for b in range(64):
-        single = _laplace([[coeffs[i * n + j][b : b + 1] for j in range(n)] for i in range(n)])
-        assert np.array_equal(batched[b : b + 1], single)
+        single = oracle._determinants(n, [c[:, b : b + 1] for c in coeffs])
+        assert np.array_equal(batched[:, b : b + 1], single)
 
 
 def _padded_determinants(fam, cells, weights):
@@ -389,6 +389,11 @@ POLYTOPE_FIXTURES = [
 ]
 
 
+def _layout_free_bytes(x: np.ndarray) -> bytes:
+    """The bytes of ``x`` in C order with every NaN written as +nan."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
 @pytest.mark.parametrize("name", POLYTOPE_FIXTURES)
 def test_cells_at_their_own_length_keep_the_padded_determinants(name):
     # a cut cell drops only products with padding zeros; the sums keep their
@@ -400,12 +405,40 @@ def test_cells_at_their_own_length_keep_the_padded_determinants(name):
     for seed in (0, 1):
         weights = _random_weights(cells, 256, np.random.default_rng(seed))
         coeffs = _coeff_batches(cells, weights)
-        assert [c.shape[1] for c in coeffs] == [length for _, _, length in cells]
-        assert all(c.T.flags.c_contiguous for c in coeffs)
+        assert [c.shape for c in coeffs] == [(length, 256) for _, _, length in cells]
+        # a single-vertex cell is a stride-0 view of its vertex; every other
+        # cell is coefficient-first with contiguous rows
+        assert [c.strides[1] == 0 for c in coeffs] == [arr.shape[0] == 1 for _, arr, _ in cells]
+        assert all(c.strides[1] in (0, 8) for c in coeffs)
         det = oracle._determinants(fam.n, coeffs)
+        assert det.shape[1] == 256 and det.flags.c_contiguous
+        # bitwise the determinants of the same cells materialised in memory
+        materialised = oracle._determinants(fam.n, [np.array(c) for c in coeffs])
+        assert _layout_free_bytes(det) == _layout_free_bytes(materialised)
         padded = _padded_determinants(fam, cells, weights)
-        assert np.array_equal(det, padded[:, : det.shape[1]], equal_nan=True)
-        assert not padded[:, det.shape[1] :].any()
+        assert np.array_equal(det.T, padded[:, : det.shape[0]], equal_nan=True)
+        assert not padded[:, det.shape[0] :].any()
+
+
+@pytest.mark.parametrize("name", POLYTOPE_FIXTURES)
+def test_screen_on_the_oracles_batches_never_clears_a_member_at_or_below_the_bar(name):
+    # the skip rule of sample_family on the (L, B) determinants it screens:
+    # a cleared member's computed margin must exceed the bar
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    rng = np.random.default_rng(29)
+    for region in (HurwitzHalfPlane(), ShiftedHalfPlane(-0.2)):
+        fam = parse_family_dict(doc, region)
+        cells = _cell_coeff_arrays(fam)
+        for _ in range(3):
+            det = oracle._determinants(fam.n, _coeff_batches(cells, _random_weights(cells, 512, rng)))
+            margins, _ = member_margins(region, det.T)
+            finite = margins[np.isfinite(margins)]
+            if finite.size == 0:
+                continue
+            for bar in (finite.min(), *np.quantile(finite, [0.01, 0.2, 0.5])):
+                bar = float(bar)
+                cleared = oracle.margins_exceed(region, det, bar + oracle._SLACK * (1.0 + abs(bar)))
+                assert not (cleared & ~(margins > bar)).any()
 
 
 def test_sampled_vertex_members_get_the_analyzers_margins():
@@ -419,8 +452,7 @@ def test_sampled_vertex_members_get_the_analyzers_margins():
         picks = [rng.integers(arr.shape[0], size=64) for _, arr, _ in cells]
         weights = [np.eye(arr.shape[0])[p] for (_, arr, _), p in zip(cells, picks)]
         coeffs = _coeff_batches(cells, weights)
-        det = _laplace([coeffs[i * n : (i + 1) * n] for i in range(n)])
-        margins, _ = member_margins(fam.region, det)
+        margins, _ = member_margins(fam.region, oracle._determinants(n, coeffs).T)
         for b in range(64):
             grid = [[fam.entry(i, j).vertices[picks[i * n + j][b]] for j in range(n)] for i in range(n)]
             assert margins[b] == point_stable(det_matrix(grid), fam.region).margin

@@ -152,7 +152,7 @@ def test_margins_exceed_never_clears_a_member_at_or_below_the_bar(monkeypatch):
                 margins, _ = member_margins(region, rows)
                 for bar in (margins.min(), *np.quantile(margins, [0.01, 0.05, 0.2])):
                     bar = float(bar)
-                    ok = margins_exceed(region, rows, bar + _slack(bar))
+                    ok = margins_exceed(region, rows.T, bar + _slack(bar))
                     assert not (ok & (margins <= bar)).any()
                     cleared += int(ok.sum())
                     tried += rows.shape[0]
@@ -167,7 +167,7 @@ def test_margins_exceed_clears_no_row_with_a_root_on_the_bar():
     for tau in rng.uniform(0.05, 2.0, size=200):
         others = -tau - rng.uniform(0.1, 3.0) + np.array([1j, -1j]) * rng.uniform(0.0, 3.0)
         row = np.real(np.poly([-tau, *others]))[::-1] * 10.0 ** rng.uniform(-3, 3)
-        assert not margins_exceed(HurwitzHalfPlane(), row[None], float(tau)).any()
+        assert not margins_exceed(HurwitzHalfPlane(), row[:, None], float(tau)).any()
 
 
 def _near_screen_boundary(rng, count):
@@ -194,30 +194,30 @@ def _hurwitz(row, d):
 def test_lipatov_sokolov_screen_passes_only_hurwitz_rows():
     rows, degrees = _near_screen_boundary(np.random.default_rng(24), 400)
     stable = np.array([_hurwitz(row, d) for row, d in zip(rows, degrees)])
-    screened = region_module._lipatov_sokolov(rows, np.zeros_like(rows), degrees)
+    screened = region_module._lipatov_sokolov(rows.T, np.zeros_like(rows.T), degrees)
     assert stable[screened].all()
     # the sample reaches past the boundary on both sides of the test
     assert 100 < screened.sum() < stable.sum() < rows.shape[0]
     # through the filter, with its guard, at tau = 0
-    cleared = margins_exceed(HurwitzHalfPlane(), rows, 0.0)
+    cleared = margins_exceed(HurwitzHalfPlane(), rows.T, 0.0)
     assert stable[cleared].all() and cleared[screened].all()
 
 
 def test_lipatov_sokolov_screen_stops_at_its_constant():
     # 0.5 + s + s^2 + s^3 + 0.5 s^4 = (s^2 + 1)(0.5 s^2 + s + 0.5) has roots +-j
     # and every ratio exactly 0.5, so a constant of 0.5 would pass it
-    edge = np.array([[0.5, 1.0, 1.0, 1.0, 0.5]])
-    assert not _hurwitz(edge[0], 4)
+    edge = np.array([[0.5, 1.0, 1.0, 1.0, 0.5]]).T
+    assert not _hurwitz(edge[:, 0], 4)
     assert not region_module._lipatov_sokolov(edge, np.zeros_like(edge), np.array([4])).any()
     assert not margins_exceed(HurwitzHalfPlane(), edge, 0.0).any()
     # the quintic with every ratio lam, a_i = lam**(i*i / 4), is Hurwitz just
     # below 0.4655 and not at 0.466, past Lipatov and Sokolov's 0.46557...
     for lam, hurwitz in ((0.4654, True), (0.466, False)):
-        quintic = lam ** (np.arange(6.0) ** 2 / 4.0)[None]
-        assert _hurwitz(quintic[0], 5) is hurwitz
+        quintic = lam ** (np.arange(6.0) ** 2 / 4.0)[:, None]
+        assert _hurwitz(quintic[:, 0], 5) is hurwitz
         assert region_module._lipatov_sokolov(quintic, np.zeros_like(quintic), np.array([5])).tolist() == [hurwitz]
     # degrees 1 and 2 need positive coefficients only; lower ends must be normal
-    rows = np.array([[1.0, 2.0, 0.0], [1.0, 1e-3, 1e3], [1e-310, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+    rows = np.array([[1.0, 2.0, 0.0], [1.0, 1e-3, 1e3], [1e-310, 1.0, 1.0], [-1.0, 1.0, 1.0]]).T
     assert region_module._lipatov_sokolov(rows, np.zeros_like(rows), np.array([1, 2, 2, 2])).tolist() == [
         True, True, False, False
     ]
@@ -225,7 +225,7 @@ def test_lipatov_sokolov_screen_stops_at_its_constant():
 
 def test_margins_exceed_on_known_roots():
     region = HurwitzHalfPlane()
-    rows = np.array([np.poly([-1.0, -2.0, -3.0])[::-1], np.poly([1.0, -2.0, -3.0])[::-1]])
+    rows = np.array([np.poly([-1.0, -2.0, -3.0])[::-1], np.poly([1.0, -2.0, -3.0])[::-1]]).T
     assert margins_exceed(region, rows, 0.99).tolist() == [True, False]
     assert margins_exceed(region, rows, 1.0).tolist() == [False, False]
     assert margins_exceed(region, rows, -1.01).tolist() == [True, True]
@@ -240,7 +240,7 @@ def test_margins_exceed_edge_rows_stay_uncleared_without_warnings():
     rows = np.array(
         [np.zeros(4), [5.0, 0.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0], stable, [np.inf, 1.0, 1.0, 1.0],
          [np.nan, 1.0, 1.0, 1.0]]
-    )
+    ).T
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert margins_exceed(HurwitzHalfPlane(), rows, -10.0).tolist() == [False] * 3 + [True] + [False] * 2
@@ -250,7 +250,7 @@ def test_margins_exceed_edge_rows_stay_uncleared_without_warnings():
             assert not margins_exceed(ShiftedHalfPlane(-0.5), rows, tau).any()
         # a disk clears nothing, so every disk member is root-solved
         assert not margins_exceed(Disk(0.0, 10.0), rows, -10.0).any()
-        assert not margins_exceed(Disk(-1.0, 0.5), rows[:0], 0.0).any()
+        assert not margins_exceed(Disk(-1.0, 0.5), rows[:, :0], 0.0).any()
 
 
 # ----------------------------------------------------------------------

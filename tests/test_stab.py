@@ -58,7 +58,6 @@ from edgestab.stab import (
     analyze_family_detailed,
     analyze_interval,
     box_stable,
-    dominant,
     point_stable,
     segment_stable,
 )
@@ -83,12 +82,9 @@ def interval(lo, hi):
 
 
 def test_dominance_order():
-    assert dominant(Status.ROBUSTLY_STABLE, Status.UNSTABLE) is Status.UNSTABLE
-    assert dominant(Status.INCONCLUSIVE, Status.DEGENERATE) is Status.DEGENERATE
-    assert dominant(Status.UNSTABLE, Status.DEGENERATE) is Status.UNSTABLE
-    assert (
-        dominant(Status.ROBUSTLY_STABLE, Status.INCONCLUSIVE) is Status.INCONCLUSIVE
-    )
+    rank = stab._DOMINANCE
+    assert rank[Status.UNSTABLE] > rank[Status.DEGENERATE] > rank[Status.INCONCLUSIVE] > rank[Status.ROBUSTLY_STABLE]
+    assert set(rank) == set(Status)
 
 
 def aggregate_reference(results, total):
@@ -105,7 +101,8 @@ def aggregate_reference(results, total):
             reason = f"configuration {index}: {v.reason}"
         elif v.status is not Status.ROBUSTLY_STABLE and stab._DOMINANCE[v.status] > stab._DOMINANCE[worst]:
             reason = f"configuration {index}: {v.reason}"
-        worst = dominant(worst, v.status)
+        if stab._DOMINANCE[v.status] > stab._DOMINANCE[worst]:
+            worst = v.status
         if v.margin is not None:
             margin = min(margin, v.margin)
     if worst is Status.ROBUSTLY_STABLE:
@@ -1090,6 +1087,26 @@ def reference_truncated(cfg):
 def vertex_corners(members, cfg):
     """The corner verdicts ``members`` gives one configuration."""
     return members.solve(np.array(reference_corner_keys(cfg))[None])[0]
+
+
+# every fixture that builds a family (two are schema fixtures that build none)
+FAMILY_FIXTURES = [p.stem for p in sorted(FIXTURES.glob("*.json")) if p.stem not in ("nonfinite_coefficient", "segment_pair")]
+
+
+def duplicate_vertex_family():
+    # repeated vertices, one equal up to the sign of a zero, and a prefix
+    diag = cell([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0], [1.0, -0.0, 3.0], [1.0, 0.0, 3.0], [1.0, 2.0, 0.0])
+    return MatrixFamily([[diag, cell([0.1])], [cell([0.2], [0.2]), diag]], HurwitzHalfPlane())
+
+
+@pytest.mark.parametrize("name", FAMILY_FIXTURES + ["duplicates"])
+def test_vertex_table_same_is_the_pairwise_polynomial_equality(name):
+    table = VertexTable(duplicate_vertex_family() if name == "duplicates" else fixture_family(name))
+    want = np.zeros_like(table.same)
+    for c, vs in enumerate(table.vertices):
+        for a, v in enumerate(vs):
+            want[c, a, : len(vs)] = [v == w for w in vs]
+    assert table.same.dtype == want.dtype and np.array_equal(table.same, want)
 
 
 def stream_runs(fam, bounds=None):
