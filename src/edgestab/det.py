@@ -44,11 +44,10 @@ weight those rows by ``monomial_weights``.
 
 ``det_parametric_run`` computes a run's dense terms with one ``_laplace``
 call: every cell gains a leading batch axis, shape ``(B,) + slot axes +
-(L,)``, which the products broadcast and the sums never pad.  A run's
-configurations share ``VertexTable.signature``, so each cell gathered from
-the table's rows has one length, nothing is padded, and each
-configuration's arithmetic is exactly that of its own determinant;
-``det_parametric`` is the run of one, from an ``EdgeConfiguration``.
+(L,)``, which the products broadcast and the sums never pad.  Cells are
+gathered at ``VertexTable.width``, and padding leaves a determinant's bits
+alone (``_polymul``), so each configuration's determinant is bitwise its
+own; ``det_parametric`` is the run of one, from an ``EdgeConfiguration``.
 
 ``det_enclosure`` runs the same core on cell boxes in midpoint-radius form
 (``cell_boxes``): the centre is the determinant of the midpoints, and the
@@ -76,10 +75,11 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     buffer shaped like ``b`` and adds that into contiguous rows of a
     zero-initialised accumulator, in ascending order of ``a``'s powers, so
     every coefficient is the same sum of the same products, rounded in the
-    same order, as a convolution of the last axis would give.
+    same order, as a convolution of the last axis would give.  ``_laplace``
+    passes the cell as ``a`` and the loop never swaps: zero-padding a cell
+    or a minor only adds zero products before or after the others, so while
+    no minor overflows, padding changes no determinant bit but a zero's sign.
     """
-    if a.shape[0] > b.shape[0]:
-        a, b = b, a
     la, lb = a.shape[0], b.shape[0]
     scratch = np.multiply(a[0], b, order="C")
     out = np.zeros((la + lb - 1,) + scratch.shape[1:])
@@ -231,7 +231,7 @@ class ParametricDeterminant:
 
 
 def _parametric_run(fixed, segments) -> np.ndarray:
-    """Dense parametric terms of B configurations whose cells share their lengths, (B, 2**k, L).
+    """Dense parametric terms of B configurations that share their lambda cells, (B, 2**k, L).
 
     ``fixed[i][j]`` holds cell (i, j) at lambda = 0, shape ``(B, L)``, and
     ``segments`` lists ``(i, j, p1)`` per lambda cell in slot order.  Fixed
@@ -262,22 +262,22 @@ def _parametric_run(fixed, segments) -> np.ndarray:
 
 
 def det_parametric_run(table, ends: np.ndarray) -> np.ndarray:
-    """Dense parametric terms of a run whose configurations share ``table.signature``, (B, 2**k, L).
+    """Dense parametric terms of a run whose configurations share their lambda cells, (B, 2**k, L).
 
-    Each cell's rows are gathered from ``table.rows``, sliced to the run's
-    length of that cell and end; ``ParametricDeterminant.from_dense`` cuts
-    out one configuration's determinant.
+    Each cell's rows are gathered from ``table.rows`` at ``table.width``;
+    ``ParametricDeterminant.from_dense`` cuts out one configuration's
+    determinant.
     """
-    sig = table.signature(ends)
-    if (sig != sig[0]).any():
-        raise ValueError("a run needs one set of lambda cells and one length per cell and end")
-    n, lengths = table.n, table.lengths[table.cells, ends[0].T]  # (2, n*n)
+    free = table.lambda_cells(ends)
+    if (free != free[0]).any():
+        raise ValueError("a run needs one set of lambda cells")
+    n = table.n
 
     def gathered(c: int, end: int) -> np.ndarray:
-        return table.rows[c, ends[:, c, end], : lengths[end, c]]
+        return table.rows[c, ends[:, c, end], : table.width[c]]
 
     fixed = [[gathered(i * n + j, 0) for j in range(n)] for i in range(n)]
-    slots = table.slots(table.lambda_cells(ends[0])).tolist()
+    slots = table.slots(free[0]).tolist()
     return _parametric_run(fixed, [(c // n, c % n, gathered(c, 1)) for c in slots])
 
 

@@ -160,14 +160,15 @@ class VertexTable:
 
     Cells are row-major, ``c = i * n + j``.  ``vertices[c]`` lists the cell's
     ``entry_vertices``; ``rows[c, v]`` holds vertex v's coefficients
-    zero-padded to the family's longest vertex, ``lengths[c, v]`` its own
-    length, ``truncated[c, v]`` its flag, and ``same[c, a, b]`` says whether
-    vertices a and b are equal.  ``segments[c]`` holds the
-    ``(index0, index1)`` of each of the cell's ``entry_edges``.  In ``ends``
-    a configuration's lambda cells are those whose two ends differ, and
-    slot l is the lambda cell of its l-th such column.  A padded row sliced
-    to its own length is the unpadded row, so every array gathered from the
-    table is bitwise the one stacked from the polynomials.
+    zero-padded to the family's longest vertex, ``width[c]`` the length of
+    the cell's longest vertex, ``truncated[c, v]`` vertex v's flag, and
+    ``same[c, a, b]`` says whether vertices a and b are equal.
+    ``segments[c]`` holds the ``(index0, index1)`` of each of the cell's
+    ``entry_edges``.  In ``ends`` a configuration's lambda cells are those
+    whose two ends differ, and slot l is the lambda cell of its l-th such
+    column.  Callers gather each cell's rows at ``width[c]``: a determinant
+    does not depend on its cells' zero padding (``det._polymul``), so one
+    width per cell serves every member.
     """
 
     def __init__(self, fam: MatrixFamily):
@@ -179,18 +180,17 @@ class VertexTable:
         counts = [len(vs) for vs in self.vertices]
         m = max(counts)
         self.rows = np.zeros((n * n, m, max(v.coeffs.size for vs in self.vertices for v in vs)))
-        self.lengths = np.zeros((n * n, m), dtype=np.intp)
+        self.width = np.array([max(v.coeffs.size for v in vs) for vs in self.vertices])
         self.truncated = np.zeros((n * n, m), dtype=bool)
         self.same = np.zeros((n * n, m, m), dtype=bool)
         for c, vs in enumerate(self.vertices):
             for a, v in enumerate(vs):
                 self.rows[c, a, : v.coeffs.size] = v.coeffs
-                self.lengths[c, a] = v.coeffs.size
                 self.truncated[c, a] = v.truncated
-            # equal vertices have equal lengths and equal padded rows; every
-            # coefficient is finite, so this is ``Polynomial.__eq__``
-            k, rows, lengths = len(vs), self.rows[c, : len(vs)], self.lengths[c, : len(vs)]
-            self.same[c, :k, :k] = (lengths[:, None] == lengths) & (rows[:, None] == rows).all(axis=-1)
+            # a vertex's last coefficient is nonzero and every coefficient is
+            # finite, so equal padded rows is ``Polynomial.__eq__``
+            rows = self.rows[c, : len(vs)]
+            self.same[c, : len(vs), : len(vs)] = (rows[:, None] == rows).all(axis=-1)
         # a block takes every vertex choice of each column but its pattern
         # cell's, which it replaces by that cell's segments
         column = [math.prod(counts[j::n]) for j in range(n)]
@@ -228,10 +228,10 @@ class VertexTable:
             first += size
 
     def runs(self, start: int, stop: int):
-        """Yield ``(first index, ends)`` for each maximal stretch of a block that shares ``signature``."""
+        """Yield ``(first index, ends)`` for each maximal stretch of a block that shares its lambda cells."""
         for _, first, ends in self.ends(start, stop):
-            sig = self.signature(ends)
-            cuts = [0, *(np.flatnonzero((sig[1:] != sig[:-1]).any(axis=1)) + 1).tolist(), len(ends)]
+            free = self.lambda_cells(ends)
+            cuts = [0, *(np.flatnonzero((free[1:] != free[:-1]).any(axis=1)) + 1).tolist(), len(ends)]
             for lo, hi in zip(cuts, cuts[1:]):
                 yield first + lo, ends[lo:hi]
 
@@ -260,16 +260,6 @@ class VertexTable:
     def any_truncated(self, ends: np.ndarray) -> np.ndarray:
         """Whether a vertex at either end of any cell lost coefficients at construction, shape (B,)."""
         return self.truncated[self.cells[:, None], ends].any(axis=(1, 2))
-
-    def signature(self, ends: np.ndarray) -> np.ndarray:
-        """What a run's configurations share besides their pattern, shape (B, 3 * n*n).
-
-        The lambda cells, every cell's length at lambda = 0, and each lambda
-        cell's length at lambda = 1 (0 for the other cells).
-        """
-        free = self.lambda_cells(ends)
-        lengths = self.lengths[self.cells[:, None], ends]
-        return np.concatenate([free, lengths[..., 0], np.where(free, lengths[..., 1], 0)], axis=1)
 
 
 def count_configs(fam: MatrixFamily) -> int:

@@ -210,10 +210,10 @@ def _coeff_batches(cells, weight_arrays):
     transposed product ``arr.T @ w.T`` at the padded width, which rounds as
     the row-major mix ``w @ arr`` does, and cut to its leading rows; an
     interval cell is mixed coefficient by coefficient.  The padding only
-    ever added exact zeros, so every determinant is the padded expansion's
-    bit for bit unless a cell is longer than a minor of three or more
-    coefficients that it multiplies: ``_polymul`` then loops over the minor,
-    and its sums run in the other order.
+    ever added exact zeros, and ``_polymul`` sums in ascending powers of the
+    cell whatever the lengths, so every determinant is the padded
+    expansion's bit for bit, up to the sign of a zero.  The cut is kept for
+    speed: no product runs over padding.
     """
     out = []
     for (kind, arr, length), w in zip(cells, weight_arrays):

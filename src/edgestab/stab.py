@@ -39,12 +39,11 @@ The decision layers build on each other:
   plan, whatever the worker count: the chunks ``[1, 64)``,
   ``[64, 128)``, ... follow configuration 0, in-process or on worker
   processes, up to the first chunk that ends Unstable.  A run is a
-  maximal stretch of a chunk's ``ends`` that ``VertexTable.runs`` keeps
-  together.  ``VertexMembers`` holds the table and gives each
+  maximal stretch of a chunk's ``ends`` that shares its lambda cells
+  (``VertexTable.runs``).  ``VertexMembers`` holds the table and gives each
   configuration its corner verdicts: it solves the new all-vertex members
-  of each run in batches (one determinant and one margin call per
-  cell-length signature) and memoises each verdict by the member's vertex
-  indices.  It also holds the box memo: a configuration with k < n whose
+  of each call in one batch (one determinant and one margin call) and
+  memoises each verdict by the member's vertex indices.  It also holds the box memo: a configuration with k < n whose
   box recurred under an earlier pattern reuses that box's verdict and
   builds nothing.  Every other configuration passes ``box_stable``'s
   checks in stream order on the run's dense terms: the corner rows, degree
@@ -620,14 +619,13 @@ class VertexMembers:
     A member is named by the vertex index of every cell, row-major, as in
     ``_corner_ends``.  Within one family an index names one polynomial of
     its cell, so the key names the member; it never names a configuration.
-    ``solve`` measures the members of one run that the memo has not seen,
-    grouped by corner: the run's members at one corner share every cell's
-    coefficient length (``VertexTable.signature``), so each corner takes one
-    ``_laplace`` call and one ``member_margins`` call, on rows gathered from
-    the table.  Groups are never zero-padded, which would reorder the sums of the
-    determinant, so each member's coefficients, margin and verdict are
-    bitwise ``point_stable(det_matrix(grid))``'s and do not depend on the
-    batch, the configuration or the worker that reaches the member first.
+    ``solve`` measures the members of one call that the memo has not seen
+    in one ``_laplace`` call and one ``member_margins`` call, on rows
+    gathered from the table at ``VertexTable.width``.  A determinant does
+    not depend on its cells' zero padding (``det._polymul``), so each
+    member's coefficients, margin and verdict are bitwise
+    ``point_stable(det_matrix(grid))``'s and do not depend on the batch,
+    the configuration or the worker that reaches the member first.
     A zero member gets ``member_margins``' -inf margin instead of raising;
     ``box_stable`` calls such a configuration Degenerate before it reads a
     corner.
@@ -646,18 +644,15 @@ class VertexMembers:
     def solve(self, corners: np.ndarray) -> list[list[Verdict]]:
         """The verdicts of the members ``corners`` of one run, shape (B, V, n*n), as B lists of V."""
         table, n = self.table, self.table.n
-        width = corners.shape[1]
         keys = [tuple(key) for key in corners.reshape(-1, n * n).tolist()]
-        for v in range(width):
-            fresh = [key for key in dict.fromkeys(keys[v::width]) if key not in self._verdicts]
-            if not fresh:
-                continue
+        fresh = [key for key in dict.fromkeys(keys) if key not in self._verdicts]
+        if fresh:
             picks = np.array(fresh, dtype=np.intp)
-            lengths = table.lengths[table.cells, picks[0]]
-            grid = [[table.rows[c, picks[:, c], : lengths[c]] for c in range(i * n, i * n + n)] for i in range(n)]
+            grid = [[table.rows[c, picks[:, c], : table.width[c]] for c in range(i * n, i * n + n)] for i in range(n)]
             margins, roots = member_margins(self.region, _laplace(grid))
             for key, margin, root in zip(fresh, margins, roots):
                 self._verdicts[key] = _member_verdict(margin, root)
+        width = corners.shape[1]
         return [[self._verdicts[key] for key in keys[b : b + width]] for b in range(0, len(keys), width)]
 
 
@@ -790,7 +785,7 @@ def _family_points(table: VertexTable, interval: bool, halved: list[int]) -> lis
     out = []
     for c in range(table.n**2):
         count = len(table.vertices[c])
-        rows = table.rows[c, :count, : table.lengths[c, :count].max()]
+        rows = table.rows[c, :count, : table.width[c]]
         lo, hi = rows.min(axis=0), rows.max(axis=0)
         if interval and 1 << lo.size > _HULL_CAP:
             mid, rad = (box[None] for box in cell_boxes(lo, hi))

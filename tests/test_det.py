@@ -162,7 +162,8 @@ def test_laplace_and_det_matrix_leave_no_garbage_cycle():
 # the coefficient-first core against a batch-last expansion, bit for bit
 #
 # ``batch_last_*`` are the expansion that convolves the last axis of
-# ``(..., L)`` arrays, kept verbatim as the reference: ``_laplace`` must
+# ``(..., L)`` arrays, each product looping over its first factor (the
+# cell), kept as the reference for the layout: ``_laplace`` must
 # give its bytes exactly, signed zeros and infinities included, and NaN in
 # exactly the same places.  Only a NaN's sign is left out: when two NaNs of
 # opposite sign meet in a sum, numpy's vectorised add keeps one operand's or
@@ -174,8 +175,6 @@ def test_laplace_and_det_matrix_leave_no_garbage_cycle():
 
 def batch_last_polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of coefficient arrays: convolve the last axis, broadcast the rest."""
-    if a.shape[-1] > b.shape[-1]:
-        a, b = b, a
     la, lb = a.shape[-1], b.shape[-1]
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (la + lb - 1,))
     for i in range(la):
@@ -286,6 +285,31 @@ def test_laplace_is_bitwise_the_batch_last_expansion(n, B, monkeypatch):
                     check(cells, k, scale, unsigned)
     assert len(products) == cases * n * (2 ** (n - 1) - 1)
     assert overflowed > 0 or n == 1  # the cells near 1e200 overflowed, and silently
+
+
+# grids of B members whose cells have mixed lengths: (n, lengths to draw
+# from, grids to draw)
+PADDING_SHAPES = [(2, [6, 4], 50), (3, [7, 3], 20), (4, range(1, 10), 20), (5, range(1, 7), 10)]
+
+
+@pytest.mark.parametrize("n, lengths, draws", PADDING_SHAPES, ids=[f"{n}x{n}" for n, _, _ in PADDING_SHAPES])
+def test_laplace_ignores_zero_padding(n, lengths, draws):
+    # every product sums over ascending powers of its cell, so zero-padding
+    # the cells to a common length only adds products with a zero factor
+    # before or after the others: the determinant of the cells at their own
+    # lengths is bitwise the leading part of the padded one, and the rest of
+    # the padded one is zero
+    rng = np.random.default_rng(n)
+    B = 16
+    for _ in range(draws):
+        sizes = rng.choice(list(lengths), size=(n, n))
+        cells = [[rng.normal(size=(B, int(sizes[i, j]))) for j in range(n)] for i in range(n)]
+        width = int(sizes.max())
+        padded = [[np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in row] for row in cells]
+        own, wide = _laplace(cells), _laplace(padded)
+        assert wide.shape == (B, n * (width - 1) + 1)
+        assert own.tobytes() == np.ascontiguousarray(wide[:, : own.shape[1]]).tobytes()
+        assert not wide[:, own.shape[1] :].any()
 
 
 # ----------------------------------------------------------------------

@@ -342,8 +342,7 @@ def all_vertex_margins(fam):
     n = fam.n
     counts = [len(vs) for vs in table.vertices]
     picks = np.indices(counts).reshape(n * n, -1)
-    widths = [int(table.lengths[c, : counts[c]].max()) for c in range(n * n)]
-    grid = [[table.rows[c, picks[c], : widths[c]] for c in range(i * n, i * n + n)] for i in range(n)]
+    grid = [[table.rows[c, picks[c], : table.width[c]] for c in range(i * n, i * n + n)] for i in range(n)]
     return reg.member_margins(fam.region, _laplace(grid))[0]
 
 

@@ -391,9 +391,8 @@ POLYTOPE_FIXTURES = [
 
 @pytest.mark.parametrize("name", POLYTOPE_FIXTURES)
 def test_cells_at_their_own_length_keep_the_padded_determinants(name):
-    # a cut cell drops only products with padding zeros; the sums keep their
-    # order while no cell is longer than a minor of three or more
-    # coefficients that it multiplies, which holds on every fixture
+    # a cut cell drops only products with padding zeros, and the sums keep
+    # their order: each runs over ascending powers of the cell
     fam = CASES[name]
     cells = _cell_coeff_arrays(fam)
     assert max(length for _, _, length in cells) == cells[0][1].shape[1]
@@ -439,7 +438,7 @@ def test_screen_on_the_oracles_batches_never_clears_a_member_at_or_below_the_bar
 def test_sampled_vertex_members_get_the_analyzers_margins():
     # one root solver and cells at their own length: a batched vertex
     # member's margin is bitwise point_stable's
-    for name in ("demo3x3.json", "mixed_lengths.json", "dominant4_partial.json"):
+    for name in ("demo3x3.json", "mixed_lengths.json", "dominant4_partial.json", "swapped_lengths.json"):
         fam = family_from_fixture(name)
         n = fam.n
         cells = _cell_coeff_arrays(fam)

@@ -1068,13 +1068,8 @@ def reference_corner_keys(cfg):
 
 
 def reference_run_key(cfg):
-    """What the configurations of one run share: sigma, lambda columns, cell and ``p1`` lengths."""
-    return (
-        cfg.sigma,
-        cfg.lambda_columns,
-        tuple(cell.coeffs.size for row in cfg.base for cell in row),
-        tuple(cfg.edge_choice[j].p1.coeffs.size for j in cfg.lambda_columns),
-    )
+    """What the configurations of one run share: sigma and the lambda columns."""
+    return cfg.sigma, cfg.lambda_columns
 
 
 def reference_truncated(cfg):
@@ -1134,7 +1129,7 @@ def run_corners(table, ends):
 
 def mixed_length_family():
     # off-diagonal vertices of lengths 1 and 2: the corners of one
-    # configuration differ in cell lengths, so a run spans several signatures
+    # configuration differ in cell lengths, so a run mixes cell lengths
     diag = {"vertices": [[2.0, 3.0, 1.0], [2.2, 3.1, 1.05]]}
     off = {"vertices": [[0.05], [0.04, 0.03]]}
     entries = [[diag if i == j else off for j in range(3)] for i in range(3)]
@@ -1142,13 +1137,10 @@ def mixed_length_family():
 
 
 def swapped_length_family():
-    # diagonal vertices of lengths 3 and 5 in opposite orders: zero-padding
-    # members to common cell lengths would swap the operands of some
-    # products and reorder their sums, which changes members' bits here
-    diag0 = {"vertices": [[0.75, 0.6, 2.25], [1.64, 2.74, 2.59, 1.46, 2.93]]}
-    diag1 = {"vertices": [[1.98, 2.41, 1.52, 0.99, 0.93], [0.95, 2.01, 0.78]]}
-    entries = [[diag0, {"vertices": [[0.05]]}], [{"vertices": [[-0.04]]}, diag1]]
-    return parse_family_dict({"n": 2, "region": {"type": "hurwitz"}, "mode": "polytope", "entries": entries})
+    # diagonal vertices of lengths 3 and 5 in opposite orders: a product
+    # that looped over its shorter factor would sum in another order once
+    # the cells are zero-padded, which changes members' bits here
+    return fixture_family("swapped_lengths")
 
 
 @pytest.mark.parametrize(
@@ -1184,11 +1176,11 @@ def test_batched_members_equal_point_verdicts(make):
     # gets the -inf verdict instead of raising
     fam = make()
     members = VertexMembers(fam)
-    signatures = 0
+    layouts = 0  # the most distinct member cell-length tuples in one run
     for table, run, ends in plan_runs(fam):
         batch = members.solve(run_corners(table, ends))
         solved = len(members._verdicts)
-        sigs = set()
+        lengths = set()
         for cfg, solved_corner in zip(run, batch, strict=True):
             corner = vertex_corners(members, cfg)
             assert all(a is b for a, b in zip(corner, solved_corner, strict=True)), cfg.index
@@ -1198,16 +1190,16 @@ def test_batched_members_equal_point_verdicts(make):
                 for slot, j in enumerate(cfg.lambda_columns):
                     if v >> slot & 1:
                         grid[cfg.sigma[j]][j] = cfg.edge_choice[j].p1
-                sigs.add(tuple(c.coeffs.size for row in grid for c in row))
+                lengths.add(tuple(c.coeffs.size for row in grid for c in row))
                 det = det_matrix(grid)
                 if det.is_zero:
                     assert corner[v].margin == -math.inf, (cfg.index, v)
                 else:
                     assert repr(corner[v]) == repr(point_stable(det, fam.region)), (cfg.index, v)
         assert len(members._verdicts) == solved  # the run's batch solved every corner
-        signatures = max(signatures, len(sigs))
+        layouts = max(layouts, len(lengths))
     if make is mixed_length_family:
-        assert signatures > 1
+        assert layouts > 1
 
 
 def test_family_solves_each_vertex_member_once(monkeypatch):
@@ -1408,8 +1400,8 @@ def test_run_rejects_mixed_structure():
     # configurations 63 and 64 of demo3x3 end and start a pattern block
     table = VertexTable(fixture_family("demo3x3"))
     ends = np.concatenate([block for _, _, block in table.ends(63, 65)])
-    sig = table.signature(ends)
-    assert (sig[0] != sig[1]).any()
+    free = table.lambda_cells(ends)
+    assert (free[0] != free[1]).any()
     with pytest.raises(ValueError):
         det_parametric_run(table, ends)
 
