@@ -17,13 +17,21 @@ Enumeration is streaming and deterministic:
 
 Any slice of the stream can be reconstructed from its index range.
 
+Counting needs no table: a pattern's block takes, per column, the
+segments of its pattern cell times the vertices of the column's other
+cells, and a cell's vertex and segment counts follow from its shape alone
+(four and four for an interval entry; m and m(m-1)/2, or 1 when m is 1,
+for a polytope entry), so ``count_configs`` is a sum of products of
+integers.
+
 Within a pattern a configuration is only a vertex index per cell.  A
 ``VertexTable``, built once per analysis, holds every cell's vertex rows
-and turns a stream range into ``ends``, the vertex index of every cell at
+and its segments as ``(index0, index1)`` pairs (``entry_segments``), and
+turns a stream range into ``ends``, the vertex index of every cell at
 lambda = 0 and lambda = 1, by one mixed-radix decomposition per pattern
-block.  The drivers decide configurations from ``ends`` alone;
+block.  The drivers and the oracle's hint read ``ends`` alone;
 ``iter_configs`` and ``config_at`` build ``EdgeConfiguration`` objects from
-the same table, for reports, listings, witnesses and the oracle's hint.
+the same table, for reports, listings and witnesses.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .family import (
+    KHARITONOV_EDGE_PAIRS,
     EdgeSegment,
     IntervalEntry,
     MatrixFamily,
@@ -74,6 +83,31 @@ def entry_edges(entry) -> list[EdgeSegment]:
         v = entry.vertices[0]
         return [EdgeSegment(v, v, index0=0, index1=0)]
     return polytope_edges(entry)
+
+
+def entry_segments(entry) -> np.ndarray:
+    """The ``(index0, index1)`` of each of ``entry_edges(entry)``, in order, shape (S, 2), from the entry's shape alone.
+
+    An interval entry's are ``KHARITONOV_EDGE_PAIRS``, a polytope entry's
+    the vertex pairs r < t in lexicographic order, and a fixed entry's the
+    one pair ``(0, 0)``.
+    """
+    if isinstance(entry, IntervalEntry):
+        return np.array(KHARITONOV_EDGE_PAIRS)
+    return np.array(list(itertools.combinations(range(entry.m), 2)) if entry.m > 1 else [(0, 0)])
+
+
+def _block_sizes(n: int, vertex_counts, segment_counts, patterns) -> list[int]:
+    """The number of configurations of each pattern's block, given every cell's vertex and segment counts, row-major.
+
+    A block takes every vertex choice of each column but its pattern
+    cell's, which it replaces by that cell's segments.
+    """
+    column = [math.prod(vertex_counts[j::n]) for j in range(n)]
+    return [
+        math.prod(column[j] // vertex_counts[i * n + j] * segment_counts[i * n + j] for j, i in enumerate(p))
+        for p in patterns
+    ]
 
 
 class EdgeConfiguration:
@@ -159,16 +193,17 @@ class VertexTable:
     """One family's cells as arrays indexed by (cell, vertex index), built once per analysis.
 
     Cells are row-major, ``c = i * n + j``.  ``vertices[c]`` lists the cell's
-    ``entry_vertices``; ``rows[c, v]`` holds vertex v's coefficients
-    zero-padded to the family's longest vertex, ``width[c]`` the length of
-    the cell's longest vertex, ``truncated[c, v]`` vertex v's flag, and
-    ``same[c, a, b]`` says whether vertices a and b are equal.
-    ``segments[c]`` holds the ``(index0, index1)`` of each of the cell's
-    ``entry_edges``.  In ``ends`` a configuration's lambda cells are those
-    whose two ends differ, and slot l is the lambda cell of its l-th such
-    column.  Callers gather each cell's rows at ``width[c]``: a determinant
-    does not depend on its cells' zero padding (``det._polymul``), so one
-    width per cell serves every member.
+    ``entry_vertices``, each computed once; ``rows[c, v]`` holds vertex v's
+    coefficients zero-padded to the family's longest vertex, ``width[c]``
+    the length of the cell's longest vertex, ``truncated[c, v]`` vertex v's
+    flag, and ``same[c, a, b]`` says whether vertices a and b are equal.
+    ``segments[c]`` holds the cell's segments as ``(index0, index1)`` pairs
+    (``entry_segments``), so no segment object is built.  ``sizes`` and
+    ``total`` count the stream as ``count_configs`` does.  In ``ends`` a
+    configuration's lambda cells are those whose two ends differ, and slot l
+    is the lambda cell of its l-th such column.  Callers gather each cell's
+    rows at ``width[c]``: a determinant does not depend on its cells' zero
+    padding (``det._polymul``), so one width per cell serves every member.
     """
 
     def __init__(self, fam: MatrixFamily):
@@ -176,29 +211,23 @@ class VertexTable:
         entries = [fam.entry(c // n, c % n) for c in range(n * n)]
         self.cells = np.arange(n * n)
         self.vertices = [entry_vertices(e) for e in entries]
-        self.segments = [np.array([(s.index0, s.index1) for s in entry_edges(e)]) for e in entries]
+        self.segments = [entry_segments(e) for e in entries]
         counts = [len(vs) for vs in self.vertices]
         m = max(counts)
-        self.rows = np.zeros((n * n, m, max(v.coeffs.size for vs in self.vertices for v in vs)))
         self.width = np.array([max(v.coeffs.size for v in vs) for vs in self.vertices])
+        self.rows = np.zeros((n * n, m, self.width.max()))
         self.truncated = np.zeros((n * n, m), dtype=bool)
-        self.same = np.zeros((n * n, m, m), dtype=bool)
         for c, vs in enumerate(self.vertices):
             for a, v in enumerate(vs):
                 self.rows[c, a, : v.coeffs.size] = v.coeffs
                 self.truncated[c, a] = v.truncated
-            # a vertex's last coefficient is nonzero and every coefficient is
-            # finite, so equal padded rows is ``Polynomial.__eq__``
-            rows = self.rows[c, : len(vs)]
-            self.same[c, : len(vs), : len(vs)] = (rows[:, None] == rows).all(axis=-1)
-        # a block takes every vertex choice of each column but its pattern
-        # cell's, which it replaces by that cell's segments
-        column = [math.prod(counts[j::n]) for j in range(n)]
+        # a vertex's last coefficient is nonzero and every coefficient is
+        # finite, so equal padded rows is ``Polynomial.__eq__``; pairs beyond
+        # a cell's vertex count stay False
+        held = np.arange(m) < np.array(counts)[:, None]
+        self.same = (self.rows[:, :, None] == self.rows[:, None]).all(axis=-1) & held[:, :, None] & held[:, None]
         self.patterns = permutations_in_order(n)
-        self.sizes = [
-            math.prod(column[j] // counts[i * n + j] * len(self.segments[i * n + j]) for j, i in enumerate(p))
-            for p in self.patterns
-        ]
+        self.sizes = _block_sizes(n, counts, [len(s) for s in self.segments], self.patterns)
         self.total = sum(self.sizes)
 
     def ends(self, start: int, stop: int):
@@ -263,8 +292,24 @@ class VertexTable:
 
 
 def count_configs(fam: MatrixFamily) -> int:
-    """Total number of configurations in the stream, without materializing it."""
-    return VertexTable(fam).total
+    """Total number of configurations in the stream, from every cell's vertex and segment counts.
+
+    Nothing is built: an interval cell has four Kharitonov vertices and four
+    exposed edges, a polytope cell m vertices and m(m-1)/2 vertex pairs (one
+    degenerate segment when m is 1).  An interval cell with a lower bound
+    above its upper one raises ``BoundOrderViolation``, as building its
+    vertices would.
+    """
+    vertex_counts, segment_counts = [], []
+    for e in (e for row in fam.entries for e in row):
+        if isinstance(e, IntervalEntry):
+            e._check_order()
+            vertex_counts.append(4)
+            segment_counts.append(len(KHARITONOV_EDGE_PAIRS))
+        else:
+            vertex_counts.append(e.m)
+            segment_counts.append(max(e.m * (e.m - 1) // 2, 1))
+    return sum(_block_sizes(fam.n, vertex_counts, segment_counts, itertools.permutations(range(fam.n))))
 
 
 def iter_configs(fam: MatrixFamily, start: int = 0, stop: int | None = None):

@@ -107,25 +107,29 @@ class EdgeSegment:
 #   c4: U U L L U U L L ...
 # and the exposed edges connect (c1,c2), (c2,c4), (c4,c3), (c3,c1).
 
-_KHARITONOV_LOWER_PHASES = (
-    (0, 1),  # c1 takes the lower bound when l % 4 is 0 or 1
-    (0, 3),  # c2
-    (1, 2),  # c3
-    (2, 3),  # c4
+# row r: where vertex c(r+1) takes the lower bound, by coefficient index mod 4
+_KHARITONOV_LOWER = np.array(
+    [
+        [True, True, False, False],
+        [True, False, False, True],
+        [False, True, True, False],
+        [False, False, True, True],
+    ]
 )
+_KHARITONOV_LOWER.flags.writeable = False
 
 KHARITONOV_EDGE_PAIRS = ((0, 1), (1, 3), (3, 2), (2, 0))
+
+
+def kharitonov_lower(length: int) -> np.ndarray:
+    """(4, length) bools: True where Kharitonov vertex r takes the lower bound at coefficient l."""
+    return _KHARITONOV_LOWER[:, np.arange(length) % 4]
 
 
 def kharitonov_vertices(entry: IntervalEntry) -> list[Polynomial]:
     """The four Kharitonov vertex polynomials of an interval entry."""
     entry._check_order()
-    out = []
-    phases = np.arange(entry.length) % 4
-    for lower_at in _KHARITONOV_LOWER_PHASES:
-        take_lower = np.isin(phases, lower_at)
-        out.append(Polynomial(np.where(take_lower, entry.lower, entry.upper)))
-    return out
+    return [Polynomial(row) for row in np.where(kharitonov_lower(entry.length), entry.lower, entry.upper)]
 
 
 def kharitonov_edges(entry: IntervalEntry) -> list[EdgeSegment]:

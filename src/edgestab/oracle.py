@@ -46,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .det import _laplace
-from .edges import config_at, entry_vertices
+from .edges import VertexTable, entry_vertices
 from .errors import ValidationFailure
-from .family import _KHARITONOV_LOWER_PHASES, MatrixFamily, PolytopeEntry
+from .family import MatrixFamily, PolytopeEntry, kharitonov_lower
 from .region import margins_exceed, member_margins
 
 # Members per batch.
@@ -142,27 +142,30 @@ def _random_weights(cells, batch: int, rng: np.random.Generator):
     return out
 
 
-def _grid_weight_lists(cells, level: int):
-    """Per-cell weight choices for the structured grid.
+def _grid_weight_lists(cells, level: int) -> list[np.ndarray]:
+    """Per-cell weight choices for the structured grid, one row each.
 
     Level 1 is the pure vertex grid: each polytope cell ranges over its
     vertices, each interval cell over the four corner assignments that set
     every coefficient to a bound with one of the recurring sign patterns
-    plus all-lower and all-upper.  Higher levels add interior mixes.
+    plus all-lower and all-upper.  Higher levels add interior mixes: for
+    t = 1/level, ..., (level - 1)/level in turn, a polytope cell with m > 1
+    vertices gains m mixes, vertex r at t and every other one at
+    (1 - t)/(m - 1), each divided by its sum, and an interval cell gains
+    the half pattern.
     """
     lists = []
     for kind, arr, _ in cells:
         if kind == "polytope":
             m = arr.shape[0]
-            choices = [np.eye(m)[r] for r in range(m)]
+            choices = np.eye(m)
             if level >= 2 and m > 1:
-                for extra in range(level - 1):
-                    t = (extra + 1) / level
-                    for r in range(m):
-                        w = np.full(m, (1.0 - t) / max(m - 1, 1))
-                        w[r] = t if m > 1 else 1.0
-                        w = w / w.sum()
-                        choices.append(w)
+                t = np.arange(1, level) / level
+                mixes = np.empty((level - 1, m, m))
+                mixes[...] = ((1.0 - t) / (m - 1))[:, None, None]
+                mixes[:, np.arange(m), np.arange(m)] = t[:, None]
+                mixes /= mixes.sum(axis=-1, keepdims=True)
+                choices = np.concatenate([choices, mixes.reshape(-1, m)])
             lists.append(choices)
         else:
             L = arr.shape[1]
@@ -180,23 +183,36 @@ def _grid_weight_lists(cells, level: int):
             for p in patterns:
                 if not any(np.array_equal(p, q) for q in uniq):
                     uniq.append(p)
-            lists.append(uniq)
+            lists.append(np.array(uniq))
     return lists
 
 
-def _grid_sizes(cells, first: list[int], level: int) -> list[int]:
-    """Per-cell lengths of ``_grid_weight_lists(cells, level)``, given those at level 1.
+def _grid_level(cells, budget: int) -> int:
+    """The largest grid level with at most ``budget`` members, or 1 if level 2 has more.
 
-    A polytope cell with m > 1 vertices has m choices per level; a single
-    vertex stays one choice.  Interval cells gain the half pattern at level 2.
+    At a level l >= 2 each of the p polytope cells with m > 1 vertices has
+    m * l choices, and each interval cell its level-1 patterns plus the
+    half one, so the grid has A * B * l**p members, where A is the product
+    of those m and B that of the interval cells' counts.  The level is the
+    largest integer l with l**p <= budget // (A * B), found by bisection in
+    integers.  With p = 0 nothing grows past level 2, which the grid takes
+    if it has interval cells and fits the budget.
     """
-    sizes = []
-    for (kind, _, _), n1 in zip(cells, first):
-        if kind == "polytope":
-            sizes.append(n1 * level if n1 > 1 else 1)
+    first = [(kind, len(choices)) for (kind, _, _), choices in zip(cells, _grid_weight_lists(cells, 1))]
+    polytope = [size for kind, size in first if kind == "polytope" and size > 1]
+    intervals = [size + 1 for kind, size in first if kind == "interval"]
+    q = budget // (math.prod(polytope) * math.prod(intervals))
+    if not polytope:
+        return 2 if intervals and q >= 1 else 1
+    # lo**p <= q < hi**p, once q >= 1
+    lo, hi = 1, q + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** len(polytope) <= q:
+            lo = mid
         else:
-            sizes.append(n1 + (level >= 2))
-    return sizes
+            hi = mid
+    return lo
 
 
 def _coeff_batches(cells, weight_arrays):
@@ -247,7 +263,11 @@ def member_margin(fam: MatrixFamily, weights) -> tuple[float, complex | None]:
     the simplex, a mix that leaves the interval box by more than 1e-9 and a
     determinant that overflows float64 raise ``ValueError``.
     """
-    cells = _cell_coeff_arrays(fam)
+    return _member_margin(fam, _cell_coeff_arrays(fam), weights)
+
+
+def _member_margin(fam: MatrixFamily, cells, weights) -> tuple[float, complex | None]:
+    """``member_margin`` on the family's ``_cell_coeff_arrays``, built once by the caller."""
     entries = [e for row in fam.entries for e in row]
     rows = []
     for (kind, arr, _), e, w in zip(cells, entries, weights, strict=True):
@@ -333,14 +353,8 @@ def sample_family(
         total += margins.size
 
     if scheme == "grid":
-        first = [len(l) for l in _grid_weight_lists(cells, level=1)]
-        level, sizes = 1, first
-        while True:
-            nxt = _grid_sizes(cells, first, level + 1)
-            if math.prod(nxt) > budget or nxt == sizes:
-                break
-            level, sizes = level + 1, nxt
-        tables = [np.array(choices) for choices in _grid_weight_lists(cells, level)]
+        tables = _grid_weight_lists(cells, _grid_level(cells, budget))
+        sizes = [len(table) for table in tables]
         count = min(math.prod(sizes), budget)
         for start in range(0, count, _CHUNK):
             # mixed-radix digits of the chunk's flat indices, the last cell fastest
@@ -355,7 +369,7 @@ def sample_family(
         for start in range(0, budget, _CHUNK):
             consume(_random_weights(cells, min(_CHUNK, budget - start), rng))
 
-    margin, root = member_margin(fam, worst_weights)
+    margin, root = _member_margin(fam, cells, worst_weights)
     return SampleReport(
         samples=total,
         worst_margin=margin,
@@ -379,8 +393,7 @@ def _vertex_weights(entry, r: int) -> np.ndarray:
     """
     if isinstance(entry, PolytopeEntry):
         return np.eye(entry.m)[r]
-    take_lower = np.isin(np.arange(entry.length) % 4, _KHARITONOV_LOWER_PHASES[r])
-    return np.where(take_lower | (entry.upper == entry.lower), 0.0, 1.0)
+    return np.where(kharitonov_lower(entry.length)[r] | (entry.upper == entry.lower), 0.0, 1.0)
 
 
 def _weights_from_hint(fam: MatrixFamily, hint) -> list:
@@ -390,22 +403,35 @@ def _weights_from_hint(fam: MatrixFamily, hint) -> list:
     0, as in a witness of a configuration without parameters): a pattern cell
     mixes the weights of its segment's end vertices ``index0`` and ``index1``
     by its lambda, every other cell takes its vertex ``vertex_index``.  The
-    configuration may be given as an ``EdgeConfiguration`` or as its index.
+    configuration may be given as an ``EdgeConfiguration`` or as its index,
+    whose pattern and cell ends are one row of ``VertexTable.ends``; its
+    lambda columns are those of its lambda cells.
     """
     cfg, lam = hint
+    n = fam.n
     if isinstance(cfg, (int, np.integer)):
-        cfg = config_at(fam, int(cfg))
-    lam_by_col = dict(zip(cfg.lambda_columns, () if lam is None else lam))
+        table, index = VertexTable(fam), int(cfg)
+        if not 0 <= index < table.total:
+            raise IndexError(f"configuration index {index} out of range")
+        ((sigma, _, ends),) = table.ends(index, index + 1)
+        columns = (table.slots(table.lambda_cells(ends[0])) % n).tolist()
+        ends = ends[0].tolist()
+    else:
+        sigma, columns, segs = cfg.sigma, cfg.lambda_columns, cfg.edge_choice
+        ends = [
+            (segs[j].index0, segs[j].index1) if sigma[j] == i else (cfg.vertex_index[i, j],) * 2
+            for i in range(n)
+            for j in range(n)
+        ]
+    lam_by_col = dict(zip(columns, () if lam is None else lam))
     weights = []
-    for i in range(fam.n):
-        for j in range(fam.n):
-            e = fam.entry(i, j)
-            if cfg.sigma[j] == i:
-                seg, t = cfg.edge_choice[j], lam_by_col.get(j, 0.0)
-                w0, w1 = _vertex_weights(e, seg.index0), _vertex_weights(e, seg.index1)
-                weights.append(w0 * (1.0 - t) + w1 * t)
-            else:
-                weights.append(_vertex_weights(e, cfg.vertex_index[i, j]))
+    for c, (a, b) in enumerate(ends):
+        e, j = fam.entry(c // n, c % n), c % n
+        if sigma[j] == c // n:
+            t = lam_by_col.get(j, 0.0)
+            weights.append(_vertex_weights(e, a) * (1.0 - t) + _vertex_weights(e, b) * t)
+        else:
+            weights.append(_vertex_weights(e, a))
     return weights
 
 
@@ -427,11 +453,12 @@ def find_counterexample_near(
     crossing into the decisively unstable part of the family.  Returns the
     best member found if its margin is nonpositive, else None.
     """
+    cells = _cell_coeff_arrays(fam)
     best_w = _weights_from_hint(fam, hint)
-    best_margin, best_root = member_margin(fam, best_w)
+    best_margin, best_root = _member_margin(fam, cells, best_w)
     goal = min(target, 0.0)
     rng = np.random.default_rng(seed)
-    kinds = [kind for kind, _, _ in _cell_coeff_arrays(fam)]
+    kinds = [kind for kind, _, _ in cells]
     step = 0.25
     for trial in range(budget if best_margin > goal else 0):
         cand = []
@@ -444,7 +471,7 @@ def find_counterexample_near(
             else:
                 p = np.clip(p, 0.0, 1.0)
             cand.append(p)
-        m, r = member_margin(fam, cand)
+        m, r = _member_margin(fam, cells, cand)
         if m < best_margin:
             best_w, best_margin, best_root = cand, m, r
             if best_margin <= goal:

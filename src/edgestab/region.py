@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import _KHARITONOV_LOWER_PHASES
+from .family import kharitonov_lower
 from .poly import batch_roots
 
 
@@ -291,8 +291,6 @@ def _up(a, b):
 _BOX_SLACK = 2.0
 # Absolute widening that covers underflow in the map and its bound.
 _BOX_FLOOR = 2.0**-1060
-# Whether Kharitonov polynomial r takes the lower bound at a coefficient of index l, by l % 4.
-_KHARITONOV_LOWER = np.array([[phase in at for phase in range(4)] for at in _KHARITONOV_LOWER_PHASES])
 
 
 def _powers(x: np.ndarray, L: int) -> np.ndarray:
@@ -380,7 +378,7 @@ def kharitonov_hurwitz(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
     ok = (lo[..., -1] > 0.0) & np.isfinite(lo).all(axis=-1) & np.isfinite(hi).all(axis=-1)
     L = lo.shape[-1]
-    rows = np.where(_KHARITONOV_LOWER[:, np.arange(L) % 4], lo[..., None, :], hi[..., None, :])
+    rows = np.where(kharitonov_lower(L), lo[..., None, :], hi[..., None, :])
     flat = np.where(ok[..., None, None], rows, 0.0).reshape(-1, L).T
     passed = _routh_passes(flat, FILTER_GUARD * np.abs(flat), _degrees(flat))
     return ok & passed.reshape(rows.shape[:-1]).all(axis=-1)

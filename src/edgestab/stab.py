@@ -942,7 +942,11 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
         anchor = members._verdicts[tuple(ends[0, :, 0].tolist())]
         family = _family_certificate(fam, members.table, anchor.margin, tol)
         if family is not None:
-            return _aggregate([(index, family) for index in range(total)], total)
+            # every configuration shares the one RobustlyStable verdict, so
+            # the aggregate is that verdict's margin, named for them all
+            status, margin, reason = family.status, family.margin, family.reason
+            outcomes = [ConfigOutcome(index, status, margin, reason) for index in range(total)]
+            return Verdict(status, margin=margin, reason=f"all {total} configurations certified"), outcomes
     if first is None:
         results = _check_chunk(fam, 0, 1, tol, members)
     if results[-1][1].status is Status.UNSTABLE:

@@ -5,16 +5,22 @@ Membership oracles solve small linear programs: every instantiated cell must
 be a convex combination of its entry's vertices.
 """
 
+import importlib
 import itertools
+import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from edgestab.cli import parse_family_dict
 from edgestab.det import det_matrix
 from edgestab.edges import (
     EdgeConfiguration,
+    VertexTable,
     config_at,
     count_configs,
     entry_edges,
@@ -22,7 +28,7 @@ from edgestab.edges import (
     iter_configs,
     permutations_in_order,
 )
-from edgestab.errors import DimensionMismatch
+from edgestab.errors import BoundOrderViolation, DimensionMismatch
 from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
 from edgestab.poly import Polynomial
 from edgestab.region import HurwitzHalfPlane
@@ -132,6 +138,59 @@ def test_count_matches_stream_exhaustion():
         ),
     ):
         assert count_configs(fam) == sum(1 for _ in iter_configs(fam))
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+FIXTURE_NAMES = [p.stem for p in sorted(FIXTURES.glob("*.json")) if p.stem not in ("nonfinite_coefficient", "segment_pair")]
+
+
+def fixture_family(name):
+    return parse_family_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
+
+
+def workload_families(workload, seed):
+    """The named benchmark workload's families at one seed, from ``bench/families.py``."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        families = importlib.import_module("families")
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return [parse_family_dict(json.loads(json.dumps(spec.doc))) for spec in families.WORKLOADS[workload](seed)]
+
+
+def assert_counts_agree(fam):
+    assert count_configs(fam) == VertexTable(fam).total == len(list(iter_configs(fam)))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_count_is_the_tables_total_and_the_streams_length_on_fixtures(name):
+    assert_counts_agree(fixture_family(name))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("workload", ["certify", "triage", "parallel"])
+def test_count_is_the_tables_total_and_the_streams_length_on_workloads(workload, seed):
+    for fam in workload_families(workload, seed):
+        assert_counts_agree(fam)
+
+
+def test_count_refuses_bad_bounds_without_building_anything():
+    ok, bad = interval([0.0, 1.0], [1.0, 2.0]), interval([0.0, 3.0], [1.0, 2.0])
+    fam = MatrixFamily([[ok, bad], [bad, ok]], HurwitzHalfPlane())
+    with pytest.raises(BoundOrderViolation, match="coefficient index 1"):
+        count_configs(fam)
+    with pytest.raises(BoundOrderViolation, match="coefficient index 1"):
+        VertexTable(fam)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_table_segments_are_the_entry_edges_index_pairs(name):
+    fam = fixture_family(name)
+    table = VertexTable(fam)
+    for c, segments in enumerate(table.segments):
+        want = [(seg.index0, seg.index1) for seg in entry_edges(fam.entry(c // fam.n, c % fam.n))]
+        assert segments.tolist() == [list(pair) for pair in want], (name, c)
 
 
 def test_fixed_entries_still_enumerate():

@@ -18,6 +18,7 @@ from edgestab.family import (
     MatrixFamily,
     PolytopeEntry,
     kharitonov_edges,
+    kharitonov_lower,
     kharitonov_vertices,
     polytope_edges,
     validate,
@@ -64,6 +65,15 @@ def test_polytope_edges_carry_vertex_indices():
 
 # ----------------------------------------------------------------------
 # interval entries
+
+
+@pytest.mark.parametrize("length", range(1, 14))
+def test_kharitonov_mask_is_the_phase_membership(length):
+    # c1 takes the lower bound where l % 4 is 0 or 1, c2 at 0 or 3, c3 at 1 or 2, c4 at 2 or 3
+    phases = ((0, 1), (0, 3), (1, 2), (2, 3))
+    want = np.array([np.isin(np.arange(length) % 4, at) for at in phases])
+    got = kharitonov_lower(length)
+    assert got.dtype == bool and np.array_equal(got, want)
 
 
 def test_interval_entry_bound_order():

@@ -24,7 +24,7 @@ from edgestab import region as reg
 from edgestab.cli import parse_family_dict
 from edgestab.det import ParametricDeterminant, _laplace, cell_boxes, det_enclosure, det_parametric, monomial_weights
 from edgestab.edges import VertexTable, config_at, iter_configs
-from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry
+from edgestab.family import IntervalEntry, MatrixFamily, PolytopeEntry, kharitonov_lower
 from edgestab.poly import Polynomial
 from edgestab.oracle import sample_family
 from edgestab.region import Disk, HurwitzHalfPlane, ShiftedHalfPlane, boxes_exceed, kharitonov_hurwitz
@@ -163,7 +163,7 @@ ONE_BAD_KHARITONOV = {
 @pytest.mark.parametrize("bad", sorted(ONE_BAD_KHARITONOV))
 def test_all_four_kharitonov_polynomials_are_needed(bad):
     lo, hi = (np.array(b) for b in ONE_BAD_KHARITONOV[bad])
-    rows = np.where(reg._KHARITONOV_LOWER[:, np.arange(7) % 4], lo, hi)
+    rows = np.where(kharitonov_lower(7), lo, hi)
     worst = [float(np.max(np.roots(row[::-1]).real)) for row in rows]
     assert [r for r in range(4) if worst[r] > 0.0] == [bad]
     passes = reg.margins_exceed(HurwitzHalfPlane(), rows.T, 0.0)
@@ -192,7 +192,7 @@ def test_bilinear_leading_interval_must_exclude_zero():
     assert valid[0, 0] and mapped[0].tolist() == [2.0, 2.0, 0.0]
     assert np.allclose(mapped[1], [0.99, 2.02, 0.99], rtol=1e-15, atol=0.0)
     lo, hi = mapped.min(axis=0), mapped.max(axis=0)
-    rows = np.where(reg._KHARITONOV_LOWER[:, np.arange(3) % 4], lo, hi)
+    rows = np.where(kharitonov_lower(3), lo, hi)
     assert reg.margins_exceed(HurwitzHalfPlane(), rows.T, 0.0).all()
     assert not kharitonov_hurwitz(lo, hi)
     assert not boxes_exceed(region, corners[None], np.zeros((1, 2, 3)), np.array([[0.5]]))[0, 0]

@@ -9,6 +9,7 @@ batched sampling machinery is checked against first principles.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -212,6 +213,47 @@ def test_grid_covers_interval_bound_patterns():
     )
     rep = sample_family(fam, budget=8, scheme="grid")
     assert rep.verdict == "UnstableSampleFound"
+
+
+def climbed_grid_level(cells, budget):
+    """The grid level reached one level at a time: step up while the next level fits and grows."""
+
+    def sizes(level):
+        return [len(choices) for choices in oracle._grid_weight_lists(cells, level)]
+
+    level = 1
+    while math.prod(sizes(level + 1)) <= budget and sizes(level + 1) != sizes(level):
+        level += 1
+    return level
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (2,), (3,), (1, 1), (2, 2), (2, 3, 1), (4, 1, 1, 1), ("i1",), ("i3", 1), ("i2", 2), ("i5", "i1", 3, 2)],
+)
+def test_grid_level_is_the_largest_that_fits(shape):
+    # integers are polytope cells with that many vertices, "iL" interval cells of length L
+    cells = [
+        ("interval", np.zeros((2, int(c[1:]))), int(c[1:])) if isinstance(c, str) else ("polytope", np.zeros((c, 2)), 2)
+        for c in shape
+    ]
+    for budget in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 35, 36, 63, 64, 100, 127, 500, 1000]:
+        assert oracle._grid_level(cells, budget) == climbed_grid_level(cells, budget), budget
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_grid_mixes_are_the_vector_by_vector_mixes(m):
+    # at level l, vertex r gets t = 1/l, ..., (l-1)/l and the others (1 - t)/(m - 1), each mix divided by its sum
+    for level in range(1, 40):
+        (got,) = oracle._grid_weight_lists([("polytope", np.zeros((m, 2)), 2)], level)
+        want = list(np.eye(m))
+        for extra in range(level - 1 if m > 1 else 0):
+            t = (extra + 1) / level
+            for r in range(m):
+                w = np.full(m, (1.0 - t) / (m - 1))
+                w[r] = t
+                want.append(w / w.sum())
+        assert got.tobytes() == np.array(want).tobytes(), level
 
 
 def test_sampling_respects_region():
@@ -514,6 +556,44 @@ def test_hint_weights_follow_the_configurations_vertex_indices():
                         pinned.add(cfg.index)
                 assert np.array_equal(w, want), (cfg.index, i, j)
     assert pinned == {3, 4}
+
+
+@pytest.mark.parametrize("name", ["demo3x3", "mixed_lengths", "interval_truncation", "swapped_lengths"])
+def test_hint_by_index_gives_the_configurations_weights(name):
+    # an index hint reads its configuration off one row of the vertex table
+    fam = parse_family_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
+    rng = np.random.default_rng(1)
+    for cfg in iter_configs(fam, stop=60):
+        lam = tuple(rng.random(cfg.k)) if cfg.k else None
+        by_index, by_config = _weights_from_hint(fam, (cfg.index, lam)), _weights_from_hint(fam, (cfg, lam))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(by_index, by_config, strict=True)), cfg.index
+
+
+def test_hint_index_out_of_range():
+    fam = stable_2x2()
+    with pytest.raises(IndexError):
+        _weights_from_hint(fam, (8, None))
+
+
+@pytest.mark.parametrize("hint", [(0, (0.5,)), "witness"])
+def test_counterexample_search_builds_its_table_and_cells_once(monkeypatch, hint):
+    fam = stable_2x2() if hint != "witness" else parse_family_dict(
+        json.loads((FIXTURES / "vertex_insufficiency.json").read_text())
+    )
+    if hint == "witness":
+        w = analyze_family(fam).witness
+        hint = (w.config_index, w.lam)
+    built = {"VertexTable": 0, "_cell_coeff_arrays": 0}
+    for name in built:
+        real = getattr(oracle, name)
+
+        def counting(*args, real=real, name=name):
+            built[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    find_counterexample_near(fam, hint, budget=60, seed=0, target=-1.0)
+    assert built == {"VertexTable": 1, "_cell_coeff_arrays": 1}
 
 
 def test_counterexample_from_a_witness_without_parameters():
