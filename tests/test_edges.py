@@ -175,7 +175,7 @@ def test_count_is_the_tables_total_and_the_streams_length_on_workloads(workload,
         assert_counts_agree(fam)
 
 
-def test_count_refuses_bad_bounds_without_building_anything():
+def test_count_refuses_crossed_bounds():
     ok, bad = interval([0.0, 1.0], [1.0, 2.0]), interval([0.0, 3.0], [1.0, 2.0])
     fam = MatrixFamily([[ok, bad], [bad, ok]], HurwitzHalfPlane())
     with pytest.raises(BoundOrderViolation, match="coefficient index 1"):
