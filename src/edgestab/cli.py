@@ -180,16 +180,20 @@ def parse_family_dict(doc, region_override: Region | None = None) -> MatrixFamil
     return fam
 
 
-def parse_family(path: str, region_override: Region | None = None) -> MatrixFamily:
-    """Load and validate a family description file."""
+def _load_document(path: str):
+    """The JSON document of a family description file; an unreadable or malformed file is a ``SchemaError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_family_dict(doc, region_override)
+
+
+def parse_family(path: str, region_override: Region | None = None) -> MatrixFamily:
+    """Load and validate a family description file."""
+    return parse_family_dict(_load_document(path), region_override)
 
 
 def parse_tolerances(doc, args) -> Tolerances:
@@ -315,20 +319,29 @@ def _witness_block(fam: MatrixFamily, verdict) -> dict | None:
     return block
 
 
-def _base_report(command: str, path: str, fam: MatrixFamily, started: float, args) -> dict:
+def _report(args, fam: MatrixFamily, **fields) -> dict:
+    """A subcommand's report: the keys every report shares, and ``fields``."""
     return {
-        "command": command,
-        "input": path,
-        "input_digest": _digest(path),
-        "interpretation": INTERPRETATION,
+        "command": args.command,
+        "input": args.family,
+        "input_digest": _digest(args.family),
         "mode": fam.mode,
         "n": fam.n,
-        "region": fam.region.describe(),
         "tool": {"name": "edgestab", "version": __version__},
-        "wall_time_s": round(time.monotonic() - started, 3)
-        if getattr(args, "timing", False)
-        else None,
+        **fields,
     }
+
+
+def _verdict_report(args, fam: MatrixFamily, started: float, **fields) -> dict:
+    """An ``analyze`` or ``oracle`` report: ``_report`` with the interpretation, the region and the wall time.
+
+    The wall time runs from ``started`` to the call, once every field is
+    built; it is None without ``--timing``, so reports are reproducible.
+    """
+    wall_time_s = round(time.monotonic() - started, 3) if args.timing else None
+    return _report(
+        args, fam, interpretation=INTERPRETATION, region=fam.region.describe(), wall_time_s=wall_time_s, **fields
+    )
 
 
 # ----------------------------------------------------------------------
@@ -338,35 +351,30 @@ def _base_report(command: str, path: str, fam: MatrixFamily, started: float, arg
 def _cmd_analyze(args) -> int:
     started = time.monotonic()
     region = _region_from_flag(args.region) if args.region else None
-    with open(args.family, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_document(args.family)
     fam = parse_family_dict(doc, region)
     tol = parse_tolerances(doc, args)
     drive = analyze_interval_detailed if fam.mode == "interval" else analyze_family_detailed
     verdict, outcomes = drive(fam, tol, jobs=args.jobs)
-    report = _base_report("analyze", args.family, fam, started, args)
-    report.update(
-        {
-            "config_count": count_configs(fam),
-            "configs_checked": len(outcomes),
-            "configs": [
-                {
-                    "index": o.index,
-                    "margin": o.margin,
-                    "reason": o.reason,
-                    "status": o.status.value,
-                }
-                for o in outcomes
-            ],
-            "tolerances": {
-                f.name: getattr(tol, f.name) for f in dataclass_fields(Tolerances)
-            },
-            "verdict": verdict.describe(),
-            "witness_reproduction": _witness_block(fam, verdict),
-        }
+    report = _verdict_report(
+        args,
+        fam,
+        started,
+        config_count=count_configs(fam),
+        configs_checked=len(outcomes),
+        configs=[
+            {
+                "index": o.index,
+                "margin": o.margin,
+                "reason": o.reason,
+                "status": o.status.value,
+            }
+            for o in outcomes
+        ],
+        tolerances={f.name: getattr(tol, f.name) for f in dataclass_fields(Tolerances)},
+        verdict=verdict.describe(),
+        witness_reproduction=_witness_block(fam, verdict),
     )
-    if args.timing:
-        report["wall_time_s"] = round(time.monotonic() - started, 3)
     _emit(report, args)
     return _STATUS_EXIT[verdict.status]
 
@@ -376,11 +384,7 @@ def _cmd_oracle(args) -> int:
     region = _region_from_flag(args.region) if args.region else None
     fam = parse_family(args.family, region)
     sr = sample_family(fam, budget=args.budget, seed=args.seed, scheme=args.scheme)
-    report = _base_report("oracle", args.family, fam, started, args)
-    report["sampling"] = sr.describe()
-    if args.timing:
-        report["wall_time_s"] = round(time.monotonic() - started, 3)
-    _emit(report, args)
+    _emit(_verdict_report(args, fam, started, sampling=sr.describe()), args)
     return 0 if sr.verdict == "StableAtAllSamples" else 1
 
 
@@ -397,15 +401,7 @@ def _cmd_enumerate(args) -> int:
     if args.list is not None:
         stop = total if args.list == 0 else min(args.list, total)
         listing = [cfg.describe() for cfg in iter_configs(fam, stop=stop)]
-    report = {
-        "command": "enumerate",
-        "config_count": total,
-        "input": args.family,
-        "input_digest": _digest(args.family),
-        "mode": fam.mode,
-        "n": fam.n,
-        "tool": {"name": "edgestab", "version": __version__},
-    }
+    report = _report(args, fam, config_count=total)
     if listing is not None:
         report["configs"] = listing
     _emit(report, args)
@@ -416,16 +412,7 @@ def _cmd_validate(args) -> int:
     region = _region_from_flag(args.region) if args.region else None
     fam = parse_family(args.family, region)
     diagnostics = validate(fam)
-    report = {
-        "command": "validate",
-        "diagnostics": [d.as_dict() for d in diagnostics],
-        "input": args.family,
-        "input_digest": _digest(args.family),
-        "mode": fam.mode,
-        "n": fam.n,
-        "tool": {"name": "edgestab", "version": __version__},
-    }
-    _emit(report, args)
+    _emit(_report(args, fam, diagnostics=[d.as_dict() for d in diagnostics]), args)
     return 0 if not any(d.level == "error" for d in diagnostics) else EXIT_INPUT_ERROR
 
 
@@ -504,9 +491,6 @@ def run(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EdgeStabError as exc:
         print(f"error: {exc}", file=sys.stderr)

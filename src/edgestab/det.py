@@ -241,7 +241,8 @@ def _parametric_run(fixed, segments) -> np.ndarray:
     ``c_S`` as ``_laplace`` computed it, zero-padded to the run's length; a
     term past a configuration's own length is zero of either sign.  A
     difference ``p1 - p0`` or a coefficient that overflows stays inf or
-    NaN, and ``box_stable`` calls that determinant Degenerate.
+    NaN, and the degree checks (``stab._decide_boxes``) call that
+    determinant Degenerate.
     """
     n, k, B = len(fixed), len(segments), fixed[0][0].shape[0]
     cells = [[cell.reshape((B,) + (1,) * k + (-1,)) for cell in row] for row in fixed]

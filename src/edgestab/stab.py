@@ -4,21 +4,13 @@ The decision layers build on each other:
 
 * ``point_stable`` checks one polynomial by its worst root margin, the
   batch of one of ``region.member_margins``, as every member is measured.
-* ``box_stable`` decides a multi-affine parameter box.  After the degree
-  checks and the anchor member comes the box test: every coefficient is
-  multi-affine in lambda, so the coefficient box holds every member, and
-  Kharitonov's theorem on that box, mapped into the Hurwitz frame of the
-  region tightened by tau and widened by its rounding bound, certifies the
-  box with a root-distance margin tau.  A box it leaves goes on to its
-  other corner members, then to its centre member (every lambda 0.5): a
-  corner or the centre clearly outside the region ends the box as
-  Unstable, with that member as the witness.  Only then is the box
-  bisected (``_bisect``): each half gets its own corner rows, centre
-  member and box test, and so on, until every sub-box passes, a sub-box
-  centre is clearly outside or bisection cannot finish.  Every
-  RobustlyStable margin is a root-distance bound.  Its degree checks, box
-  test and centre member are the drivers' batch functions on a batch of
-  one; its bisection is the drivers' bisection.
+* ``_decide_boxes`` decides a batch of multi-affine parameter boxes, in
+  stream order, up to the first Unstable one.  It holds the one order of
+  the box checks: degree health, the anchor member, the box test
+  (Kharitonov's theorem on the coefficient box, which holds every member),
+  the other corner members, the centre member and bisection (``_bisect``).
+  Every RobustlyStable margin is a root-distance bound.  ``box_stable``
+  is its batch of one.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` decide a family.  The parent
   decides configuration 0 short of its bisection and stops if it is
@@ -43,15 +35,12 @@ The decision layers build on each other:
   (``VertexTable.runs``).  ``VertexMembers`` holds the table and gives each
   configuration its corner verdicts: it solves the new all-vertex members
   of each call in one batch (one determinant and one margin call) and
-  memoises each verdict by the member's vertex indices.  It also holds the box memo: a configuration with k < n whose
-  box recurred under an earlier pattern reuses that box's verdict and
-  builds nothing.  Every other configuration passes ``box_stable``'s
-  checks in stream order on the run's dense terms: the corner rows, degree
-  checks, anchors and box test each take the run at once; only the boxes
-  the box test leaves get their other corner members, only those the
-  corners leave get their centre members, in one batch, and only those the
-  centre leaves are bisected, one at a time.  Each configuration gets
-  bitwise the verdict ``box_stable`` gives it alone.
+  memoises each verdict by the member's vertex indices.  It also holds the
+  box memo: a configuration with k < n whose box recurred under an earlier
+  pattern reuses that box's verdict and builds nothing.  ``_check_chunk``
+  hands every other configuration of a run to ``_decide_boxes`` on the
+  run's dense terms, so each gets bitwise the verdict ``box_stable`` gives
+  it alone.
 
 Verdict dominance when aggregating: Unstable beats Degenerate beats
 Inconclusive beats RobustlyStable.
@@ -221,7 +210,9 @@ def _assembled_corners(pd: ParametricDeterminant, region: Region) -> list[Verdic
     weights would sum the rows in another order.
     """
     weights = monomial_weights(pd.masks, corner_lambdas(pd.k))
-    margins, roots = member_margins(region, (weights[:, None, :] @ pd.rows)[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        members = (weights[:, None, :] @ pd.rows)[:, 0]
+    margins, roots = member_margins(region, members)
     return [_member_verdict(m, r) for m, r in zip(margins, roots)]
 
 
@@ -381,6 +372,26 @@ def _rung_margins(
     return out
 
 
+def _box_taus(
+    corners: np.ndarray,
+    mags: np.ndarray,
+    count: int,
+    degrees: np.ndarray,
+    margins: np.ndarray,
+    region: Region,
+    tol: Tolerances,
+) -> np.ndarray:
+    """The box test's ``_rung_margins`` of boxes whose corner rows each sum ``count`` rounded terms.
+
+    A corner's rounding error is at most ``_gamma(count)`` times its sum of
+    |c_S|, its ``mags`` row.  ``margins[c]`` tops box c's ladder.  A box
+    whose margin is not finite and positive, or whose corner sums reach
+    ``_BOX_RANGE``, is left out (NaN), whatever its batch-mates.
+    """
+    fit = (0.0 < margins) & (margins < math.inf) & (mags < _BOX_RANGE).all(axis=(1, 2))
+    return _rung_margins(corners, _gamma(count) * mags, degrees, np.where(fit, margins, math.nan), region, tol)
+
+
 def _box_certificates(
     corners: np.ndarray, mags: np.ndarray, degrees: np.ndarray, margins: np.ndarray, region: Region, tol: Tolerances
 ) -> list[Verdict | None]:
@@ -388,16 +399,11 @@ def _box_certificates(
 
     ``corners``, ``mags`` (``_corner_rows``) and ``degrees`` describe the
     boxes, and ``margins[c]`` is the root margin of box c's anchor member,
-    not Unstable, or NaN to leave box c out.  A corner's rounding error is
-    at most ``_gamma(2**k)`` times its ``mags`` row.  The box's margin is
-    its ``_rung_margins`` tau, a root-distance bound.  A box that passes no
-    rung, an anchor without a finite positive margin and a box whose corner
-    sums reach ``_BOX_RANGE`` get None, whatever its batch-mates.
+    not Unstable, or NaN to leave box c out.  The box's margin is its
+    ``_box_taus`` tau, a root-distance bound; a box that passes no rung gets
+    None.
     """
-    fit = (0.0 < margins) & (margins < math.inf) & (mags < _BOX_RANGE).all(axis=(1, 2))
-    taus = _rung_margins(
-        corners, _gamma(mags.shape[1]) * mags, degrees, np.where(fit, margins, math.nan), region, tol
-    )
+    taus = _box_taus(corners, mags, mags.shape[1], degrees, margins, region, tol)
     return [
         None
         if math.isnan(tau)
@@ -435,7 +441,7 @@ def _bisect(terms: np.ndarray, degree: int, region: Region, tol: Tolerances, cen
     the same sum of |c_S| of the exact row (k - 1 roundings in a weight,
     one in its product and 2**k - 1 in the sum), as in ``_corner_rows``.
     The centre's margin in the region the box test tests
-    (``box_region``) tops the sub-box's rung ladder (``_rung_margins``).
+    (``box_region``) tops the sub-box's rung ladder (``_box_taus``).
     That region exists: the box's anchor is stable, and without it no real
     polynomial of positive degree is.
 
@@ -499,10 +505,7 @@ def _bisect(terms: np.ndarray, degree: int, region: Region, tol: Tolerances, cen
             return unfinished("a sub-box centre lies within 2 * zero_margin of the tested region's boundary")
         weights = monomial_weights(masks, np.where(bits, hi[:, None], lo[:, None]))
         corners, mags = weights @ terms, weights @ np.abs(terms)
-        fit = (mags < _BOX_RANGE).all(axis=(1, 2))
-        passed = _rung_margins(
-            corners, _gamma(k + V) * mags, np.full(lo.shape[0], degree), np.where(fit, margins, math.nan), region, tol
-        )
+        passed = _box_taus(corners, mags, k + V, np.full(lo.shape[0], degree), margins, region, tol)
         left = np.isnan(passed)
         taus.extend(passed[~left])
         lo, hi = lo[left], hi[left]
@@ -514,37 +517,92 @@ def _bisect(terms: np.ndarray, degree: int, region: Region, tol: Tolerances, cen
     )
 
 
+def _settle(out: list, live, found) -> list[int]:
+    """Record ``found``'s verdicts of the boxes ``live`` in ``out``, in stream order, up to the first Unstable one.
+
+    ``found`` yields one verdict, or None to go on, per live box and is read
+    no further than the first Unstable one, which deletes every box after
+    it from ``out``.  Returns the live boxes left undecided.
+    """
+    left = []
+    for i, verdict in zip(live, found):
+        out[i] = verdict
+        if verdict is None:
+            left.append(i)
+        elif verdict.status is Status.UNSTABLE:
+            del out[i + 1 :]
+            break
+    return left
+
+
+def _decide_boxes(terms: np.ndarray, corner_verdicts, region: Region, tol: Tolerances, bisect: bool = True) -> list:
+    """The verdicts of a batch of boxes in stream order, up to and including the first Unstable one.
+
+    ``terms`` are the batch's dense terms (B, 2**k, L), and
+    ``corner_verdicts(live, part)`` gives the point verdicts of the corner
+    members ``part`` (a slice of corner indices, slot l at bit l) of the
+    boxes ``live``, one list per box.  The checks run in this order, and
+    the first that decides ends a box:
+
+    * Degree health (``_early_verdicts``): a zero determinant, a coefficient
+      box that overflows float64 or a leading-coefficient interval touching
+      zero is Degenerate; a nonzero constant is RobustlyStable.
+    * The anchor member (lambda = 0, corner 0), solved for every box: any
+      root on or outside the boundary makes the box Unstable, and an anchor
+      that overflowed makes it Degenerate.  With k = 0 the anchor is the box.
+    * The box test (``_box_certificates``): Kharitonov's theorem on the
+      coefficient box, mapped into the Hurwitz frame of the region tightened
+      by tau, for each tau of a ladder below the anchor's margin.  Every
+      coefficient is multi-affine in lambda, so the box of the mapped corner
+      rows, widened by their rounding bound, holds every member.  A pass is
+      RobustlyStable with the largest passing tau as its margin: every
+      member's roots lie more than tau inside.
+    * The other corner members; a clearly unstable one is an exact Unstable
+      verdict.
+    * The centre member, every lambda 0.5 (``_centre_verdicts``), under the
+      same rule, with lambda = (0.5, ..., 0.5) as its witness.
+    * Bisection over the box test (``_bisect``): the box is halved until the
+      box test passes every sub-box, a sub-box centre is clearly outside, or
+      bisection cannot finish.  With ``bisect`` False such a box stays None.
+
+    Each stage takes the boxes the last one left in one batch, and
+    ``_settle`` records its verdicts, so bisection runs one box at a time
+    and stops at the first Unstable box.  Every check of a box reads only
+    that box's rows, so each box gets bitwise the verdict it gets alone.
+    """
+    B, V, _ = terms.shape
+    k = V.bit_length() - 1
+    rows, mags = _corner_rows(terms)
+    early, degrees = _early_verdicts(rows, tol)
+    anchors = [anchor for (anchor,) in corner_verdicts(range(B), slice(0, 1))]
+    anchored = (v or (anchor if k == 0 else _corner_checks([anchor], k, tol)) for v, anchor in zip(early, anchors))
+    out = [None] * B
+    live = _settle(out, range(B), anchored)
+    if live:
+        margins = np.full(B, math.nan)
+        margins[live] = [anchors[i].margin for i in live]
+        certified = _box_certificates(rows, mags, degrees, margins, region, tol)
+        live = _settle(out, live, (certified[i] for i in live))
+    if live:
+        others = corner_verdicts(live, slice(1, None))
+        live = _settle(out, live, (_corner_checks(verdicts, k, tol, start=1) for verdicts in others))
+    if live:
+        centres = _centre_verdicts(terms[live], region, tol)
+        bisected = (
+            v or (_bisect(terms[i], degrees[i], region, tol, centre) if bisect else None)
+            for i, (v, centre) in zip(live, centres)
+        )
+        _settle(out, live, bisected)
+    return out
+
+
 def box_stable(
     pd: ParametricDeterminant,
     region: Region,
     tol: Tolerances | None = None,
     corners=None,
 ) -> Verdict:
-    """Robust stability of a multi-affine determinant over the lambda box.
-
-    The checks run in this order, and the first that decides ends the box:
-
-    * Degree health (``_early_verdicts``): a zero determinant, a coefficient
-      box that overflows float64 or a leading-coefficient interval touching
-      zero is Degenerate; a nonzero constant is RobustlyStable.
-    * The anchor member (lambda = 0, corner 0) is root-tested; any root on
-      or outside the boundary makes the box Unstable, and an anchor that
-      overflowed makes it Degenerate.  With k = 0 the anchor is the box.
-    * The box test (``_box_certificates``, the batch of one): Kharitonov's
-      theorem on the coefficient box, mapped into the Hurwitz frame of the
-      region tightened by tau, for each tau of a ladder below the anchor's
-      margin.  Every coefficient is multi-affine in lambda, so the box of
-      the mapped corner rows, widened by their rounding bound, holds every
-      member.  A pass is RobustlyStable with the largest passing tau as its
-      margin: every member's roots lie more than tau inside.
-    * The other corner members; a clearly unstable one is an exact
-      Unstable verdict.
-    * The centre member, every lambda 0.5 (``_centre_verdicts``, the batch
-      of one), under the same rule: clearly unstable, it is an exact
-      Unstable verdict with lambda = (0.5, ..., 0.5) as its witness.
-    * Bisection over the box test (``_bisect``): the box is halved until
-      the box test passes every sub-box, a sub-box centre is clearly
-      outside, or bisection cannot finish.
+    """Robust stability of a multi-affine determinant over the lambda box: ``_decide_boxes``' batch of one.
 
     ``corners[v]`` is the ``point_stable`` verdict of the member at box
     vertex v (slot l at bit l of v).  The family drivers pass the
@@ -555,25 +613,12 @@ def box_stable(
     ``member_margins`` call.
     """
     tol = tol or Tolerances()
-    terms = np.zeros((1, 1 << pd.k, pd.rows.shape[1]))
-    terms[0, pd.masks] = pd.rows
-    rows, mags = _corner_rows(terms)
-    (verdict,), degrees = _early_verdicts(rows, tol)
-    if verdict is not None:
-        return verdict
     if corners is None:
         corners = _assembled_corners(pd, region)
-    if pd.k == 0:
-        return corners[0]
-    verdict = (
-        _corner_checks(corners[:1], pd.k, tol)
-        or _box_certificates(rows, mags, degrees, np.array([corners[0].margin]), region, tol)[0]
-        or _corner_checks(corners[1:], pd.k, tol, start=1)
-    )
-    if verdict is not None:
-        return verdict
-    ((verdict, centre),) = _centre_verdicts(terms, region, tol)
-    return verdict or _bisect(terms[0], degrees[0], region, tol, centre)
+    terms = np.zeros((1, 1 << pd.k, pd.rows.shape[1]))
+    terms[0, pd.masks] = pd.rows
+    (verdict,) = _decide_boxes(terms, lambda live, part: [corners[part]], region, tol)
+    return verdict
 
 
 def segment_stable(seg: EdgeSegment, region: Region, tol: Tolerances | None = None) -> Verdict:
@@ -627,8 +672,8 @@ class VertexMembers:
     ``point_stable(det_matrix(grid))``'s and do not depend on the batch,
     the configuration or the worker that reaches the member first.
     A zero member gets ``member_margins``' -inf margin instead of raising;
-    ``box_stable`` calls such a configuration Degenerate before it reads a
-    corner.
+    the degree checks of ``_decide_boxes`` call such a configuration
+    Degenerate before its anchor verdict counts.
 
     ``_boxes`` is the analysis's box memo, which ``_check_chunk`` fills and
     reads: the verdict of a configuration with k < n, keyed by its first and
@@ -656,6 +701,12 @@ class VertexMembers:
         return [[self._verdicts[key] for key in keys[b : b + width]] for b in range(0, len(keys), width)]
 
 
+_TRUNCATED = Verdict(
+    Status.DEGENERATE,
+    reason="an input polynomial has trailing coefficients below the truncation floor, so its degree is not resolved",
+)
+
+
 def _check_chunk(
     fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers, bisect: bool = True
 ) -> list:
@@ -676,84 +727,33 @@ def _check_chunk(
     the same bisection.
 
     The rest of a run, up to the first configuration already known to be
-    Unstable, gets its dense terms, corner rows, degree checks and anchor
-    members in one batch each and passes the degree and anchor checks in
-    stream order, up to the first one that is Unstable there.  One box test
-    call decides the boxes that pass; those it leaves get their other corner
-    members in one batch and pass the corner checks, up to the first one
-    that is Unstable there.  The boxes the corners leave get their centre
-    members in one batch.  Each of them then takes its centre verdict or,
-    if that does not decide it, ``_bisect`` on its dense terms, in stream
-    order, up to the first one that is Unstable.  With ``bisect`` False, a
+    Unstable, goes to ``_decide_boxes`` on its dense terms, with
+    ``members.solve`` giving the corner verdicts.  With ``bisect`` False, a
     box its centre leaves is not bisected: its verdict stays None and it
     stays out of the box memo.
     """
     table = members.table
     out = []
     for first, ends in table.runs(start, stop):
-        truncated = table.any_truncated(ends)
         corners = _corner_ends(ends, table.slots(table.lambda_cells(ends[0])))
-        k = corners.shape[1].bit_length() - 1
-        box_keys = [(tuple(c[0]), tuple(c[-1])) for c in corners[:, [0, -1]].tolist()]
-        decided = []
-        for pos in range(len(ends)):
-            if truncated[pos]:
-                v = Verdict(
-                    Status.DEGENERATE,
-                    reason="an input polynomial has trailing coefficients below the "
-                    "truncation floor, so its degree is not resolved",
-                )
-            else:
-                v = members._boxes.get(box_keys[pos]) if k < table.n else None
-            decided.append([first + pos, v])
-            if v is not None and v.status is Status.UNSTABLE:
-                break
-        end = len(decided)
-        todo = [pos for pos in range(end) if decided[pos][1] is None]
+        memo = corners.shape[1] < 1 << table.n  # k < n
+        keys = [(tuple(c[0]), tuple(c[-1])) for c in corners[:, [0, -1]].tolist()]
+        known = (
+            _TRUNCATED if cut else members._boxes.get(key) if memo else None
+            for cut, key in zip(table.any_truncated(ends), keys)
+        )
+        decided = [None] * len(ends)
+        todo = _settle(decided, range(len(ends)), known)
         if todo:
-            terms = det_parametric_run(table, ends[todo])
-            rows, mags = _corner_rows(terms)
-            early, degrees = _early_verdicts(rows, tol)
-            margins = np.full(len(todo), math.nan)
-            for i, (pos, v, (anchor,)) in enumerate(zip(todo, early, members.solve(corners[todo, :1]))):
-                if v is None:
-                    v = anchor if k == 0 else _corner_checks([anchor], k, tol)
-                    if v is None:
-                        margins[i] = anchor.margin
-                decided[pos][1] = v
-                if v is not None and v.status is Status.UNSTABLE:
-                    end = pos + 1
-                    break
-            certified = _box_certificates(rows, mags, degrees, margins, fam.region, tol)
-            anchored = np.flatnonzero(~np.isnan(margins))
-            for i in anchored:
-                decided[todo[i]][1] = certified[i]
-            rest = [i for i in anchored if certified[i] is None]
-            others = members.solve(corners[[todo[i] for i in rest], 1:]) if rest else []
-            left = []  # the boxes the corners leave, before the first corner-Unstable one
-            for i, corner_verdicts in zip(rest, others):
-                v = _corner_checks(corner_verdicts, k, tol, start=1)
-                decided[todo[i]][1] = v
-                if v is None:
-                    left.append(i)
-                elif v.status is Status.UNSTABLE:
-                    end = todo[i] + 1
-                    break
-            if left:
-                for i, (v, centre) in zip(left, _centre_verdicts(terms[left], fam.region, tol)):
-                    pos = todo[i]
-                    if v is None and bisect:
-                        v = _bisect(terms[i], degrees[i], fam.region, tol, centre)
-                    decided[pos][1] = v
-                    if v is not None and v.status is Status.UNSTABLE:
-                        end = pos + 1
-                        break
+            terms, corners = det_parametric_run(table, ends[todo]), corners[todo]
+            found = _decide_boxes(terms, lambda live, part: members.solve(corners[live, part]), fam.region, tol, bisect)
+            _settle(decided, todo, found)
         for pos in todo:
-            if k < table.n and pos < end and decided[pos][1] is not None:
-                members._boxes[box_keys[pos]] = decided[pos][1]
-        out.extend(tuple(item) for item in decided[:end])
-        if out and out[-1][1] is not None and out[-1][1].status is Status.UNSTABLE:
-            return out
+            if memo and pos < len(decided) and decided[pos] is not None:
+                members._boxes[keys[pos]] = decided[pos]
+        out.extend(zip(range(first, first + len(decided)), decided))
+        if decided[-1] is not None and decided[-1].status is Status.UNSTABLE:
+            break
     return out
 
 

@@ -283,14 +283,25 @@ def test_oracle_refuses_overflowing_determinant(capsys, scheme):
 # input errors -> exit 64
 
 
-def test_missing_file(capsys):
-    assert run(["analyze", "/nonexistent/family.json"]) == 64
+SUBCOMMANDS = ["analyze", "oracle", "enumerate", "validate"]
 
 
-def test_invalid_json(tmp_path, capsys):
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_missing_file(command, tmp_path, capsys):
+    # every subcommand loads its file through one helper, so they all
+    # name the path in the same message
+    path = tmp_path / "family.json"
+    assert run([command, str(path)]) == 64
+    assert capsys.readouterr().err == f"error: cannot read {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_invalid_json(command, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    assert run(["analyze", str(p)]) == 64
+    assert run([command, str(p)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p} is not valid JSON: Expecting property name") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
