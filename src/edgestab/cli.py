@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .det import det_matrix, det_parametric
 from .edges import config_at, count_configs, iter_configs
-from .errors import EdgeStabError, SchemaError, ValidationFailure
+from .errors import EdgeStabError, SchemaError
 from .family import IntervalEntry, MatrixFamily, PolytopeEntry, validate
 from .oracle import sample_family
 from .poly import Polynomial
@@ -483,16 +483,10 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
-        return EXIT_INPUT_ERROR if code not in (0,) else 0
+        return EXIT_INPUT_ERROR if code != 0 else 0
     try:
         return args.func(args)
-    except (SchemaError, ValidationFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except EdgeStabError as exc:
+    except (OSError, EdgeStabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # pragma: no cover - defensive

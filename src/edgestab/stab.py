@@ -13,22 +13,20 @@ The decision layers build on each other:
   is its batch of one.
 * ``segment_stable`` decides a one-parameter segment as the k = 1 box.
 * ``analyze_family`` / ``analyze_interval`` decide a family.  The parent
-  decides configuration 0 short of its bisection and stops if it is
-  Unstable.
-  If it is not Degenerate either and no vertex is truncated, the family
-  certificate (``_family_certificate``) tests every member at once: the
-  corner members take one point of every cell (a polytope cell's vertices,
-  an interval cell's box corners; the thinnest cells enter as boxes beyond
-  ``_HULL_CAP`` corners), ``det.det_enclosure`` encloses their
-  determinants in midpoint-radius form, and the box test on the hull of
-  those enclosures, the family box, runs on the rung ladder below
+  decides configuration 0, bisection included, and stops if it is
+  Unstable.  If it is not Degenerate either and no vertex is truncated,
+  the family certificate (``_family_certificate``) tests every member at
+  once: the corner members take one point of every cell (a polytope cell's
+  vertices, an interval cell's box corners; the thinnest cells enter as
+  boxes beyond ``_HULL_CAP`` corners), ``det.det_enclosure`` encloses
+  their determinants in midpoint-radius form, and the box test on the hull
+  of those enclosures, the family box, runs on the rung ladder below
   configuration 0's anchor margin.  If the family box fails, one split
   round halves every two-vertex cell's segment and tests the 2**u
   sub-families in the same calls.  A pass gives every configuration the
   RobustlyStable verdict with the least passing tau, a root-distance
-  bound, and no chunk runs.  Otherwise configuration 0 is bisected if its
-  checks left it, and the edge configurations are decided in one chunk
-  plan, whatever the worker count: the chunks ``[1, 64)``,
+  bound, and no chunk runs.  Otherwise the edge configurations are decided
+  in one chunk plan, whatever the worker count: the chunks ``[1, 64)``,
   ``[64, 128)``, ... follow configuration 0, in-process or on worker
   processes, up to the first chunk that ends Unstable.  A run is a
   maximal stretch of a chunk's ``ends`` that shares its lambda cells
@@ -535,7 +533,7 @@ def _settle(out: list, live, found) -> list[int]:
     return left
 
 
-def _decide_boxes(terms: np.ndarray, corner_verdicts, region: Region, tol: Tolerances, bisect: bool = True) -> list:
+def _decide_boxes(terms: np.ndarray, corner_verdicts, region: Region, tol: Tolerances) -> list:
     """The verdicts of a batch of boxes in stream order, up to and including the first Unstable one.
 
     ``terms`` are the batch's dense terms (B, 2**k, L), and
@@ -563,7 +561,7 @@ def _decide_boxes(terms: np.ndarray, corner_verdicts, region: Region, tol: Toler
       same rule, with lambda = (0.5, ..., 0.5) as its witness.
     * Bisection over the box test (``_bisect``): the box is halved until the
       box test passes every sub-box, a sub-box centre is clearly outside, or
-      bisection cannot finish.  With ``bisect`` False such a box stays None.
+      bisection cannot finish.
 
     Each stage takes the boxes the last one left in one batch, and
     ``_settle`` records its verdicts, so bisection runs one box at a time
@@ -588,10 +586,7 @@ def _decide_boxes(terms: np.ndarray, corner_verdicts, region: Region, tol: Toler
         live = _settle(out, live, (_corner_checks(verdicts, k, tol, start=1) for verdicts in others))
     if live:
         centres = _centre_verdicts(terms[live], region, tol)
-        bisected = (
-            v or (_bisect(terms[i], degrees[i], region, tol, centre) if bisect else None)
-            for i, (v, centre) in zip(live, centres)
-        )
+        bisected = (v or _bisect(terms[i], degrees[i], region, tol, centre) for i, (v, centre) in zip(live, centres))
         _settle(out, live, bisected)
     return out
 
@@ -707,9 +702,7 @@ _TRUNCATED = Verdict(
 )
 
 
-def _check_chunk(
-    fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers, bisect: bool = True
-) -> list:
+def _check_chunk(fam: MatrixFamily, start: int, stop: int, tol: Tolerances, members: VertexMembers) -> list:
     """Decide configurations [start, stop) in stream order, stopping at the first Unstable.
 
     Each run comes from ``members.table.runs``.  A configuration with a
@@ -728,9 +721,7 @@ def _check_chunk(
 
     The rest of a run, up to the first configuration already known to be
     Unstable, goes to ``_decide_boxes`` on its dense terms, with
-    ``members.solve`` giving the corner verdicts.  With ``bisect`` False, a
-    box its centre leaves is not bisected: its verdict stays None and it
-    stays out of the box memo.
+    ``members.solve`` giving the corner verdicts.
     """
     table = members.table
     out = []
@@ -746,13 +737,13 @@ def _check_chunk(
         todo = _settle(decided, range(len(ends)), known)
         if todo:
             terms, corners = det_parametric_run(table, ends[todo]), corners[todo]
-            found = _decide_boxes(terms, lambda live, part: members.solve(corners[live, part]), fam.region, tol, bisect)
+            found = _decide_boxes(terms, lambda live, part: members.solve(corners[live, part]), fam.region, tol)
             _settle(decided, todo, found)
         for pos in todo:
-            if memo and pos < len(decided) and decided[pos] is not None:
+            if memo and pos < len(decided):
                 members._boxes[keys[pos]] = decided[pos]
         out.extend(zip(range(first, first + len(decided)), decided))
-        if decided[-1] is not None and decided[-1].status is Status.UNSTABLE:
+        if decided[-1].status is Status.UNSTABLE:
             break
     return out
 
@@ -931,13 +922,13 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
     total = members.table.total
     bounds = sorted({0, 1, total, *range(_CHUNK, total, _CHUNK)})
     chunks = list(zip(bounds[1:-1], bounds[2:]))
-    # the parent decides configuration 0 alone, short of its bisection; the
-    # family certificate follows unless it is Unstable or Degenerate, and only
-    # if the certificate fails is configuration 0 bisected; the stream goes on
-    # unless configuration 0 is Unstable
-    results = _check_chunk(fam, 0, 1, tol, members, bisect=False)
+    # the parent decides configuration 0 alone and stops if it is Unstable;
+    # the family certificate follows unless it is Degenerate
+    results = _check_chunk(fam, 0, 1, tol, members)
     first = results[0][1]
-    if first is None or first.status not in (Status.UNSTABLE, Status.DEGENERATE):
+    if first.status is Status.UNSTABLE:
+        return _aggregate(results, total)
+    if first.status is not Status.DEGENERATE:
         _, _, ends = next(members.table.ends(0, 1))
         anchor = members._verdicts[tuple(ends[0, :, 0].tolist())]
         family = _family_certificate(fam, members.table, anchor.margin, tol)
@@ -947,10 +938,6 @@ def _run_configs(fam: MatrixFamily, tol: Tolerances, jobs: int):
             status, margin, reason = family.status, family.margin, family.reason
             outcomes = [ConfigOutcome(index, status, margin, reason) for index in range(total)]
             return Verdict(status, margin=margin, reason=f"all {total} configurations certified"), outcomes
-    if first is None:
-        results = _check_chunk(fam, 0, 1, tol, members)
-    if results[-1][1].status is Status.UNSTABLE:
-        return _aggregate(results, total)
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     with ExitStack() as stack:
         if workers <= 1:

@@ -373,8 +373,7 @@ CERTIFIED_FAMILIES = {
     },
     "dominant4_partial:own": lambda: fixture_in("dominant4_partial", None),
     "dominant4_partial:shifted": lambda: fixture_in("dominant4_partial", FIXTURE_REGIONS["shifted"]),
-    # configuration 0 is bisected here, and the family certificate still
-    # runs before it
+    # configuration 0 is bisected here, before the family certificate runs
     "dominant4_partial:disk": lambda: fixture_in("dominant4_partial", FIXTURE_REGIONS["disk"]),
     **{f"dominant3_full{seed}": (lambda seed=seed: dominant_family(seed, 3, every_cell(3))) for seed in range(3)},
     **{f"dominant4_diag{seed}": (lambda seed=seed: dominant_family(seed, 4, diagonal(4))) for seed in range(3)},
@@ -424,28 +423,55 @@ def bisections_of(monkeypatch):
     return seen
 
 
-def test_family_certificate_comes_before_configuration_0s_sweep(monkeypatch):
-    # configuration 0's checks leave it to bisection; the certificate
-    # passes, so nothing is bisected and no deferred box enters the box memo
+def test_configuration_0_is_bisected_once_then_the_certificate_decides_the_family(monkeypatch):
+    # configuration 0's checks leave it to bisection, which runs once; the
+    # family certificate then passes and gives every configuration its verdict
     fam = CERTIFIED_FAMILIES["dominant4_partial:disk"]()
     members = VertexMembers(fam)
-    assert stab._check_chunk(fam, 0, 1, Tolerances(), members, bisect=False) == [(0, None)]
-    assert members._boxes == {}
+    ((_, alone),) = _check_chunk(fam, 0, 1, Tolerances(), members)
+    assert alone.reason.startswith("bisected into")
+    anchor = members._verdicts[tuple(next(members.table.ends(0, 1))[2][0, :, 0].tolist())]
+    family = stab._family_certificate(fam, members.table, anchor.margin, Tolerances())
     bisected = bisections_of(monkeypatch)
-    verdict, _ = family_outcome(fam)
-    assert verdict.status is Status.ROBUSTLY_STABLE and bisected == []
+    verdict, outcomes = family_outcome(fam)
+    assert bisected == [alone]
+    total = members.table.total
+    assert verdict == stab.Verdict(family.status, margin=family.margin, reason=f"all {total} configurations certified")
+    assert outcomes == [stab.ConfigOutcome(i, family.status, family.margin, family.reason) for i in range(total)]
 
 
 def test_failed_family_certificate_sweeps_configuration_0_as_before(monkeypatch):
     # the family certificate of vertex_insufficiency under a complex-centre
-    # disk fails: configuration 0 is bisected after it, and gets the verdict
-    # it gets alone
+    # disk fails: configuration 0, bisected before it, keeps the verdict it
+    # gets alone
     fam = fixture_in("vertex_insufficiency", Disk(-3.0 + 0.2j, 3.5))
     ((_, alone),) = _check_chunk(fam, 0, 1, Tolerances(), VertexMembers(fam))
     assert alone.status is Status.ROBUSTLY_STABLE and alone.reason.startswith("bisected into")
     bisected = bisections_of(monkeypatch)
     _, outcomes = family_outcome(fam)
     assert bisected[0] == alone and outcomes[0].status is alone.status and outcomes[0].margin == alone.margin
+
+
+@pytest.mark.parametrize(
+    "name, region", [("vertex_insufficiency", Disk(-3.0 + 0.2j, 3.5)), ("dominant4_partial", Disk(-3.0 + 1.0j, 3.5))]
+)
+def test_configuration_0s_terms_are_built_once(name, region, monkeypatch):
+    # configuration 0 is bisected and the family certificate fails, so the
+    # stream follows; configuration 0's dense terms are built once all the same
+    fam = fixture_in(name, region)
+    zero = next(VertexTable(fam).ends(0, 1))[2][0].tolist()
+    built = []
+    run = stab.det_parametric_run
+
+    def recording_run(table, ends):
+        built.extend(ends.tolist())
+        return run(table, ends)
+
+    monkeypatch.setattr(stab, "det_parametric_run", recording_run)
+    bisected = bisections_of(monkeypatch)
+    _, outcomes = family_outcome(fam)
+    assert bisected and "family box" not in outcomes[0].reason and len(outcomes) > 1
+    assert built.count(zero) == 1
 
 
 @pytest.mark.parametrize("name", SPLIT)

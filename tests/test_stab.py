@@ -794,9 +794,9 @@ def recorded_chunks(monkeypatch):
     bounds = []
     check_chunk = stab._check_chunk
 
-    def recording_chunk(fam, start, stop, tol, members, bisect=True):
+    def recording_chunk(fam, start, stop, tol, members):
         bounds.append((start, stop))
-        return check_chunk(fam, start, stop, tol, members, bisect)
+        return check_chunk(fam, start, stop, tol, members)
 
     monkeypatch.setattr(stab, "_check_chunk", recording_chunk)
     return bounds
